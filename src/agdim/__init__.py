@@ -9,7 +9,7 @@ Public surface:
 * :mod:`agdim.efficiency` -- multiset product/sum classification;
 * :mod:`agdim.moduli` -- the top-level dimension recursions and tables;
 * :mod:`agdim.verify` -- exhaustive claim verifiers (also via the CLI);
-* :mod:`agdim.kernels` -- numba/numpy bulk kernels behind the verifiers.
+* :mod:`agdim.kernels` -- numpy int64 bulk kernels behind the verifiers.
 """
 
 from .arith import (

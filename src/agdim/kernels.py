@@ -2,35 +2,29 @@
 
 The scalar API (:mod:`agdim.arith`) uses Python integers and is exact for any
 input.  The range verifiers, however, sweep millions of values, so their inner
-loops run on int64 arrays.  Each kernel exists in two interchangeable
-implementations:
-
-* a numba ``@njit`` version (default when numba imports cleanly), and
-* a pure-numpy fallback, selected by setting ``AGDIM_DISABLE_NUMBA=1`` in the
-  environment or automatically when numba is unavailable.
-
-Both implementations produce identical outputs in identical order; the test
-suite asserts parity and ``benchmarks/bench_kernels.py`` compares their speed.
+loops run on numpy int64 arrays.  numpy releases the GIL inside its large
+array loops, which is what lets :mod:`agdim.verify` run blocked scans on a
+thread pool.
 
 Exactness: int64 arithmetic overflows silently, so every kernel input is
-validated against conservative ceilings (``MAX_SAFE_G``, ``MAX_SAFE_N``) under
-which every intermediate value provably fits in an int64.  Beyond those
-ceilings the kernels refuse to run rather than return wrong answers; the
-scalar Python-int API remains available at any size.
+validated against a ceiling derived from that kernel's largest intermediate
+value (``MAX_SAFE_G``, ``MAX_SAFE_PIECEWISE_G``, ``MAX_SAFE_N``,
+``MAX_SAFE_PAIR_B``).  Beyond its ceiling a kernel refuses to run rather than
+return wrong answers; the scalar Python-int API remains available at any size.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable
+import math
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "NUMBA_AVAILABLE",
     "MAX_SAFE_G",
+    "MAX_SAFE_PIECEWISE_G",
     "MAX_SAFE_N",
+    "MAX_SAFE_PAIR_B",
     "dmax_values",
     "piecewise_mismatches",
     "f_bound_violations",
@@ -38,63 +32,52 @@ __all__ = [
     "best_indec_table",
     "mdsp_table",
     "pair_efficiency_mismatches",
-    "implementations",
 ]
 
-_ENV_FLAG = "AGDIM_DISABLE_NUMBA"
+BACKEND = "numpy"
 
 # floor(g/2)^2 < 2^63 requires g/2 < ~3.04e9; stay well inside.
 MAX_SAFE_G = 4_000_000_000
+# The three-branch form of dmax squares g itself: g^2 <= 2^63 - 1.
+MAX_SAFE_PIECEWISE_G = math.isqrt(2**63 - 1)
 # n^2 < 2^63 requires n < ~3.04e9.
 MAX_SAFE_N = 3_000_000_000
+# a * b <= b^2 stays far below 2^63.
+MAX_SAFE_PAIR_B = 1_000_000_000
 
 
-def _env_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-NUMBA_AVAILABLE = False
-_njit = None
-if not _env_disabled():
-    try:
-        from numba import njit as _njit  # type: ignore
-
-        NUMBA_AVAILABLE = True
-    except ImportError:  # pragma: no cover - exercised via the env flag instead
-        NUMBA_AVAILABLE = False
-
-BACKEND = "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-def _require_safe_g(g: int) -> None:
-    if g > MAX_SAFE_G:
+def _require_at_most(name: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
         raise OverflowError(
-            f"g={g} exceeds the int64-safe kernel ceiling {MAX_SAFE_G}; "
+            f"{name}={value} exceeds the int64-safe kernel ceiling {ceiling}; "
             "use the scalar Python-int API for values this large"
         )
 
 
-def _require_safe_n(n: int) -> None:
-    if n > MAX_SAFE_N:
-        raise OverflowError(
-            f"n={n} exceeds the int64-safe kernel ceiling {MAX_SAFE_N}; "
-            "use the scalar Python-int API for values this large"
-        )
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations (always defined; reference semantics)
-# ---------------------------------------------------------------------------
-
-
-def _dmax_values_np(gs: np.ndarray) -> np.ndarray:
+def _dmax(gs: np.ndarray) -> np.ndarray:
     half = gs >> 1
     return np.maximum(gs - 1, (half * half) >> 2)
 
 
-def _piecewise_mismatches_np(g_lo: int, g_hi: int) -> np.ndarray:
+def dmax_values(gs: np.ndarray) -> np.ndarray:
+    """Vectorized dmax over an int64 array of genera (all >= 1)."""
+    gs = np.ascontiguousarray(gs, dtype=np.int64)
+    if gs.size:
+        lo = int(gs.min())
+        if lo < 1:
+            raise ValueError(f"dmax is defined for g >= 1 (got g={lo})")
+        _require_at_most("g", int(gs.max()), MAX_SAFE_G)
+    return _dmax(gs)
+
+
+def piecewise_mismatches(g_lo: int, g_hi: int) -> np.ndarray:
+    """Genera in [g_lo, g_hi] where the max-form and the three-branch form of
+    dmax disagree (expected: none)."""
+    if g_lo < 1 or g_hi < g_lo:
+        raise ValueError(f"need 1 <= g_lo <= g_hi (got {g_lo}, {g_hi})")
+    _require_at_most("g", g_hi, MAX_SAFE_PIECEWISE_G)
     gs = np.arange(g_lo, g_hi + 1, dtype=np.int64)
-    general = _dmax_values_np(gs)
+    general = _dmax(gs)
     piecewise = gs - 1
     even = (gs >= 16) & (gs % 2 == 0)
     odd = (gs >= 17) & (gs % 2 == 1)
@@ -104,7 +87,12 @@ def _piecewise_mismatches_np(g_lo: int, g_hi: int) -> np.ndarray:
     return gs[general != piecewise]
 
 
-def _f_bound_violations_np(n_lo: int, n_hi: int) -> np.ndarray:
+def f_bound_violations(n_lo: int, n_hi: int) -> np.ndarray:
+    """n in [n_lo, n_hi] violating (n^2-1)/4 <= F(n) <= n^2/4, compared in
+    integers as n^2-1 <= 4 F(n) <= n^2 (expected: none)."""
+    if n_lo < 2 or n_hi < n_lo:
+        raise ValueError(f"need 2 <= n_lo <= n_hi (got {n_lo}, {n_hi})")
+    _require_at_most("n", n_hi, MAX_SAFE_N)
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     f4 = 4 * (((ns + 1) >> 1) * (ns >> 1))
     sq = ns * ns
@@ -112,10 +100,21 @@ def _f_bound_violations_np(n_lo: int, n_hi: int) -> np.ndarray:
     return ns[bad]
 
 
-def _superadditivity_scan_np(
-    D: np.ndarray, g1_lo: int, g1_hi: int
+def superadditivity_scan(
+    D: np.ndarray, g1_lo: int = 1, g1_hi: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Scan dmax(g1+g2) - dmax(g1) - dmax(g2) over g1_lo <= g1 <= g2 with
+    g1+g2 <= len(D)-1, where D[g] = dmax(g) (D[0] ignored).
+
+    Returns (violations, equalities) as (g1, g2) row arrays in ascending
+    order; the superadditivity claim is that violations is empty.
+    """
+    D = np.ascontiguousarray(D, dtype=np.int64)
     g_max = D.shape[0] - 1
+    if g1_hi is None:
+        g1_hi = g_max // 2
+    if g1_lo < 1 or g1_hi > g_max:
+        raise ValueError(f"g1 range [{g1_lo}, {g1_hi}] out of bounds for g_max={g_max}")
     viol: list[np.ndarray] = []
     eqs: list[np.ndarray] = []
     for g1 in range(g1_lo, g1_hi + 1):
@@ -136,7 +135,12 @@ def _superadditivity_scan_np(
     )
 
 
-def _best_indec_table_np(g_max: int) -> np.ndarray:
+def best_indec_table(g_max: int) -> np.ndarray:
+    """Table bi[g] = best dimension of a single-family pair of genus exactly
+    g (quaternionic-curve and unitary families), 0 where no pair exists."""
+    if g_max < 0:
+        raise ValueError(f"g_max must be >= 0 (got {g_max})")
+    _require_at_most("g", g_max, MAX_SAFE_G)
     bi = np.zeros(g_max + 1, dtype=np.int64)
     if g_max >= 2:
         bi[2] = 1  # the quaternionic curve pair (1, 2)
@@ -149,7 +153,10 @@ def _best_indec_table_np(g_max: int) -> np.ndarray:
     return bi
 
 
-def _mdsp_table_np(bi: np.ndarray) -> np.ndarray:
+def mdsp_table(bi: np.ndarray) -> np.ndarray:
+    """Superadditive closure of a best-pair table: M[0] = 0 and
+    M[g] = max(bi[g], max_{0<g'<g} M[g'] + M[g-g'])."""
+    bi = np.ascontiguousarray(bi, dtype=np.int64)
     g_max = bi.shape[0] - 1
     M = np.zeros(g_max + 1, dtype=np.int64)
     for g in range(1, g_max + 1):
@@ -162,7 +169,12 @@ def _mdsp_table_np(bi: np.ndarray) -> np.ndarray:
     return M
 
 
-def _pair_efficiency_mismatches_np(a_max: int, b_max: int) -> np.ndarray:
+def pair_efficiency_mismatches(a_max: int, b_max: int) -> np.ndarray:
+    """(a, b) with 2 <= a <= b where 'ab < 2(a+b)' and '(a-2)(b-2) < 4'
+    disagree (expected: none)."""
+    if a_max < 2 or b_max < a_max:
+        raise ValueError(f"need 2 <= a_max <= b_max (got {a_max}, {b_max})")
+    _require_at_most("b_max", b_max, MAX_SAFE_PAIR_B)
     out: list[np.ndarray] = []
     for a in range(2, a_max + 1):
         b = np.arange(a, b_max + 1, dtype=np.int64)
@@ -174,260 +186,3 @@ def _pair_efficiency_mismatches_np(a_max: int, b_max: int) -> np.ndarray:
     if not out:
         return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(out)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-
-    @_njit(cache=True, nogil=True)
-    def _dmax_values_nb(gs):  # pragma: no cover - executed outside tracing
-        out = np.empty(gs.shape[0], dtype=np.int64)
-        for i in range(gs.shape[0]):
-            g = gs[i]
-            half = g // 2
-            v = (half * half) // 4
-            w = g - 1
-            out[i] = v if v > w else w
-        return out
-
-    @_njit(cache=True, nogil=True)
-    def _piecewise_mismatches_nb(g_lo, g_hi):  # pragma: no cover
-        count = 0
-        for g in range(g_lo, g_hi + 1):
-            half = g // 2
-            general = max(g - 1, (half * half) // 4)
-            if g < 16:
-                pw = g - 1
-            elif g % 2 == 0:
-                pw = (g * g) // 16
-            else:
-                pw = ((g - 1) * (g - 1)) // 16
-            if general != pw:
-                count += 1
-        out = np.empty(count, dtype=np.int64)
-        idx = 0
-        for g in range(g_lo, g_hi + 1):
-            half = g // 2
-            general = max(g - 1, (half * half) // 4)
-            if g < 16:
-                pw = g - 1
-            elif g % 2 == 0:
-                pw = (g * g) // 16
-            else:
-                pw = ((g - 1) * (g - 1)) // 16
-            if general != pw:
-                out[idx] = g
-                idx += 1
-        return out
-
-    @_njit(cache=True, nogil=True)
-    def _f_bound_violations_nb(n_lo, n_hi):  # pragma: no cover
-        count = 0
-        for n in range(n_lo, n_hi + 1):
-            f4 = 4 * (((n + 1) // 2) * (n // 2))
-            sq = n * n
-            if f4 < sq - 1 or f4 > sq:
-                count += 1
-        out = np.empty(count, dtype=np.int64)
-        idx = 0
-        for n in range(n_lo, n_hi + 1):
-            f4 = 4 * (((n + 1) // 2) * (n // 2))
-            sq = n * n
-            if f4 < sq - 1 or f4 > sq:
-                out[idx] = n
-                idx += 1
-        return out
-
-    @_njit(cache=True, nogil=True)
-    def _superadditivity_scan_nb(D, g1_lo, g1_hi):  # pragma: no cover
-        g_max = D.shape[0] - 1
-        nv = 0
-        ne = 0
-        for g1 in range(g1_lo, g1_hi + 1):
-            if 2 * g1 > g_max:
-                break
-            for g2 in range(g1, g_max - g1 + 1):
-                diff = D[g1 + g2] - D[g1] - D[g2]
-                if diff < 0:
-                    nv += 1
-                elif diff == 0:
-                    ne += 1
-        viol = np.empty((nv, 2), dtype=np.int64)
-        eqs = np.empty((ne, 2), dtype=np.int64)
-        iv = 0
-        ie = 0
-        for g1 in range(g1_lo, g1_hi + 1):
-            if 2 * g1 > g_max:
-                break
-            for g2 in range(g1, g_max - g1 + 1):
-                diff = D[g1 + g2] - D[g1] - D[g2]
-                if diff < 0:
-                    viol[iv, 0] = g1
-                    viol[iv, 1] = g2
-                    iv += 1
-                elif diff == 0:
-                    eqs[ie, 0] = g1
-                    eqs[ie, 1] = g2
-                    ie += 1
-        return viol, eqs
-
-    @_njit(cache=True, nogil=True)
-    def _best_indec_table_nb(g_max):  # pragma: no cover
-        bi = np.zeros(g_max + 1, dtype=np.int64)
-        if g_max >= 2:
-            bi[2] = 1
-        for k in range(2, g_max // 3 + 1):
-            for n in range(3, g_max // k + 1):
-                d = (k - 1) * (((n + 1) // 2) * (n // 2))
-                g = k * n
-                if d > bi[g]:
-                    bi[g] = d
-        return bi
-
-    @_njit(cache=True, nogil=True)
-    def _mdsp_table_nb(bi):  # pragma: no cover
-        g_max = bi.shape[0] - 1
-        M = np.zeros(g_max + 1, dtype=np.int64)
-        for g in range(1, g_max + 1):
-            best = bi[g]
-            for g1 in range(1, g // 2 + 1):
-                v = M[g1] + M[g - g1]
-                if v > best:
-                    best = v
-            M[g] = best
-        return M
-
-    @_njit(cache=True, nogil=True)
-    def _pair_efficiency_mismatches_nb(a_max, b_max):  # pragma: no cover
-        count = 0
-        for a in range(2, a_max + 1):
-            for b in range(a, b_max + 1):
-                oracle = a * b < 2 * (a + b)
-                closed = (a - 2) * (b - 2) < 4
-                if oracle != closed:
-                    count += 1
-        out = np.empty((count, 2), dtype=np.int64)
-        idx = 0
-        for a in range(2, a_max + 1):
-            for b in range(a, b_max + 1):
-                oracle = a * b < 2 * (a + b)
-                closed = (a - 2) * (b - 2) < 4
-                if oracle != closed:
-                    out[idx, 0] = a
-                    out[idx, 1] = b
-                    idx += 1
-        return out
-
-
-_IMPLS: dict[str, dict[str, Callable]] = {
-    "numpy": {
-        "dmax_values": _dmax_values_np,
-        "piecewise_mismatches": _piecewise_mismatches_np,
-        "f_bound_violations": _f_bound_violations_np,
-        "superadditivity_scan": _superadditivity_scan_np,
-        "best_indec_table": _best_indec_table_np,
-        "mdsp_table": _mdsp_table_np,
-        "pair_efficiency_mismatches": _pair_efficiency_mismatches_np,
-    }
-}
-if NUMBA_AVAILABLE:
-    _IMPLS["numba"] = {
-        "dmax_values": _dmax_values_nb,
-        "piecewise_mismatches": _piecewise_mismatches_nb,
-        "f_bound_violations": _f_bound_violations_nb,
-        "superadditivity_scan": _superadditivity_scan_nb,
-        "best_indec_table": _best_indec_table_nb,
-        "mdsp_table": _mdsp_table_nb,
-        "pair_efficiency_mismatches": _pair_efficiency_mismatches_nb,
-    }
-
-
-def implementations() -> dict[str, dict[str, Callable]]:
-    """Raw implementation registry, keyed by backend name.  Used by the
-    parity tests and the benchmark; normal callers use the module-level
-    functions, which already point at the active backend."""
-    return _IMPLS
-
-
-_ACTIVE = _IMPLS[BACKEND]
-
-
-# ---------------------------------------------------------------------------
-# guarded public entry points
-# ---------------------------------------------------------------------------
-
-
-def dmax_values(gs: np.ndarray) -> np.ndarray:
-    """Vectorized dmax over an int64 array of genera (all >= 1)."""
-    gs = np.ascontiguousarray(gs, dtype=np.int64)
-    if gs.size:
-        lo = int(gs.min())
-        if lo < 1:
-            raise ValueError(f"dmax is defined for g >= 1 (got g={lo})")
-        _require_safe_g(int(gs.max()))
-    return _ACTIVE["dmax_values"](gs)
-
-
-def piecewise_mismatches(g_lo: int, g_hi: int) -> np.ndarray:
-    """Genera in [g_lo, g_hi] where the max-form and the three-branch form of
-    dmax disagree (expected: none)."""
-    if g_lo < 1 or g_hi < g_lo:
-        raise ValueError(f"need 1 <= g_lo <= g_hi (got {g_lo}, {g_hi})")
-    _require_safe_g(g_hi)
-    return _ACTIVE["piecewise_mismatches"](g_lo, g_hi)
-
-
-def f_bound_violations(n_lo: int, n_hi: int) -> np.ndarray:
-    """n in [n_lo, n_hi] violating (n^2-1)/4 <= F(n) <= n^2/4, compared in
-    integers as n^2-1 <= 4 F(n) <= n^2 (expected: none)."""
-    if n_lo < 2 or n_hi < n_lo:
-        raise ValueError(f"need 2 <= n_lo <= n_hi (got {n_lo}, {n_hi})")
-    _require_safe_n(n_hi)
-    return _ACTIVE["f_bound_violations"](n_lo, n_hi)
-
-
-def superadditivity_scan(
-    D: np.ndarray, g1_lo: int = 1, g1_hi: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scan dmax(g1+g2) - dmax(g1) - dmax(g2) over g1_lo <= g1 <= g2 with
-    g1+g2 <= len(D)-1, where D[g] = dmax(g) (D[0] ignored).
-
-    Returns (violations, equalities) as (g1, g2) row arrays in ascending
-    order; the superadditivity claim is that violations is empty.
-    """
-    D = np.ascontiguousarray(D, dtype=np.int64)
-    g_max = D.shape[0] - 1
-    if g1_hi is None:
-        g1_hi = g_max // 2
-    if g1_lo < 1 or g1_hi > g_max:
-        raise ValueError(f"g1 range [{g1_lo}, {g1_hi}] out of bounds for g_max={g_max}")
-    return _ACTIVE["superadditivity_scan"](D, g1_lo, g1_hi)
-
-
-def best_indec_table(g_max: int) -> np.ndarray:
-    """Table bi[g] = best dimension of a single-family pair of genus exactly
-    g (quaternionic-curve and unitary families), 0 where no pair exists."""
-    if g_max < 0:
-        raise ValueError(f"g_max must be >= 0 (got {g_max})")
-    _require_safe_g(g_max)
-    return _ACTIVE["best_indec_table"](g_max)
-
-
-def mdsp_table(bi: np.ndarray) -> np.ndarray:
-    """Superadditive closure of a best-pair table: M[0] = 0 and
-    M[g] = max(bi[g], max_{0<g'<g} M[g'] + M[g-g'])."""
-    bi = np.ascontiguousarray(bi, dtype=np.int64)
-    return _ACTIVE["mdsp_table"](bi)
-
-
-def pair_efficiency_mismatches(a_max: int, b_max: int) -> np.ndarray:
-    """(a, b) with 2 <= a <= b where 'ab < 2(a+b)' and '(a-2)(b-2) < 4'
-    disagree (expected: none)."""
-    if a_max < 2 or b_max < a_max:
-        raise ValueError(f"need 2 <= a_max <= b_max (got {a_max}, {b_max})")
-    if b_max > 1_000_000_000:
-        raise OverflowError(f"b_max={b_max} exceeds the int64-safe ceiling")
-    return _ACTIVE["pair_efficiency_mismatches"](a_max, b_max)

@@ -131,9 +131,18 @@ class AgResult:
     case: str  # one of "o", "i", "ii", "iii", "iv", "v"
 
 
-@lru_cache(maxsize=None)
+# M[g] depends only on bi[g] and on M at smaller genera, so one table serves
+# every genus up to its length; it is rebuilt at least twice as long when a
+# query outgrows it.
+_MDSP_TABLE: tuple[int, ...] = ()
+
+
 def _mdsp(g_max: int) -> tuple[int, ...]:
-    return tuple(mdsp_star_table(g_max))
+    global _MDSP_TABLE
+    M = _MDSP_TABLE
+    if len(M) <= g_max:
+        M = _MDSP_TABLE = tuple(mdsp_star_table(max(g_max, 2 * len(M))))
+    return M
 
 
 def _recursion_value(g: int, M: tuple[int, ...]) -> int:

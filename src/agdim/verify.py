@@ -4,12 +4,13 @@ Each verifier sweeps a stated finite range and returns a
 :class:`~agdim.report.VerificationReport`; ranges have safe defaults (the
 values asserted by the test suite) and hard ceilings so a stray flag cannot
 start a week-long scan.  The ceilings can be lifted with
-``--unsafe-no-ceiling``, subject only to the kernels' int64 exactness guards.
+``--unsafe-no-ceiling``, subject only to the kernels' int64 exactness guards,
+which are checked against the whole range before any work starts.
 
 Checks whose domain is a plain integer interval are split into blocks and may
-run on a thread pool (``--jobs``); the numba kernels release the GIL, so
-blocks execute in parallel, and results are concatenated in block order, so
-output is deterministic regardless of worker count.
+run on a thread pool (``--jobs``); numpy releases the GIL inside its large
+array loops, so blocks execute in parallel, and results are concatenated in
+block order, so output is deterministic regardless of worker count.
 """
 
 from __future__ import annotations
@@ -44,10 +45,15 @@ class CeilingExceeded(ValueError):
 
 @dataclass(frozen=True)
 class RangeParam:
+    """A range flag: ``ceiling`` is lifted by ``--unsafe-no-ceiling``;
+    ``limit`` is the int64-safe ceiling of the kernel the flag feeds, which
+    nothing lifts."""
+
     flag: str
     default: int
     ceiling: int
     minimum: int = 2
+    limit: int | None = None
 
 
 @dataclass(frozen=True)
@@ -340,25 +346,28 @@ REGISTRY: dict[str, Verifier] = {
     "lemma-dmax": Verifier(
         claim="lemma-dmax",
         description="superadditivity of the genus bound, with its exact equality set",
-        params=(RangeParam("g_max", 4000, 100_000),),
+        params=(RangeParam("g_max", 4000, 100_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_superadditivity,
     ),
     "dmax-piecewise": Verifier(
         claim="dmax-piecewise",
         description="agreement of the max form and the three-branch form of the genus bound",
-        params=(RangeParam("g_max", 1_000_000, 100_000_000),),
+        params=(RangeParam("g_max", 1_000_000, 100_000_000, limit=kernels.MAX_SAFE_PIECEWISE_G),),
         run=_verify_piecewise,
     ),
     "f-bounds": Verifier(
         claim="f-bounds",
         description="quadratic sandwich bounds for the half-product F(n)",
-        params=(RangeParam("n_max", 100_000, 100_000_000),),
+        params=(RangeParam("n_max", 100_000, 100_000_000, limit=kernels.MAX_SAFE_N),),
         run=_verify_f_bounds,
     ),
     "lemma-N": Verifier(
         claim="lemma-N",
         description="closed classification of efficient multisets vs the definition",
-        params=(RangeParam("sum_max", 60, 70), RangeParam("pair_max", 200, 20_000)),
+        params=(
+            RangeParam("sum_max", 60, 70),
+            RangeParam("pair_max", 200, 20_000, limit=kernels.MAX_SAFE_PAIR_B),
+        ),
         run=_verify_efficiency,
     ),
     "claim-F": Verifier(
@@ -375,7 +384,7 @@ REGISTRY: dict[str, Verifier] = {
     "prop-estimate": Verifier(
         claim="prop-estimate",
         description="best single-family pair vs the genus bound, with equality genera",
-        params=(RangeParam("g_max", 2000, 10_000_000),),
+        params=(RangeParam("g_max", 2000, 10_000_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_best_pair_bound,
     ),
     "remark-domination": Verifier(
@@ -406,7 +415,8 @@ def run_verifier(
     unsafe_no_ceiling: bool = False,
 ) -> VerificationReport:
     """Run one registered verifier with optional range overrides; enforces
-    per-flag ceilings unless explicitly disabled."""
+    per-flag ceilings unless explicitly disabled, and the kernels' int64
+    limits always."""
     if claim not in REGISTRY:
         raise KeyError(f"unknown claim id {claim!r} (known: {sorted(REGISTRY)})")
     verifier = REGISTRY[claim]
@@ -414,11 +424,17 @@ def run_verifier(
     overrides = overrides or {}
     for param in verifier.params:
         value = overrides.get(param.flag, param.default)
+        option = f"--{param.flag.replace('_', '-')}"
         if value < param.minimum:
-            raise ValueError(f"--{param.flag.replace('_', '-')} must be >= {param.minimum}")
+            raise ValueError(f"{option} must be >= {param.minimum}")
+        if param.limit is not None and value > param.limit:
+            raise CeilingExceeded(
+                f"{option}={value} exceeds the int64-safe kernel ceiling "
+                f"{param.limit} for {claim}; no flag lifts it"
+            )
         if not unsafe_no_ceiling and value > param.ceiling:
             raise CeilingExceeded(
-                f"--{param.flag.replace('_', '-')}={value} exceeds the ceiling "
+                f"{option}={value} exceeds the ceiling "
                 f"{param.ceiling} for {claim}; pass --unsafe-no-ceiling to override"
             )
         kwargs[param.flag] = value

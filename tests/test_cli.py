@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import agdim
 import agdim.cli as cli
+from agdim import kernels
 import agdim.tables as tables_mod
 from agdim.report import VerificationReport
 from agdim.schemas import (
@@ -136,6 +142,27 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    @pytest.mark.parametrize(
+        "claim, flag, limit, kernel",
+        [
+            ("dmax-piecewise", "--g-max", kernels.MAX_SAFE_PIECEWISE_G, "piecewise_mismatches"),
+            ("f-bounds", "--n-max", kernels.MAX_SAFE_N, "f_bound_violations"),
+            ("lemma-dmax", "--g-max", kernels.MAX_SAFE_G, "dmax_values"),
+            ("prop-estimate", "--g-max", kernels.MAX_SAFE_G, "best_indec_table"),
+            ("lemma-N", "--pair-max", kernels.MAX_SAFE_PAIR_B, "pair_efficiency_mismatches"),
+        ],
+    )
+    def test_kernel_ceiling_usage_error(self, capsys, monkeypatch, claim, flag, limit, kernel):
+        calls = []
+        monkeypatch.setattr(kernels, kernel, lambda *args: calls.append(args))
+        code, out, err = run(
+            capsys, ["verify", claim, flag, str(limit + 1), "--unsafe-no-ceiling"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "int64-safe kernel ceiling" in err
+        assert calls == []  # refused before the first block
+
     def test_wrong_flag_for_claim(self, capsys):
         code, _, err = run(capsys, ["verify", "lemma-dmax", "--sum-max", "30"])
         assert code == 2
@@ -228,3 +255,17 @@ class TestTopLevel:
     def test_version(self, capsys):
         code, out, _ = run(capsys, ["--version"])
         assert code == 0
+
+
+def test_python_dash_m():
+    src = str(Path(agdim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "agdim", "dmax", "16..17"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "| g | dmax |\n| --- | --- |\n| 16 | 16 |\n| 17 | 16 |\n"

@@ -1,17 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from agdim import kernels
-from agdim.arith import dmax
+from agdim.arith import dmax, dmax_piecewise, half_product
 from agdim.pairs import best_indecomposable
-
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_AVAILABLE, reason="numba backend not active"
-)
 
 
 def python_mdsp(bi):
@@ -24,84 +16,13 @@ def python_mdsp(bi):
     return M
 
 
+def rows(arr):
+    return [tuple(int(v) for v in row) for row in arr.tolist()]
+
+
 class TestBackendSelection:
     def test_backend_reported(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy(self):
-        out = subprocess.run(
-            [sys.executable, "-c", "from agdim import kernels; print(kernels.BACKEND)"],
-            env={**os.environ, "AGDIM_DISABLE_NUMBA": "1"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_default_prefers_numba_when_available(self):
-        probe = (
-            "import importlib.util\n"
-            "from agdim import kernels\n"
-            "expected = 'numba' if importlib.util.find_spec('numba') else 'numpy'\n"
-            "assert kernels.BACKEND == expected, kernels.BACKEND\n"
-            "print('ok')\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={k: v for k, v in os.environ.items() if k != "AGDIM_DISABLE_NUMBA"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "ok"
-
-
-@needs_numba
-class TestBackendParity:
-    """The numba and numpy implementations must agree bit for bit, in order."""
-
-    def impls(self):
-        reg = kernels.implementations()
-        return reg["numpy"], reg["numba"]
-
-    def test_dmax_values(self):
-        np_i, nb_i = self.impls()
-        gs = np.arange(1, 5001, dtype=np.int64)
-        assert np.array_equal(np_i["dmax_values"](gs), nb_i["dmax_values"](gs))
-
-    def test_piecewise(self):
-        np_i, nb_i = self.impls()
-        assert np.array_equal(
-            np_i["piecewise_mismatches"](1, 40_000), nb_i["piecewise_mismatches"](1, 40_000)
-        )
-
-    def test_f_bounds(self):
-        np_i, nb_i = self.impls()
-        assert np.array_equal(
-            np_i["f_bound_violations"](2, 40_000), nb_i["f_bound_violations"](2, 40_000)
-        )
-
-    def test_superadditivity(self):
-        np_i, nb_i = self.impls()
-        D = np.zeros(801, dtype=np.int64)
-        D[1:] = kernels.dmax_values(np.arange(1, 801, dtype=np.int64))
-        v1, e1 = np_i["superadditivity_scan"](D, 1, 400)
-        v2, e2 = nb_i["superadditivity_scan"](D, 1, 400)
-        assert np.array_equal(v1, v2)
-        assert np.array_equal(e1, e2)
-
-    def test_tables(self):
-        np_i, nb_i = self.impls()
-        assert np.array_equal(np_i["best_indec_table"](500), nb_i["best_indec_table"](500))
-        bi = kernels.best_indec_table(500)
-        assert np.array_equal(np_i["mdsp_table"](bi), nb_i["mdsp_table"](bi))
-
-    def test_pair_efficiency(self):
-        np_i, nb_i = self.impls()
-        assert np.array_equal(
-            np_i["pair_efficiency_mismatches"](60, 60),
-            nb_i["pair_efficiency_mismatches"](60, 60),
-        )
+        assert kernels.BACKEND == "numpy"
 
 
 class TestAgainstScalars:
@@ -118,6 +39,42 @@ class TestAgainstScalars:
         bi = [int(v) for v in kernels.best_indec_table(300)]
         assert [int(v) for v in kernels.mdsp_table(np.array(bi, dtype=np.int64))] == python_mdsp(bi)
 
+    def test_piecewise_vs_scalar(self):
+        oracle = [g for g in range(1, 5001) if dmax(g) != dmax_piecewise(g)]
+        assert [int(g) for g in kernels.piecewise_mismatches(1, 5000)] == oracle
+
+    def test_f_bounds_vs_scalar(self):
+        oracle = [
+            n for n in range(2, 5001) if not n * n - 1 <= 4 * half_product(n) <= n * n
+        ]
+        assert [int(n) for n in kernels.f_bound_violations(2, 5000)] == oracle
+
+    def test_superadditivity_vs_scalar(self):
+        g_max = 800
+        D = np.zeros(g_max + 1, dtype=np.int64)
+        D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
+        viol, eqs = kernels.superadditivity_scan(D, 1, 400)
+        want_viol, want_eqs = [], []
+        for g1 in range(1, 401):
+            for g2 in range(g1, g_max - g1 + 1):
+                diff = dmax(g1 + g2) - dmax(g1) - dmax(g2)
+                if diff < 0:
+                    want_viol.append((g1, g2))
+                elif diff == 0:
+                    want_eqs.append((g1, g2))
+        assert rows(viol) == want_viol == []
+        assert rows(eqs) == want_eqs
+        assert want_eqs == [(1, g2) for g2 in range(16, g_max, 2)]
+
+    def test_pair_efficiency_vs_scalar(self):
+        oracle = [
+            (a, b)
+            for a in range(2, 61)
+            for b in range(a, 61)
+            if (a * b < 2 * (a + b)) != ((a - 2) * (b - 2) < 4)
+        ]
+        assert rows(kernels.pair_efficiency_mismatches(60, 60)) == oracle
+
 
 class TestGuards:
     def test_overflow_ceilings(self):
@@ -127,6 +84,15 @@ class TestGuards:
             kernels.f_bound_violations(2, kernels.MAX_SAFE_N + 1)
         with pytest.raises(OverflowError):
             kernels.dmax_values(np.array([kernels.MAX_SAFE_G + 1], dtype=np.int64))
+
+    def test_piecewise_ceiling_exact(self):
+        # g * g is the largest intermediate of the three-branch form.
+        top = kernels.MAX_SAFE_PIECEWISE_G
+        assert top * top <= 2**63 - 1 < (top + 1) * (top + 1)
+        assert kernels.piecewise_mismatches(top - 20, top).size == 0
+        assert all(dmax(g) == dmax_piecewise(g) for g in range(top - 20, top + 1))
+        with pytest.raises(OverflowError):
+            kernels.piecewise_mismatches(top + 1, top + 1)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import pytest
 
+from agdim import moduli
 from agdim.arith import dmax
 from agdim.moduli import (
     AG_TABLE_GENERA,
@@ -17,6 +18,7 @@ from agdim.moduli import (
     mg_bounds,
     mgct_interior_bound_holds,
 )
+from agdim.pairs import mdsp_star_table
 from agdim.tables import check_all_tables
 
 
@@ -77,6 +79,20 @@ class TestDmcAg:
     def test_monotone(self):
         values = [r.dmc for r in dmc_ag_range(500)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_one_growing_dp_table(self, monkeypatch):
+        n = 400
+        builds = []
+
+        def counting_table(g_max):
+            builds.append(g_max)
+            return mdsp_star_table(g_max)
+
+        monkeypatch.setattr(moduli, "_MDSP_TABLE", ())
+        monkeypatch.setattr(moduli, "mdsp_star_table", counting_table)
+        queried = [dmc_ag(g) for g in range(n + 1)]
+        assert len(builds) <= n.bit_length() + 1
+        assert queried == dmc_ag_range(n)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
