@@ -33,7 +33,7 @@ from .moduli import (
 from .satake import catalog_json
 from .schemas import SCHEMAS_BY_COMMAND
 from .tables import check_all_tables
-from .verify import REGISTRY, CeilingExceeded, run_verifier
+from .verify import REGISTRY, RangeParam, run_verifier
 
 _FORMATS = ("markdown", "csv", "json")
 
@@ -52,18 +52,9 @@ _CASE_NARRATIVE = {
     "special products (two distinct constructions)",
 }
 
-# Range flags accepted by `verify`, mapped to verifier parameter names.
-_VERIFY_FLAGS = (
-    "g_max",
-    "sum_max",
-    "pair_max",
-    "s_max",
-    "delta_max",
-    "k_max",
-    "n_max",
-    "r_max",
-    "rep_max",
-)
+# Every range flag some verifier takes, in registry order.
+_RANGE_FLAGS = tuple(dict.fromkeys(p.flag for v in REGISTRY.values() for p in v.params))
+_CATALOG_REP_MAX = RangeParam("rep_max", 64, 4096)
 
 
 def _timestamp() -> str:
@@ -184,19 +175,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     overrides = {
         flag: getattr(args, flag)
-        for flag in _VERIFY_FLAGS
+        for flag in _RANGE_FLAGS
         if getattr(args, flag) is not None
     }
-    try:
-        report = run_verifier(
-            args.claim,
-            overrides=overrides,
-            jobs=args.jobs,
-            unsafe_no_ceiling=args.unsafe_no_ceiling,
-        )
-    except (CeilingExceeded, ValueError) as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    report = run_verifier(
+        args.claim, overrides=overrides, unsafe_no_ceiling=args.unsafe_no_ceiling
+    )
     doc = report.to_dict()
     if args.timestamp:
         doc["generated_at"] = _timestamp()
@@ -237,16 +221,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.schema:
         return _print_schema("catalog", args.out)
-    if args.rep_max < 2:
-        print("catalog: --rep-max must be >= 2", file=sys.stderr)
-        return 2
-    if args.rep_max > 4096 and not args.unsafe_no_ceiling:
-        print(
-            "catalog: --rep-max exceeds the ceiling 4096; "
-            "pass --unsafe-no-ceiling to override",
-            file=sys.stderr,
-        )
-        return 2
+    _CATALOG_REP_MAX.check(args.rep_max, "catalog", args.unsafe_no_ceiling)
     doc = {
         "schema": "agdim.catalog/1",
         "max_rep_dim": args.rep_max,
@@ -306,17 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one exhaustive claim verifier")
     p_verify.add_argument("claim", nargs="?", choices=sorted(REGISTRY))
-    for flag in _VERIFY_FLAGS:
+    for flag in _RANGE_FLAGS:
         p_verify.add_argument(
             f"--{flag.replace('_', '-')}", type=int, default=None, metavar="N"
         )
-    p_verify.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker threads for blocked scans (default: all cores)",
-    )
     p_verify.add_argument(
         "--unsafe-no-ceiling",
         action="store_true",
@@ -331,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.set_defaults(handler=_cmd_explain)
 
     p_catalog = sub.add_parser("catalog", help="classification catalog as JSON")
-    p_catalog.add_argument("--rep-max", type=int, default=64, metavar="N")
+    p_catalog.add_argument(
+        "--rep-max", type=int, default=_CATALOG_REP_MAX.default, metavar="N"
+    )
     p_catalog.add_argument("--unsafe-no-ceiling", action="store_true")
     _add_common(p_catalog, formats=False)
     p_catalog.set_defaults(handler=_cmd_catalog)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import kernels
 from .arith import dmax
 from .report import VerificationReport
 
@@ -170,12 +169,6 @@ def verify_efficiency_classification(sum_max: int) -> VerificationReport:
             "margin_bound": MAX_SUM_OUTSIDE_UNBOUNDED,
         },
     )
-
-
-def pair_efficiency_window(a_max: int, b_max: int):
-    """(a, b) pairs where the definition and the (a-2)(b-2) < 4 criterion
-    disagree (expected empty); thin wrapper over the bulk kernel."""
-    return kernels.pair_efficiency_mismatches(a_max, b_max)
 
 
 def check_factor_dimension_budget(

@@ -3,6 +3,7 @@
 ``dmc_ag`` evaluates the product recursion
 
     dmc(g) = max( M(g), max_{0 <= g' < g} (g - g' - 1 + M(g')) )
+           = max( M(g), g - 1 + P(g) ),   P(g) = max_{0 <= g' < g} (M(g') - g')
 
 over the superadditive closure M = mdsp_star and checks the result against
 the closed form; the recursion is the computation, the closed form is the
@@ -16,7 +17,7 @@ moduli-of-curves bounds and the assembled summary tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 from typing import Union
 
 from .arith import GenusValue, dmax, half_product, keel_sadun_bound
@@ -131,25 +132,25 @@ class AgResult:
     case: str  # one of "o", "i", "ii", "iii", "iv", "v"
 
 
-# M[g] depends only on bi[g] and on M at smaller genera, so one table serves
-# every genus up to its length; it is rebuilt at least twice as long when a
-# query outgrows it.
-_MDSP_TABLE: tuple[int, ...] = ()
+# (M, P): M[g] depends only on bi[g] and on M at smaller genera, and the
+# prefix maximum P[g] = max_{g' < g} (M[g'] - g') only on M below g, so one
+# pair of tables serves every genus up to their length.  The pair is rebuilt
+# together, at least twice as long, when a query outgrows it.
+_TABLES: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
 
-def _mdsp(g_max: int) -> tuple[int, ...]:
-    global _MDSP_TABLE
-    M = _MDSP_TABLE
-    if len(M) <= g_max:
-        M = _MDSP_TABLE = tuple(mdsp_star_table(max(g_max, 2 * len(M))))
-    return M
+def _tables(g_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    global _TABLES
+    if len(_TABLES[0]) <= g_max:
+        M = tuple(mdsp_star_table(max(g_max, 2 * len(_TABLES[0]))))
+        # P[0] is a max over no genera; _recursion_value never reads it.
+        P = (0, *accumulate((m - g for g, m in enumerate(M[:-1])), max))
+        _TABLES = (M, P)
+    return _TABLES
 
 
-def _recursion_value(g: int, M: tuple[int, ...]) -> int:
-    best = M[g]
-    for g_prime in range(0, g):
-        best = max(best, g - g_prime - 1 + M[g_prime])
-    return best
+def _recursion_value(g: int, M: tuple[int, ...], P: tuple[int, ...]) -> int:
+    return M[g] if g == 0 else max(M[g], g - 1 + P[g])
 
 
 def maxvar_case(g: int) -> str:
@@ -187,8 +188,8 @@ def _attainments(g: int) -> tuple[Attainment, ...]:
     return (ProductWithPoint(SpecialFamily.unitary(2, (g - 1) // 2)),)
 
 
-def _build_result(g: int, M: tuple[int, ...]) -> AgResult:
-    value = _recursion_value(g, M)
+def _build_result(g: int, tables: tuple[tuple[int, ...], tuple[int, ...]]) -> AgResult:
+    value = _recursion_value(g, *tables)
     if g >= 1 and value != dmax(g):
         raise RuntimeError(
             "internal self-check failed: the product recursion returned "
@@ -210,15 +211,15 @@ def dmc_ag(g: int) -> AgResult:
     with the descriptors of everything that attains it."""
     if g < 0:
         raise ValueError(f"g must be >= 0 (got {g})")
-    return _build_result(g, _mdsp(g))
+    return _build_result(g, _tables(g))
 
 
 def dmc_ag_range(g_max: int) -> list[AgResult]:
     """dmc_ag for every 0 <= g <= g_max, sharing one DP table."""
     if g_max < 0:
         raise ValueError(f"g_max must be >= 0 (got {g_max})")
-    M = _mdsp(g_max)
-    return [_build_result(g, M) for g in range(g_max + 1)]
+    tables = _tables(g_max)
+    return [_build_result(g, tables) for g in range(g_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +242,9 @@ def mgct_interior_bound_holds(g: int) -> bool:
     return dmax(g) < _mgct_closed_form(g)
 
 
-@lru_cache(maxsize=None)
-def _mgct_recursion_table(g_max: int) -> tuple[int, ...]:
-    """Boundary recursion R for compact-type curves, 2 <= g <= g_max <= 23:
-    R(2) = 1, R(3) = 2, and for g >= 4
+def _mgct_recursion_table() -> tuple[int, ...]:
+    """Boundary recursion R for compact-type curves, 2 <= g <= 23, with R(g)
+    at index g - 2: R(2) = 1, R(3) = 2, and for g >= 4
 
         R(g) = max(interior, max_{g'+g''=g, g',g''>=1} pointed(g') + pointed(g''))
 
@@ -253,20 +253,21 @@ def _mgct_recursion_table(g_max: int) -> tuple[int, ...]:
     k >= 2 (pointed fibers are compact curves), and interior = dmax(g)
     included only while dmax(g) < floor(3g/2) - 2.
     """
-    if not 2 <= g_max <= _MGCT_EXACT_MAX:
-        raise ValueError(f"recursion table covers 2 <= g_max <= 23 (got {g_max})")
     R: dict[int, int] = {2: 1, 3: 2}
 
     def pointed(k: int) -> int:
         return 0 if k == 1 else 1 + R[k]
 
-    for g in range(4, g_max + 1):
+    for g in range(4, _MGCT_EXACT_MAX + 1):
         boundary = max(pointed(gp) + pointed(g - gp) for gp in range(1, g))
         if mgct_interior_bound_holds(g):
             R[g] = max(dmax(g), boundary)
         else:  # pragma: no cover - never reached for g <= 23
             R[g] = boundary
-    return tuple(R[g] for g in range(2, g_max + 1))
+    return tuple(R[g] for g in range(2, _MGCT_EXACT_MAX + 1))
+
+
+_MGCT_TABLE = _mgct_recursion_table()
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,7 @@ def dmc_mgct(g: int) -> MgctResult:
         raise ValueError(f"g must be >= 2 (got {g})")
     closed = _mgct_closed_form(g)
     if g <= _MGCT_EXACT_MAX:
-        value = _mgct_recursion_table(g)[g - 2]
+        value = _MGCT_TABLE[g - 2]
         if value != closed:
             raise RuntimeError(
                 "internal self-check failed: the boundary recursion returned "

@@ -7,10 +7,12 @@ start a week-long scan.  The ceilings can be lifted with
 ``--unsafe-no-ceiling``, subject only to the kernels' int64 exactness guards,
 which are checked against the whole range before any work starts.
 
-Checks whose domain is a plain integer interval are split into blocks and may
-run on a thread pool (``--jobs``); numpy releases the GIL inside its large
-array loops, so blocks execute in parallel, and results are concatenated in
-block order, so output is deterministic regardless of worker count.
+``dmax-piecewise`` and ``f-bounds`` split their integer interval into blocks
+and run them on a thread pool with one worker per CPU: numpy releases the GIL
+inside its large array loops, so blocks execute in parallel, and results are
+concatenated in block order, so output is the same for any worker count.
+``lemma-dmax`` runs serially: its scan loops over g1 in Python, holding the
+GIL, so a pool only adds overhead.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ __all__ = [
     "Verifier",
     "REGISTRY",
     "CeilingExceeded",
-    "resolve_jobs",
 ]
 
 _MAX_LISTED = 50  # cap on counterexamples embedded in a report
+_WORKERS = os.cpu_count() or 1  # thread-pool size for blocked scans
 
 
 class CeilingExceeded(ValueError):
@@ -55,6 +57,25 @@ class RangeParam:
     minimum: int = 2
     limit: int | None = None
 
+    def check(self, value: int, owner: str, unsafe_no_ceiling: bool) -> int:
+        """Return ``value`` if ``owner`` (a claim or subcommand) may run with
+        it; raise ``ValueError`` below the minimum and ``CeilingExceeded``
+        above the kernel limit or, unless lifted, the ceiling."""
+        option = f"--{self.flag.replace('_', '-')}"
+        if value < self.minimum:
+            raise ValueError(f"{option} must be >= {self.minimum}")
+        if self.limit is not None and value > self.limit:
+            raise CeilingExceeded(
+                f"{option}={value} exceeds the int64-safe kernel ceiling "
+                f"{self.limit} for {owner}; no flag lifts it"
+            )
+        if not unsafe_no_ceiling and value > self.ceiling:
+            raise CeilingExceeded(
+                f"{option}={value} exceeds the ceiling "
+                f"{self.ceiling} for {owner}; pass --unsafe-no-ceiling to override"
+            )
+        return value
+
 
 @dataclass(frozen=True)
 class Verifier:
@@ -64,17 +85,11 @@ class Verifier:
     run: Callable[..., VerificationReport]
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    if jobs is None or jobs <= 0:
-        return os.cpu_count() or 1
-    return jobs
-
-
-def _blocks(lo: int, hi: int, jobs: int, chunk: int = 1 << 21) -> Iterator[tuple[int, int]]:
+def _blocks(lo: int, hi: int, workers: int, chunk: int = 1 << 21) -> Iterator[tuple[int, int]]:
     span = hi - lo + 1
     if span <= 0:
         return
-    size = min(chunk, max(1, span // max(jobs, 1)))
+    size = min(chunk, max(1, span // max(workers, 1)))
     start = lo
     while start <= hi:
         end = min(start + size - 1, hi)
@@ -82,11 +97,11 @@ def _blocks(lo: int, hi: int, jobs: int, chunk: int = 1 << 21) -> Iterator[tuple
         start = end + 1
 
 
-def _run_blocked(fn: Callable[[int, int], object], lo: int, hi: int, jobs: int) -> list:
-    blocks = list(_blocks(lo, hi, jobs))
-    if jobs <= 1 or len(blocks) <= 1:
+def _run_blocked(fn: Callable[[int, int], object], lo: int, hi: int) -> list:
+    blocks = list(_blocks(lo, hi, _WORKERS))
+    if _WORKERS <= 1 or len(blocks) <= 1:
         return [fn(a, b) for a, b in blocks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         return list(pool.map(lambda ab: fn(*ab), blocks))
 
 
@@ -99,17 +114,13 @@ def _listed(rows: list[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _verify_superadditivity(g_max: int = 4000, jobs: int = 1) -> VerificationReport:
+def _verify_superadditivity(g_max: int) -> VerificationReport:
     """dmax(g1+g2) >= dmax(g1) + dmax(g2) for all 1 <= g1 <= g2 with
     g1+g2 <= g_max, with equality exactly at g1 = 1, g2 even >= 16."""
     D = np.zeros(g_max + 1, dtype=np.int64)
     D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
-    results = _run_blocked(
-        lambda a, b: kernels.superadditivity_scan(D, a, b), 1, g_max // 2, jobs
-    )
+    viol, eqs = kernels.superadditivity_scan(D, 1, g_max // 2)
     empty = np.empty((0, 2), dtype=np.int64)
-    viol = np.concatenate([r[0] for r in results]) if results else empty
-    eqs = np.concatenate([r[1] for r in results]) if results else empty
     if g_max - 1 >= 16:
         expected_g2 = np.arange(16, g_max, 2, dtype=np.int64)
         expected = np.stack(
@@ -152,10 +163,10 @@ def _verify_superadditivity(g_max: int = 4000, jobs: int = 1) -> VerificationRep
     )
 
 
-def _verify_piecewise(g_max: int = 1_000_000, jobs: int = 1) -> VerificationReport:
+def _verify_piecewise(g_max: int) -> VerificationReport:
     """max(g-1, floor(floor(g/2)^2/4)) agrees with its three-branch form for
     all 1 <= g <= g_max."""
-    results = _run_blocked(kernels.piecewise_mismatches, 1, g_max, jobs)
+    results = _run_blocked(kernels.piecewise_mismatches, 1, g_max)
     bad = np.concatenate(results) if results else np.empty(0, dtype=np.int64)
     counterexamples = [{"g": int(g), "reason": "piecewise forms differ"} for g in bad.tolist()]
     return VerificationReport(
@@ -168,9 +179,9 @@ def _verify_piecewise(g_max: int = 1_000_000, jobs: int = 1) -> VerificationRepo
     )
 
 
-def _verify_f_bounds(n_max: int = 100_000, jobs: int = 1) -> VerificationReport:
+def _verify_f_bounds(n_max: int) -> VerificationReport:
     """(n^2 - 1)/4 <= F(n) <= n^2/4 in exact integers for 2 <= n <= n_max."""
-    results = _run_blocked(kernels.f_bound_violations, 2, n_max, jobs)
+    results = _run_blocked(kernels.f_bound_violations, 2, n_max)
     bad = np.concatenate(results) if results else np.empty(0, dtype=np.int64)
     counterexamples = [{"n": int(n), "reason": "half-product bound violated"} for n in bad.tolist()]
     return VerificationReport(
@@ -183,7 +194,7 @@ def _verify_f_bounds(n_max: int = 100_000, jobs: int = 1) -> VerificationReport:
     )
 
 
-def _verify_efficiency(sum_max: int = 60, pair_max: int = 200, jobs: int = 1) -> VerificationReport:
+def _verify_efficiency(sum_max: int, pair_max: int) -> VerificationReport:
     """Closed classification of efficient multisets vs the definition on the
     sum <= sum_max window, plus the two-element criterion up to pair_max."""
     report = verify_efficiency_classification(sum_max)
@@ -207,17 +218,19 @@ def _verify_efficiency(sum_max: int = 60, pair_max: int = 200, jobs: int = 1) ->
     return report
 
 
-def _verify_claim_f(
-    s_max: int = 64, delta_max: int = 64, k_max: int = 64, n_max: int = 64, jobs: int = 1
-) -> VerificationReport:
+# Verifiers look up ``kernels.<name>`` and ``pairs.<name>`` when they run, and
+# these two forward to ``pairs`` rather than registering its functions as
+# ``run``: perfbench's tracer and BlockLog replace those module attributes,
+# and a reference taken at import would bypass them.
+def _verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> VerificationReport:
     return pairs.verify_claim_f(s_max, delta_max, k_max, n_max)
 
 
-def _verify_remark_domination(r_max: int = 64, k_max: int = 64, jobs: int = 1) -> VerificationReport:
+def _verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
     return pairs.verify_remark_domination(r_max, k_max)
 
 
-def _verify_best_pair_bound(g_max: int = 2000, jobs: int = 1) -> VerificationReport:
+def _verify_best_pair_bound(g_max: int) -> VerificationReport:
     """best_indecomposable(g) <= dmax(g) for 1 <= g <= g_max, with equality
     exactly at g = 2 and even g >= 16.
 
@@ -262,7 +275,7 @@ def _verify_best_pair_bound(g_max: int = 2000, jobs: int = 1) -> VerificationRep
     )
 
 
-def _verify_mgct(jobs: int = 1) -> VerificationReport:
+def _verify_mgct() -> VerificationReport:
     """Boundary recursion equals floor(3g/2) - 2 for 2 <= g <= 23, and the
     interior hypothesis dmax(g) < floor(3g/2) - 2 holds for 4 <= g <= 23."""
     counterexamples: list[dict] = []
@@ -298,7 +311,7 @@ def _verify_mgct(jobs: int = 1) -> VerificationReport:
     )
 
 
-def _verify_catalog_bound(rep_max: int = 1024, k_max: int = 12, jobs: int = 1) -> VerificationReport:
+def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
     """(k-1) * hss_dim <= dmax(k * rep_dim) for every catalog case with
     rep_dim <= rep_max and every 2 <= k <= k_max, with equality only in
     family I at k = 2."""
@@ -411,7 +424,6 @@ REGISTRY: dict[str, Verifier] = {
 def run_verifier(
     claim: str,
     overrides: dict[str, int] | None = None,
-    jobs: int | None = None,
     unsafe_no_ceiling: bool = False,
 ) -> VerificationReport:
     """Run one registered verifier with optional range overrides; enforces
@@ -420,28 +432,15 @@ def run_verifier(
     if claim not in REGISTRY:
         raise KeyError(f"unknown claim id {claim!r} (known: {sorted(REGISTRY)})")
     verifier = REGISTRY[claim]
-    kwargs: dict[str, int] = {}
     overrides = overrides or {}
-    for param in verifier.params:
-        value = overrides.get(param.flag, param.default)
-        option = f"--{param.flag.replace('_', '-')}"
-        if value < param.minimum:
-            raise ValueError(f"{option} must be >= {param.minimum}")
-        if param.limit is not None and value > param.limit:
-            raise CeilingExceeded(
-                f"{option}={value} exceeds the int64-safe kernel ceiling "
-                f"{param.limit} for {claim}; no flag lifts it"
-            )
-        if not unsafe_no_ceiling and value > param.ceiling:
-            raise CeilingExceeded(
-                f"{option}={value} exceeds the ceiling "
-                f"{param.ceiling} for {claim}; pass --unsafe-no-ceiling to override"
-            )
-        kwargs[param.flag] = value
+    kwargs = {
+        p.flag: p.check(overrides.get(p.flag, p.default), claim, unsafe_no_ceiling)
+        for p in verifier.params
+    }
     unknown = set(overrides) - {p.flag for p in verifier.params}
     if unknown:
         raise ValueError(
             f"{claim} does not take range flags {sorted(unknown)}; "
             f"it takes {[p.flag for p in verifier.params]}"
         )
-    return verifier.run(jobs=resolve_jobs(jobs), **kwargs)
+    return verifier.run(**kwargs)

@@ -9,7 +9,7 @@ import pytest
 
 import agdim
 import agdim.cli as cli
-from agdim import kernels
+from agdim import kernels, verify
 import agdim.tables as tables_mod
 from agdim.report import VerificationReport
 from agdim.schemas import (
@@ -168,13 +168,45 @@ class TestVerifyCommand:
         assert code == 2
         assert "does not take" in err
 
-    def test_jobs_flag_deterministic(self, capsys):
-        _, one, _ = run(capsys, ["verify", "lemma-dmax", "--g-max", "600", "--jobs", "1"])
-        _, four, _ = run(capsys, ["verify", "lemma-dmax", "--g-max", "600", "--jobs", "4"])
-        assert one == four
+    @pytest.mark.parametrize(
+        "claim, flag, kernel",
+        [
+            ("dmax-piecewise", "--g-max", "piecewise_mismatches"),
+            ("f-bounds", "--n-max", "f_bound_violations"),
+        ],
+    )
+    def test_pool_output_independent_of_workers(self, capsys, monkeypatch, claim, flag, kernel):
+        # 2.5M values exceed one 2^21 block, so even one worker runs 2 blocks.
+        spied = getattr(kernels, kernel)
+        outs = {}
+        for workers in (1, 4):
+            calls = []
+            monkeypatch.setattr(verify, "_WORKERS", workers)
+            monkeypatch.setattr(
+                kernels, kernel, lambda lo, hi: calls.append((lo, hi)) or spied(lo, hi)
+            )
+            code, outs[workers], _ = run(capsys, ["verify", claim, flag, "2500000"])
+            assert code == 0
+            assert len(calls) > 1
+        assert outs[1] == outs[4]
+
+    def test_lemma_dmax_one_serial_scan(self, capsys, monkeypatch):
+        spied = kernels.superadditivity_scan
+        calls = []
+
+        def spy(D, *bounds):
+            calls.append((len(D), bounds))
+            return spied(D, *bounds)
+
+        monkeypatch.setattr(verify, "_WORKERS", 4)
+        monkeypatch.setattr(kernels, "superadditivity_scan", spy)
+        code, out, _ = run(capsys, ["verify", "lemma-dmax", "--g-max", "600"])
+        assert code == 0
+        assert json.loads(out)["status"] == "pass"
+        assert calls == [(601, (1, 300))]
 
     def test_failing_report_exits_one(self, capsys, monkeypatch):
-        def fake_run_verifier(claim, overrides=None, jobs=None, unsafe_no_ceiling=False):
+        def fake_run_verifier(claim, overrides=None, unsafe_no_ceiling=False):
             return VerificationReport(
                 claim=claim,
                 range={},

@@ -13,7 +13,6 @@ from agdim.efficiency import (
     is_efficient_closed,
     is_efficient_oracle,
     iter_multisets,
-    pair_efficiency_window,
     prod_sum,
     verify_efficiency_classification,
 )
@@ -80,9 +79,6 @@ class TestClassification:
     def test_closed_matches_oracle_randomized(self, elements):
         N = Multiset(elements)
         assert is_efficient_closed(N) == is_efficient_oracle(N)
-
-    def test_two_element_window(self):
-        assert pair_efficiency_window(200, 200).shape[0] == 0
 
     def test_monotonicity_under_growth(self):
         # inefficiency survives raising an element or adjoining a new one

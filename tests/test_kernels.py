@@ -67,13 +67,14 @@ class TestAgainstScalars:
         assert want_eqs == [(1, g2) for g2 in range(16, g_max, 2)]
 
     def test_pair_efficiency_vs_scalar(self):
-        oracle = [
-            (a, b)
-            for a in range(2, 61)
-            for b in range(a, 61)
-            if (a * b < 2 * (a + b)) != ((a - 2) * (b - 2) < 4)
-        ]
-        assert rows(kernels.pair_efficiency_mismatches(60, 60)) == oracle
+        for n in (60, 200):
+            oracle = [
+                (a, b)
+                for a in range(2, n + 1)
+                for b in range(a, n + 1)
+                if (a * b < 2 * (a + b)) != ((a - 2) * (b - 2) < 4)
+            ]
+            assert rows(kernels.pair_efficiency_mismatches(n, n)) == oracle == []
 
 
 class TestGuards:

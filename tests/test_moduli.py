@@ -80,6 +80,15 @@ class TestDmcAg:
         values = [r.dmc for r in dmc_ag_range(500)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
+    def test_prefix_max_recursion_matches_definition(self):
+        M = mdsp_star_table(600)
+        literal = [
+            max([M[g]] + [g - g_prime - 1 + M[g_prime] for g_prime in range(g)])
+            for g in range(601)
+        ]
+        tables = moduli._tables(600)
+        assert [moduli._recursion_value(g, *tables) for g in range(601)] == literal
+
     def test_one_growing_dp_table(self, monkeypatch):
         n = 400
         builds = []
@@ -88,7 +97,7 @@ class TestDmcAg:
             builds.append(g_max)
             return mdsp_star_table(g_max)
 
-        monkeypatch.setattr(moduli, "_MDSP_TABLE", ())
+        monkeypatch.setattr(moduli, "_TABLES", ((), ()))
         monkeypatch.setattr(moduli, "mdsp_star_table", counting_table)
         queried = [dmc_ag(g) for g in range(n + 1)]
         assert len(builds) <= n.bit_length() + 1
