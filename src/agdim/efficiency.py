@@ -149,7 +149,6 @@ def verify_efficiency_classification(sum_max: int) -> VerificationReport:
                 f"with sum {max_sum_outside} > {MAX_SUM_OUTSIDE_UNBOUNDED}",
             }
         )
-    status = "pass" if not counterexamples else "fail"
     witnesses = [
         {
             "unbounded_families": ["{b}", "{2, b}"],
@@ -160,7 +159,6 @@ def verify_efficiency_classification(sum_max: int) -> VerificationReport:
     return VerificationReport(
         claim="lemma-N",
         range={"sum_max": sum_max},
-        status=status,
         counterexamples=counterexamples,
         witnesses=witnesses,
         details={

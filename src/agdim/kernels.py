@@ -100,10 +100,8 @@ def f_bound_violations(n_lo: int, n_hi: int) -> np.ndarray:
     return ns[bad]
 
 
-def superadditivity_scan(
-    D: np.ndarray, g1_lo: int = 1, g1_hi: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scan dmax(g1+g2) - dmax(g1) - dmax(g2) over g1_lo <= g1 <= g2 with
+def superadditivity_scan(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scan dmax(g1+g2) - dmax(g1) - dmax(g2) over 1 <= g1 <= g2 with
     g1+g2 <= len(D)-1, where D[g] = dmax(g) (D[0] ignored).
 
     Returns (violations, equalities) as (g1, g2) row arrays in ascending
@@ -111,15 +109,9 @@ def superadditivity_scan(
     """
     D = np.ascontiguousarray(D, dtype=np.int64)
     g_max = D.shape[0] - 1
-    if g1_hi is None:
-        g1_hi = g_max // 2
-    if g1_lo < 1 or g1_hi > g_max:
-        raise ValueError(f"g1 range [{g1_lo}, {g1_hi}] out of bounds for g_max={g_max}")
     viol: list[np.ndarray] = []
     eqs: list[np.ndarray] = []
-    for g1 in range(g1_lo, g1_hi + 1):
-        if 2 * g1 > g_max:
-            break
+    for g1 in range(1, g_max // 2 + 1):
         g2 = np.arange(g1, g_max - g1 + 1, dtype=np.int64)
         diff = D[g1 + g2] - D[g1] - D[g2]
         bad = g2[diff < 0]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .arith import Pair, dominates, half_product, strictly_dominates
-from .report import VerificationReport
+from .report import VerificationReport, equality_diff
 
 __all__ = [
     "FAMILY_A1",
@@ -247,9 +247,7 @@ def _search_strict_dominator(
     return None
 
 
-def verify_claim_f(
-    s_max: int, delta_max: int, k_max: int = 64, n_max: int = 64
-) -> VerificationReport:
+def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> VerificationReport:
     """Check that every division-family pair (families I_nc1/I_nc2 over
     s <= s_max, delta <= delta_max) is dominated by a k = 2 unitary pair,
     strictly except at the two known equality pairs (1, 4) and (4, 8).
@@ -310,9 +308,11 @@ def verify_claim_f(
                             "witness": {"family": FAMILY_I, "k": found[0], "n": found[1]},
                         }
                     )
-    expected_eq = sorted([[1, 4], [4, 8]])
-    eq_pairs = sorted(e["pair"] for e in equalities)
-    status = "pass" if not counterexamples and eq_pairs == expected_eq else "fail"
+    counterexamples += equality_diff(
+        "equality pairs differ from {(1, 4), (4, 8)}",
+        sorted(e["pair"] for e in equalities),
+        [[1, 4], [4, 8]],
+    )
     witnesses = [
         {
             "family": FAMILY_I_NC1,
@@ -328,7 +328,6 @@ def verify_claim_f(
     return VerificationReport(
         claim="claim-F",
         range={"s_max": s_max, "delta_max": delta_max, "k_max": k_max, "n_max": n_max},
-        status=status,
         counterexamples=counterexamples,
         witnesses=witnesses,
         details={"pairs_checked": checked, "equalities": equalities},
@@ -394,11 +393,9 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
         if not designated_ok and fallback_n is not None and fallback_n > 0:
             entry["witness"] = {"family": FAMILY_I, "k": "same", "n": fallback_n}
         witnesses.append(entry)
-    status = "pass" if not counterexamples else "fail"
     return VerificationReport(
         claim="remark-domination",
         range={"r_max": r_max, "k_max": k_max},
-        status=status,
         counterexamples=counterexamples,
         witnesses=witnesses,
         details={"pairs_checked": checked},

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import kernels, pairs, satake
 from .arith import dmax
 from .efficiency import verify_efficiency_classification
 from .moduli import dmc_mgct, mgct_interior_bound_holds
-from .report import VerificationReport
+from .report import MAX_LISTED, VerificationReport, equality_diff
 
 __all__ = [
     "RangeParam",
@@ -37,7 +37,6 @@ __all__ = [
     "CeilingExceeded",
 ]
 
-_MAX_LISTED = 50  # cap on counterexamples embedded in a report
 _WORKERS = os.cpu_count() or 1  # thread-pool size for blocked scans
 
 
@@ -85,11 +84,8 @@ class Verifier:
     run: Callable[..., VerificationReport]
 
 
-def _blocks(lo: int, hi: int, workers: int, chunk: int = 1 << 21) -> Iterator[tuple[int, int]]:
-    span = hi - lo + 1
-    if span <= 0:
-        return
-    size = min(chunk, max(1, span // max(workers, 1)))
+def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    size = min(1 << 21, max(1, (hi - lo + 1) // _WORKERS))
     start = lo
     while start <= hi:
         end = min(start + size - 1, hi)
@@ -98,15 +94,11 @@ def _blocks(lo: int, hi: int, workers: int, chunk: int = 1 << 21) -> Iterator[tu
 
 
 def _run_blocked(fn: Callable[[int, int], object], lo: int, hi: int) -> list:
-    blocks = list(_blocks(lo, hi, _WORKERS))
+    blocks = list(_blocks(lo, hi))
     if _WORKERS <= 1 or len(blocks) <= 1:
         return [fn(a, b) for a, b in blocks]
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         return list(pool.map(lambda ab: fn(*ab), blocks))
-
-
-def _listed(rows: list[dict]) -> list[dict]:
-    return rows[:_MAX_LISTED]
 
 
 # ---------------------------------------------------------------------------
@@ -119,40 +111,21 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
     g1+g2 <= g_max, with equality exactly at g1 = 1, g2 even >= 16."""
     D = np.zeros(g_max + 1, dtype=np.int64)
     D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
-    viol, eqs = kernels.superadditivity_scan(D, 1, g_max // 2)
-    empty = np.empty((0, 2), dtype=np.int64)
-    if g_max - 1 >= 16:
-        expected_g2 = np.arange(16, g_max, 2, dtype=np.int64)
-        expected = np.stack(
-            [np.ones_like(expected_g2), expected_g2], axis=1
-        )
-    else:
-        expected = empty
-    eq_ok = eqs.shape == expected.shape and bool(np.array_equal(eqs, expected))
+    viol, eqs = kernels.superadditivity_scan(D)
+    expected_g2 = np.arange(16, g_max, 2, dtype=np.int64)
     counterexamples = [
         {"g1": int(a), "g2": int(b), "reason": "superadditivity violated"}
         for a, b in viol.tolist()
     ]
-    if not eq_ok:
-        stray = [
-            [int(a), int(b)]
-            for a, b in eqs.tolist()
-            if not (a == 1 and b >= 16 and b % 2 == 0)
-        ]
-        counterexamples.append(
-            {
-                "reason": "equality set differs from {(1, even g2 >= 16)}",
-                "unexpected_equalities": stray[:_MAX_LISTED],
-                "equalities_found": int(eqs.shape[0]),
-                "equalities_expected": int(expected.shape[0]),
-            }
-        )
-    status = "pass" if viol.shape[0] == 0 and eq_ok else "fail"
+    counterexamples += equality_diff(
+        "equality set differs from {(1, even g2 >= 16)}",
+        eqs,
+        np.stack([np.ones_like(expected_g2), expected_g2], axis=1),
+    )
     return VerificationReport(
         claim="lemma-dmax",
         range={"g_max": g_max},
-        status=status,
-        counterexamples=_listed(counterexamples),
+        counterexamples=counterexamples,
         witnesses=[
             {
                 "equality_cases": "g1=1 and g2 even >= 16",
@@ -166,14 +139,11 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
 def _verify_piecewise(g_max: int) -> VerificationReport:
     """max(g-1, floor(floor(g/2)^2/4)) agrees with its three-branch form for
     all 1 <= g <= g_max."""
-    results = _run_blocked(kernels.piecewise_mismatches, 1, g_max)
-    bad = np.concatenate(results) if results else np.empty(0, dtype=np.int64)
-    counterexamples = [{"g": int(g), "reason": "piecewise forms differ"} for g in bad.tolist()]
+    bad = np.concatenate(_run_blocked(kernels.piecewise_mismatches, 1, g_max))
     return VerificationReport(
         claim="dmax-piecewise",
         range={"g_max": g_max},
-        status="pass" if bad.size == 0 else "fail",
-        counterexamples=_listed(counterexamples),
+        counterexamples=[{"g": int(g), "reason": "piecewise forms differ"} for g in bad.tolist()],
         witnesses=[],
         details={"values_checked": g_max},
     )
@@ -181,14 +151,13 @@ def _verify_piecewise(g_max: int) -> VerificationReport:
 
 def _verify_f_bounds(n_max: int) -> VerificationReport:
     """(n^2 - 1)/4 <= F(n) <= n^2/4 in exact integers for 2 <= n <= n_max."""
-    results = _run_blocked(kernels.f_bound_violations, 2, n_max)
-    bad = np.concatenate(results) if results else np.empty(0, dtype=np.int64)
-    counterexamples = [{"n": int(n), "reason": "half-product bound violated"} for n in bad.tolist()]
+    bad = np.concatenate(_run_blocked(kernels.f_bound_violations, 2, n_max))
     return VerificationReport(
         claim="f-bounds",
         range={"n_max": n_max},
-        status="pass" if bad.size == 0 else "fail",
-        counterexamples=_listed(counterexamples),
+        counterexamples=[
+            {"n": int(n), "reason": "half-product bound violated"} for n in bad.tolist()
+        ],
         witnesses=[],
         details={"values_checked": n_max - 1},
     )
@@ -198,24 +167,25 @@ def _verify_efficiency(sum_max: int, pair_max: int) -> VerificationReport:
     """Closed classification of efficient multisets vs the definition on the
     sum <= sum_max window, plus the two-element criterion up to pair_max."""
     report = verify_efficiency_classification(sum_max)
-    mism = kernels.pair_efficiency_mismatches(2, pair_max) if pair_max >= 2 else None
-    if mism is not None:
-        report.range["pair_max"] = pair_max
-        report.details["two_element_window"] = {
-            "a_max": pair_max,
-            "b_max": pair_max,
-            "mismatches": [[int(a), int(b)] for a, b in mism.tolist()][:_MAX_LISTED],
-        }
-        if mism.shape[0]:
-            report.status = "fail"
-            report.counterexamples.append(
-                {
-                    "reason": "two-element criterion (a-2)(b-2) < 4 disagrees "
-                    "with the definition",
-                    "pairs": [[int(a), int(b)] for a, b in mism.tolist()][:_MAX_LISTED],
-                }
-            )
-    return report
+    listed = kernels.pair_efficiency_mismatches(2, pair_max).tolist()[:MAX_LISTED]
+    counterexamples = list(report.counterexamples)
+    if listed:
+        counterexamples.append(
+            {
+                "reason": "two-element criterion (a-2)(b-2) < 4 disagrees "
+                "with the definition",
+                "pairs": listed,
+            }
+        )
+    return replace(
+        report,
+        range={**report.range, "pair_max": pair_max},
+        counterexamples=counterexamples,
+        details={
+            **report.details,
+            "two_element_window": {"a_max": pair_max, "b_max": pair_max, "mismatches": listed},
+        },
+    )
 
 
 # Verifiers look up ``kernels.<name>`` and ``pairs.<name>`` when they run, and
@@ -243,29 +213,19 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
     dm[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
     over = np.nonzero(bi[1:] > dm[1:])[0] + 1
     eq = np.nonzero(bi[2:] == dm[2:])[0] + 2
-    expected = np.array(
-        sorted({2} | set(range(16, g_max + 1, 2))), dtype=np.int64
-    ) if g_max >= 2 else np.empty(0, dtype=np.int64)
-    expected = expected[expected <= g_max]
-    eq_ok = bool(np.array_equal(eq, expected))
     counterexamples = [
         {"g": int(g), "best_pair": int(bi[g]), "dmax": int(dm[g]), "reason": "bound violated"}
         for g in over.tolist()
     ]
-    if not eq_ok:
-        counterexamples.append(
-            {
-                "reason": "equality genera differ from {2} union {even g >= 16}",
-                "unexpected": [int(g) for g in np.setdiff1d(eq, expected).tolist()][:_MAX_LISTED],
-                "missing": [int(g) for g in np.setdiff1d(expected, eq).tolist()][:_MAX_LISTED],
-            }
-        )
-    status = "pass" if over.size == 0 and eq_ok else "fail"
+    counterexamples += equality_diff(
+        "equality genera differ from {2} union {even g >= 16}",
+        eq,
+        np.concatenate(([2], np.arange(16, g_max + 1, 2))),
+    )
     return VerificationReport(
         claim="prop-estimate",
         range={"g_max": g_max},
-        status=status,
-        counterexamples=_listed(counterexamples),
+        counterexamples=counterexamples,
         witnesses=[{"equality_genera": "{2} union {even g >= 16}", "count": int(eq.size)}],
         details={
             "genera_checked": g_max,
@@ -298,8 +258,7 @@ def _verify_mgct() -> VerificationReport:
     return VerificationReport(
         claim="cor-C",
         range={"g_min": 2, "g_max": 23},
-        status="pass" if not counterexamples else "fail",
-        counterexamples=_listed(counterexamples),
+        counterexamples=counterexamples,
         witnesses=[
             {
                 "note": "interior hypothesis first fails at g=24",
@@ -346,8 +305,7 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
     return VerificationReport(
         claim="cor-decoupled",
         range={"rep_max": rep_max, "k_max": k_max},
-        status="pass" if not counterexamples else "fail",
-        counterexamples=_listed(counterexamples),
+        counterexamples=counterexamples,
         witnesses=[
             {"equality_cases": "family I with k=2 only", "count": equality_count}
         ],

@@ -5,13 +5,15 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import agdim
 import agdim.cli as cli
-from agdim import kernels, verify
+from agdim import efficiency, kernels, moduli, pairs, verify
+from agdim.arith import Pair
 import agdim.tables as tables_mod
-from agdim.report import VerificationReport
+from agdim.report import MAX_LISTED, VerificationReport
 from agdim.schemas import (
     CATALOG_SCHEMA,
     DMAX_TABLE_SCHEMA,
@@ -194,23 +196,22 @@ class TestVerifyCommand:
         spied = kernels.superadditivity_scan
         calls = []
 
-        def spy(D, *bounds):
-            calls.append((len(D), bounds))
-            return spied(D, *bounds)
+        def spy(D):
+            calls.append(len(D))
+            return spied(D)
 
         monkeypatch.setattr(verify, "_WORKERS", 4)
         monkeypatch.setattr(kernels, "superadditivity_scan", spy)
         code, out, _ = run(capsys, ["verify", "lemma-dmax", "--g-max", "600"])
         assert code == 0
         assert json.loads(out)["status"] == "pass"
-        assert calls == [(601, (1, 300))]
+        assert calls == [601]  # one call, on the whole table
 
     def test_failing_report_exits_one(self, capsys, monkeypatch):
         def fake_run_verifier(claim, overrides=None, unsafe_no_ceiling=False):
             return VerificationReport(
                 claim=claim,
                 range={},
-                status="fail",
                 counterexamples=[{"g": 1}],
             )
 
@@ -223,6 +224,104 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify", "--schema"])
         assert code == 0
         assert json.loads(out)["$id"] == "agdim.verification-report/1"
+
+
+def _bump_dmax(mp):
+    real = kernels.dmax_values
+    mp.setattr(kernels, "dmax_values", lambda gs: real(gs) + 1)
+
+
+def _whole_block(kernel):
+    def inject(mp):
+        mp.setattr(kernels, kernel, lambda lo, hi: np.arange(lo, hi + 1, dtype=np.int64))
+
+    return inject
+
+
+def _negate_closed_form(mp):
+    real = efficiency.is_efficient_closed
+    mp.setattr(efficiency, "is_efficient_closed", lambda N: not real(N))
+
+
+def _extra_equality(mp):
+    # (s, delta) = (2, 2) becomes (4, 8), equal to its witness unitary_pair(2, 4)
+    real = pairs.division_rank1_pair
+    mp.setattr(
+        pairs, "division_rank1_pair", lambda s, d: Pair(4, 8) if (s, d) == (2, 2) else real(s, d)
+    )
+
+
+def _bump_best_pair(mp):
+    real = kernels.best_indec_table
+    mp.setattr(kernels, "best_indec_table", lambda g_max: real(g_max) + 1)
+
+
+def _undominated_family_ii(mp):
+    mp.setattr(pairs, "orthogonal_star_pair", lambda k, r: Pair(10**6, 2 * r * k))
+
+
+def _failing_mgct(mp):
+    def boom(g):
+        raise RuntimeError(f"self-check failed at g={g}")
+
+    mp.setattr(verify, "dmc_mgct", boom)
+
+
+def _zero_dmax(mp):
+    mp.setattr(kernels, "dmax_values", lambda gs: np.zeros_like(gs))
+
+
+# One wrong input per claim, at a tiny range; every verifier must report it.
+FAILURES = {
+    "lemma-dmax": (["--g-max", "40"], _bump_dmax),
+    "dmax-piecewise": (["--g-max", "100"], _whole_block("piecewise_mismatches")),
+    "f-bounds": (["--n-max", "100"], _whole_block("f_bound_violations")),
+    "lemma-N": (["--sum-max", "10", "--pair-max", "10"], _negate_closed_form),
+    "claim-F": (
+        ["--s-max", "4", "--delta-max", "4", "--k-max", "4", "--n-max", "4"],
+        _extra_equality,
+    ),
+    "prop-estimate": (["--g-max", "40"], _bump_best_pair),
+    "remark-domination": (["--r-max", "6", "--k-max", "3"], _undominated_family_ii),
+    "cor-C": ([], _failing_mgct),
+    "cor-decoupled": (["--rep-max", "8", "--k-max", "3"], _zero_dmax),
+}
+
+
+class TestVerifierFailures:
+    def test_every_claim_covered(self):
+        assert sorted(FAILURES) == sorted(verify.REGISTRY)
+
+    @pytest.mark.parametrize("claim", list(FAILURES))
+    def test_failure_reported_not_raised(self, capsys, monkeypatch, claim):
+        flags, inject = FAILURES[claim]
+        inject(monkeypatch)
+        code, out, _ = run(capsys, ["verify", claim, *flags])
+        doc = json.loads(out)
+        jsonschema.validate(doc, VERIFICATION_REPORT_SCHEMA)
+        assert code == 1
+        assert doc["status"] == "fail"
+        assert 1 <= len(doc["counterexamples"]) <= MAX_LISTED
+
+    @pytest.mark.parametrize("claim", ["dmax-piecewise", "f-bounds"])
+    def test_counterexamples_capped(self, capsys, monkeypatch, claim):
+        flags, inject = FAILURES[claim]
+        inject(monkeypatch)
+        _, out, _ = run(capsys, ["verify", claim, *flags])
+        assert len(json.loads(out)["counterexamples"]) == MAX_LISTED
+
+    def test_claim_f_extra_equality_is_a_counterexample(self, capsys, monkeypatch):
+        flags, inject = FAILURES["claim-F"]
+        inject(monkeypatch)
+        code, out, _ = run(capsys, ["verify", "claim-F", *flags])
+        assert code == 1
+        assert json.loads(out)["counterexamples"] == [
+            {
+                "reason": "equality pairs differ from {(1, 4), (4, 8)}",
+                "unexpected": [[4, 8]],
+                "missing": [],
+            }
+        ]
 
 
 class TestExplainCommand:
@@ -246,6 +345,13 @@ class TestExplainCommand:
         assert "dmc(A_7) = 6" in out
         assert "case (ii)" in out
         assert "HodgeGeneric" in out
+
+    def test_self_check_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(moduli, "dmax", lambda g: -1)
+        code, out, err = run(capsys, ["explain", "20"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("explain: internal self-check failed")
 
     def test_invalid_genus(self, capsys):
         assert run(capsys, ["explain", "0"])[0] == 2

@@ -53,7 +53,7 @@ class TestAgainstScalars:
         g_max = 800
         D = np.zeros(g_max + 1, dtype=np.int64)
         D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
-        viol, eqs = kernels.superadditivity_scan(D, 1, 400)
+        viol, eqs = kernels.superadditivity_scan(D)
         want_viol, want_eqs = [], []
         for g1 in range(1, 401):
             for g2 in range(g1, g_max - g1 + 1):
