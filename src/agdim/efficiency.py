@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .arith import dmax
-from .report import VerificationReport
+from .report import MAX_LISTED, VerificationReport
 
 __all__ = [
     "Multiset",
@@ -120,6 +120,7 @@ def verify_efficiency_classification(sum_max: int) -> VerificationReport:
     if sum_max < 2:
         raise ValueError(f"sum_max must be >= 2 (got {sum_max})")
     counterexamples: list[dict] = []
+    unlisted = 0
     checked = 0
     max_sum_outside = 0
     max_outside: tuple[int, ...] | None = None
@@ -128,13 +129,16 @@ def verify_efficiency_classification(sum_max: int) -> VerificationReport:
         N = Multiset(elements)
         oracle = is_efficient_oracle(N)
         if oracle != is_efficient_closed(N):
-            counterexamples.append(
-                {
-                    "multiset": list(elements),
-                    "oracle_efficient": oracle,
-                    "closed_form_efficient": not oracle,
-                }
-            )
+            if len(counterexamples) == MAX_LISTED:
+                unlisted += 1
+            else:
+                counterexamples.append(
+                    {
+                        "multiset": list(elements),
+                        "oracle_efficient": oracle,
+                        "closed_form_efficient": not oracle,
+                    }
+                )
         if oracle and not in_unbounded_family(N):
             s = sum(elements)
             if s > max_sum_outside:
@@ -166,6 +170,7 @@ def verify_efficiency_classification(sum_max: int) -> VerificationReport:
             "max_sum_of_efficient_outside_unbounded": max_sum_outside,
             "margin_bound": MAX_SUM_OUTSIDE_UNBOUNDED,
         },
+        unlisted=unlisted,
     )
 
 

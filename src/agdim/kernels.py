@@ -11,6 +11,11 @@ validated against a ceiling derived from that kernel's largest intermediate
 value (``MAX_SAFE_G``, ``MAX_SAFE_PIECEWISE_G``, ``MAX_SAFE_N``,
 ``MAX_SAFE_PAIR_B``).  Beyond its ceiling a kernel refuses to run rather than
 return wrong answers; the scalar Python-int API remains available at any size.
+
+The 2-D scans loop in Python over one parameter only, and do the other in
+numpy on contiguous or strided slices, with no gather and no ``ufunc.at``:
+``superadditivity_scan`` takes one row per g1 and ``best_indec_table`` one
+step per k <= isqrt(g_max).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "MAX_SAFE_PIECEWISE_G",
     "MAX_SAFE_N",
     "MAX_SAFE_PAIR_B",
+    "half_products",
     "dmax_values",
     "piecewise_mismatches",
     "f_bound_violations",
@@ -52,6 +58,11 @@ def _require_at_most(name: str, value: int, ceiling: int) -> None:
             f"{name}={value} exceeds the int64-safe kernel ceiling {ceiling}; "
             "use the scalar Python-int API for values this large"
         )
+
+
+def half_products(ns: np.ndarray) -> np.ndarray:
+    """F(n) = ceil(n/2) floor(n/2) elementwise, at most n^2/4."""
+    return ((ns + 1) >> 1) * (ns >> 1)
 
 
 def _dmax(gs: np.ndarray) -> np.ndarray:
@@ -94,7 +105,7 @@ def f_bound_violations(n_lo: int, n_hi: int) -> np.ndarray:
         raise ValueError(f"need 2 <= n_lo <= n_hi (got {n_lo}, {n_hi})")
     _require_at_most("n", n_hi, MAX_SAFE_N)
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    f4 = 4 * (((ns + 1) >> 1) * (ns >> 1))
+    f4 = 4 * half_products(ns)
     sq = ns * ns
     bad = (f4 < sq - 1) | (f4 > sq)
     return ns[bad]
@@ -106,42 +117,63 @@ def superadditivity_scan(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (violations, equalities) as (g1, g2) row arrays in ascending
     order; the superadditivity claim is that violations is empty.
+
+    One row per g1: with g2 = g1 + j, D[g1+g2] and D[g2] are the contiguous
+    slices D[2 g1 + j] and D[g1 + j], so a row is one slice difference in a
+    reused buffer and one pass that picks the pairs with difference <= 0.
     """
     D = np.ascontiguousarray(D, dtype=np.int64)
     g_max = D.shape[0] - 1
-    viol: list[np.ndarray] = []
-    eqs: list[np.ndarray] = []
+    diff = np.empty(max(g_max, 0), dtype=np.int64)
+    low = np.empty(max(g_max, 0), dtype=bool)
+    g1s: list[np.ndarray] = []
+    g2s: list[np.ndarray] = []
+    values: list[np.ndarray] = []
     for g1 in range(1, g_max // 2 + 1):
-        g2 = np.arange(g1, g_max - g1 + 1, dtype=np.int64)
-        diff = D[g1 + g2] - D[g1] - D[g2]
-        bad = g2[diff < 0]
-        tie = g2[diff == 0]
-        if bad.size:
-            viol.append(np.stack([np.full_like(bad, g1), bad], axis=1))
-        if tie.size:
-            eqs.append(np.stack([np.full_like(tie, g1), tie], axis=1))
-    empty = np.empty((0, 2), dtype=np.int64)
-    return (
-        np.concatenate(viol) if viol else empty,
-        np.concatenate(eqs) if eqs else empty,
-    )
+        m = g_max - 2 * g1 + 1  # g2 in g1..g_max-g1
+        row, hit = diff[:m], low[:m]
+        np.subtract(D[2 * g1 :], D[g1 : g1 + m], out=row)
+        np.less_equal(row, D[g1], out=hit)
+        j = np.flatnonzero(hit)
+        if j.size:
+            g1s.append(np.full(j.size, g1, dtype=np.int64))
+            g2s.append(j + g1)
+            values.append(row[j] - D[g1])
+    if not g1s:
+        empty = np.empty((0, 2), dtype=np.int64)
+        return empty, empty
+    rows = np.stack([np.concatenate(g1s), np.concatenate(g2s)], axis=1)
+    v = np.concatenate(values)
+    return rows[v < 0], rows[v == 0]
 
 
 def best_indec_table(g_max: int) -> np.ndarray:
     """Table bi[g] = best dimension of a single-family pair of genus exactly
-    g (quaternionic-curve and unitary families), 0 where no pair exists."""
+    g (quaternionic-curve and unitary families), 0 where no pair exists.
+
+    The unitary pairs are ((k-1) F(n), k n) with k >= 2, n >= 3, k n <= g_max.
+    Only k <= isqrt(g_max) can give the best pair of a genus: if k > n >= 3,
+    the same genus n k has the pair with the roles swapped, and it is
+    strictly larger, (n-1) F(k) > (k-1) F(n).  (From 4 F(k) >= k^2 - 1 and
+    4 F(n) <= n^2: (n-1)(k^2-1) - (k-1) n^2 = (k-1)((k-n)(n-1) - 1) > 0.)
+    So the table takes one Python step per k <= isqrt(g_max), over all its
+    n at once: the genera k n form an arithmetic progression, and the step
+    is one np.maximum into a strided view of bi.  The largest value,
+    (k-1) F(n) < g_max n / 4 <= g_max^2 / 8, is what ``MAX_SAFE_G`` bounds.
+    """
     if g_max < 0:
         raise ValueError(f"g_max must be >= 0 (got {g_max})")
     _require_at_most("g", g_max, MAX_SAFE_G)
     bi = np.zeros(g_max + 1, dtype=np.int64)
     if g_max >= 2:
         bi[2] = 1  # the quaternionic curve pair (1, 2)
-    for k in range(2, g_max // 3 + 1):
-        n = np.arange(3, g_max // k + 1, dtype=np.int64)
-        if n.size == 0:
-            continue
-        d = (k - 1) * (((n + 1) >> 1) * (n >> 1))
-        np.maximum.at(bi, k * n, d)
+    F = half_products(np.arange(g_max // 2 + 1, dtype=np.int64))
+    for k in range(2, math.isqrt(g_max) + 1):
+        n_hi = g_max // k
+        if n_hi < 3:
+            break
+        view = bi[3 * k : k * n_hi + 1 : k]
+        np.maximum(view, (k - 1) * F[3 : n_hi + 1], out=view)
     return bi
 
 

@@ -17,15 +17,22 @@ feed :func:`best_indecomposable`.  The dynamic program :func:`mdsp_star`
 closes the single-family optimum under products; its value is a certified
 lower bound for the best compact special subvariety of each genus, exact
 whenever it reaches g - 1.
+
+Each family has a scalar constructor in Python ints (``unitary_pair``, ...),
+which is exact at any size and is the test oracle, and an array form
+(``unitary_pairs``, ...) over int64 arrays, which the two domination checks
+use one row at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernels
-from .arith import Pair, dominates, half_product, strictly_dominates
-from .report import VerificationReport, equality_diff
+from .arith import Pair, half_product, strictly_dominates
+from .report import MAX_LISTED, VerificationReport, equality_diff
 
 __all__ = [
     "FAMILY_A1",
@@ -42,6 +49,13 @@ __all__ = [
     "quaternion_symplectic_pair",
     "division_rank1_pair",
     "division_rank2_pair",
+    "unitary_pairs",
+    "orthogonal_star_pairs",
+    "quaternion_symplectic_pairs",
+    "division_rank1_pairs",
+    "division_rank2_pairs",
+    "MAX_SAFE_CLAIM_F",
+    "MAX_SAFE_REMARK",
     "enumerate_family_pairs",
     "frontier",
     "best_indecomposable",
@@ -60,6 +74,11 @@ FAMILY_I_NC1 = "I_nc1"
 FAMILY_I_NC2 = "I_nc2"
 
 DOMINATED_FAMILIES = (FAMILY_II, FAMILY_III, FAMILY_I_NC1, FAMILY_I_NC2)
+
+# int64-safe bounds on the range parameters of the two domination checks,
+# derived in the docstrings of verify_claim_f and verify_remark_domination.
+MAX_SAFE_CLAIM_F = 1824  # s_max, delta_max
+MAX_SAFE_REMARK = 2**21  # r_max, k_max
 
 
 @dataclass(frozen=True, order=True)
@@ -119,6 +138,32 @@ def division_rank2_pair(s: int, delta: int) -> Pair:
     if delta < 2:
         raise ValueError(f"family I_nc2 requires delta >= 2 (got delta={delta})")
     return Pair(s * half_product(2 * delta), 2 * s * delta * delta)
+
+
+# Array forms of the constructors above for the bulk domination checks: the
+# parameters are int64 arrays or ints that broadcast together, the result is
+# the (d, g) pair of int64 arrays, and nothing is validated.  The callers
+# bound their parameters so that no value passes 2^63 - 1.
+
+
+def unitary_pairs(k, n) -> tuple[np.ndarray, np.ndarray]:
+    return (k - 1) * kernels.half_products(n), k * n
+
+
+def orthogonal_star_pairs(k, r) -> tuple[np.ndarray, np.ndarray]:
+    return (k - 1) * (r * (r - 1) // 2), 2 * r * k
+
+
+def quaternion_symplectic_pairs(k, r) -> tuple[np.ndarray, np.ndarray]:
+    return (k - 1) * (r * (r + 1) // 2), 2 * r * k
+
+
+def division_rank1_pairs(s, delta) -> tuple[np.ndarray, np.ndarray]:
+    return s * kernels.half_products(delta), s * delta * delta
+
+
+def division_rank2_pairs(s, delta) -> tuple[np.ndarray, np.ndarray]:
+    return s * kernels.half_products(2 * delta), 2 * s * delta * delta
 
 
 def enumerate_family_pairs(
@@ -256,61 +301,65 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
     rank-1 family and unitary_pair(2, s delta^2) for the rank-2 family; if a
     designated witness ever failed, a search over k <= k_max, n <= n_max
     would run before declaring a counterexample.
+
+    Each (family, s) is one int64 row over delta, built with the array
+    constructors, and compared with its witnesses in numpy; only the listed
+    failures are searched, in Python ints.  ``details["equalities"]`` lists
+    the first ``MAX_LISTED`` equality pairs; the equality-set check uses all.  The largest value in a row is the rank-2
+    witness dimension F(s delta^2); F(n) <= n^2 / 4 <= 2^63 - 1 holds for
+    n < 2^32.5, and s, delta <= ``MAX_SAFE_CLAIM_F`` = 1824 gives
+    s delta^2 <= 1824^3 < 2^32.5 < 1825^3.
     """
     if min(s_max, delta_max, k_max, n_max) < 2:
         raise ValueError("all range bounds must be >= 2")
+    kernels._require_at_most("s_max", s_max, MAX_SAFE_CLAIM_F)
+    kernels._require_at_most("delta_max", delta_max, MAX_SAFE_CLAIM_F)
     counterexamples: list[dict] = []
-    equalities: list[dict] = []
-    checked = 0
+    unlisted = 0
+    equalities: list[dict] = []  # the first MAX_LISTED, for the report
+    ties: list[np.ndarray] = []  # every equality pair, for the equality-set check
+    deltas = np.arange(2, delta_max + 1, dtype=np.int64)
+    squares = deltas * deltas
     branches = (
-        (FAMILY_I_NC1, division_rank1_pair, lambda s, d: max(2, (s * d * d) // 2)),
-        (FAMILY_I_NC2, division_rank2_pair, lambda s, d: s * d * d),
+        (FAMILY_I_NC1, division_rank1_pairs, lambda s: s * squares // 2),
+        (FAMILY_I_NC2, division_rank2_pairs, lambda s: s * squares),
     )
-    for family, pair_fn, witness_n in branches:
+    for family, pairs_fn, witness_n in branches:
         for s in range(1, s_max + 1):
-            for delta in range(2, delta_max + 1):
-                target = pair_fn(s, delta)
-                checked += 1
-                n_w = witness_n(s, delta)
-                witness = unitary_pair(2, n_w)
-                if strictly_dominates(witness, target):
-                    continue
-                if dominates(witness, target):
+            td, tg = pairs_fn(s, deltas)
+            n_w = witness_n(s)
+            wd, wg = unitary_pairs(2, n_w)
+            covered = tg >= wg
+            tie = covered & (td == wd)
+            if tie.any():
+                ties.append(np.stack([td[tie], tg[tie]], axis=1))
+                for i in np.flatnonzero(tie)[: MAX_LISTED - len(equalities)].tolist():
                     equalities.append(
                         {
                             "family": family,
                             "s": s,
-                            "delta": delta,
-                            "pair": [target.d, target.g],
-                            "witness": {"family": FAMILY_I, "k": 2, "n": n_w},
+                            "delta": i + 2,
+                            "pair": [int(td[i]), int(tg[i])],
+                            "witness": {"family": FAMILY_I, "k": 2, "n": int(n_w[i])},
                         }
                     )
-                    continue
+            failed = np.flatnonzero(~covered | (td > wd))
+            room = MAX_LISTED - len(counterexamples)
+            unlisted += max(0, failed.size - room)
+            for i in failed[:room].tolist():
+                target = Pair(int(td[i]), int(tg[i]))
+                entry = {"family": family, "s": s, "delta": i + 2, "pair": [target.d, target.g]}
                 found = _search_strict_dominator(target, k_max, n_max)
                 if found is None:
-                    counterexamples.append(
-                        {
-                            "family": family,
-                            "s": s,
-                            "delta": delta,
-                            "pair": [target.d, target.g],
-                            "reason": "no dominating unitary pair in range",
-                        }
-                    )
+                    entry["reason"] = "no dominating unitary pair in range"
                 else:
-                    counterexamples.append(
-                        {
-                            "family": family,
-                            "s": s,
-                            "delta": delta,
-                            "pair": [target.d, target.g],
-                            "reason": "designated witness failed; search found one",
-                            "witness": {"family": FAMILY_I, "k": found[0], "n": found[1]},
-                        }
-                    )
+                    entry["reason"] = "designated witness failed; search found one"
+                    entry["witness"] = {"family": FAMILY_I, "k": found[0], "n": found[1]}
+                counterexamples.append(entry)
+    tied = np.concatenate(ties) if ties else np.empty((0, 2), dtype=np.int64)
     counterexamples += equality_diff(
         "equality pairs differ from {(1, 4), (4, 8)}",
-        sorted(e["pair"] for e in equalities),
+        tied[np.lexsort((tied[:, 1], tied[:, 0]))],
         [[1, 4], [4, 8]],
     )
     witnesses = [
@@ -330,7 +379,8 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
         range={"s_max": s_max, "delta_max": delta_max, "k_max": k_max, "n_max": n_max},
         counterexamples=counterexamples,
         witnesses=witnesses,
-        details={"pairs_checked": checked, "equalities": equalities},
+        details={"pairs_checked": 2 * s_max * (delta_max - 1), "equalities": equalities},
+        unlisted=unlisted,
     )
 
 
@@ -342,25 +392,35 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
     dimension), n = 2r - 1 for II with r >= 4 and III with r >= 4.  For
     III with r = 2 the (I)_{2r-1} witness does not apply and an exhaustive
     search supplies n = 4 instead.
+
+    Each (family, r) is one int64 row over k, built with the array
+    constructors; only the k whose designated witness is not strict go to
+    the search in Python ints (for III with r = 2, k_max - 1 searches of at
+    most three steps).  The largest value in a row is the witness dimension
+    (k-1) F(2r-1) = (k-1) r (r-1), below 2^63 for k, r <= ``MAX_SAFE_REMARK``
+    = 2^21, where it is 2^63 - 2^43 + 2^21; at k = r = 2^21 + 1 it is
+    2^63 + 2^42.
     """
     if min(r_max, k_max) < 2:
         raise ValueError("all range bounds must be >= 2")
+    kernels._require_at_most("r_max", r_max, MAX_SAFE_REMARK)
+    kernels._require_at_most("k_max", k_max, MAX_SAFE_REMARK)
     counterexamples: list[dict] = []
+    unlisted = 0
     witnesses: list[dict] = []
-    checked = 0
+    ks = np.arange(2, k_max + 1, dtype=np.int64)
     cases: list[tuple[str, int]] = [(FAMILY_II, r) for r in range(4, r_max + 1)]
     cases += [(FAMILY_III, r) for r in range(2, r_max + 1)]
     for family, r in sorted(cases):
-        pair_fn = orthogonal_star_pair if family == FAMILY_II else quaternion_symplectic_pair
+        pairs_fn = orthogonal_star_pairs if family == FAMILY_II else quaternion_symplectic_pairs
         designated_n = 6 if (family, r) == (FAMILY_III, 3) else 2 * r - 1
-        designated_ok = True
+        td, tg = pairs_fn(ks, r)
+        wd, wg = unitary_pairs(ks, designated_n)
+        failed = np.flatnonzero((td >= wd) | (tg < wg)).tolist()
         fallback_n: int | None = None
-        for k in range(2, k_max + 1):
-            target = pair_fn(k, r)
-            checked += 1
-            if strictly_dominates(unitary_pair(k, designated_n), target):
-                continue
-            designated_ok = False
+        for i in failed:
+            k = i + 2
+            target = Pair(int(td[i]), int(tg[i]))
             found = next(
                 (
                     n
@@ -370,6 +430,9 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
                 None,
             )
             if found is None:
+                if len(counterexamples) == MAX_LISTED:
+                    unlisted += 1
+                    continue
                 counterexamples.append(
                     {
                         "family": family,
@@ -387,10 +450,10 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
             "family": family,
             "r": r,
             "k_range": [2, k_max],
-            "designated": designated_ok,
+            "designated": not failed,
             "witness": {"family": FAMILY_I, "k": "same", "n": designated_n},
         }
-        if not designated_ok and fallback_n is not None and fallback_n > 0:
+        if failed and fallback_n is not None and fallback_n > 0:
             entry["witness"] = {"family": FAMILY_I, "k": "same", "n": fallback_n}
         witnesses.append(entry)
     return VerificationReport(
@@ -398,5 +461,6 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
         range={"r_max": r_max, "k_max": k_max},
         counterexamples=counterexamples,
         witnesses=witnesses,
-        details={"pairs_checked": checked},
+        details={"pairs_checked": len(cases) * (k_max - 1)},
+        unlisted=unlisted,
     )

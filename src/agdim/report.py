@@ -2,21 +2,24 @@
 
 A report fails exactly when it lists a counterexample: ``status`` is derived
 from ``counterexamples`` and no verifier sets it.  A report lists at most
-``MAX_LISTED`` counterexamples; the rest are dropped when it is built.  A
-claim whose equality set is part of the statement reports a difference
-through :func:`equality_diff`, in one shape for every claim.  Verifiers never
-raise on mathematical failure, only on invalid usage.
+``MAX_LISTED`` counterexamples; the rest are dropped when it is built, and a
+failing report gives the full count in ``details["counterexamples_total"]``.
+A verifier that finds failures in bulk builds only the rows it lists (see
+:func:`first_listed`) and passes the number it left out as ``unlisted``, so a
+failing run costs about the memory of a passing one.  A claim whose equality
+set is part of the statement reports a difference through
+:func:`equality_diff`, in one shape for every claim.  Verifiers never raise on
+mathematical failure, only on invalid usage.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-__all__ = ["MAX_LISTED", "VerificationReport", "equality_diff"]
+__all__ = ["MAX_LISTED", "VerificationReport", "equality_diff", "first_listed"]
 
 MAX_LISTED = 50  # most counterexamples a report lists, and most rows in each list in one
 
@@ -30,8 +33,10 @@ class VerificationReport:
     counterexamples: list[dict] = field(default_factory=list)
     witnesses: list[dict] = field(default_factory=list)
     details: dict[str, Any] = field(default_factory=dict)
+    unlisted: int = 0  # counterexamples found but not in ``counterexamples``
 
     def __post_init__(self) -> None:
+        self.unlisted += max(0, len(self.counterexamples) - MAX_LISTED)
         self.counterexamples = self.counterexamples[:MAX_LISTED]
 
     @property
@@ -43,37 +48,61 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_dict(self) -> dict[str, Any]:
+        details = dict(self.details)
+        if self.counterexamples:
+            details["counterexamples_total"] = len(self.counterexamples) + self.unlisted
         return {
             "claim": self.claim,
             "range": dict(self.range),
             "status": self.status,
             "counterexamples": list(self.counterexamples),
             "witnesses": list(self.witnesses),
-            "details": dict(self.details),
+            "details": details,
         }
 
 
-def _counts(rows: np.ndarray) -> Counter:
-    return Counter(map(tuple, rows.tolist()) if rows.ndim > 1 else rows.tolist())
+def first_listed(rows):
+    """The first ``MAX_LISTED`` of ``rows`` (an array or list) and the number
+    of rows left out: the rows a verifier turns into counterexamples."""
+    return rows[:MAX_LISTED], max(0, len(rows) - MAX_LISTED)
 
 
-def _listed(counts: Counter) -> list:
-    """The rows of a multiset of rows, ascending, at most ``MAX_LISTED``."""
-    rows = sorted(counts.elements())[:MAX_LISTED]
-    return [list(row) if isinstance(row, tuple) else row for row in rows]
+def _excess(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The first ``MAX_LISTED`` rows, ascending, of the multiset difference
+    ``rows`` - ``other`` of two 2-D row arrays, in O(len) int64 memory."""
+    both = np.concatenate([rows, other])
+    if not both.size:
+        return both
+    order = np.lexsort(both.T[::-1])  # rows ascending, first column first
+    ordered = both[order]
+    starts = np.flatnonzero(np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
+    surplus = np.maximum(np.add.reduceat(np.where(order < len(rows), 1, -1), starts), 0)
+    upto = int(np.searchsorted(np.cumsum(surplus), MAX_LISTED)) + 1
+    return np.repeat(ordered[starts[:upto]], surplus[:upto], axis=0)[:MAX_LISTED]
 
 
 def equality_diff(reason: str, found, expected) -> list[dict]:
     """The counterexamples of an equality set that is part of a claim: none
     when ``found`` equals ``expected``, else one listing the rows found but
     not expected and the rows expected but not found (as multisets, so a
-    repeated row counts), each list capped at ``MAX_LISTED``.  Rows are
-    integers or integer pairs, given as arrays or lists in ascending order."""
+    repeated row counts), each list ascending and capped at ``MAX_LISTED``.
+    Rows are integers or integer pairs, given as arrays or lists in ascending
+    order."""
     found = np.asarray(found, dtype=np.int64)
     expected = np.asarray(expected, dtype=np.int64)
     if np.array_equal(found, expected):
         return []
-    have, want = _counts(found), _counts(expected)
+    pairs = max(found.ndim, expected.ndim) > 1
+    width = 2 if pairs else 1
+    have, want = found.reshape(-1, width), expected.reshape(-1, width)
+
+    def listed(rows: np.ndarray) -> list:
+        return rows.tolist() if pairs else rows[:, 0].tolist()
+
     return [
-        {"reason": reason, "unexpected": _listed(have - want), "missing": _listed(want - have)}
+        {
+            "reason": reason,
+            "unexpected": listed(_excess(have, want)),
+            "missing": listed(_excess(want, have)),
+        }
     ]

@@ -11,8 +11,12 @@ which are checked against the whole range before any work starts.
 and run them on a thread pool with one worker per CPU: numpy releases the GIL
 inside its large array loops, so blocks execute in parallel, and results are
 concatenated in block order, so output is the same for any worker count.
-``lemma-dmax`` runs serially: its scan loops over g1 in Python, holding the
-GIL, so a pool only adds overhead.
+``lemma-dmax`` runs serially, as one scan call on the whole table; the scan
+is one numpy slice difference per g1.
+
+A failing verifier builds counterexample dicts only for the rows its report
+lists (:func:`~agdim.report.first_listed`), so a broken kernel costs about the
+memory of a passing run and the report still gives the full count.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from . import kernels, pairs, satake
 from .arith import dmax
 from .efficiency import verify_efficiency_classification
 from .moduli import dmc_mgct, mgct_interior_bound_holds
-from .report import MAX_LISTED, VerificationReport, equality_diff
+from .report import MAX_LISTED, VerificationReport, equality_diff, first_listed
 
 __all__ = [
     "RangeParam",
@@ -113,9 +117,10 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
     D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
     viol, eqs = kernels.superadditivity_scan(D)
     expected_g2 = np.arange(16, g_max, 2, dtype=np.int64)
+    listed, unlisted = first_listed(viol)
     counterexamples = [
         {"g1": int(a), "g2": int(b), "reason": "superadditivity violated"}
-        for a, b in viol.tolist()
+        for a, b in listed.tolist()
     ]
     counterexamples += equality_diff(
         "equality set differs from {(1, even g2 >= 16)}",
@@ -133,6 +138,7 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
             }
         ],
         details={"pairs_checked": int(g_max) * int(g_max) // 4},
+        unlisted=unlisted,
     )
 
 
@@ -140,26 +146,30 @@ def _verify_piecewise(g_max: int) -> VerificationReport:
     """max(g-1, floor(floor(g/2)^2/4)) agrees with its three-branch form for
     all 1 <= g <= g_max."""
     bad = np.concatenate(_run_blocked(kernels.piecewise_mismatches, 1, g_max))
+    listed, unlisted = first_listed(bad)
     return VerificationReport(
         claim="dmax-piecewise",
         range={"g_max": g_max},
-        counterexamples=[{"g": int(g), "reason": "piecewise forms differ"} for g in bad.tolist()],
+        counterexamples=[{"g": int(g), "reason": "piecewise forms differ"} for g in listed.tolist()],
         witnesses=[],
         details={"values_checked": g_max},
+        unlisted=unlisted,
     )
 
 
 def _verify_f_bounds(n_max: int) -> VerificationReport:
     """(n^2 - 1)/4 <= F(n) <= n^2/4 in exact integers for 2 <= n <= n_max."""
     bad = np.concatenate(_run_blocked(kernels.f_bound_violations, 2, n_max))
+    listed, unlisted = first_listed(bad)
     return VerificationReport(
         claim="f-bounds",
         range={"n_max": n_max},
         counterexamples=[
-            {"n": int(n), "reason": "half-product bound violated"} for n in bad.tolist()
+            {"n": int(n), "reason": "half-product bound violated"} for n in listed.tolist()
         ],
         witnesses=[],
         details={"values_checked": n_max - 1},
+        unlisted=unlisted,
     )
 
 
@@ -213,9 +223,10 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
     dm[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
     over = np.nonzero(bi[1:] > dm[1:])[0] + 1
     eq = np.nonzero(bi[2:] == dm[2:])[0] + 2
+    listed, unlisted = first_listed(over)
     counterexamples = [
         {"g": int(g), "best_pair": int(bi[g]), "dmax": int(dm[g]), "reason": "bound violated"}
-        for g in over.tolist()
+        for g in listed.tolist()
     ]
     counterexamples += equality_diff(
         "equality genera differ from {2} union {even g >= 16}",
@@ -232,6 +243,7 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
             "degenerate_genus_1": "both sides 0 (points); <= checked, "
             "excluded from the equality set",
         },
+        unlisted=unlisted,
     )
 
 
@@ -278,11 +290,15 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
     hss = np.array([c.hss_dim for c in cases], dtype=np.int64)
     rep = np.array([c.rep_dim for c in cases], dtype=np.int64)
     counterexamples: list[dict] = []
+    unlisted = 0
     equality_count = 0
     for k in range(2, k_max + 1):
         bound = kernels.dmax_values(k * rep)
         lhs = (k - 1) * hss
         for idx in np.nonzero(lhs > bound)[0].tolist():
+            if len(counterexamples) == MAX_LISTED:
+                unlisted += 1
+                continue
             counterexamples.append(
                 {
                     "case": str(cases[idx].label),
@@ -295,6 +311,9 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
         for idx in np.nonzero(lhs == bound)[0].tolist():
             equality_count += 1
             if cases[idx].label.family != "I" or k != 2:
+                if len(counterexamples) == MAX_LISTED:
+                    unlisted += 1
+                    continue
                 counterexamples.append(
                     {
                         "case": str(cases[idx].label),
@@ -310,6 +329,7 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
             {"equality_cases": "family I with k=2 only", "count": equality_count}
         ],
         details={"catalog_cases": len(cases), "k_range": [2, k_max]},
+        unlisted=unlisted,
     )
 
 
@@ -345,8 +365,8 @@ REGISTRY: dict[str, Verifier] = {
         claim="claim-F",
         description="division-algebra pair families dominated by unitary pairs",
         params=(
-            RangeParam("s_max", 64, 1024),
-            RangeParam("delta_max", 64, 1024),
+            RangeParam("s_max", 64, 1024, limit=pairs.MAX_SAFE_CLAIM_F),
+            RangeParam("delta_max", 64, 1024, limit=pairs.MAX_SAFE_CLAIM_F),
             RangeParam("k_max", 64, 1024),
             RangeParam("n_max", 64, 1024),
         ),
@@ -361,7 +381,10 @@ REGISTRY: dict[str, Verifier] = {
     "remark-domination": Verifier(
         claim="remark-domination",
         description="II/III families strictly dominated by unitary pairs",
-        params=(RangeParam("r_max", 64, 2048), RangeParam("k_max", 64, 2048)),
+        params=(
+            RangeParam("r_max", 64, 2048, limit=pairs.MAX_SAFE_REMARK),
+            RangeParam("k_max", 64, 2048, limit=pairs.MAX_SAFE_REMARK),
+        ),
         run=_verify_remark_domination,
     ),
     "cor-C": Verifier(

@@ -11,7 +11,6 @@ import pytest
 import agdim
 import agdim.cli as cli
 from agdim import efficiency, kernels, moduli, pairs, verify
-from agdim.arith import Pair
 import agdim.tables as tables_mod
 from agdim.report import MAX_LISTED, VerificationReport
 from agdim.schemas import (
@@ -152,11 +151,16 @@ class TestVerifyCommand:
             ("lemma-dmax", "--g-max", kernels.MAX_SAFE_G, "dmax_values"),
             ("prop-estimate", "--g-max", kernels.MAX_SAFE_G, "best_indec_table"),
             ("lemma-N", "--pair-max", kernels.MAX_SAFE_PAIR_B, "pair_efficiency_mismatches"),
+            ("claim-F", "--s-max", pairs.MAX_SAFE_CLAIM_F, "division_rank2_pairs"),
+            ("claim-F", "--delta-max", pairs.MAX_SAFE_CLAIM_F, "division_rank1_pairs"),
+            ("remark-domination", "--r-max", pairs.MAX_SAFE_REMARK, "unitary_pairs"),
+            ("remark-domination", "--k-max", pairs.MAX_SAFE_REMARK, "orthogonal_star_pairs"),
         ],
     )
     def test_kernel_ceiling_usage_error(self, capsys, monkeypatch, claim, flag, limit, kernel):
         calls = []
-        monkeypatch.setattr(kernels, kernel, lambda *args: calls.append(args))
+        owner = kernels if hasattr(kernels, kernel) else pairs
+        monkeypatch.setattr(owner, kernel, lambda *args: calls.append(args))
         code, out, err = run(
             capsys, ["verify", claim, flag, str(limit + 1), "--unsafe-no-ceiling"]
         )
@@ -245,10 +249,14 @@ def _negate_closed_form(mp):
 
 def _extra_equality(mp):
     # (s, delta) = (2, 2) becomes (4, 8), equal to its witness unitary_pair(2, 4)
-    real = pairs.division_rank1_pair
-    mp.setattr(
-        pairs, "division_rank1_pair", lambda s, d: Pair(4, 8) if (s, d) == (2, 2) else real(s, d)
-    )
+    real = pairs.division_rank1_pairs
+
+    def fake(s, deltas):
+        d, g = real(s, deltas)
+        at = (deltas == 2) & (s == 2)
+        return np.where(at, 4, d), np.where(at, 8, g)
+
+    mp.setattr(pairs, "division_rank1_pairs", fake)
 
 
 def _bump_best_pair(mp):
@@ -257,7 +265,7 @@ def _bump_best_pair(mp):
 
 
 def _undominated_family_ii(mp):
-    mp.setattr(pairs, "orthogonal_star_pair", lambda k, r: Pair(10**6, 2 * r * k))
+    mp.setattr(pairs, "orthogonal_star_pairs", lambda k, r: (np.full_like(k, 10**6), 2 * r * k))
 
 
 def _failing_mgct(mp):
@@ -308,7 +316,69 @@ class TestVerifierFailures:
         flags, inject = FAILURES[claim]
         inject(monkeypatch)
         _, out, _ = run(capsys, ["verify", claim, *flags])
-        assert len(json.loads(out)["counterexamples"]) == MAX_LISTED
+        doc = json.loads(out)
+        assert len(doc["counterexamples"]) == MAX_LISTED
+        # every value of the range fails: 1..100 and 2..100
+        assert doc["details"]["counterexamples_total"] == {"dmax-piecewise": 100, "f-bounds": 99}[claim]
+
+    def test_failure_memory_bounded(self):
+        # Every genus of 1..2e6 fails.  Building a dict per failure took about
+        # 510 MB; listing only the reported 50 keeps it near a passing run.
+        # The peak is the child's VmHWM: its ru_maxrss would include the
+        # high-water mark of this process, which exec carries over on Linux.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from agdim import cli, kernels\n"
+            "kernels.piecewise_mismatches = lambda lo, hi: np.arange(lo, hi + 1, dtype=np.int64)\n"
+            "code = cli.main(['verify', 'dmax-piecewise', '--g-max', '2000000'])\n"
+            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+            "print(code, hwm.split()[1], file=sys.stderr)\n"
+        )
+        src = str(Path(agdim.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        code, peak_kb = map(int, proc.stderr.split())
+        doc = json.loads(proc.stdout)
+        assert code == 1
+        assert len(doc["counterexamples"]) == MAX_LISTED
+        assert doc["details"]["counterexamples_total"] == 2_000_000
+        assert peak_kb < 250 * 1024
+
+    @pytest.mark.parametrize("non_uniform", [False, True])
+    def test_remark_fallback_witness(self, capsys, monkeypatch, non_uniform):
+        # The designated witness n = 7 (II and III at r = 4) loses its
+        # dimension, so those rows take the fallback search.  Family II, r = 4
+        # then finds n = 6 for every k; with its k = 3 target raised to
+        # dimension 20 it finds n = 7 there instead, and a non-uniform
+        # fallback keeps the designated n in the witness entry.
+        real_unitary = pairs.unitary_pairs
+        monkeypatch.setattr(
+            pairs, "unitary_pairs", lambda k, n: (real_unitary(k, n)[0] * (n != 7), k * n)
+        )
+        if non_uniform:
+            real_ii = pairs.orthogonal_star_pairs
+
+            def raised(k, r):
+                d, g = real_ii(k, r)
+                return np.where((k == 3) & (r == 4), 20, d), g
+
+            monkeypatch.setattr(pairs, "orthogonal_star_pairs", raised)
+        code, out, _ = run(capsys, ["verify", "remark-domination", "--r-max", "4", "--k-max", "4"])
+        assert code == 0
+        got = [(w["family"], w["r"], w["designated"], w["witness"]["n"]) for w in json.loads(out)["witnesses"]]
+        assert got == [
+            ("II", 4, False, 7 if non_uniform else 6),
+            ("III", 2, False, 4),
+            ("III", 3, True, 6),
+            ("III", 4, False, 7),
+        ]
 
     def test_claim_f_extra_equality_is_a_counterexample(self, capsys, monkeypatch):
         flags, inject = FAILURES["claim-F"]

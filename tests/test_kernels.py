@@ -31,9 +31,11 @@ class TestAgainstScalars:
         assert [int(v) for v in kernels.dmax_values(gs)] == [dmax(int(g)) for g in gs]
 
     def test_best_indec_vs_scalar(self):
-        table = kernels.best_indec_table(400)
-        for g in range(1, 401):
-            assert int(table[g]) == best_indecomposable(g)
+        # 4096 = 64^2 and 4097 are the two sides of the isqrt split; every
+        # g_max <= 150 covers the small tables where one loop is empty.
+        oracle = [0] + [best_indecomposable(g) for g in range(1, 4098)]
+        for g_max in [*range(151), 4096, 4097]:
+            assert kernels.best_indec_table(g_max).tolist() == oracle[: g_max + 1], g_max
 
     def test_mdsp_vs_pure_python(self):
         bi = [int(v) for v in kernels.best_indec_table(300)]
@@ -65,6 +67,25 @@ class TestAgainstScalars:
         assert rows(viol) == want_viol == []
         assert rows(eqs) == want_eqs
         assert want_eqs == [(1, g2) for g2 in range(16, g_max, 2)]
+
+    def test_superadditivity_random_vs_brute_force(self):
+        rng = np.random.default_rng(20240409)
+        for g_max in (0, 1, 2, 3, 9, 10, 77, 160):
+            D = rng.integers(0, 40, size=g_max + 1, dtype=np.int64)
+            viol, eqs = kernels.superadditivity_scan(D)
+            want_viol, want_eqs = [], []
+            for g1 in range(1, g_max // 2 + 1):
+                for g2 in range(g1, g_max - g1 + 1):
+                    diff = int(D[g1 + g2]) - int(D[g1]) - int(D[g2])
+                    if diff < 0:
+                        want_viol.append((g1, g2))
+                    elif diff == 0:
+                        want_eqs.append((g1, g2))
+            assert viol.shape[1] == eqs.shape[1] == 2
+            assert rows(viol) == want_viol
+            assert rows(eqs) == want_eqs
+            if g_max >= 77:
+                assert want_viol and want_eqs  # both kinds of row are exercised
 
     def test_pair_efficiency_vs_scalar(self):
         for n in (60, 200):

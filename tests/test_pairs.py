@@ -1,30 +1,40 @@
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agdim.arith import Pair, dmax, dominates, strictly_dominates
+import agdim.pairs as pairs_mod
+from agdim.arith import Pair, dmax, dominates, half_product, strictly_dominates
 from agdim.pairs import (
     DOMINATED_FAMILIES,
     FAMILY_A1,
     FAMILY_I,
+    MAX_SAFE_CLAIM_F,
+    MAX_SAFE_REMARK,
     TaggedPair,
     a1_pair,
     best_indecomposable,
     best_indecomposable_table,
     division_rank1_pair,
+    division_rank1_pairs,
     division_rank2_pair,
+    division_rank2_pairs,
     enumerate_family_pairs,
     frontier,
     mdsp_star,
     mdsp_star_table,
     orthogonal_star_pair,
+    orthogonal_star_pairs,
     quaternion_symplectic_pair,
+    quaternion_symplectic_pairs,
     unitary_pair,
+    unitary_pairs,
     verify_claim_f,
     verify_remark_domination,
 )
+from agdim.report import MAX_LISTED, VerificationReport, equality_diff
 
 # The ten unitary-family pairs of genus <= 15, frozen from the case analysis:
 # k=2 gives (2,6),(4,8),(6,10),(9,12),(12,14); k=3 gives (4,9),(8,12),(12,15);
@@ -254,6 +264,42 @@ class TestClaimF:
         with pytest.raises(ValueError):
             verify_claim_f(1, 64, 64, 64)
 
+    def test_searches_only_listed_failures(self, monkeypatch):
+        # Every designated witness loses its dimension, so all 180 targets
+        # fail; the fallback search runs for the 50 listed ones only.
+        real_unitary, real_search = pairs_mod.unitary_pairs, pairs_mod._search_strict_dominator
+        searches = []
+        monkeypatch.setattr(pairs_mod, "unitary_pairs", lambda k, n: (0 * n, real_unitary(k, n)[1]))
+        monkeypatch.setattr(
+            pairs_mod,
+            "_search_strict_dominator",
+            lambda *args: searches.append(args) or real_search(*args),
+        )
+        doc = verify_claim_f(10, 10, 4, 4).to_dict()
+        assert len(searches) == len(doc["counterexamples"]) == MAX_LISTED
+        # 2 * 10 * 9 targets, plus the missing equality pairs
+        assert doc["details"]["counterexamples_total"] == 181
+
+    def test_equalities_listed_up_to_the_cap(self, monkeypatch):
+        # Every target is made equal to its designated witness, so all 180
+        # pairs are equalities: the report lists 50, and the equality-set
+        # check still compares all 180 with {(1, 4), (4, 8)}.
+        unitary = pairs_mod.unitary_pairs
+        monkeypatch.setattr(pairs_mod, "division_rank1_pairs", lambda s, d: unitary(2, s * d * d // 2))
+        monkeypatch.setattr(pairs_mod, "division_rank2_pairs", lambda s, d: unitary(2, s * d * d))
+        report = verify_claim_f(10, 10, 2, 2)
+        tied = sorted(
+            [half_product(n), 2 * n]
+            for s in range(1, 11)
+            for d in range(2, 11)
+            for n in (s * d * d // 2, s * d * d)
+        )
+        assert len(report.details["equalities"]) == MAX_LISTED
+        assert report.counterexamples == equality_diff(
+            "equality pairs differ from {(1, 4), (4, 8)}", tied, [[1, 4], [4, 8]]
+        )
+        assert report.counterexamples[0]["missing"] == []
+
 
 class TestRemarkDomination:
     def test_passes(self):
@@ -275,3 +321,192 @@ class TestRemarkDomination:
         assert not dominates(unitary_pair(2, 3), quaternion_symplectic_pair(2, 2))
         # ... but the same-genus unitary pair works
         assert strictly_dominates(unitary_pair(2, 4), quaternion_symplectic_pair(2, 2))
+
+
+# ---------------------------------------------------------------------------
+# The array forms and the numpy rows of the two domination checks, against
+# Python-int references
+# ---------------------------------------------------------------------------
+
+ARRAY_FORMS = [
+    (unitary_pairs, unitary_pair, range(2, 10), range(2, 21)),
+    (orthogonal_star_pairs, orthogonal_star_pair, range(2, 10), range(4, 13)),
+    (quaternion_symplectic_pairs, quaternion_symplectic_pair, range(2, 10), range(2, 13)),
+    (division_rank1_pairs, division_rank1_pair, range(1, 10), range(2, 13)),
+    (division_rank2_pairs, division_rank2_pair, range(1, 10), range(2, 13)),
+]
+
+
+@pytest.mark.parametrize("array_fn, scalar_fn, outer, inner", ARRAY_FORMS)
+def test_array_forms_match_scalars(array_fn, scalar_fn, outer, inner):
+    inner_arr = np.array(inner, dtype=np.int64)
+    for a in outer:
+        d, g = array_fn(a, inner_arr)
+        assert list(zip(d.tolist(), g.tolist())) == [
+            (p.d, p.g) for p in (scalar_fn(a, b) for b in inner)
+        ]
+
+
+def _scalar_search(target, k_max, n_max):
+    for k in range(2, k_max + 1):
+        for n in range(2, n_max + 1):
+            if k * n > target.g:
+                break
+            if strictly_dominates(unitary_pair(k, n), target):
+                return (k, n)
+    return None
+
+
+def scalar_claim_f(s_max, delta_max, k_max, n_max):
+    """The pair-by-pair claim-F loop, in Python ints, as the reference."""
+    counterexamples, equalities, checked = [], [], 0
+    branches = (
+        ("I_nc1", division_rank1_pair, lambda s, d: max(2, (s * d * d) // 2)),
+        ("I_nc2", division_rank2_pair, lambda s, d: s * d * d),
+    )
+    for family, pair_fn, witness_n in branches:
+        for s in range(1, s_max + 1):
+            for delta in range(2, delta_max + 1):
+                target = pair_fn(s, delta)
+                checked += 1
+                n_w = witness_n(s, delta)
+                witness = unitary_pair(2, n_w)
+                head = {"family": family, "s": s, "delta": delta, "pair": [target.d, target.g]}
+                if strictly_dominates(witness, target):
+                    continue
+                if dominates(witness, target):
+                    equalities.append({**head, "witness": {"family": "I", "k": 2, "n": n_w}})
+                    continue
+                found = _scalar_search(target, k_max, n_max)
+                if found is None:
+                    counterexamples.append({**head, "reason": "no dominating unitary pair in range"})
+                else:
+                    counterexamples.append(
+                        {
+                            **head,
+                            "reason": "designated witness failed; search found one",
+                            "witness": {"family": "I", "k": found[0], "n": found[1]},
+                        }
+                    )
+    counterexamples += equality_diff(
+        "equality pairs differ from {(1, 4), (4, 8)}",
+        sorted(e["pair"] for e in equalities),
+        [[1, 4], [4, 8]],
+    )
+    return VerificationReport(
+        claim="claim-F",
+        range={"s_max": s_max, "delta_max": delta_max, "k_max": k_max, "n_max": n_max},
+        counterexamples=counterexamples,
+        witnesses=[
+            {"family": "I_nc1", "witness_rule": "k=2, n=floor(s*delta^2/2)", "strict_except": [[1, 4]]},
+            {"family": "I_nc2", "witness_rule": "k=2, n=s*delta^2", "strict_except": [[4, 8]]},
+        ],
+        details={"pairs_checked": checked, "equalities": equalities},
+    )
+
+
+def scalar_remark_domination(r_max, k_max):
+    """The pair-by-pair remark-domination loop, in Python ints, as the reference."""
+    counterexamples, witnesses, checked = [], [], 0
+    cases = [("II", r) for r in range(4, r_max + 1)] + [("III", r) for r in range(2, r_max + 1)]
+    for family, r in sorted(cases):
+        pair_fn = orthogonal_star_pair if family == "II" else quaternion_symplectic_pair
+        designated_n = 6 if (family, r) == ("III", 3) else 2 * r - 1
+        designated_ok, fallback_n = True, None
+        for k in range(2, k_max + 1):
+            target = pair_fn(k, r)
+            checked += 1
+            if strictly_dominates(unitary_pair(k, designated_n), target):
+                continue
+            designated_ok = False
+            found = next(
+                (n for n in range(2, target.g // k + 1) if strictly_dominates(unitary_pair(k, n), target)),
+                None,
+            )
+            if found is None:
+                counterexamples.append(
+                    {"family": family, "k": k, "r": r, "pair": [target.d, target.g],
+                     "reason": "no same-k dominating unitary pair"}
+                )
+            elif fallback_n is None:
+                fallback_n = found
+            elif fallback_n != found:
+                fallback_n = -1
+        entry = {
+            "family": family,
+            "r": r,
+            "k_range": [2, k_max],
+            "designated": designated_ok,
+            "witness": {"family": "I", "k": "same", "n": designated_n},
+        }
+        if not designated_ok and fallback_n is not None and fallback_n > 0:
+            entry["witness"] = {"family": "I", "k": "same", "n": fallback_n}
+        witnesses.append(entry)
+    return VerificationReport(
+        claim="remark-domination",
+        range={"r_max": r_max, "k_max": k_max},
+        counterexamples=counterexamples,
+        witnesses=witnesses,
+        details={"pairs_checked": checked},
+    )
+
+
+@pytest.mark.parametrize(
+    "s_max, delta_max, k_max, n_max",
+    [(2, 2, 2, 2), (2, 9, 2, 2), (9, 2, 5, 3), (7, 13, 4, 9), (20, 6, 2, 30)],
+)
+def test_claim_f_rows_match_scalar_loop(s_max, delta_max, k_max, n_max):
+    got = verify_claim_f(s_max, delta_max, k_max, n_max).to_dict()
+    assert got == scalar_claim_f(s_max, delta_max, k_max, n_max).to_dict()
+
+
+@pytest.mark.parametrize(
+    "r_max, k_max", [(2, 2), (3, 2), (4, 2), (2, 9), (4, 7), (9, 3), (13, 2)]
+)
+def test_remark_rows_match_scalar_loop(r_max, k_max):
+    got = verify_remark_domination(r_max, k_max).to_dict()
+    assert got == scalar_remark_domination(r_max, k_max).to_dict()
+
+
+class TestInt64Limits:
+    """Each limit is exact: the largest value of a row fits int64 at the
+    limit (checked against Python ints) and would not one step above it."""
+
+    def test_claim_f_at_limit(self):
+        top = MAX_SAFE_CLAIM_F
+        deltas = np.arange(2, top + 1, dtype=np.int64)
+        d, _ = unitary_pairs(2, top * deltas * deltas)  # rank-2 witnesses at s = top
+        assert d.tolist() == [half_product(top * x * x) for x in range(2, top + 1)]
+        assert half_product(top**3) <= 2**63 - 1 < half_product((top + 1) ** 3)
+        for array_fn, scalar_fn in (
+            (division_rank1_pairs, division_rank1_pair),
+            (division_rank2_pairs, division_rank2_pair),
+        ):
+            d, g = array_fn(top, deltas[-3:])
+            assert list(zip(d.tolist(), g.tolist())) == [
+                (p.d, p.g) for p in (scalar_fn(top, x) for x in range(top - 2, top + 1))
+            ]
+        assert verify_claim_f(top, top, 2, 2).passed
+        with pytest.raises(OverflowError):
+            verify_claim_f(top + 1, 2, 2, 2)
+        with pytest.raises(OverflowError):
+            verify_claim_f(2, top + 1, 2, 2)
+
+    def test_remark_at_limit(self):
+        top = MAX_SAFE_REMARK
+        ks = np.arange(top - 2, top + 1, dtype=np.int64)
+        for array_fn, scalar_fn, r in (
+            (unitary_pairs, unitary_pair, 2 * top - 1),
+            (orthogonal_star_pairs, orthogonal_star_pair, top),
+            (quaternion_symplectic_pairs, quaternion_symplectic_pair, top),
+        ):
+            d, g = array_fn(ks, r)
+            assert list(zip(d.tolist(), g.tolist())) == [
+                (p.d, p.g) for p in (scalar_fn(k, r) for k in range(top - 2, top + 1))
+            ]
+        assert (top - 1) * half_product(2 * top - 1) <= 2**63 - 1
+        assert top * half_product(2 * top + 1) > 2**63 - 1
+        with pytest.raises(OverflowError):
+            verify_remark_domination(top + 1, 2)
+        with pytest.raises(OverflowError):
+            verify_remark_domination(2, top + 1)

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import numpy as np
 
-from agdim.report import MAX_LISTED, VerificationReport, equality_diff
+from agdim.report import MAX_LISTED, VerificationReport, equality_diff, first_listed
 
 
 def test_status_follows_from_counterexamples():
@@ -10,6 +12,21 @@ def test_status_follows_from_counterexamples():
     assert list(failed.to_dict()) == [
         "claim", "range", "status", "counterexamples", "witnesses", "details"
     ]
+
+
+def test_failing_report_gives_the_full_count():
+    rows = [{"g": g} for g in range(70)]
+    listed, unlisted = first_listed(rows)
+    assert (len(listed), unlisted) == (MAX_LISTED, 20)
+    assert first_listed(np.arange(3))[1] == 0
+    # a verifier that built only the listed rows, plus one more from elsewhere
+    built = VerificationReport(claim="c", range={}, counterexamples=listed + [{"g": -1}], unlisted=unlisted)
+    everything = VerificationReport(claim="c", range={}, counterexamples=rows + [{"g": -1}])
+    assert built.to_dict() == everything.to_dict()
+    assert built.to_dict()["details"] == {"counterexamples_total": 71}
+    assert built.counterexamples == rows[:MAX_LISTED]
+    # a passing report's details are exactly what the verifier gave
+    assert VerificationReport(claim="c", range={}, details={"n": 1}).to_dict()["details"] == {"n": 1}
 
 
 class TestEqualityDiff:
@@ -27,3 +44,31 @@ class TestEqualityDiff:
         (diff,) = equality_diff("r", np.arange(0, 200, 2), np.arange(1, 200, 2))
         assert diff["unexpected"] == list(range(0, 2 * MAX_LISTED, 2))
         assert diff["missing"] == list(range(1, 2 * MAX_LISTED, 2))
+
+
+def counter_diff(reason, found, expected):
+    """The multiset difference through collections.Counter, as the reference."""
+    found, expected = np.asarray(found), np.asarray(expected)
+    if np.array_equal(found, expected):
+        return []
+
+    def counts(rows):
+        return Counter(map(tuple, rows.tolist()) if rows.ndim > 1 else rows.tolist())
+
+    def listed(c):
+        return [list(r) if isinstance(r, tuple) else r for r in sorted(c.elements())[:MAX_LISTED]]
+
+    have, want = counts(found), counts(expected)
+    return [{"reason": reason, "unexpected": listed(have - want), "missing": listed(want - have)}]
+
+
+def test_equality_diff_matches_counter_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(400):
+        shape = (lambda n: (n, 2)) if trial % 2 else (lambda n: (n,))
+        rows = [rng.integers(-9, 9, shape(int(rng.integers(0, 130)))) for _ in range(2)]
+        found, expected = (
+            r[np.lexsort(r.T[::-1])] if r.ndim > 1 else np.sort(r) for r in rows
+        )
+        assert equality_diff("r", found, expected) == counter_diff("r", found, expected)
+    assert equality_diff("r", [], [[1, 4], [4, 8]]) == counter_diff("r", [], [[1, 4], [4, 8]])
