@@ -16,9 +16,12 @@ Exit codes: 0 success or verified pass; 1 claim failure or fixture mismatch;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from datetime import datetime, timezone
+from itertools import islice
+from typing import Iterator, TextIO
 
 from . import __version__
 from .arith import dmax
@@ -30,7 +33,7 @@ from .moduli import (
     assemble_tables,
     dmc_ag,
 )
-from .satake import catalog_json
+from .satake import iter_cases
 from .schemas import SCHEMAS_BY_COMMAND
 from .tables import check_all_tables
 from .verify import REGISTRY, RangeParam, run_verifier
@@ -55,20 +58,27 @@ _CASE_NARRATIVE = {
 # Every range flag some verifier takes, in registry order.
 _RANGE_FLAGS = tuple(dict.fromkeys(p.flag for v in REGISTRY.values() for p in v.params))
 _CATALOG_REP_MAX = RangeParam("rep_max", 64, 4096)
+_CATALOG_BLOCK = 4096  # catalog rows per json.dumps call: bounds an export's memory
 
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield sys.stdout
+
+
 def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _print_schema(command: str, out: str | None) -> int:
@@ -222,14 +232,22 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.schema:
         return _print_schema("catalog", args.out)
     _CATALOG_REP_MAX.check(args.rep_max, "catalog", args.unsafe_no_ceiling)
-    doc = {
-        "schema": "agdim.catalog/1",
-        "max_rep_dim": args.rep_max,
-        "cases": catalog_json(args.rep_max),
-    }
+    doc = {"schema": "agdim.catalog/1", "max_rep_dim": args.rep_max, "cases": []}
     if args.timestamp:
         doc["generated_at"] = _timestamp()
-    _emit(json.dumps(doc, indent=2), args.out)
+    head, tail = json.dumps(doc, indent=2).split('"cases": []')
+    # The rows are written in blocks, so memory does not grow with the
+    # output.  A block's items are re-indented one level deeper, as they sit
+    # in the document; this is exact because encoded JSON strings never hold
+    # a raw newline.
+    rows = iter_cases(args.rep_max, records=True)
+    sep = ""
+    with _output(args.out) as fh:
+        fh.write(head + '"cases": [')
+        while block := list(islice(rows, _CATALOG_BLOCK)):
+            fh.write(sep + json.dumps(block, indent=2)[1:-2].replace("\n", "\n  "))
+            sep = ","
+        fh.write(("\n  ]" if sep else "]") + tail + "\n")
     return 0
 
 

@@ -11,6 +11,11 @@ families (i) and (ii) are efficient for every b, which is a two-line algebra
 fact; every other efficient multiset has sum at most 8.  The oracle here
 recomputes efficiency directly from the definition so the classification can
 be re-proved by exhaustion over a finite window.
+
+The list is one rule, :func:`closed_form_efficient`, on a sorted multiset's
+size, two smallest elements and largest element; :func:`is_efficient_closed`
+applies it to a :class:`Multiset`, and the exhaustive check applies it to
+every multiset of its window without building one.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "Multiset",
     "prod_sum",
     "is_efficient_oracle",
+    "closed_form_efficient",
     "is_efficient_closed",
     "in_unbounded_family",
     "iter_multisets",
@@ -46,7 +52,7 @@ class Multiset:
     elements: tuple[int, ...]
 
     def __init__(self, elements: Iterable[int]):
-        canon = tuple(sorted(int(e) for e in elements))
+        canon = tuple(sorted(map(int, elements)))
         if not canon:
             raise ValueError("multiset must be nonempty")
         if canon[0] < 2:
@@ -75,26 +81,34 @@ def is_efficient_oracle(N: Multiset) -> bool:
     return prod < 2 * total
 
 
+def closed_form_efficient(size: int, smallest: int, second: int, largest: int) -> bool:
+    """The closed-form list of efficient multisets, as one rule on a sorted
+    multiset's size, two smallest elements and largest element (for a
+    singleton all three are its element): {b}, {2, b}, {3, b} with
+    3 <= b <= 5, {2, 2, b} with 2 <= b <= 3."""
+    if size == 1:
+        return True
+    if size == 2:
+        return smallest == 2 or (smallest == 3 and 3 <= largest <= 5)
+    if size == 3:
+        return smallest == 2 and second == 2 and largest <= 3
+    return False
+
+
+def _unbounded(size: int, smallest: int | None) -> bool:
+    return size == 1 or (size == 2 and smallest == 2)
+
+
 def is_efficient_closed(N: Multiset) -> bool:
     """Membership in the closed-form list of efficient multisets."""
     e = N.elements
-    if len(e) == 1:
-        return True
-    if len(e) == 2:
-        a, b = e
-        if a == 2:
-            return True
-        return a == 3 and 3 <= b <= 5
-    if len(e) == 3:
-        return e[0] == 2 and e[1] == 2 and e[2] <= 3
-    return False
+    return closed_form_efficient(len(e), e[0], e[min(1, len(e) - 1)], e[-1])
 
 
 def in_unbounded_family(N: Multiset) -> bool:
     """True for the two families that stay efficient for arbitrarily large
     elements: singletons {b} and {2, b}."""
-    e = N.elements
-    return len(e) == 1 or (len(e) == 2 and e[0] == 2)
+    return _unbounded(len(N.elements), N.elements[0])
 
 
 def iter_multisets(sum_max: int, min_element: int = 2) -> Iterator[tuple[int, ...]]:
@@ -116,34 +130,53 @@ def verify_efficiency_classification(sum_max: int) -> VerificationReport:
     every multiset with elements >= 2 and sum <= sum_max, and record the
     largest sum of an efficient multiset outside the two unbounded families
     (must stay <= 14; the true maximum is 8, giving the window a wide
-    conclusive margin)."""
+    conclusive margin).
+
+    The multisets are visited in the order of :func:`iter_multisets`, as one
+    recursion that carries each prefix's product, sum, size and two smallest
+    elements, so a multiset costs one oracle test and one call of
+    :func:`closed_form_efficient`, and no object.
+    """
     if sum_max < 2:
         raise ValueError(f"sum_max must be >= 2 (got {sum_max})")
+    closed = closed_form_efficient
     counterexamples: list[dict] = []
     unlisted = 0
     checked = 0
     max_sum_outside = 0
     max_outside: tuple[int, ...] | None = None
-    for elements in iter_multisets(sum_max):
-        checked += 1
-        N = Multiset(elements)
-        oracle = is_efficient_oracle(N)
-        if oracle != is_efficient_closed(N):
-            if len(counterexamples) == MAX_LISTED:
-                unlisted += 1
-            else:
-                counterexamples.append(
-                    {
-                        "multiset": list(elements),
-                        "oracle_efficient": oracle,
-                        "closed_form_efficient": not oracle,
-                    }
-                )
-        if oracle and not in_unbounded_family(N):
-            s = sum(elements)
-            if s > max_sum_outside:
+
+    def visit(prefix: list[int], prod: int, total: int, lo: int, budget: int) -> None:
+        """Every multiset prefix + [e, ...] with e >= lo and sum <= total + budget."""
+        nonlocal checked, unlisted, max_sum_outside, max_outside
+        size = len(prefix) + 1
+        smallest = prefix[0] if prefix else None
+        second = prefix[1] if size > 2 else None
+        unbounded = _unbounded(size, smallest)
+        checked += budget - lo + 1  # lo <= budget on every call
+        for e in range(lo, budget + 1):
+            s = total + e
+            oracle = prod * e < 2 * s
+            if oracle != closed(size, smallest or e, second or e, e):
+                if len(counterexamples) == MAX_LISTED:
+                    unlisted += 1
+                else:
+                    counterexamples.append(
+                        {
+                            "multiset": prefix + [e],
+                            "oracle_efficient": oracle,
+                            "closed_form_efficient": not oracle,
+                        }
+                    )
+            if oracle and not unbounded and s > max_sum_outside:
                 max_sum_outside = s
-                max_outside = elements
+                max_outside = (*prefix, e)
+            if 2 * e <= budget:
+                prefix.append(e)
+                visit(prefix, prod * e, s, e, budget - e)
+                prefix.pop()
+
+    visit([], 1, 0, 2, sum_max)
     bound_ok = max_sum_outside <= MAX_SUM_OUTSIDE_UNBOUNDED
     if not bound_ok and max_outside is not None:
         counterexamples.append(

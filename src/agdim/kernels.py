@@ -21,8 +21,11 @@ step per k <= isqrt(g_max).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+from .report import MAX_LISTED
 
 __all__ = [
     "BACKEND",
@@ -34,6 +37,7 @@ __all__ = [
     "dmax_values",
     "piecewise_mismatches",
     "f_bound_violations",
+    "SuperadditivityScan",
     "superadditivity_scan",
     "best_indec_table",
     "mdsp_table",
@@ -50,6 +54,8 @@ MAX_SAFE_PIECEWISE_G = math.isqrt(2**63 - 1)
 MAX_SAFE_N = 3_000_000_000
 # a * b <= b^2 stays far below 2^63.
 MAX_SAFE_PAIR_B = 1_000_000_000
+# Cells (a, b) per block of pair_efficiency_mismatches.
+PAIR_BLOCK = 1 << 16
 
 
 def _require_at_most(name: str, value: int, ceiling: int) -> None:
@@ -111,12 +117,30 @@ def f_bound_violations(n_lo: int, n_hi: int) -> np.ndarray:
     return ns[bad]
 
 
-def superadditivity_scan(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class SuperadditivityScan(NamedTuple):
+    """What :func:`superadditivity_scan` found, as (g1, g2) row arrays in
+    ascending order, with at most ``MAX_LISTED`` rows in each capped list."""
+
+    violations: np.ndarray  # the first rows with a negative difference
+    violations_total: int
+    first_row_equalities: np.ndarray  # every g1 = 1 row with difference 0
+    other_equalities: np.ndarray  # the first g1 >= 2 rows with difference 0
+    equalities_total: int
+
+
+def _rows(pairs: list[tuple[int, int]]) -> np.ndarray:
+    return np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+
+
+def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     """Scan dmax(g1+g2) - dmax(g1) - dmax(g2) over 1 <= g1 <= g2 with
     g1+g2 <= len(D)-1, where D[g] = dmax(g) (D[0] ignored).
 
-    Returns (violations, equalities) as (g1, g2) row arrays in ascending
-    order; the superadditivity claim is that violations is empty.
+    The superadditivity claim is that there are no violations, and that the
+    equalities are exactly g1 = 1 with g2 even >= 16.  So the scan returns
+    both counts, every g1 = 1 equality and the first ``MAX_LISTED``
+    violations and other equalities: enough to list the claim's
+    counterexamples, while a broken D costs no memory per failing row.
 
     One row per g1: with g2 = g1 + j, D[g1+g2] and D[g2] are the contiguous
     slices D[2 g1 + j] and D[g1 + j], so a row is one slice difference in a
@@ -126,25 +150,35 @@ def superadditivity_scan(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g_max = D.shape[0] - 1
     diff = np.empty(max(g_max, 0), dtype=np.int64)
     low = np.empty(max(g_max, 0), dtype=bool)
-    g1s: list[np.ndarray] = []
-    g2s: list[np.ndarray] = []
-    values: list[np.ndarray] = []
+    violations: list[tuple[int, int]] = []
+    others: list[tuple[int, int]] = []
+    first_row = np.empty(0, dtype=np.int64)
+    violations_total = others_total = 0
     for g1 in range(1, g_max // 2 + 1):
         m = g_max - 2 * g1 + 1  # g2 in g1..g_max-g1
         row, hit = diff[:m], low[:m]
         np.subtract(D[2 * g1 :], D[g1 : g1 + m], out=row)
         np.less_equal(row, D[g1], out=hit)
         j = np.flatnonzero(hit)
-        if j.size:
-            g1s.append(np.full(j.size, g1, dtype=np.int64))
-            g2s.append(j + g1)
-            values.append(row[j] - D[g1])
-    if not g1s:
-        empty = np.empty((0, 2), dtype=np.int64)
-        return empty, empty
-    rows = np.stack([np.concatenate(g1s), np.concatenate(g2s)], axis=1)
-    v = np.concatenate(values)
-    return rows[v < 0], rows[v == 0]
+        if not j.size:
+            continue
+        values = row[j] - D[g1]
+        g2s = j + g1
+        below, equal = g2s[values < 0], g2s[values == 0]
+        violations_total += below.size
+        violations += [(g1, g2) for g2 in below[: MAX_LISTED - len(violations)].tolist()]
+        if g1 == 1:
+            first_row = equal
+        else:
+            others_total += equal.size
+            others += [(g1, g2) for g2 in equal[: MAX_LISTED - len(others)].tolist()]
+    return SuperadditivityScan(
+        violations=_rows(violations),
+        violations_total=violations_total,
+        first_row_equalities=_rows([(1, g2) for g2 in first_row.tolist()]),
+        other_equalities=_rows(others),
+        equalities_total=first_row.size + others_total,
+    )
 
 
 def best_indec_table(g_max: int) -> np.ndarray:
@@ -194,19 +228,26 @@ def mdsp_table(bi: np.ndarray) -> np.ndarray:
 
 
 def pair_efficiency_mismatches(a_max: int, b_max: int) -> np.ndarray:
-    """(a, b) with 2 <= a <= b where 'ab < 2(a+b)' and '(a-2)(b-2) < 4'
-    disagree (expected: none)."""
+    """(a, b) with 2 <= a <= a_max and a <= b <= b_max where 'ab < 2(a+b)'
+    and '(a-2)(b-2) < 4' disagree (expected: none), ascending.
+
+    Rows of a are taken in blocks of about ``PAIR_BLOCK`` cells, each block
+    one broadcast over a rectangle with the cells b < a masked out, so the
+    default 200 x 200 window is one numpy pass.
+    """
     if a_max < 2 or b_max < a_max:
         raise ValueError(f"need 2 <= a_max <= b_max (got {a_max}, {b_max})")
     _require_at_most("b_max", b_max, MAX_SAFE_PAIR_B)
     out: list[np.ndarray] = []
-    for a in range(2, a_max + 1):
-        b = np.arange(a, b_max + 1, dtype=np.int64)
+    rows = max(1, PAIR_BLOCK // (b_max - 1))
+    for a_lo in range(2, a_max + 1, rows):
+        a = np.arange(a_lo, min(a_lo + rows, a_max + 1), dtype=np.int64)[:, None]
+        b = np.arange(a_lo, b_max + 1, dtype=np.int64)[None, :]
         oracle = a * b < 2 * (a + b)
         closed = (a - 2) * (b - 2) < 4
-        bad = b[oracle != closed]
-        if bad.size:
-            out.append(np.stack([np.full_like(bad, a), bad], axis=1))
+        i, j = np.nonzero((oracle != closed) & (b >= a))
+        if i.size:
+            out.append(np.stack([a[i, 0], b[0, j]], axis=1))
     if not out:
         return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(out)

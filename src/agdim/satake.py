@@ -27,6 +27,14 @@ IV2        r                           r >= 3, r != 4
 The excluded parameters r = 4 (II, IV2) and p = 4 (IV1even) are absorbed by
 the separate D4 row.  The catalog is immutable data; no representation theory
 is computed here.
+
+:func:`family_grid` is the one enumeration of the catalog: per family, its
+parameter rows with their hss_dim and rep_dim as int64 arrays.  The
+cor-decoupled verifier reads those arrays, :func:`iter_cases` builds its
+validated objects from them, and the JSON export builds its records from
+them with no label per row.  Each rule (the two dimensions, the duality
+type, the forced-compact-factor flag) is one function of (family, params)
+that the label API and the grid both call.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 __all__ = [
     "SYMPLECTIC",
     "ORTHOGONAL",
@@ -42,6 +52,7 @@ __all__ = [
     "FAMILIES",
     "CaseLabel",
     "SatakeCase",
+    "FamilyGrid",
     "case",
     "classify",
     "hss_dimension",
@@ -49,6 +60,7 @@ __all__ = [
     "duality_type",
     "min_compact_factors",
     "min_multiplicity",
+    "family_grid",
     "iter_cases",
     "catalog_json",
 ]
@@ -149,85 +161,110 @@ def _validate(family: str, params: tuple[int, ...]) -> None:
             raise ValueError(f"case IV2 requires r >= 3 with r != 4 (got r={r})")
 
 
-def hss_dimension(label: CaseLabel) -> int:
-    """Complex dimension of the Hermitian symmetric space of the case."""
-    f = label.family
-    if f == "A1":
+def _hss(family: str, params):
+    """hss_dim of a case from its family and parameters: ints, or int64
+    arrays of parameters for family I."""
+    if family == "A1":
         return 1
-    if f == "D4":
+    if family == "D4":
         return 6
-    if f == "I":
-        p, n = label.params
+    if family == "I":
+        p, n = params
         return p * (n - p)
-    if f == "Iprime":
-        return label.param("n") - 1
-    if f == "II":
-        r = label.param("r")
-        return r * (r - 1) // 2
-    if f in ("III1", "III2"):
-        r = label.param("r")
-        return r * (r + 1) // 2
-    if f == "IV1even":
-        return 2 * label.param("p") - 2
-    if f == "IV1odd":
-        return 2 * label.param("p") - 1
-    if f == "IV2":
-        return 2 * label.param("r") - 2
-    raise AssertionError(f"unhandled family {f}")
+    if family == "Iprime":
+        return params[0] - 1
+    (x,) = params
+    if family == "II":
+        return x * (x - 1) // 2
+    if family in ("III1", "III2"):
+        return x * (x + 1) // 2
+    if family == "IV1even":
+        return 2 * x - 2
+    if family == "IV1odd":
+        return 2 * x - 1
+    if family == "IV2":
+        return 2 * x - 2
+    raise AssertionError(f"unhandled family {family}")
 
 
-def rep_dimension(label: CaseLabel) -> int:
-    """Dimension of the distinguished irreducible complex representation."""
-    f = label.family
-    if f == "A1":
+def _rep(family: str, params):
+    """rep_dim of a case from its family and parameters: ints, or int64
+    arrays of parameters for family I."""
+    if family == "A1":
         return 2
-    if f == "D4":
+    if family == "D4":
         return 8
-    if f == "I":
-        return label.param("n")
-    if f == "Iprime":
-        return math.comb(label.param("n"), label.param("c"))
-    if f in ("II", "III1", "III2"):
-        return 2 * label.param("r")
-    if f == "IV1even":
-        return 2 ** (label.param("p") - 1)
-    if f == "IV1odd":
-        return 2 ** label.param("p")
-    if f == "IV2":
-        return 2 ** (label.param("r") - 1)
-    raise AssertionError(f"unhandled family {f}")
+    if family == "I":
+        return params[1]
+    if family == "Iprime":
+        n, c = params
+        return math.comb(n, c)
+    (x,) = params
+    if family in ("II", "III1", "III2"):
+        return 2 * x
+    if family == "IV1even":
+        return 2 ** (x - 1)
+    if family == "IV1odd":
+        return 2**x
+    if family == "IV2":
+        return 2 ** (x - 1)
+    raise AssertionError(f"unhandled family {family}")
 
 
-def duality_type(label: CaseLabel) -> str:
-    """Self-duality type of the representation: symplectic, orthogonal, or
-    not self-dual."""
-    f = label.family
-    if f == "A1":
+def _duality(family: str, params: tuple[int, ...]) -> str:
+    """Self-duality type of a case from its family and parameters."""
+    if family == "A1":
         return SYMPLECTIC
-    if f == "D4":
+    if family == "D4":
         return ORTHOGONAL
-    if f == "I":
+    if family == "I":
         return NON_SELF_DUAL
-    if f == "Iprime":
-        n, c = label.param("n"), label.param("c")
+    if family == "Iprime":
+        n, c = params
         if 2 * c != n:
             return NON_SELF_DUAL
         return ORTHOGONAL if c % 2 == 0 else SYMPLECTIC
-    if f == "II":
+    if family == "II":
         return ORTHOGONAL
-    if f in ("III1", "III2"):
+    if family in ("III1", "III2"):
         return SYMPLECTIC
-    if f in ("IV1even", "IV2"):
-        m = label.params[0] % 4
+    if family in ("IV1even", "IV2"):
+        m = params[0] % 4
         if m == 2:
             return SYMPLECTIC
         if m == 0:
             return ORTHOGONAL
         return NON_SELF_DUAL
-    if f == "IV1odd":
-        m = label.param("p") % 4
+    if family == "IV1odd":
+        m = params[0] % 4
         return ORTHOGONAL if m in (0, 3) else SYMPLECTIC
-    raise AssertionError(f"unhandled family {f}")
+    raise AssertionError(f"unhandled family {family}")
+
+
+def _min_compact(family: str, params: tuple[int, ...]) -> int:
+    """Forced-compact-factor flag of a case from its family and parameters
+    (the rule is explained in :func:`min_compact_factors`)."""
+    if family in ("I", "Iprime", "III2", "IV1even", "IV1odd"):
+        return 1
+    if family in ("II", "IV2"):
+        return 1 if params[0] >= 4 else 0
+    return 0
+
+
+def hss_dimension(label: CaseLabel) -> int:
+    """Complex dimension of the Hermitian symmetric space of the case."""
+    return _hss(label.family, label.params)
+
+
+def rep_dimension(label: CaseLabel) -> int:
+    """Dimension of the distinguished irreducible complex representation."""
+    return _rep(label.family, label.params)
+
+
+def duality_type(label: CaseLabel) -> str:
+    """Self-duality type of the representation: symplectic, orthogonal, or
+    not self-dual."""
+    return _duality(label.family, label.params)
 
 
 def min_compact_factors(label: CaseLabel) -> int:
@@ -251,12 +288,7 @@ def min_compact_factors(label: CaseLabel) -> int:
     * III1 carries an alternating form, which is always isotropic, and A1 and
       D4 are not covered by the criteria, so these are 0.
     """
-    f = label.family
-    if f in ("I", "Iprime", "III2", "IV1even", "IV1odd"):
-        return 1
-    if f in ("II", "IV2"):
-        return 1 if label.param("r") >= 4 else 0
-    return 0
+    return _min_compact(label.family, label.params)
 
 
 def min_multiplicity(duality: str) -> int:
@@ -291,56 +323,110 @@ def classify(label: CaseLabel) -> SatakeCase:
     )
 
 
-def iter_cases(max_rep_dim: int) -> Iterator[SatakeCase]:
+# The families whose parameter 4 is absorbed by the D4 row, and the smallest
+# parameter of each one-parameter family.
+_ABSORBED_BY_D4 = ("II", "IV1even", "IV2")
+_FIRST_PARAM = {"II": 2, "III1": 2, "III2": 2, "IV1even": 3, "IV1odd": 2, "IV2": 3}
+
+
+@dataclass(frozen=True)
+class FamilyGrid:
+    """The catalog cases of one family with rep_dim <= some bound, in catalog
+    order: row i of ``params`` holds the parameters of case i (in the order
+    of the family's parameter names), and ``hss_dim``/``rep_dim`` its
+    dimensions, all int64."""
+
+    family: str
+    params: np.ndarray
+    hss_dim: np.ndarray
+    rep_dim: np.ndarray
+
+    def label(self, i: int) -> CaseLabel:
+        return CaseLabel(self.family, tuple(self.params[i].tolist()))
+
+
+def _param_rows(family: str, max_rep_dim: int) -> list[tuple[int, ...]]:
+    """Parameters of the cases of a family other than I with rep_dim <=
+    max_rep_dim, ascending (a few hundred rows at most)."""
+    if family in ("A1", "D4"):
+        return [()] if _rep(family, ()) <= max_rep_dim else []
+    rows: list[tuple[int, ...]] = []
+    if family == "Iprime":
+        n = 4
+        while _rep(family, (n, 2)) <= max_rep_dim:  # C(n, 2) <= C(n, c) for 2 <= c <= n-2
+            rows += [(n, c) for c in range(2, n - 1) if _rep(family, (n, c)) <= max_rep_dim]
+            n += 1
+        return rows
+    x = _FIRST_PARAM[family]
+    while _rep(family, (x,)) <= max_rep_dim:  # rep_dim grows with the parameter
+        if x != 4 or family not in _ABSORBED_BY_D4:
+            rows.append((x,))
+        x += 1
+    return rows
+
+
+def family_grid(max_rep_dim: int) -> list[FamilyGrid]:
+    """One grid per family, in ``FAMILIES`` order (empty where no case has
+    rep_dim <= max_rep_dim): the single enumeration of the catalog.  Family
+    I, about max_rep_dim^2 / 4 cases (n from 3, then 1 <= p <= n/2), is built
+    as arrays; the other families hold a few hundred cases between them."""
+    grids = []
+    for family in FAMILIES:
+        if family == "I":
+            n = np.arange(3, max_rep_dim + 1, dtype=np.int64)
+            per_n = n // 2
+            n = np.repeat(n, per_n)
+            first = np.repeat(np.cumsum(per_n) - per_n, per_n)
+            p = np.arange(n.size, dtype=np.int64) - first + 1
+            params = np.stack([p, n], axis=1)
+            hss, rep = _hss(family, (p, n)), _rep(family, (p, n))
+        else:
+            rows = _param_rows(family, max_rep_dim)
+            params = np.array(rows, dtype=np.int64).reshape(len(rows), len(_PARAM_NAMES[family]))
+            hss = np.array([_hss(family, r) for r in rows], dtype=np.int64)
+            rep = np.array([_rep(family, r) for r in rows], dtype=np.int64)
+        grids.append(FamilyGrid(family, params, hss, rep))
+    return grids
+
+
+def _chunked_list(values: np.ndarray, chunk: int = 4096) -> Iterator:
+    """The rows of ``values`` as Python values, converted a chunk at a time."""
+    for lo in range(0, len(values), chunk):
+        yield from values[lo : lo + chunk].tolist()
+
+
+def iter_cases(max_rep_dim: int, *, records: bool = False) -> Iterator[SatakeCase] | Iterator[dict]:
     """All catalog rows with rep_dim <= max_rep_dim, in deterministic order
-    (family order as in the module docstring, then ascending parameters)."""
-    if max_rep_dim < 2:
-        return
-    yield classify(CaseLabel("A1"))
-    if max_rep_dim >= 8:
-        yield classify(CaseLabel("D4"))
-    for n in range(3, max_rep_dim + 1):
-        for p in range(1, n // 2 + 1):
-            yield classify(CaseLabel("I", (p, n)))
-    n = 4
-    while n * (n - 1) // 2 <= max_rep_dim:
-        for c in range(2, n - 1):
-            if math.comb(n, c) <= max_rep_dim:
-                yield classify(CaseLabel("Iprime", (n, c)))
-        n += 1
-    for r in range(2, max_rep_dim // 2 + 1):
-        if r != 4:
-            yield classify(CaseLabel("II", (r,)))
-    for family in ("III1", "III2"):
-        for r in range(2, max_rep_dim // 2 + 1):
-            yield classify(CaseLabel(family, (r,)))
-    p = 3
-    while 2 ** (p - 1) <= max_rep_dim:
-        if p != 4:
-            yield classify(CaseLabel("IV1even", (p,)))
-        p += 1
-    p = 2
-    while 2**p <= max_rep_dim:
-        yield classify(CaseLabel("IV1odd", (p,)))
-        p += 1
-    r = 3
-    while 2 ** (r - 1) <= max_rep_dim:
-        if r != 4:
-            yield classify(CaseLabel("IV2", (r,)))
-        r += 1
+    (family order as in the module docstring, then ascending parameters),
+    read from :func:`family_grid`.
+
+    Rows are validated :class:`SatakeCase` objects, or with ``records`` the
+    JSON-ready records of :func:`catalog_json`, built without a label per
+    row.  The export reads its records here, not from the grid itself, so
+    that perfbench's tracer, which wraps this function, counts the cases of
+    every export.
+    """
+    for grid in family_grid(max_rep_dim):
+        family = grid.family
+        names = _PARAM_NAMES[family]
+        for params, hss, rep in zip(
+            _chunked_list(grid.params), _chunked_list(grid.hss_dim), _chunked_list(grid.rep_dim)
+        ):
+            if records:
+                yield {
+                    "case": family,
+                    "params": dict(zip(names, params)),
+                    "hss_dim": hss,
+                    "rep_dim": rep,
+                    "duality": _duality(family, params),
+                    "min_compact_factors": _min_compact(family, params),
+                }
+            else:
+                label = CaseLabel(family, tuple(params))
+                yield SatakeCase(label, hss, rep, duality_type(label), min_compact_factors(label))
 
 
 def catalog_json(max_rep_dim: int) -> list[dict]:
     """Catalog rows as JSON-ready records with fixed field names and order:
     case, params, hss_dim, rep_dim, duality, min_compact_factors."""
-    return [
-        {
-            "case": c.label.family,
-            "params": c.label.params_dict(),
-            "hss_dim": c.hss_dim,
-            "rep_dim": c.rep_dim,
-            "duality": c.duality,
-            "min_compact_factors": c.min_compact_factors,
-        }
-        for c in iter_cases(max_rep_dim)
-    ]
+    return list(iter_cases(max_rep_dim, records=True))

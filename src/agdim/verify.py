@@ -115,16 +115,17 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
     g1+g2 <= g_max, with equality exactly at g1 = 1, g2 even >= 16."""
     D = np.zeros(g_max + 1, dtype=np.int64)
     D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
-    viol, eqs = kernels.superadditivity_scan(D)
+    scan = kernels.superadditivity_scan(D)
     expected_g2 = np.arange(16, g_max, 2, dtype=np.int64)
-    listed, unlisted = first_listed(viol)
     counterexamples = [
         {"g1": int(a), "g2": int(b), "reason": "superadditivity violated"}
-        for a, b in listed.tolist()
+        for a, b in scan.violations.tolist()
     ]
+    # Every expected row has g1 = 1, so each g1 >= 2 equality is unexpected
+    # and the first MAX_LISTED of them give the same difference as all.
     counterexamples += equality_diff(
         "equality set differs from {(1, even g2 >= 16)}",
-        eqs,
+        np.concatenate([scan.first_row_equalities, scan.other_equalities]),
         np.stack([np.ones_like(expected_g2), expected_g2], axis=1),
     )
     return VerificationReport(
@@ -134,11 +135,11 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
         witnesses=[
             {
                 "equality_cases": "g1=1 and g2 even >= 16",
-                "count": int(eqs.shape[0]),
+                "count": int(scan.equalities_total),
             }
         ],
         details={"pairs_checked": int(g_max) * int(g_max) // 4},
-        unlisted=unlisted,
+        unlisted=scan.violations_total - len(scan.violations),
     )
 
 
@@ -175,9 +176,10 @@ def _verify_f_bounds(n_max: int) -> VerificationReport:
 
 def _verify_efficiency(sum_max: int, pair_max: int) -> VerificationReport:
     """Closed classification of efficient multisets vs the definition on the
-    sum <= sum_max window, plus the two-element criterion up to pair_max."""
+    sum <= sum_max window, plus the two-element criterion on the whole
+    triangle 2 <= a <= b <= pair_max."""
     report = verify_efficiency_classification(sum_max)
-    listed = kernels.pair_efficiency_mismatches(2, pair_max).tolist()[:MAX_LISTED]
+    listed = kernels.pair_efficiency_mismatches(pair_max, pair_max)[:MAX_LISTED].tolist()
     counterexamples = list(report.counterexamples)
     if listed:
         counterexamples.append(
@@ -285,42 +287,49 @@ def _verify_mgct() -> VerificationReport:
 def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
     """(k-1) * hss_dim <= dmax(k * rep_dim) for every catalog case with
     rep_dim <= rep_max and every 2 <= k <= k_max, with equality only in
-    family I at k = 2."""
-    cases = list(satake.iter_cases(rep_max))
-    hss = np.array([c.hss_dim for c in cases], dtype=np.int64)
-    rep = np.array([c.rep_dim for c in cases], dtype=np.int64)
+    family I at k = 2.
+
+    The cases are read as arrays from :func:`satake.family_grid`; a label is
+    built only for a counterexample the report lists.
+    """
+    grids = satake.family_grid(rep_max)
+    hss = np.concatenate([g.hss_dim for g in grids])
+    rep = np.concatenate([g.rep_dim for g in grids])
+    sizes = [len(g.rep_dim) for g in grids]
+    starts = np.cumsum([0, *sizes])
+    in_family_i = np.repeat([g.family == "I" for g in grids], sizes)
+
+    def case(idx: int) -> str:
+        at = int(np.searchsorted(starts, idx, side="right")) - 1
+        return str(grids[at].label(idx - int(starts[at])))
+
     counterexamples: list[dict] = []
     unlisted = 0
     equality_count = 0
     for k in range(2, k_max + 1):
-        bound = kernels.dmax_values(k * rep)
         lhs = (k - 1) * hss
-        for idx in np.nonzero(lhs > bound)[0].tolist():
-            if len(counterexamples) == MAX_LISTED:
-                unlisted += 1
-                continue
-            counterexamples.append(
-                {
-                    "case": str(cases[idx].label),
-                    "k": k,
-                    "lhs": int(lhs[idx]),
-                    "dmax": int(bound[idx]),
-                    "reason": "dimension bound violated",
-                }
-            )
-        for idx in np.nonzero(lhs == bound)[0].tolist():
-            equality_count += 1
-            if cases[idx].label.family != "I" or k != 2:
-                if len(counterexamples) == MAX_LISTED:
-                    unlisted += 1
-                    continue
-                counterexamples.append(
-                    {
-                        "case": str(cases[idx].label),
-                        "k": k,
-                        "reason": "equality outside family I with k=2",
-                    }
-                )
+        bound = kernels.dmax_values(k * rep)
+        hits = np.flatnonzero(lhs >= bound)
+        over = hits[lhs[hits] > bound[hits]]
+        equal = hits[lhs[hits] == bound[hits]]
+        equality_count += equal.size
+        outside = equal[~in_family_i[equal]] if k == 2 else equal
+        rows = [
+            {
+                "case": case(idx),
+                "k": k,
+                "lhs": int(lhs[idx]),
+                "dmax": int(bound[idx]),
+                "reason": "dimension bound violated",
+            }
+            for idx in over[: MAX_LISTED - len(counterexamples)].tolist()
+        ]
+        rows += [
+            {"case": case(idx), "k": k, "reason": "equality outside family I with k=2"}
+            for idx in outside[: MAX_LISTED - len(counterexamples) - len(rows)].tolist()
+        ]
+        counterexamples += rows
+        unlisted += over.size + outside.size - len(rows)
     return VerificationReport(
         claim="cor-decoupled",
         range={"rep_max": rep_max, "k_max": k_max},
@@ -328,7 +337,7 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
         witnesses=[
             {"equality_cases": "family I with k=2 only", "count": equality_count}
         ],
-        details={"catalog_cases": len(cases), "k_range": [2, k_max]},
+        details={"catalog_cases": int(rep.size), "k_range": [2, k_max]},
         unlisted=unlisted,
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -26,6 +27,29 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(script):
+    """Run ``script`` (which sets ``code``) in a fresh interpreter; return
+    ``code``, the child's peak RSS in kB and its stdout.  The peak is the
+    child's VmHWM: its ru_maxrss would include the high-water mark of this
+    process, which exec carries over on Linux."""
+    script += (
+        "import sys\n"
+        "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, hwm.split()[1], file=sys.stderr)\n"
+    )
+    src = str(Path(agdim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, peak_kb = map(int, proc.stderr.split())
+    return code, peak_kb, proc.stdout
 
 
 class TestDmaxCommand:
@@ -243,8 +267,8 @@ def _whole_block(kernel):
 
 
 def _negate_closed_form(mp):
-    real = efficiency.is_efficient_closed
-    mp.setattr(efficiency, "is_efficient_closed", lambda N: not real(N))
+    real = efficiency.closed_form_efficient
+    mp.setattr(efficiency, "closed_form_efficient", lambda *args: not real(*args))
 
 
 def _extra_equality(mp):
@@ -324,32 +348,52 @@ class TestVerifierFailures:
     def test_failure_memory_bounded(self):
         # Every genus of 1..2e6 fails.  Building a dict per failure took about
         # 510 MB; listing only the reported 50 keeps it near a passing run.
-        # The peak is the child's VmHWM: its ru_maxrss would include the
-        # high-water mark of this process, which exec carries over on Linux.
         script = (
-            "import sys\n"
             "import numpy as np\n"
             "from agdim import cli, kernels\n"
             "kernels.piecewise_mismatches = lambda lo, hi: np.arange(lo, hi + 1, dtype=np.int64)\n"
             "code = cli.main(['verify', 'dmax-piecewise', '--g-max', '2000000'])\n"
-            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-            "print(code, hwm.split()[1], file=sys.stderr)\n"
         )
-        src = str(Path(agdim.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        code, peak_kb = map(int, proc.stderr.split())
-        doc = json.loads(proc.stdout)
+        code, peak_kb, out = run_child(script)
+        doc = json.loads(out)
         assert code == 1
         assert len(doc["counterexamples"]) == MAX_LISTED
         assert doc["details"]["counterexamples_total"] == 2_000_000
         assert peak_kb < 250 * 1024
+
+    def test_superadditivity_failure_memory_bounded(self):
+        # With D = 0 every pair of 1..4000 is an equality (4M rows): the scan
+        # keeps counts and the rows the report needs, not every row, and the
+        # failing report is byte for byte what listing every row gave (about
+        # 430 MB).
+        script = (
+            "import numpy as np\n"
+            "from agdim import cli, kernels\n"
+            "kernels.dmax_values = lambda gs: np.zeros(len(gs), dtype=np.int64)\n"
+            "code = cli.main(['verify', 'lemma-dmax', '--g-max', '4000'])\n"
+        )
+        code, peak_kb, out = run_child(script)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "615c12a56a2e90189dc9d496266aa35991f4330bb05951c6f228136a7b417029"
+        )
+        assert json.loads(out)["witnesses"][0]["count"] == 4000 * 4000 // 4
+        assert peak_kb < 100 * 1024
+
+    def test_two_element_window_covers_the_triangle(self, capsys, monkeypatch):
+        # A mismatch at a = 3 is inside the window the report states, so it
+        # must be found: the window is 2 <= a <= b <= pair_max, not a = 2.
+        real = kernels.pair_efficiency_mismatches
+
+        def with_mismatch_at_3(a_max, b_max):
+            found = real(a_max, b_max)
+            return np.concatenate([found, [[3, 7]]]) if a_max >= 3 else found
+
+        monkeypatch.setattr(kernels, "pair_efficiency_mismatches", with_mismatch_at_3)
+        code, out, _ = run(capsys, ["verify", "lemma-N", "--sum-max", "10", "--pair-max", "10"])
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["details"]["two_element_window"]["mismatches"] == [[3, 7]]
 
     @pytest.mark.parametrize("non_uniform", [False, True])
     def test_remark_fallback_witness(self, capsys, monkeypatch, non_uniform):
@@ -444,6 +488,33 @@ class TestCatalogCommand:
         jsonschema.validate(doc, CATALOG_SCHEMA)
         assert len(doc["cases"]) == 30
         assert doc["cases"][0]["case"] == "A1"
+
+    def test_timestamp_and_out_file(self, capsys, monkeypatch, tmp_path):
+        # more rows than one block, so the blocks' seams are in the output
+        monkeypatch.setattr(cli, "_CATALOG_BLOCK", 7)
+        code, plain, _ = run(capsys, ["catalog", "--rep-max", "8"])
+        assert code == 0
+        assert plain == json.dumps(json.loads(plain), indent=2) + "\n"
+        code, stamped, _ = run(capsys, ["catalog", "--rep-max", "8", "--timestamp"])
+        doc = json.loads(stamped)
+        assert list(doc) == ["schema", "max_rep_dim", "cases", "generated_at"]
+        assert stamped == json.dumps(doc, indent=2) + "\n"
+        target = tmp_path / "catalog.json"
+        code, out, _ = run(capsys, ["catalog", "--rep-max", "8", "--out", str(target)])
+        assert (code, out) == (0, "")
+        assert target.read_text(encoding="utf-8") == plain
+
+    def test_memory_bounded(self, tmp_path):
+        # 65,776 rows: building every row and the whole text first peaked at
+        # about 185 MB; blocks keep the export near the grid's own size.
+        target = tmp_path / "catalog.json"
+        script = f"from agdim import cli\ncode = cli.main(['catalog', '--rep-max', '512', '--out', {str(target)!r}])\n"
+        code, peak_kb, _ = run_child(script)
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "5b8ab23fd16ea89f3c692d1a458c1ab7a88074eb156e966a5c67979d1356767a"
+        )
+        assert peak_kb < 100 * 1024
 
     def test_ceiling(self, capsys):
         code, _, err = run(capsys, ["catalog", "--rep-max", "100000"])

@@ -1,9 +1,11 @@
 """Byte-identity guard: the stdout of these runs must not change.
 
-Each hash is the sha256 of the full stdout of ``agdim verify ...`` as
-recorded before the claim scans were rewritten in numpy.  A change to any
-verifier's arithmetic, iteration order or report assembly that alters a
-single byte of a passing report fails here.
+Each hash is the sha256 of the full stdout of ``agdim verify ...`` or
+``agdim catalog --rep-max N``, recorded before the rewrite it guards (the
+claim scans in numpy; then lemma-N, cor-decoupled and the catalog on one
+family grid).  A change to any verifier's arithmetic, iteration order or
+report assembly, or to the catalog export, that alters a single byte of a
+passing run fails here.
 """
 
 import hashlib
@@ -30,6 +32,22 @@ GOLDEN = {
     "remark-domination --r-max 256 --k-max 256": (
         "f6a23001ab14bca51827d1f714c82d70ec5c894ff8b2f761bb27cc411fe6fdc6"
     ),
+    "cor-decoupled --rep-max 128 --k-max 16": (
+        "5b43a75f2f9e284f6e29764ab12d5c77946285a1c8b4b23aeef50fb63516f12d"
+    ),
+    "cor-decoupled --rep-max 2048 --k-max 64": (
+        "1890a0bd6abcc0b30193c8409cd34925623b35e4767eee627a7a3baf9d373a31"
+    ),
+    "lemma-N --sum-max 28": "f1c906ef0df6e7740d0a7e9bf1ee844a97d662839bd2e3222d0f8965e24dfd4c",
+    "lemma-N --sum-max 40": "7f308afda8bce36b67551aaa7d56af53a2ffaebcdd9c47596eda918676c95658",
+}
+
+CATALOG = {
+    2: "f73c030451e13ab6e9b246d6aaee6f94f1aa77bcde48be5fd6870092a56624d3",
+    8: "f1a8fa714a142dc18fa3b41772d3fb836e4f473579e48f92eb9593e4ca2d58d1",
+    64: "ef6ec0caea182993d7a9e3ddac1dfb707b5fefbdaa05a4617161835d1efe9c95",
+    96: "7700b4a91c38d62145470eea7af6263395776426a083460b34c79949a6251161",
+    256: "0d873a311cb6350126b1d8e04b0911d36ed023adf0093342c27877fc8932e410",
 }
 
 
@@ -39,3 +57,11 @@ def test_stdout_unchanged(capsys, args):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[args]
+
+
+@pytest.mark.parametrize("rep_max", list(CATALOG))
+def test_catalog_stdout_unchanged(capsys, rep_max):
+    code = cli.main(["catalog", "--rep-max", str(rep_max)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG[rep_max]

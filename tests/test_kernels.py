@@ -4,6 +4,7 @@ import pytest
 from agdim import kernels
 from agdim.arith import dmax, dmax_piecewise, half_product
 from agdim.pairs import best_indecomposable
+from agdim.report import MAX_LISTED
 
 
 def python_mdsp(bi):
@@ -18,6 +19,19 @@ def python_mdsp(bi):
 
 def rows(arr):
     return [tuple(int(v) for v in row) for row in arr.tolist()]
+
+
+def assert_scan_matches(scan, want_viol, want_eqs):
+    """A superadditivity scan against every violating and equal row: the
+    counts, every g1 = 1 equality and the first MAX_LISTED of the others."""
+    others = [(g1, g2) for g1, g2 in want_eqs if g1 > 1]
+    for listed in (scan.violations, scan.first_row_equalities, scan.other_equalities):
+        assert listed.dtype == np.int64 and listed.shape[1:] == (2,)
+    assert rows(scan.violations) == want_viol[:MAX_LISTED]
+    assert scan.violations_total == len(want_viol)
+    assert rows(scan.first_row_equalities) == [(g1, g2) for g1, g2 in want_eqs if g1 == 1]
+    assert rows(scan.other_equalities) == others[:MAX_LISTED]
+    assert scan.equalities_total == len(want_eqs)
 
 
 class TestBackendSelection:
@@ -55,7 +69,6 @@ class TestAgainstScalars:
         g_max = 800
         D = np.zeros(g_max + 1, dtype=np.int64)
         D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
-        viol, eqs = kernels.superadditivity_scan(D)
         want_viol, want_eqs = [], []
         for g1 in range(1, 401):
             for g2 in range(g1, g_max - g1 + 1):
@@ -64,15 +77,14 @@ class TestAgainstScalars:
                     want_viol.append((g1, g2))
                 elif diff == 0:
                     want_eqs.append((g1, g2))
-        assert rows(viol) == want_viol == []
-        assert rows(eqs) == want_eqs
+        assert want_viol == []
         assert want_eqs == [(1, g2) for g2 in range(16, g_max, 2)]
+        assert_scan_matches(kernels.superadditivity_scan(D), want_viol, want_eqs)
 
     def test_superadditivity_random_vs_brute_force(self):
         rng = np.random.default_rng(20240409)
         for g_max in (0, 1, 2, 3, 9, 10, 77, 160):
             D = rng.integers(0, 40, size=g_max + 1, dtype=np.int64)
-            viol, eqs = kernels.superadditivity_scan(D)
             want_viol, want_eqs = [], []
             for g1 in range(1, g_max // 2 + 1):
                 for g2 in range(g1, g_max - g1 + 1):
@@ -81,11 +93,12 @@ class TestAgainstScalars:
                         want_viol.append((g1, g2))
                     elif diff == 0:
                         want_eqs.append((g1, g2))
-            assert viol.shape[1] == eqs.shape[1] == 2
-            assert rows(viol) == want_viol
-            assert rows(eqs) == want_eqs
+            assert_scan_matches(kernels.superadditivity_scan(D), want_viol, want_eqs)
             if g_max >= 77:
                 assert want_viol and want_eqs  # both kinds of row are exercised
+            if g_max == 160:  # both capped lists are cut
+                assert len(want_viol) > MAX_LISTED
+                assert sum(1 for g1, _ in want_eqs if g1 > 1) > MAX_LISTED
 
     def test_pair_efficiency_vs_scalar(self):
         for n in (60, 200):
@@ -96,6 +109,14 @@ class TestAgainstScalars:
                 if (a * b < 2 * (a + b)) != ((a - 2) * (b - 2) < 4)
             ]
             assert rows(kernels.pair_efficiency_mismatches(n, n)) == oracle == []
+
+    @pytest.mark.parametrize("block", [1, 97, 1 << 16])
+    def test_pair_efficiency_blocks(self, monkeypatch, block):
+        # one row per block, blocks that split the rows unevenly, one block
+        monkeypatch.setattr(kernels, "PAIR_BLOCK", block)
+        for a_max, b_max in ((2, 2), (2, 9), (3, 3), (7, 50), (60, 60)):
+            found = kernels.pair_efficiency_mismatches(a_max, b_max)
+            assert found.dtype == np.int64 and found.shape == (0, 2)
 
 
 class TestGuards:

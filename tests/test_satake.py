@@ -1,8 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from agdim.satake import (
+    FAMILIES,
     NON_SELF_DUAL,
     ORTHOGONAL,
     SYMPLECTIC,
@@ -11,6 +14,7 @@ from agdim.satake import (
     catalog_json,
     classify,
     duality_type,
+    family_grid,
     hss_dimension,
     iter_cases,
     min_compact_factors,
@@ -202,3 +206,84 @@ class TestCatalog:
         # rep_dim 2 admits exactly the A1 row
         only = list(iter_cases(2))
         assert len(only) == 1 and only[0].label.family == "A1"
+
+
+def seed_case_params(max_rep_dim):
+    """The parameters of every case, per family in catalog order, from the
+    nested loops that enumerated the catalog before the family grid."""
+    rows = {family: [] for family in FAMILIES}
+    if max_rep_dim < 2:
+        return rows
+    rows["A1"].append(())
+    if max_rep_dim >= 8:
+        rows["D4"].append(())
+    for n in range(3, max_rep_dim + 1):
+        rows["I"] += [(p, n) for p in range(1, n // 2 + 1)]
+    n = 4
+    while n * (n - 1) // 2 <= max_rep_dim:
+        for c in range(2, n - 1):
+            if math.comb(n, c) <= max_rep_dim:
+                rows["Iprime"].append((n, c))
+        n += 1
+    for r in range(2, max_rep_dim // 2 + 1):
+        if r != 4:
+            rows["II"].append((r,))
+    for family in ("III1", "III2"):
+        for r in range(2, max_rep_dim // 2 + 1):
+            rows[family].append((r,))
+    p = 3
+    while 2 ** (p - 1) <= max_rep_dim:
+        if p != 4:
+            rows["IV1even"].append((p,))
+        p += 1
+    p = 2
+    while 2**p <= max_rep_dim:
+        rows["IV1odd"].append((p,))
+        p += 1
+    r = 3
+    while 2 ** (r - 1) <= max_rep_dim:
+        if r != 4:
+            rows["IV2"].append((r,))
+        r += 1
+    return rows
+
+
+def grid_case_params(grids):
+    """The parameters of every case of a family grid, per family."""
+    return {
+        g.family: list(zip(*g.params.T.tolist())) if g.params.shape[1] else [()] * len(g.params)
+        for g in grids
+    }
+
+
+class TestFamilyGrid:
+    def test_matches_seed_loops(self):
+        for rep_max in range(1, 301):
+            grids = family_grid(rep_max)
+            assert [g.family for g in grids] == list(FAMILIES)
+            assert all(g.params.dtype == g.hss_dim.dtype == g.rep_dim.dtype == np.int64 for g in grids)
+            assert grid_case_params(grids) == seed_case_params(rep_max), rep_max
+        labels = [CaseLabel(f, t) for f, rows in seed_case_params(300).items() for t in rows]
+        assert np.concatenate([g.hss_dim for g in grids]).tolist() == [hss_dimension(x) for x in labels]
+        assert np.concatenate([g.rep_dim for g in grids]).tolist() == [rep_dimension(x) for x in labels]
+
+    def test_label(self):
+        grid = family_grid(8)[FAMILIES.index("I")]
+        assert grid.label(4) == case("I", p=2, n=5)
+
+    def test_records_match_objects(self):
+        # the export's records and the validated objects are one enumeration
+        want = [
+            {
+                "case": c.label.family,
+                "params": c.label.params_dict(),
+                "hss_dim": c.hss_dim,
+                "rep_dim": c.rep_dim,
+                "duality": c.duality,
+                "min_compact_factors": c.min_compact_factors,
+            }
+            for c in iter_cases(128)
+        ]
+        assert len(want) == sum(map(len, seed_case_params(128).values()))
+        assert list(iter_cases(128, records=True)) == want
+        assert catalog_json(128) == want
