@@ -365,40 +365,58 @@ def _param_rows(family: str, max_rep_dim: int) -> list[tuple[int, ...]]:
     return rows
 
 
+def _family_i(n_lo: int, n_hi: int) -> FamilyGrid:
+    """The family I cases with n_lo <= n <= n_hi (n from 3, then
+    1 <= p <= n/2), built as arrays."""
+    n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    per_n = n // 2
+    n = np.repeat(n, per_n)
+    first = np.repeat(np.cumsum(per_n) - per_n, per_n)
+    p = np.arange(n.size, dtype=np.int64) - first + 1
+    return FamilyGrid("I", np.stack([p, n], axis=1), _hss("I", (p, n)), _rep("I", (p, n)))
+
+
+def _small_family(family: str, max_rep_dim: int) -> FamilyGrid:
+    rows = _param_rows(family, max_rep_dim)
+    return FamilyGrid(
+        family,
+        np.array(rows, dtype=np.int64).reshape(len(rows), len(_PARAM_NAMES[family])),
+        np.array([_hss(family, r) for r in rows], dtype=np.int64),
+        np.array([_rep(family, r) for r in rows], dtype=np.int64),
+    )
+
+
 def family_grid(max_rep_dim: int) -> list[FamilyGrid]:
     """One grid per family, in ``FAMILIES`` order (empty where no case has
     rep_dim <= max_rep_dim): the single enumeration of the catalog.  Family
-    I, about max_rep_dim^2 / 4 cases (n from 3, then 1 <= p <= n/2), is built
-    as arrays; the other families hold a few hundred cases between them."""
-    grids = []
+    I holds about max_rep_dim^2 / 4 cases; the other families hold a few
+    hundred between them."""
+    return [
+        _family_i(3, max_rep_dim) if family == "I" else _small_family(family, max_rep_dim)
+        for family in FAMILIES
+    ]
+
+
+def _grid_pieces(max_rep_dim: int, piece: int = 4096) -> Iterator[FamilyGrid]:
+    """:func:`family_grid` in order, with family I cut into pieces of about
+    ``piece`` cases (whole values of n), so that a reader of every case
+    holds one piece at a time."""
     for family in FAMILIES:
-        if family == "I":
-            n = np.arange(3, max_rep_dim + 1, dtype=np.int64)
-            per_n = n // 2
-            n = np.repeat(n, per_n)
-            first = np.repeat(np.cumsum(per_n) - per_n, per_n)
-            p = np.arange(n.size, dtype=np.int64) - first + 1
-            params = np.stack([p, n], axis=1)
-            hss, rep = _hss(family, (p, n)), _rep(family, (p, n))
-        else:
-            rows = _param_rows(family, max_rep_dim)
-            params = np.array(rows, dtype=np.int64).reshape(len(rows), len(_PARAM_NAMES[family]))
-            hss = np.array([_hss(family, r) for r in rows], dtype=np.int64)
-            rep = np.array([_rep(family, r) for r in rows], dtype=np.int64)
-        grids.append(FamilyGrid(family, params, hss, rep))
-    return grids
-
-
-def _chunked_list(values: np.ndarray, chunk: int = 4096) -> Iterator:
-    """The rows of ``values`` as Python values, converted a chunk at a time."""
-    for lo in range(0, len(values), chunk):
-        yield from values[lo : lo + chunk].tolist()
+        if family != "I":
+            yield _small_family(family, max_rep_dim)
+            continue
+        n = 3
+        while n <= max_rep_dim:
+            # n..n_hi holds about (n_hi^2 - n^2) / 4 cases
+            n_hi = min(max_rep_dim, max(n, math.isqrt(n * n + 4 * piece)))
+            yield _family_i(n, n_hi)
+            n = n_hi + 1
 
 
 def iter_cases(max_rep_dim: int, *, records: bool = False) -> Iterator[SatakeCase] | Iterator[dict]:
     """All catalog rows with rep_dim <= max_rep_dim, in deterministic order
     (family order as in the module docstring, then ascending parameters),
-    read from :func:`family_grid`.
+    read from :func:`family_grid` a piece at a time, so memory stays flat.
 
     Rows are validated :class:`SatakeCase` objects, or with ``records`` the
     JSON-ready records of :func:`catalog_json`, built without a label per
@@ -406,11 +424,11 @@ def iter_cases(max_rep_dim: int, *, records: bool = False) -> Iterator[SatakeCas
     that perfbench's tracer, which wraps this function, counts the cases of
     every export.
     """
-    for grid in family_grid(max_rep_dim):
+    for grid in _grid_pieces(max_rep_dim):
         family = grid.family
         names = _PARAM_NAMES[family]
         for params, hss, rep in zip(
-            _chunked_list(grid.params), _chunked_list(grid.hss_dim), _chunked_list(grid.rep_dim)
+            grid.params.tolist(), grid.hss_dim.tolist(), grid.rep_dim.tolist()
         ):
             if records:
                 yield {

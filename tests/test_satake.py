@@ -6,6 +6,7 @@ import pytest
 
 from agdim.satake import (
     FAMILIES,
+    _grid_pieces,
     NON_SELF_DUAL,
     ORTHOGONAL,
     SYMPLECTIC,
@@ -266,6 +267,19 @@ class TestFamilyGrid:
         labels = [CaseLabel(f, t) for f, rows in seed_case_params(300).items() for t in rows]
         assert np.concatenate([g.hss_dim for g in grids]).tolist() == [hss_dimension(x) for x in labels]
         assert np.concatenate([g.rep_dim for g in grids]).tolist() == [rep_dimension(x) for x in labels]
+
+    @pytest.mark.parametrize("piece", [1, 7, 4096])
+    def test_pieces_cover_the_grid(self, piece):
+        # iter_cases reads the grid in pieces; together they are the grid
+        for rep_max in (1, 2, 3, 9, 300):
+            got = {}
+            for g in _grid_pieces(rep_max, piece):
+                got.setdefault(g.family, []).append(np.column_stack([g.params, g.hss_dim, g.rep_dim]))
+            grids = family_grid(rep_max)
+            assert list(got) == [g.family for g in grids if g.family != "I" or g.rep_dim.size]
+            for g in grids:
+                want = np.column_stack([g.params, g.hss_dim, g.rep_dim])
+                assert np.array_equal(np.concatenate(got.get(g.family, [want])), want)
 
     def test_label(self):
         grid = family_grid(8)[FAMILIES.index("I")]
