@@ -119,12 +119,12 @@ def f_bound_violations(n_lo: int, n_hi: int) -> np.ndarray:
 
 class SuperadditivityScan(NamedTuple):
     """What :func:`superadditivity_scan` found, as (g1, g2) row arrays in
-    ascending order, with at most ``MAX_LISTED`` rows in each capped list."""
+    ascending order; ``equalities`` holds at most ``MAX_LISTED`` rows with
+    g1 >= 2 and ``violations`` at most ``MAX_LISTED`` rows."""
 
     violations: np.ndarray  # the first rows with a negative difference
     violations_total: int
-    first_row_equalities: np.ndarray  # every g1 = 1 row with difference 0
-    other_equalities: np.ndarray  # the first g1 >= 2 rows with difference 0
+    equalities: np.ndarray  # every g1 = 1 row, then the first g1 >= 2 rows, with difference 0
     equalities_total: int
 
 
@@ -175,8 +175,7 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     return SuperadditivityScan(
         violations=_rows(violations),
         violations_total=violations_total,
-        first_row_equalities=_rows([(1, g2) for g2 in first_row.tolist()]),
-        other_equalities=_rows(others),
+        equalities=_rows([(1, g2) for g2 in first_row.tolist()] + others),
         equalities_total=first_row.size + others_total,
     )
 

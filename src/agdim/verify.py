@@ -125,7 +125,7 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
     # and the first MAX_LISTED of them give the same difference as all.
     counterexamples += equality_diff(
         "equality set differs from {(1, even g2 >= 16)}",
-        np.concatenate([scan.first_row_equalities, scan.other_equalities]),
+        scan.equalities,
         np.stack([np.ones_like(expected_g2), expected_g2], axis=1),
     )
     return VerificationReport(

@@ -505,8 +505,8 @@ class TestCatalogCommand:
         assert target.read_text(encoding="utf-8") == plain
 
     def test_memory_bounded(self, tmp_path):
-        # 65,776 rows: building every row and the whole text first peaked at
-        # about 185 MB; blocks keep the export near the grid's own size.
+        # 66,411 rows: building every row and the whole text first peaked at
+        # about 185 MB; pieces of the grid and blocks of rows keep it flat.
         target = tmp_path / "catalog.json"
         script = f"from agdim import cli\ncode = cli.main(['catalog', '--rep-max', '512', '--out', {str(target)!r}])\n"
         code, peak_kb, _ = run_child(script)

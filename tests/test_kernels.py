@@ -24,13 +24,13 @@ def rows(arr):
 def assert_scan_matches(scan, want_viol, want_eqs):
     """A superadditivity scan against every violating and equal row: the
     counts, every g1 = 1 equality and the first MAX_LISTED of the others."""
+    first_row = [(g1, g2) for g1, g2 in want_eqs if g1 == 1]
     others = [(g1, g2) for g1, g2 in want_eqs if g1 > 1]
-    for listed in (scan.violations, scan.first_row_equalities, scan.other_equalities):
+    for listed in (scan.violations, scan.equalities):
         assert listed.dtype == np.int64 and listed.shape[1:] == (2,)
     assert rows(scan.violations) == want_viol[:MAX_LISTED]
     assert scan.violations_total == len(want_viol)
-    assert rows(scan.first_row_equalities) == [(g1, g2) for g1, g2 in want_eqs if g1 == 1]
-    assert rows(scan.other_equalities) == others[:MAX_LISTED]
+    assert rows(scan.equalities) == first_row + others[:MAX_LISTED]
     assert scan.equalities_total == len(want_eqs)
 
 
