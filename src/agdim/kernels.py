@@ -175,7 +175,7 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     return SuperadditivityScan(
         violations=_rows(violations),
         violations_total=violations_total,
-        equalities=_rows([(1, g2) for g2 in first_row.tolist()] + others),
+        equalities=np.concatenate([np.stack([np.ones_like(first_row), first_row], axis=1), _rows(others)]),
         equalities_total=first_row.size + others_total,
     )
 
