@@ -55,7 +55,7 @@ MAX_SAFE_N = 3_000_000_000
 # a * b <= b^2 stays far below 2^63.
 MAX_SAFE_PAIR_B = 1_000_000_000
 # Cells (a, b) per block of pair_efficiency_mismatches.
-PAIR_BLOCK = 1 << 16
+PAIR_BLOCK = 1 << 14
 
 
 def _require_at_most(name: str, value: int, ceiling: int) -> None:
@@ -232,7 +232,8 @@ def pair_efficiency_mismatches(a_max: int, b_max: int) -> np.ndarray:
 
     Rows of a are taken in blocks of about ``PAIR_BLOCK`` cells, each block
     one broadcast over a rectangle with the cells b < a masked out, so the
-    default 200 x 200 window is one numpy pass.
+    default 200 x 200 window takes three numpy passes of about 128 kB
+    per array.
     """
     if a_max < 2 or b_max < a_max:
         raise ValueError(f"need 2 <= a_max <= b_max (got {a_max}, {b_max})")
