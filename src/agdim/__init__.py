@@ -5,7 +5,7 @@ Public surface:
 
 * :mod:`agdim.arith` -- the genus bound ``dmax``, half-product, pair order;
 * :mod:`agdim.satake` -- the classification catalog;
-* :mod:`agdim.pairs` -- pair families, Pareto frontier, superadditive DP;
+* :mod:`agdim.pairs` -- pair families, their domination checks, superadditive DP;
 * :mod:`agdim.efficiency` -- multiset product/sum classification;
 * :mod:`agdim.moduli` -- the top-level dimension recursions and tables;
 * :mod:`agdim.verify` -- exhaustive claim verifiers (also via the CLI);
@@ -32,7 +32,7 @@ from .moduli import (
     jacobian_bounds,
     mg_bounds,
 )
-from .pairs import best_indecomposable, enumerate_family_pairs, frontier, mdsp_star
+from .pairs import best_indecomposable, mdsp_star
 
 __version__ = "0.1.0"
 
@@ -46,8 +46,6 @@ __all__ = [
     "strictly_dominates",
     "is_negligible",
     "keel_sadun_bound",
-    "enumerate_family_pairs",
-    "frontier",
     "best_indecomposable",
     "mdsp_star",
     "AgResult",

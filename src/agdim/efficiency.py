@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .arith import dmax
 from .report import MAX_LISTED, VerificationReport
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "in_unbounded_family",
     "iter_multisets",
     "verify_efficiency_classification",
-    "check_factor_dimension_budget",
 ]
 
 # Efficient multisets outside the unbounded families (i)-(ii) all have sum
@@ -205,44 +203,3 @@ def verify_efficiency_classification(sum_max: int) -> VerificationReport:
         },
         unlisted=unlisted,
     )
-
-
-def check_factor_dimension_budget(
-    summands: list[tuple[int, int]], g: int
-) -> dict[str, object]:
-    """Arithmetic skeleton of the inefficient-representation estimate.
-
-    Given the simple rational factors of a group as (k_j, dim U_j) pairs --
-    k_j real places, U_j the distinguished irreducible summand -- and the
-    claimed half-dimension g of the ambient symplectic space, check the two
-    numeric steps the estimate rests on:
-
-    * the dimension budget g >= sum_j k_j * dim U_j, and
-    * superadditivity: sum_j dmax(k_j * dim U_j) <= dmax(g).
-
-    Returns the evaluated quantities plus an ``ok`` verdict; raises only on
-    malformed input.
-    """
-    if not summands:
-        raise ValueError("need at least one (k, dim_u) summand")
-    for k, dim_u in summands:
-        if k < 1:
-            raise ValueError(f"factor multiplicity must be >= 1 (got k={k})")
-        if dim_u < 2:
-            raise ValueError(f"summand dimension must be >= 2 (got {dim_u})")
-    if g < 1:
-        raise ValueError(f"g must be >= 1 (got {g})")
-    total = sum(k * dim_u for k, dim_u in summands)
-    budget_ok = g >= total
-    sum_dmax = sum(dmax(k * dim_u) for k, dim_u in summands)
-    superadditive_ok = budget_ok and sum_dmax <= dmax(g)
-    return {
-        "summands": [list(s) for s in summands],
-        "g": g,
-        "required_dimension": total,
-        "budget_ok": budget_ok,
-        "sum_of_dmax": sum_dmax,
-        "dmax_g": dmax(g),
-        "superadditive_ok": superadditive_ok,
-        "ok": budget_ok and superadditive_ok,
-    }

@@ -1,5 +1,5 @@
-"""Dimension/genus pair families, their Pareto frontier, and the
-superadditive closure used by the moduli recursion.
+"""Dimension/genus pair families, the checks that four of them are
+dominated, and the superadditive closure used by the moduli recursion.
 
 Six parametric families produce every non-negligible candidate pair:
 
@@ -21,17 +21,19 @@ whenever it reaches g - 1.
 Each family has a scalar constructor in Python ints (``unitary_pair``, ...),
 which is exact at any size and is the test oracle, and an array form
 (``unitary_pairs``, ...) over int64 arrays, which the two domination checks
-use one row at a time.
+use one row at a time.  Where a designated witness fails, both checks take
+the smallest dominating unitary pair from one closed-form rule in Python
+ints (:func:`_smallest_dominating_n`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from . import kernels
-from .arith import Pair, half_product, strictly_dominates
+from .arith import Pair, half_product
 from .report import MAX_LISTED, VerificationReport, equality_diff
 
 __all__ = [
@@ -41,8 +43,6 @@ __all__ = [
     "FAMILY_III",
     "FAMILY_I_NC1",
     "FAMILY_I_NC2",
-    "DOMINATED_FAMILIES",
-    "TaggedPair",
     "a1_pair",
     "unitary_pair",
     "orthogonal_star_pair",
@@ -56,8 +56,6 @@ __all__ = [
     "division_rank2_pairs",
     "MAX_SAFE_CLAIM_F",
     "MAX_SAFE_REMARK",
-    "enumerate_family_pairs",
-    "frontier",
     "best_indecomposable",
     "best_indecomposable_table",
     "mdsp_star",
@@ -73,24 +71,10 @@ FAMILY_III = "III"
 FAMILY_I_NC1 = "I_nc1"
 FAMILY_I_NC2 = "I_nc2"
 
-DOMINATED_FAMILIES = (FAMILY_II, FAMILY_III, FAMILY_I_NC1, FAMILY_I_NC2)
-
 # int64-safe bounds on the range parameters of the two domination checks,
 # derived in the docstrings of verify_claim_f and verify_remark_domination.
 MAX_SAFE_CLAIM_F = 1824  # s_max, delta_max
 MAX_SAFE_REMARK = 2**21  # r_max, k_max
-
-
-@dataclass(frozen=True, order=True)
-class TaggedPair:
-    """A pair plus the family and parameters that produced it."""
-
-    pair: Pair
-    family: str
-    params: tuple[tuple[str, int], ...] = ()
-
-    def params_dict(self) -> dict[str, int]:
-        return dict(self.params)
 
 
 def a1_pair() -> Pair:
@@ -166,77 +150,6 @@ def division_rank2_pairs(s, delta) -> tuple[np.ndarray, np.ndarray]:
     return s * kernels.half_products(2 * delta), 2 * s * delta * delta
 
 
-def enumerate_family_pairs(
-    g_max: int, include_dominated: bool = True
-) -> tuple[TaggedPair, ...]:
-    """Every family pair with genus <= g_max, tagged with family and
-    parameters, in deterministic order.
-
-    The parameter loops are bounded by the genus cap: every family's genus is
-    strictly increasing in each of its parameters, so the sweep is exhaustive.
-    ``include_dominated=False`` restricts to the families that feed
-    :func:`best_indecomposable` (A1 and I).
-    """
-    if g_max < 2:
-        raise ValueError(f"g_max must be >= 2 (got {g_max})")
-    out: list[TaggedPair] = [TaggedPair(a1_pair(), FAMILY_A1)]
-    for k in range(2, g_max // 3 + 1):
-        for n in range(3, g_max // k + 1):
-            out.append(TaggedPair(unitary_pair(k, n), FAMILY_I, (("k", k), ("n", n))))
-    if include_dominated:
-        for k in range(2, g_max // 8 + 1):
-            for r in range(4, g_max // (2 * k) + 1):
-                out.append(
-                    TaggedPair(orthogonal_star_pair(k, r), FAMILY_II, (("k", k), ("r", r)))
-                )
-        for k in range(2, g_max // 4 + 1):
-            for r in range(2, g_max // (2 * k) + 1):
-                out.append(
-                    TaggedPair(
-                        quaternion_symplectic_pair(k, r), FAMILY_III, (("k", k), ("r", r))
-                    )
-                )
-        delta = 2
-        while delta * delta <= g_max:
-            for s in range(1, g_max // (delta * delta) + 1):
-                out.append(
-                    TaggedPair(
-                        division_rank1_pair(s, delta),
-                        FAMILY_I_NC1,
-                        (("s", s), ("delta", delta)),
-                    )
-                )
-            delta += 1
-        delta = 2
-        while 2 * delta * delta <= g_max:
-            for s in range(1, g_max // (2 * delta * delta) + 1):
-                out.append(
-                    TaggedPair(
-                        division_rank2_pair(s, delta),
-                        FAMILY_I_NC2,
-                        (("s", s), ("delta", delta)),
-                    )
-                )
-            delta += 1
-    return tuple(sorted(out))
-
-
-def frontier(pairs: tuple[TaggedPair, ...] | list[TaggedPair]) -> tuple[TaggedPair, ...]:
-    """Pairs not strictly dominated by any other enumerated pair.
-
-    The result is an antichain under strict domination; pairs with equal
-    (d, g) coming from different families are all kept, so provenance
-    survives frontier extraction.
-    """
-    items = sorted(pairs)
-    kept = [
-        p
-        for p in items
-        if not any(strictly_dominates(q.pair, p.pair) for q in items)
-    ]
-    return tuple(kept)
-
-
 def best_indecomposable(g: int) -> int:
     """Best dimension of a single-family pair of genus exactly g, over the
     undominated families (A1 and I); 0 when no such pair exists (every moduli
@@ -279,16 +192,26 @@ def mdsp_star(g: int) -> int:
     return mdsp_star_table(g)[g]
 
 
+def _smallest_dominating_n(k: int, target: Pair) -> int | None:
+    """Smallest n with unitary_pair(k, n) strictly dominating the target
+    (k >= 2), or None when none does.
+
+    F(n) strictly increases from n = 2, so (k-1) F(n) > d holds exactly when
+    F(n) >= d // (k-1) + 1, that is n^2 >= 4 (d // (k-1) + 1).  The genus
+    k n grows with n, so the smallest such n dominates if any n does.
+    """
+    n = isqrt(4 * (target.d // (k - 1)) + 3) + 1
+    return n if k * n <= target.g else None
+
+
 def _search_strict_dominator(
     target: Pair, k_max: int, n_max: int
 ) -> tuple[int, int] | None:
     """Smallest (k, n) unitary pair strictly dominating the target, or None."""
     for k in range(2, k_max + 1):
-        for n in range(2, n_max + 1):
-            if k * n > target.g:
-                break
-            if strictly_dominates(unitary_pair(k, n), target):
-                return (k, n)
+        n = _smallest_dominating_n(k, target)
+        if n is not None and n <= n_max:
+            return (k, n)
     return None
 
 
@@ -304,8 +227,9 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
 
     Each (family, s) is one int64 row over delta, built with the array
     constructors, and compared with its witnesses in numpy; only the listed
-    failures are searched, in Python ints.  ``details["equalities"]`` lists
-    the first ``MAX_LISTED`` equality pairs; the equality-set check uses all.  The largest value in a row is the rank-2
+    failures are searched, in Python ints, one k at a time.
+    ``details["equalities"]`` lists the first ``MAX_LISTED`` equality pairs;
+    the equality-set check uses all.  The largest value in a row is the rank-2
     witness dimension F(s delta^2); F(n) <= n^2 / 4 <= 2^63 - 1 holds for
     n < 2^32.5, and s, delta <= ``MAX_SAFE_CLAIM_F`` = 1824 gives
     s delta^2 <= 1824^3 < 2^32.5 < 1825^3.
@@ -390,13 +314,13 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
 
     Designated witnesses: n = 6 for III with r = 3 (same genus, larger
     dimension), n = 2r - 1 for II with r >= 4 and III with r >= 4.  For
-    III with r = 2 the (I)_{2r-1} witness does not apply and an exhaustive
-    search supplies n = 4 instead.
+    III with r = 2 the (I)_{2r-1} witness does not apply and the smallest
+    dominating n, 4, is used instead.
 
     Each (family, r) is one int64 row over k, built with the array
     constructors; only the k whose designated witness is not strict go to
-    the search in Python ints (for III with r = 2, k_max - 1 searches of at
-    most three steps).  The largest value in a row is the witness dimension
+    the closed-form rule in Python ints (for III with r = 2, k_max - 1 of
+    them).  The largest value in a row is the witness dimension
     (k-1) F(2r-1) = (k-1) r (r-1), below 2^63 for k, r <= ``MAX_SAFE_REMARK``
     = 2^21, where it is 2^63 - 2^43 + 2^21; at k = r = 2^21 + 1 it is
     2^63 + 2^42.
@@ -421,14 +345,7 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
         for i in failed:
             k = i + 2
             target = Pair(int(td[i]), int(tg[i]))
-            found = next(
-                (
-                    n
-                    for n in range(2, target.g // k + 1)
-                    if strictly_dominates(unitary_pair(k, n), target)
-                ),
-                None,
-            )
+            found = _smallest_dominating_n(k, target)
             if found is None:
                 if len(counterexamples) == MAX_LISTED:
                     unlisted += 1

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -12,6 +13,7 @@ import pytest
 import agdim
 import agdim.cli as cli
 from agdim import efficiency, kernels, moduli, pairs, verify
+from agdim.arith import dmax
 import agdim.tables as tables_mod
 from agdim.report import MAX_LISTED, VerificationReport
 from agdim.schemas import (
@@ -86,6 +88,43 @@ class TestDmaxCommand:
         code, out, _ = run(capsys, ["dmax", "--schema"])
         assert code == 0
         assert json.loads(out)["$id"] == "agdim.dmax-table/1"
+
+    def test_blocks_join_exactly(self, capsys, monkeypatch):
+        # more rows than one block, so the blocks' seams are in the output
+        monkeypatch.setattr(cli, "_BLOCK", 7)
+        _, out, _ = run(capsys, ["dmax", "15..31", "--format", "json"])
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert doc["values"] == [{"g": g, "dmax": dmax(g)} for g in range(15, 32)]
+        _, out, _ = run(capsys, ["dmax", "15..31", "--format", "csv"])
+        assert out == "g,dmax\n" + "".join(f"{g},{dmax(g)}\n" for g in range(15, 32))
+        _, out, _ = run(capsys, ["dmax", "15..31", "--timestamp"])
+        lines = out.split("\n")
+        assert lines[2:19] == [f"| {g} | {dmax(g)} |" for g in range(15, 32)]
+        assert lines[19] == "" and lines[20].startswith("generated at ")
+
+    def test_memory_bounded(self, tmp_path):
+        # 2M rows: holding every row and the whole text first peaked at about
+        # 560 MB (markdown, csv) and 1.8 GB (json); blocks keep it flat.
+        script = "from agdim import cli\ncode = 0\n"
+        for fmt in ("markdown", "csv", "json"):
+            target = str(tmp_path / f"dmax.{fmt}")
+            script += f"code |= cli.main(['dmax', '1..2000000', '--format', {fmt!r}, '--out', {target!r}])\n"
+        code, peak_kb, _ = run_child(script)
+        assert code == 0
+        assert (tmp_path / "dmax.csv").read_text().endswith(f"\n2000000,{dmax(2_000_000)}\n")
+        assert peak_kb < 100 * 1024
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dmax", "5"], ["verify", "claim-F"], ["catalog", "--rep-max", "8"], ["explain", "16"]],
+    )
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, [*argv, "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{argv[0]}: cannot write --out {target}: ")
+        assert not target.parent.exists()
 
 
 class TestTablesCommand:
@@ -292,6 +331,16 @@ def _undominated_family_ii(mp):
     mp.setattr(pairs, "orthogonal_star_pairs", lambda k, r: (np.full_like(k, 10**6), 2 * r * k))
 
 
+def _huge_rank2(mp):
+    real = pairs.division_rank2_pairs
+
+    def fake(s, deltas):
+        d, g = real(s, deltas)
+        return np.full_like(d, 10**9), g
+
+    mp.setattr(pairs, "division_rank2_pairs", fake)
+
+
 def _failing_mgct(mp):
     def boom(g):
         raise RuntimeError(f"self-check failed at g={g}")
@@ -344,6 +393,45 @@ class TestVerifierFailures:
         assert len(doc["counterexamples"]) == MAX_LISTED
         # every value of the range fails: 1..100 and 2..100
         assert doc["details"]["counterexamples_total"] == {"dmax-piecewise": 100, "f-bounds": 99}[claim]
+
+    @pytest.mark.parametrize(
+        "claim, flags, inject, digest",
+        [
+            (
+                "claim-F", FAILURES["claim-F"][0], _extra_equality,
+                "d8471820554dec267f8124936c667c604a57ff49ea1b35a40e6f06dd0a7764a1",
+            ),
+            (
+                "remark-domination", FAILURES["remark-domination"][0], _undominated_family_ii,
+                "74b6de91c4f71ee872e876770dbc9bd90db1ae506df5e7e42861511ae0e9c717",
+            ),
+            (
+                "claim-F", ["--s-max", "40", "--delta-max", "40", "--k-max", "8", "--n-max", "8"],
+                _huge_rank2,
+                "413370cde3075737216d7a3da88390987f2628eb96fd869e052ccc9d6d4b5e2c",
+            ),
+            (
+                "remark-domination", ["--r-max", "40", "--k-max", "40"], _undominated_family_ii,
+                "643c5347c3c0eb87544c322cb77a70affceaf012333e1bba7f7ba0a36063a5ec",
+            ),
+        ],
+    )
+    def test_failing_stdout_unchanged(self, capsys, monkeypatch, claim, flags, inject, digest):
+        # Recorded with the per-n Python-int searches, before the closed-form
+        # smallest dominating n replaced them.
+        inject(monkeypatch)
+        code, out, _ = run(capsys, ["verify", claim, *flags])
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_remark_failure_is_fast(self, monkeypatch):
+        # Every II row fails its designated witness for small k; searching n
+        # one at a time for each took 5.6 s at 256/256.
+        _undominated_family_ii(monkeypatch)
+        start = time.perf_counter()
+        report = pairs.verify_remark_domination(256, 256)
+        assert time.perf_counter() - start < 1.0
+        assert report.to_dict()["details"]["counterexamples_total"] > MAX_LISTED
 
     def test_failure_memory_bounded(self):
         # Every genus of 1..2e6 fails.  Building a dict per failure took about
@@ -491,7 +579,7 @@ class TestCatalogCommand:
 
     def test_timestamp_and_out_file(self, capsys, monkeypatch, tmp_path):
         # more rows than one block, so the blocks' seams are in the output
-        monkeypatch.setattr(cli, "_CATALOG_BLOCK", 7)
+        monkeypatch.setattr(cli, "_BLOCK", 7)
         code, plain, _ = run(capsys, ["catalog", "--rep-max", "8"])
         assert code == 0
         assert plain == json.dumps(json.loads(plain), indent=2) + "\n"

@@ -8,7 +8,6 @@ from agdim.arith import dmax
 from agdim.efficiency import (
     MAX_SUM_OUTSIDE_UNBOUNDED,
     Multiset,
-    check_factor_dimension_budget,
     in_unbounded_family,
     is_efficient_closed,
     is_efficient_oracle,
@@ -101,33 +100,6 @@ class TestClassification:
         assert all(sum(m) <= 8 and min(m) >= 2 for m in got)
         # partitions into parts >= 2 per sum s=2..8: 1,1,2,2,4,4,7
         assert len(got) == 21
-
-
-class TestFactorDimensionBudget:
-    def test_single_factor(self):
-        result = check_factor_dimension_budget([(2, 8)], 16)
-        assert result["ok"]
-        assert result["required_dimension"] == 16
-        assert result["sum_of_dmax"] == dmax(16)
-
-    def test_multiple_factors(self):
-        result = check_factor_dimension_budget([(2, 3), (1, 2)], 16)
-        assert result["ok"]
-        assert result["required_dimension"] == 8
-        assert result["sum_of_dmax"] == dmax(6) + dmax(2)
-
-    def test_budget_violation_reported(self):
-        result = check_factor_dimension_budget([(2, 8)], 5)
-        assert not result["budget_ok"]
-        assert not result["ok"]
-
-    def test_malformed_input(self):
-        with pytest.raises(ValueError):
-            check_factor_dimension_budget([], 4)
-        with pytest.raises(ValueError):
-            check_factor_dimension_budget([(0, 4)], 4)
-        with pytest.raises(ValueError):
-            check_factor_dimension_budget([(2, 1)], 4)
 
 
 class TestMixedTwoFamilyMargin:

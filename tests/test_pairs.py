@@ -2,18 +2,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import agdim.pairs as pairs_mod
 from agdim.arith import Pair, dmax, dominates, half_product, strictly_dominates
 from agdim.pairs import (
-    DOMINATED_FAMILIES,
-    FAMILY_A1,
-    FAMILY_I,
     MAX_SAFE_CLAIM_F,
     MAX_SAFE_REMARK,
-    TaggedPair,
     a1_pair,
     best_indecomposable,
     best_indecomposable_table,
@@ -21,8 +15,6 @@ from agdim.pairs import (
     division_rank1_pairs,
     division_rank2_pair,
     division_rank2_pairs,
-    enumerate_family_pairs,
-    frontier,
     mdsp_star,
     mdsp_star_table,
     orthogonal_star_pair,
@@ -81,55 +73,23 @@ class TestFamilyFormulas:
             division_rank1_pair(0, 2)
 
 
-class TestEnumeration:
-    def test_smallest_window(self):
-        pairs = enumerate_family_pairs(2)
-        assert [(p.pair, p.family) for p in pairs] == [(Pair(1, 2), FAMILY_A1)]
+def unitary_family(g_max):
+    """Every unitary-family pair of genus <= g_max (k >= 2, n >= 3), as
+    ((d, g), (k, n)): the brute-force oracle, one (k, n) loop."""
+    return {
+        ((p.d, p.g), (k, n))
+        for k in range(2, g_max // 3 + 1)
+        for n in range(3, g_max // k + 1)
+        for p in [unitary_pair(k, n)]
+    }
 
+
+class TestEnumeration:
     def test_small_genus_fixture(self):
-        got = {
-            ((p.pair.d, p.pair.g), (p.params_dict()["k"], p.params_dict()["n"]))
-            for p in enumerate_family_pairs(15)
-            if p.family == FAMILY_I
-        }
-        assert got == SMALL_GENUS_FIXTURE
+        assert unitary_family(15) == SMALL_GENUS_FIXTURE
 
     def test_includes_the_first_optimal_family(self):
-        tagged = enumerate_family_pairs(16)
-        assert any(
-            p.pair == Pair(16, 16) and p.family == FAMILY_I and p.params_dict() == {"k": 2, "n": 8}
-            for p in tagged
-        )
-
-    def test_genus_cap_and_param_reevaluation(self):
-        fns = {
-            FAMILY_I: lambda d: unitary_pair(d["k"], d["n"]),
-            "II": lambda d: orthogonal_star_pair(d["k"], d["r"]),
-            "III": lambda d: quaternion_symplectic_pair(d["k"], d["r"]),
-            "I_nc1": lambda d: division_rank1_pair(d["s"], d["delta"]),
-            "I_nc2": lambda d: division_rank2_pair(d["s"], d["delta"]),
-            FAMILY_A1: lambda d: a1_pair(),
-        }
-        for p in enumerate_family_pairs(60):
-            assert p.pair.g <= 60
-            assert fns[p.family](p.params_dict()) == p.pair
-
-    def test_dominated_flag(self):
-        families = {p.family for p in enumerate_family_pairs(64, include_dominated=False)}
-        assert families == {FAMILY_A1, FAMILY_I}
-        full = {p.family for p in enumerate_family_pairs(64)}
-        assert set(DOMINATED_FAMILIES) <= full
-
-    def test_exhaustive_under_cap(self):
-        # raising the cap only adds pairs of larger genus
-        small = set(enumerate_family_pairs(40))
-        large = set(enumerate_family_pairs(80))
-        assert small <= large
-        assert all(p.pair.g > 40 for p in large - small)
-
-    def test_rejects_tiny_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_family_pairs(1)
+        assert ((16, 16), (2, 8)) in unitary_family(16)
 
 
 class TestBestIndecomposable:
@@ -144,10 +104,9 @@ class TestBestIndecomposable:
         assert best_indecomposable(5) == 0
 
     def test_against_enumeration_oracle(self):
-        tagged = enumerate_family_pairs(200, include_dominated=False)
-        by_genus: dict[int, int] = {}
-        for p in tagged:
-            by_genus[p.pair.g] = max(by_genus.get(p.pair.g, 0), p.pair.d)
+        by_genus = {2: 1}  # the A1 pair (1, 2)
+        for (d, g), _ in unitary_family(200):
+            by_genus[g] = max(by_genus.get(g, 0), d)
         for g in range(1, 201):
             assert best_indecomposable(g) == by_genus.get(g, 0)
 
@@ -207,41 +166,6 @@ class TestMdspStar:
         M = mdsp_star_table(15)
         for g in range(3, 16):
             assert M[g] < dmax(g)  # lower bound only in this range
-
-
-class TestFrontier:
-    def test_keeps_equal_pairs_from_different_families(self):
-        items = [
-            TaggedPair(Pair(4, 8), FAMILY_I, (("k", 2), ("n", 4))),
-            TaggedPair(Pair(4, 8), "I_nc2", (("s", 1), ("delta", 2))),
-            TaggedPair(Pair(1, 2), FAMILY_A1),
-            TaggedPair(Pair(2, 9), "I_nc1", (("s", 1), ("delta", 3))),
-        ]
-        front = frontier(items)
-        assert TaggedPair(Pair(4, 8), FAMILY_I, (("k", 2), ("n", 4))) in front
-        assert TaggedPair(Pair(4, 8), "I_nc2", (("s", 1), ("delta", 2))) in front
-        assert TaggedPair(Pair(1, 2), FAMILY_A1) in front
-        # (2,9) is strictly dominated by (4,8)
-        assert all(p.pair != Pair(2, 9) for p in front)
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 8), st.integers(1, 8)),
-            min_size=1,
-            max_size=24,
-        )
-    )
-    @settings(max_examples=200)
-    def test_antichain_and_coverage(self, raw):
-        items = [TaggedPair(Pair(d, g), FAMILY_I, (("i", i),)) for i, (d, g) in enumerate(raw)]
-        front = frontier(items)
-        assert front  # never empty on nonempty input
-        for p in front:
-            assert not any(
-                strictly_dominates(q.pair, p.pair) for q in front if q is not p
-            )
-        for p in items:
-            assert any(dominates(q.pair, p.pair) for q in front)
 
 
 class TestClaimF:
@@ -355,6 +279,30 @@ def _scalar_search(target, k_max, n_max):
             if strictly_dominates(unitary_pair(k, n), target):
                 return (k, n)
     return None
+
+
+def _scalar_smallest_n(k, target):
+    return next(
+        (n for n in range(2, target.g // k + 1) if strictly_dominates(unitary_pair(k, n), target)),
+        None,
+    )
+
+
+def test_smallest_dominating_n_matches_scalar_search():
+    for k in range(2, 7):
+        for d in range(150):
+            for g in range(1, 50):
+                target = Pair(d, g)
+                assert pairs_mod._smallest_dominating_n(k, target) == _scalar_smallest_n(k, target)
+
+
+def test_search_strict_dominator_matches_scalar_search():
+    for d in range(0, 120, 7):
+        for g in range(1, 60, 3):
+            for k_max, n_max in ((2, 2), (3, 9), (6, 4), (20, 40)):
+                target = Pair(d, g)
+                want = _scalar_search(target, k_max, n_max)
+                assert pairs_mod._search_strict_dominator(target, k_max, n_max) == want
 
 
 def scalar_claim_f(s_max, delta_max, k_max, n_max):
