@@ -111,7 +111,7 @@ def _json_block(block: list) -> str:
 
 
 def _write_json(
-    out: str | None, doc: dict, key: str, rows: Iterator, render=_json_block
+    out: str | None, doc: dict, key: str, rows: Iterator, render: Callable[[list], str] = _json_block
 ) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline, where the list
     ``doc[key]`` (empty in ``doc``) holds the rows, at least one, each block
