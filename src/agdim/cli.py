@@ -99,9 +99,9 @@ def _write_rows(
         fh.write(tail)
 
 
-def _lines(template: str, sep: str = "") -> Callable[[list], str]:
-    """Render a block of tuples, ``template % row`` each, joined by ``sep``."""
-    return lambda block: sep.join(template % row for row in block)
+def _lines(template: str) -> Callable[[list], str]:
+    """Render a block of tuples, ``template % row`` each."""
+    return lambda block: "".join(template % row for row in block)
 
 
 def _json_block(block: list) -> str:
@@ -110,14 +110,11 @@ def _json_block(block: list) -> str:
     return json.dumps(block, indent=2)[1:-2].replace("\n", "\n  ")
 
 
-def _write_json(
-    out: str | None, doc: dict, key: str, rows: Iterator, render: Callable[[list], str] = _json_block
-) -> None:
+def _write_json(out: str | None, doc: dict, key: str, rows: Iterator) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline, where the list
-    ``doc[key]`` (empty in ``doc``) holds the rows, at least one, each block
-    of them rendered by ``render``."""
+    ``doc[key]`` (empty in ``doc``) holds the rows, at least one."""
     head, tail = json.dumps(doc, indent=2).split(f'"{key}": []')
-    _write_rows(out, f'{head}"{key}": [', rows, render, f"\n  ]{tail}\n", sep=",")
+    _write_rows(out, f'{head}"{key}": [', rows, _json_block, f"\n  ]{tail}\n", sep=",")
 
 
 def _print_schema(command: str, out: str | None) -> int:
@@ -175,10 +172,7 @@ def _cmd_dmax(args: argparse.Namespace) -> int:
         doc = {"schema": "agdim.dmax-table/1", "values": []}
         if args.timestamp:
             doc["generated_at"] = _timestamp()
-        # {"g": g, "dmax": v} as json.dumps(indent=2) lays it out in the list,
-        # exact for ints and ten times faster than the pure-Python encoder
-        row = '\n    {\n      "g": %d,\n      "dmax": %d\n    }'
-        _write_json(args.out, doc, "values", rows, _lines(row, ","))
+        _write_json(args.out, doc, "values", ({"g": g, "dmax": v} for g, v in rows))
     return 0
 
 

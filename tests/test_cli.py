@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import jsonschema
@@ -424,14 +423,18 @@ class TestVerifierFailures:
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_remark_failure_is_fast(self, monkeypatch):
+    def test_remark_failure_is_one_step_per_cell(self, monkeypatch):
         # Every II row fails its designated witness for small k; searching n
-        # one at a time for each took 5.6 s at 256/256.
+        # one unitary pair at a time for each took 5.6 s at 256/256.  The
+        # closed form takes one step per failing (row, k) cell.
         _undominated_family_ii(monkeypatch)
-        start = time.perf_counter()
-        report = pairs.verify_remark_domination(256, 256)
-        assert time.perf_counter() - start < 1.0
-        assert report.to_dict()["details"]["counterexamples_total"] > MAX_LISTED
+        real = pairs._smallest_dominating_n
+        calls = []
+        monkeypatch.setattr(pairs, "_smallest_dominating_n", lambda k, t: calls.append(k) or real(k, t))
+        monkeypatch.setattr(pairs, "unitary_pair", lambda k, n: pytest.fail("per-n search"))
+        doc = pairs.verify_remark_domination(256, 256).to_dict()
+        assert doc["details"]["counterexamples_total"] > MAX_LISTED
+        assert doc["details"]["counterexamples_total"] <= len(calls) <= doc["details"]["pairs_checked"]
 
     def test_failure_memory_bounded(self):
         # Every genus of 1..2e6 fails.  Building a dict per failure took about
