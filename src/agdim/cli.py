@@ -36,7 +36,7 @@ from .moduli import (
 from .satake import iter_cases
 from .schemas import SCHEMAS_BY_COMMAND
 from .tables import check_all_tables
-from .verify import REGISTRY, RangeParam, run_verifier
+from .verify import REGISTRY, RangeParam, range_args, run_verifier
 
 _FORMATS = ("markdown", "csv", "json")
 
@@ -217,13 +217,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for flag in _RANGE_FLAGS
         if getattr(args, flag) is not None
     }
-    report = run_verifier(
-        args.claim, overrides=overrides, unsafe_no_ceiling=args.unsafe_no_ceiling
-    )
-    doc = report.to_dict()
-    if args.timestamp:
-        doc["generated_at"] = _timestamp()
-    _emit(json.dumps(doc, indent=2), args.out)
+    # A usage error, then an --out path that cannot be opened, is refused
+    # before any work, and the first leaves an existing --out file as it was.
+    range_args(args.claim, overrides, args.unsafe_no_ceiling)
+    with _output(args.out) as fh:
+        report = run_verifier(
+            args.claim, overrides=overrides, unsafe_no_ceiling=args.unsafe_no_ceiling
+        )
+        doc = report.to_dict()
+        if args.timestamp:
+            doc["generated_at"] = _timestamp()
+        fh.write(json.dumps(doc, indent=2) + "\n")
     return 0 if report.passed else 1
 
 

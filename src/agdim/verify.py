@@ -11,8 +11,10 @@ which are checked against the whole range before any work starts.
 and run them on a thread pool with one worker per CPU: numpy releases the GIL
 inside its large array loops, so blocks execute in parallel, and results are
 concatenated in block order, so output is the same for any worker count.
-``lemma-dmax`` runs serially, as one scan call on the whole table; the scan
-is one numpy slice difference per g1.
+Each block is one kernel call, which walks the block in chunks of
+``kernels.CHUNK`` values through buffers of its own, so a block's memory does
+not grow with its length.  ``lemma-dmax`` runs serially, as one scan call on
+the whole table; the scan is one numpy slice difference per g1.
 
 A failing verifier builds counterexample dicts only for the rows its report
 lists (:func:`~agdim.report.first_listed`), so a broken kernel costs about the
@@ -39,6 +41,7 @@ __all__ = [
     "Verifier",
     "REGISTRY",
     "CeilingExceeded",
+    "range_args",
 ]
 
 _WORKERS = os.cpu_count() or 1  # thread-pool size for blocked scans
@@ -219,16 +222,24 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
     Genus 1 is degenerate: no family pair exists there and dmax(1) = 0, so
     both sides are 0 (points only).  The <= check covers it; the equality-set
     comparison, which is about genuine family pairs, starts at g = 2.
+
+    dmax is compared with the table ``kernels.CHUNK`` genera at a time, so
+    its temporaries stay small and are reused from the heap; only the table
+    and the equality genera span the whole range.
     """
     bi = kernels.best_indec_table(g_max)
-    dm = np.zeros(g_max + 1, dtype=np.int64)
-    dm[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
-    over = np.nonzero(bi[1:] > dm[1:])[0] + 1
-    eq = np.nonzero(bi[2:] == dm[2:])[0] + 2
-    listed, unlisted = first_listed(over)
+    over, eq = [], []
+    for lo in range(1, g_max + 1, kernels.CHUNK):
+        gs = np.arange(lo, min(lo + kernels.CHUNK, g_max + 1), dtype=np.int64)
+        dm, best = kernels.dmax_values(gs), bi[lo : lo + gs.size]
+        over.append(np.flatnonzero(best > dm) + lo)
+        eq.append(np.flatnonzero(best == dm) + lo)
+    eq = np.concatenate(eq)
+    eq = eq[np.searchsorted(eq, 2) :]
+    listed, unlisted = first_listed(np.concatenate(over))
     counterexamples = [
-        {"g": int(g), "best_pair": int(bi[g]), "dmax": int(dm[g]), "reason": "bound violated"}
-        for g in listed.tolist()
+        {"g": g, "best_pair": int(bi[g]), "dmax": dm, "reason": "bound violated"}
+        for g, dm in zip(listed.tolist(), kernels.dmax_values(listed).tolist())
     ]
     counterexamples += equality_diff(
         "equality genera differ from {2} union {even g >= 16}",
@@ -414,14 +425,15 @@ REGISTRY: dict[str, Verifier] = {
 }
 
 
-def run_verifier(
+def range_args(
     claim: str,
     overrides: dict[str, int] | None = None,
     unsafe_no_ceiling: bool = False,
-) -> VerificationReport:
-    """Run one registered verifier with optional range overrides; enforces
-    per-flag ceilings unless explicitly disabled, and the kernels' int64
-    limits always."""
+) -> dict[str, int]:
+    """The range arguments one registered verifier runs with: its defaults
+    with ``overrides`` applied, each checked against its minimum, its
+    kernel's int64 limit always and its ceiling unless explicitly lifted.
+    A usage error raises ``ValueError`` (``CeilingExceeded`` among them)."""
     if claim not in REGISTRY:
         raise KeyError(f"unknown claim id {claim!r} (known: {sorted(REGISTRY)})")
     verifier = REGISTRY[claim]
@@ -436,4 +448,13 @@ def run_verifier(
             f"{claim} does not take range flags {sorted(unknown)}; "
             f"it takes {[p.flag for p in verifier.params]}"
         )
-    return verifier.run(**kwargs)
+    return kwargs
+
+
+def run_verifier(
+    claim: str,
+    overrides: dict[str, int] | None = None,
+    unsafe_no_ceiling: bool = False,
+) -> VerificationReport:
+    """Run one registered verifier with the arguments of :func:`range_args`."""
+    return REGISTRY[claim].run(**range_args(claim, overrides, unsafe_no_ceiling))

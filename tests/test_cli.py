@@ -291,6 +291,36 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["$id"] == "agdim.verification-report/1"
 
+    @pytest.mark.parametrize("flags", [["dmax-piecewise", "--g-max", "16000000"], ["f-bounds", "--n-max", "24000000"]])
+    def test_blocked_scan_memory_bounded(self, flags):
+        # Each kernel call reuses a few chunk-sized buffers.  Whole 2M-value
+        # blocks with a fresh array per step peaked at 259 MB and 177 MB.
+        code, peak_kb, out = run_child(f"from agdim import cli\ncode = cli.main(['verify', *{flags!r}])\n")
+        assert (code, json.loads(out)["status"]) == (0, "pass")
+        assert peak_kb < 100 * 1024
+
+    def test_verify_refuses_out_before_work(self, capsys, monkeypatch, tmp_path):
+        # The path was opened only after the scan: 2.8 s at this size.
+        calls = []
+        for name in ("dmax_values", "superadditivity_scan"):
+            monkeypatch.setattr(kernels, name, lambda *args, name=name: calls.append(name))
+        target = tmp_path / "missing" / "x.json"
+        argv = ["verify", "lemma-dmax", "--g-max", "100000", "--out", str(target)]
+        code, out, err = run(capsys, argv)
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith(f"verify: cannot write --out {target}: ")
+
+    def test_verify_usage_error_keeps_out_file(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("kept\n")
+        for bad in (["--g-max", "1000000"], ["--n-max", "5"]):
+            code, _, err = run(capsys, ["verify", "lemma-dmax", *bad, "--out", str(target)])
+            assert code == 2 and err.startswith("verify: "), bad
+            assert target.read_text() == "kept\n"
+        code, out, _ = run(capsys, ["verify", "lemma-dmax", "--g-max", "40", "--out", str(target)])
+        assert (code, out) == (0, "")
+        assert json.loads(target.read_text())["status"] == "pass"
+
 
 def _bump_dmax(mp):
     real = kernels.dmax_values
@@ -422,6 +452,17 @@ class TestVerifierFailures:
         code, out, _ = run(capsys, ["verify", claim, *flags])
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("inject", [None, _bump_best_pair])
+    def test_prop_estimate_chunks_join_exactly(self, capsys, monkeypatch, inject):
+        # dmax is compared with the table a chunk at a time; 11-genus chunks
+        # split 1..100 unevenly and end on an equality genus.
+        if inject:
+            inject(monkeypatch)
+        argv = ["verify", "prop-estimate", "--g-max", "100"]
+        want = run(capsys, argv)
+        monkeypatch.setattr(kernels, "CHUNK", 11)
+        assert run(capsys, argv) == want
 
     def test_remark_failure_is_one_step_per_cell(self, monkeypatch):
         # Every II row fails its designated witness for small k; searching n

@@ -119,6 +119,44 @@ class TestAgainstScalars:
             assert found.dtype == np.int64 and found.shape == (0, 2)
 
 
+# chunked kernel -> (the helper a fault is injected into, whether value v is
+# reported by the Python-int scalars when bump is added to that helper's value)
+CHUNKED = {
+    "piecewise_mismatches": ("_dmax", lambda g, bump: dmax(g) + bump != dmax_piecewise(g)),
+    "f_bound_violations": (
+        "half_products",
+        lambda n, bump: not n * n - 1 <= 4 * (half_product(n) + bump) <= n * n,
+    ),
+}
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("faulty", [False, True])
+    @pytest.mark.parametrize("lo", [2, 3, 1_000_000, 1_000_001])
+    @pytest.mark.parametrize("kernel", list(CHUNKED))
+    def test_against_scalars(self, monkeypatch, kernel, lo, faulty):
+        # Ranges that end just inside, at and just past a chunk, and one that
+        # ends mid-way through its third; lo = 2 and 3 cross the g = 15/16/17
+        # branch switch.  With the helper's value raised at v = 3 and lowered
+        # at v = 5 (mod 7), the reported values show each chunk's offset,
+        # order and end, and both sides of each comparison.
+        helper, reported = CHUNKED[kernel]
+
+        def bump(v):
+            return ((v % 7 == 3) * 1 - (v % 7 == 5) * 1) if faulty else 0
+
+        real = getattr(kernels, helper)
+        monkeypatch.setattr(kernels, helper, lambda xs, out, tmp: real(xs, out, tmp) + bump(xs))
+        chunk = kernels.CHUNK
+        oracle = [v for v in range(lo, lo + 2 * chunk + 3) if reported(v, bump(v))]
+        assert bool(oracle) == faulty
+        for length in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            hi = lo + length - 1
+            found = getattr(kernels, kernel)(lo, hi)
+            assert found.dtype == np.int64
+            assert found.tolist() == [v for v in oracle if v <= hi], length
+
+
 class TestGuards:
     def test_overflow_ceilings(self):
         with pytest.raises(OverflowError):
@@ -136,6 +174,15 @@ class TestGuards:
         assert all(dmax(g) == dmax_piecewise(g) for g in range(top - 20, top + 1))
         with pytest.raises(OverflowError):
             kernels.piecewise_mismatches(top + 1, top + 1)
+
+    def test_f_bounds_ceiling_exact(self):
+        # n * n is the largest intermediate of the sandwich check.
+        top = kernels.MAX_SAFE_N
+        assert top * top <= 2**63 - 1
+        oracle = [n for n in range(top - 20, top + 1) if not n * n - 1 <= 4 * half_product(n) <= n * n]
+        assert kernels.f_bound_violations(top - 20, top).tolist() == oracle == []
+        with pytest.raises(OverflowError):
+            kernels.f_bound_violations(top + 1, top + 1)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
