@@ -1,4 +1,4 @@
-"""Command-line surface: compute, tabulate, verify, explain, export.
+r"""Command-line surface: compute, tabulate, verify, explain, export.
 
 Subcommands
 -----------
@@ -11,6 +11,30 @@ Subcommands
 
 Exit codes: 0 success or verified pass; 1 claim failure or fixture mismatch;
 2 usage error.  All output is deterministic unless ``--timestamp`` is given.
+An ``--out`` file is written under a temporary name beside it and replaces
+it only when the command completes.
+
+JSON output
+-----------
+Every JSON document is ``json.dumps(doc, indent=2)`` byte for byte, but
+Python 3.11 runs ``indent=2`` in its pure-Python encoder.  ``_dumps`` walks
+the document once, building a ``%s`` template of its layout and collecting
+its scalar leaves in order; a list of dicts takes one template per row
+shape.  One ``json.dumps`` of the leaf list, with ``"\x00"`` as the item
+separator, runs the C encoder on every leaf; its text is split on
+``"\x00"`` and fills the template.  This is exact:
+
+- every leaf is encoded by json itself, as the indented form encodes it:
+  strings with ``ensure_ascii``, bool and None, ints of any size, floats
+  by ``repr`` with NaN and the infinities spelled as json spells them;
+- keys are encoded by json's own ``encode_basestring_ascii``, and must be
+  ``str`` (every agdim document has only ``str`` keys; ``_dumps`` raises
+  ``TypeError`` on any other, which json would convert);
+- an encoded value never holds a raw control character (``ensure_ascii``
+  escapes them all, ``"\x00"`` included), so the split cannot cut inside a
+  value, and a raw newline only comes from the layout, so a block of rows
+  can be rendered at any depth;
+- the constant text of the template escapes ``%`` as ``%%``.
 """
 
 from __future__ import annotations
@@ -18,9 +42,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, TextIO
 
 from . import __version__
@@ -58,24 +84,48 @@ _CASE_NARRATIVE = {
 # Every range flag some verifier takes, in registry order.
 _RANGE_FLAGS = tuple(dict.fromkeys(p.flag for v in REGISTRY.values() for p in v.params))
 _CATALOG_REP_MAX = RangeParam("rep_max", 64, 4096)
-_BLOCK = 4096  # rows per write of a long export: bounds its memory
+# Rows per write of a long export: bounds its memory.  A block of catalog
+# rows renders to about 90 kB, small enough to reuse memory the process has
+# already touched (4096-row blocks took fresh pages on every write).
+_BLOCK = 512
 
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _open(path: str, out: str, mode: str) -> TextIO:
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:  # a usage error, not a claim failure
+        raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+
+
 @contextlib.contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
+    """Stdout, or the file ``out``.  A regular file is written under a
+    temporary name beside it (beside a symlink's target) and replaces it only
+    when the body completes, so a run that raises or is interrupted leaves an
+    existing file as it was."""
     if not out:
         yield sys.stdout
         return
+    if os.path.exists(out) and not os.path.isfile(out):
+        # a device or a pipe is written in place (a directory fails to open)
+        with _open(out, out, "w") as fh:
+            yield fh
+        return
+    target = os.path.realpath(out)
+    tmp = f"{target}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+    fh = _open(tmp, out, "x")
     try:
-        fh = open(out, "w", encoding="utf-8")
-    except OSError as exc:  # a usage error, not a claim failure
-        raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
-    with fh:
-        yield fh
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -104,21 +154,101 @@ def _lines(template: str) -> Callable[[list], str]:
     return lambda block: "".join(template % row for row in block)
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    r"""``json.dumps(obj, indent=2)``, byte for byte (see the module
+    docstring), with ``obj`` at the indentation of ``nl``: ``"\n  "``
+    renders it one level deep.  Every dict key must be ``str``."""
+    leaves: list = []
+    template = _template(obj, nl, leaves)
+    if not leaves:
+        return template % ()
+    encoded = json.dumps(leaves, separators=("\x00", ": "))
+    return template % tuple(encoded[1:-1].split("\x00"))
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key).replace("%", "%%")
+
+
+def _template(obj, nl: str, leaves: list) -> str:
+    """The ``%s`` template of ``obj`` at indentation ``nl``; its leaves are
+    appended to ``leaves`` in document order."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = [_key(k) + ": " + _template(v, inner, leaves) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join(_items(obj, inner, leaves)) + nl + "]"
+    leaves.append(obj)
+    return "%s"
+
+
+def _items(items, nl: str, leaves: list) -> list[str]:
+    """The templates of a list's items.  A dict item takes the template of
+    its shape, built once per list: its keys and value types and, for each
+    dict or list value, that value's keys or length and its item types.  A
+    shape whose nested values nest again is walked item by item."""
+    shapes: dict = {}  # keys and value types -> nested (position, is dict), last first
+    cache: dict = {}  # full shape -> template, or None for a deeper shape
+    out = []
+    for item in items:
+        if not isinstance(item, dict):
+            out.append(_template(item, nl, leaves))
+            continue
+        values = [*item.values()]
+        shape = (*item, *map(type, values))
+        nested = shapes.get(shape)
+        if nested is None:
+            nested = shapes[shape] = [
+                (i, isinstance(v, dict)) for i, v in enumerate(values) if isinstance(v, _CONTAINERS)
+            ][::-1]
+        if nested:
+            parts = [shape]
+            for i, is_dict in nested:  # last first, so each splice leaves i valid
+                v = values[i]
+                if is_dict:
+                    parts.append((*v, *map(type, v.values())))
+                    v = v.values()
+                else:
+                    parts.append((len(v), *map(type, v)))
+                values[i : i + 1] = v
+            shape = tuple(parts)
+        template = cache.get(shape)
+        if template is None:
+            if shape in cache or any(isinstance(v, _CONTAINERS) for v in values):
+                cache[shape] = None
+                out.append(_template(item, nl, leaves))
+                continue
+            template = cache[shape] = _template(item, nl, [])
+        out.append(template)
+        leaves += values
+    return out
+
+
 def _json_block(block: list) -> str:
-    # The block's items re-indented one level deeper, as they sit in the
-    # document; exact because encoded JSON strings never hold a raw newline.
-    return json.dumps(block, indent=2)[1:-2].replace("\n", "\n  ")
+    # The block's items as they sit in the document, one level deep.
+    return _dumps(block, "\n  ")[1:-4]
 
 
 def _write_json(out: str | None, doc: dict, key: str, rows: Iterator) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline, where the list
     ``doc[key]`` (empty in ``doc``) holds the rows, at least one."""
-    head, tail = json.dumps(doc, indent=2).split(f'"{key}": []')
+    head, tail = _dumps(doc).split(f'"{key}": []')
     _write_rows(out, f'{head}"{key}": [', rows, _json_block, f"\n  ]{tail}\n", sep=",")
 
 
 def _print_schema(command: str, out: str | None) -> int:
-    _emit(json.dumps(SCHEMAS_BY_COMMAND[command], indent=2), out)
+    _emit(_dumps(SCHEMAS_BY_COMMAND[command]), out)
     return 0
 
 
@@ -202,7 +332,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         doc = {"schema": "agdim.tables/1", "tables": [t.to_jsonable() for t in selected]}
         if args.timestamp:
             doc["generated_at"] = _timestamp()
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(_dumps(doc), args.out)
     return 0
 
 
@@ -218,7 +348,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if getattr(args, flag) is not None
     }
     # A usage error, then an --out path that cannot be opened, is refused
-    # before any work, and the first leaves an existing --out file as it was.
+    # before any work.
     range_args(args.claim, overrides, args.unsafe_no_ceiling)
     with _output(args.out) as fh:
         report = run_verifier(
@@ -227,7 +357,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         doc = report.to_dict()
         if args.timestamp:
             doc["generated_at"] = _timestamp()
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(_dumps(doc) + "\n")
     return 0 if report.passed else 1
 
 
@@ -250,7 +380,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         }
         if args.timestamp:
             doc["generated_at"] = _timestamp()
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(_dumps(doc), args.out)
     else:
         lines = [
             f"dmc(A_{result.g}) = {result.dmc}",

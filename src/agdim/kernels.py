@@ -70,7 +70,7 @@ MAX_SAFE_PAIR_B = 1_000_000_000
 # Cells (a, b) per block of pair_efficiency_mismatches.
 PAIR_BLOCK = 1 << 14
 # Values per chunk of piecewise_mismatches and f_bound_violations.
-CHUNK = 1 << 15
+CHUNK = 1 << 16
 
 
 def _require_at_most(name: str, value: int, ceiling: int) -> None:

@@ -1,8 +1,12 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
+import types
+from itertools import islice
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +15,7 @@ import pytest
 
 import agdim
 import agdim.cli as cli
-from agdim import efficiency, kernels, moduli, pairs, verify
+from agdim import efficiency, kernels, moduli, pairs, satake, verify
 from agdim.arith import dmax
 import agdim.tables as tables_mod
 from agdim.report import MAX_LISTED, VerificationReport
@@ -648,6 +652,63 @@ class TestCatalogCommand:
         )
         assert peak_kb < 100 * 1024
 
+    def test_out_replaced_only_on_success(self, capsys, monkeypatch, tmp_path):
+        # A run that fails after its first block leaves an existing --out
+        # file as it was, and no temporary file behind.
+        monkeypatch.setattr(cli, "_BLOCK", 7)
+        target = tmp_path / "catalog.json"
+        target.write_text("old contents\n", encoding="utf-8")
+        real = cli.iter_cases
+        during = []
+
+        class Interrupted(Exception):
+            pass
+
+        def failing(*args, **kwargs):
+            yield from islice(real(*args, **kwargs), 8)  # the second block's first row
+            during.append(sorted(p.name for p in tmp_path.iterdir()))
+            raise Interrupted
+
+        monkeypatch.setattr(cli, "iter_cases", failing)
+        with pytest.raises(Interrupted):
+            cli.main(["catalog", "--rep-max", "8", "--out", str(target)])
+        assert len(during) == 1 and len(during[0]) == 2  # the first block went to a temporary file
+        assert target.read_text(encoding="utf-8") == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
+        monkeypatch.setattr(cli, "iter_cases", real)
+        code, plain, _ = run(capsys, ["catalog", "--rep-max", "8"])
+        assert run(capsys, ["catalog", "--rep-max", "8", "--out", str(target)])[:2] == (0, "")
+        assert target.read_text(encoding="utf-8") == plain
+        assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
+
+    def test_out_directory_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["catalog", "--rep-max", "8", "--out", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err == f"catalog: cannot write --out {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_through_symlink_and_fifo(self, capsys, tmp_path):
+        _, plain, _ = run(capsys, ["catalog", "--rep-max", "8"])
+        (tmp_path / "real.json").write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.json"
+        link.symlink_to("real.json")
+        assert run(capsys, ["catalog", "--rep-max", "8", "--out", str(link)])[:2] == (0, "")
+        assert link.is_symlink() and (tmp_path / "real.json").read_text(encoding="utf-8") == plain
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(fifo.read_text(encoding="utf-8")), daemon=True
+        )
+        reader.start()
+        try:
+            assert run(capsys, ["catalog", "--rep-max", "8", "--out", str(fifo)])[:2] == (0, "")
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive() and got == [plain]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "real.json"]
+
     def test_ceiling(self, capsys):
         code, _, err = run(capsys, ["catalog", "--rep-max", "100000"])
         assert code == 2
@@ -657,6 +718,35 @@ class TestCatalogCommand:
         code, out, _ = run(capsys, ["catalog", "--schema"])
         assert code == 0
         assert json.loads(out)["$id"] == "agdim.catalog/1"
+
+
+class TestTracerContract:
+    """perfbench's tracer, which cannot change with agdim, swaps ``cli.json``
+    for a namespace that holds only ``dumps`` and wraps ``iter_cases`` in
+    every agdim module in a generator that counts its yields, one per
+    exported case.  The outputs must not change under those swaps."""
+
+    def test_outputs_unchanged_and_cases_counted(self, capsys, monkeypatch):
+        argvs = [
+            ["catalog", "--rep-max", "64"],
+            ["verify", "remark-domination"],
+            ["explain", "750", "--format", "json"],
+        ]
+        plain = [run(capsys, argv) for argv in argvs]
+        real = satake.iter_cases
+        yields = []
+
+        def counted(*args, **kwargs):
+            for case in real(*args, **kwargs):
+                yields.append(case)
+                yield case
+
+        monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=json.dumps))
+        for module in (satake, cli):
+            monkeypatch.setattr(module, "iter_cases", counted)
+        assert [run(capsys, argv) for argv in argvs] == plain
+        assert plain[0][0] == 0
+        assert len(yields) == len(json.loads(plain[0][1])["cases"]) > 0
 
 
 class TestTopLevel:
