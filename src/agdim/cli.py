@@ -43,6 +43,7 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import sys
 from datetime import datetime, timezone
 from itertools import islice
@@ -119,6 +120,8 @@ def _output(out: str | None) -> Iterator[TextIO]:
     tmp = f"{target}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
     fh = _open(tmp, out, "x")
     try:
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(target, tmp)  # keep an existing file's permissions
         with fh:
             yield fh
         os.replace(tmp, target)

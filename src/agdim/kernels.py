@@ -120,15 +120,18 @@ def _chunks(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Split lo..hi into chunks of at most ``CHUNK`` values.  Per chunk,
     yield its first value, its values and ``ints`` int64 and ``masks`` bool
-    buffers of its length: views of arrays allocated once per call."""
+    buffers of its length: views of arrays allocated once per call.  The
+    values buffer steps on in place from chunk to chunk, so the caller
+    must only read it."""
     size = min(CHUNK, hi - lo + 1)
-    offsets = np.arange(size, dtype=np.int64)
-    int_bufs = np.empty((ints + 1, size), dtype=np.int64)
+    values = np.arange(lo, lo + size, dtype=np.int64)
+    int_bufs = np.empty((ints, size), dtype=np.int64)
     mask_bufs = np.empty((masks, size), dtype=bool)
     for start in range(lo, hi + 1, size):
+        if start > lo:
+            np.add(values, size, out=values)
         m = min(size, hi + 1 - start)
-        values = np.add(offsets[:m], start, out=int_bufs[0, :m])
-        yield start, values, int_bufs[1:, :m], mask_bufs[:, :m]
+        yield start, values[:m], int_bufs[:, :m], mask_bufs[:, :m]
 
 
 def piecewise_mismatches(g_lo: int, g_hi: int) -> np.ndarray:

@@ -677,8 +677,10 @@ class TestCatalogCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
         monkeypatch.setattr(cli, "iter_cases", real)
         code, plain, _ = run(capsys, ["catalog", "--rep-max", "8"])
+        target.chmod(0o640)
         assert run(capsys, ["catalog", "--rep-max", "8", "--out", str(target)])[:2] == (0, "")
         assert target.read_text(encoding="utf-8") == plain
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
         assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
 
     def test_out_directory_is_a_usage_error(self, capsys, tmp_path):
