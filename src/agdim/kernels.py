@@ -23,12 +23,15 @@ call each, which its thread pool runs in parallel.  Inside one call the
 kernel walks its block in chunks of ``CHUNK`` values, and every step writes
 through ``out=`` into a few buffers that the call allocates once.  So a call
 allocates no array per step, whatever the block's length, and its working
-set (three int64 buffers and a mask, about 0.8 MB at 32K values) stays in a
-core's L2 cache instead of streaming a fresh temporary of the whole block
-through memory at every step.  ``CHUNK`` is the fastest size of a sweep
-from 8K to 128K values on a 2-CPU x86 VM with 2 MB of L2 per core: smaller
-chunks pay numpy's per-call overhead more often, larger ones spill out of
-L2.
+set (the chunk's values, two int64 buffers and one or two masks, about
+1.6 MB at 64K values) stays in a core's L2 cache instead of streaming a
+fresh temporary of the whole block through memory at every step.  ``CHUNK``
+is the fastest size of an interleaved sweep run as the benchmark's scan runs
+these kernels, with the pool's two workers, on a 2-CPU x86 VM with 2 MB of
+L2 per core: ``dmax-piecewise`` at 1e7 and 1.6e7 plus ``f-bounds`` at 1e7
+and 2.4e7 took 300 ms at 32K, 257 ms at 64K and 292 ms at 128K (medians of
+9 rounds).  Smaller chunks pay numpy's per-call overhead more often, larger
+ones spill out of L2; a one-thread sweep of one block had favoured 32K.
 """
 
 from __future__ import annotations

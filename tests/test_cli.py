@@ -676,7 +676,7 @@ class TestCatalogCommand:
         assert target.read_text(encoding="utf-8") == "old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
         monkeypatch.setattr(cli, "iter_cases", real)
-        code, plain, _ = run(capsys, ["catalog", "--rep-max", "8"])
+        _, plain, _ = run(capsys, ["catalog", "--rep-max", "8"])
         target.chmod(0o640)
         assert run(capsys, ["catalog", "--rep-max", "8", "--out", str(target)])[:2] == (0, "")
         assert target.read_text(encoding="utf-8") == plain
