@@ -9,6 +9,10 @@ Subcommands
 ``explain G``      attainment narrative for one genus
 ``catalog``        classification catalog export as JSON
 
+``main`` builds only the invoked subcommand's arguments: the parser
+registers all five subcommands with their help lines, and each adds its
+arguments when it first parses (``_Subcommand``).
+
 Exit codes: 0 success or verified pass; 1 claim failure or fixture mismatch;
 2 usage error.  All output is deterministic unless ``--timestamp`` is given.
 An ``--out`` file is written under a temporary name beside it and replaces
@@ -50,7 +54,9 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, TextIO
 
-from . import __version__
+import numpy as np
+
+from . import __version__, kernels
 from .arith import dmax
 from .moduli import (
     AgResult,
@@ -286,6 +292,19 @@ def _descriptor_json(d) -> dict:
     raise TypeError(f"unknown descriptor {d!r}")
 
 
+def _dmax_rows(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(g, dmax(g)) for lo <= g <= hi.  The values of each ``_BLOCK`` genera
+    come from one int64 kernel call, or from Python ints when ``hi`` is past
+    the kernel's ceiling."""
+    for start in range(lo, hi + 1, _BLOCK):
+        gs = range(start, min(start + _BLOCK, hi + 1))
+        if hi <= kernels.MAX_SAFE_G:
+            values = kernels.dmax_values(np.arange(gs.start, gs.stop, dtype=np.int64)).tolist()
+        else:
+            values = map(dmax, gs)
+        yield from zip(gs, values)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -295,7 +314,7 @@ def _cmd_dmax(args: argparse.Namespace) -> int:
     if args.schema:
         return _print_schema("dmax", args.out)
     lo, hi = _parse_range(args.range)
-    rows = ((g, dmax(g)) for g in range(lo, hi + 1))
+    rows = _dmax_rows(lo, hi)
     if args.format == "markdown":
         tail = f"\ngenerated at {_timestamp()}\n" if args.timestamp else ""
         _write_rows(args.out, "| g | dmax |\n| --- | --- |\n", rows, _lines("| %d | %d |\n"), tail)
@@ -422,62 +441,88 @@ def _add_common(sub: argparse.ArgumentParser, formats: bool = True) -> None:
     )
 
 
+def _dmax_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("range", nargs="?", help="single genus or inclusive range a..b")
+    _add_common(p)
+    p.set_defaults(handler=_cmd_dmax)
+
+
+def _tables_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--table", choices=("ag", "mg", "all"), default="all")
+    p.add_argument(
+        "--check",
+        action="store_true",
+        help="compare every cell against the frozen fixtures; exit 1 on mismatch",
+    )
+    p.add_argument(
+        "--conjectural",
+        action="store_true",
+        help="add clearly labeled conjectural rows (never part of --check)",
+    )
+    _add_common(p)
+    p.set_defaults(handler=_cmd_tables)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("claim", nargs="?", choices=sorted(REGISTRY))
+    for flag in _RANGE_FLAGS:
+        p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None, metavar="N")
+    p.add_argument(
+        "--unsafe-no-ceiling",
+        action="store_true",
+        help="lift the hard ceilings on range flags",
+    )
+    _add_common(p, formats=False)
+    p.set_defaults(handler=_cmd_verify)
+
+
+def _explain_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("g", nargs="?", type=int)
+    _add_common(p)
+    p.set_defaults(handler=_cmd_explain)
+
+
+def _catalog_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rep-max", type=int, default=_CATALOG_REP_MAX.default, metavar="N")
+    p.add_argument("--unsafe-no-ceiling", action="store_true")
+    _add_common(p, formats=False)
+    p.set_defaults(handler=_cmd_catalog)
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments (the ``arguments``
+    callback) when it first parses.  Every ``add_argument`` builds a help
+    formatter and reads the terminal size, so building all five subcommands
+    cost more than most commands take to run; a run parses one."""
+
+    def __init__(self, *args, arguments: Callable[[argparse.ArgumentParser], None], **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments: Callable[[argparse.ArgumentParser], None] | None = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            add, self._arguments = self._arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ``agdim`` parser: every subcommand is registered with its help
+    line, and adds its own arguments only when it parses.  All five stay
+    registered because the top-level usage line, which also reports an
+    unknown flag, lists them."""
     parser = argparse.ArgumentParser(
         prog="agdim",
         description="Exact dimension bounds for compact subvarieties of the "
         "moduli of abelian varieties, with exhaustive claim verifiers.",
     )
     parser.add_argument("--version", action="version", version=f"agdim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_dmax = sub.add_parser("dmax", help="genus bound over a range, e.g. 16..18 or 100")
-    p_dmax.add_argument("range", nargs="?", help="single genus or inclusive range a..b")
-    _add_common(p_dmax)
-    p_dmax.set_defaults(handler=_cmd_dmax)
-
-    p_tables = sub.add_parser("tables", help="emit the two summary tables")
-    p_tables.add_argument("--table", choices=("ag", "mg", "all"), default="all")
-    p_tables.add_argument(
-        "--check",
-        action="store_true",
-        help="compare every cell against the frozen fixtures; exit 1 on mismatch",
-    )
-    p_tables.add_argument(
-        "--conjectural",
-        action="store_true",
-        help="add clearly labeled conjectural rows (never part of --check)",
-    )
-    _add_common(p_tables)
-    p_tables.set_defaults(handler=_cmd_tables)
-
-    p_verify = sub.add_parser("verify", help="run one exhaustive claim verifier")
-    p_verify.add_argument("claim", nargs="?", choices=sorted(REGISTRY))
-    for flag in _RANGE_FLAGS:
-        p_verify.add_argument(
-            f"--{flag.replace('_', '-')}", type=int, default=None, metavar="N"
-        )
-    p_verify.add_argument(
-        "--unsafe-no-ceiling",
-        action="store_true",
-        help="lift the hard ceilings on range flags",
-    )
-    _add_common(p_verify, formats=False)
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_explain = sub.add_parser("explain", help="attainment narrative for one genus")
-    p_explain.add_argument("g", nargs="?", type=int)
-    _add_common(p_explain)
-    p_explain.set_defaults(handler=_cmd_explain)
-
-    p_catalog = sub.add_parser("catalog", help="classification catalog as JSON")
-    p_catalog.add_argument(
-        "--rep-max", type=int, default=_CATALOG_REP_MAX.default, metavar="N"
-    )
-    p_catalog.add_argument("--unsafe-no-ceiling", action="store_true")
-    _add_common(p_catalog, formats=False)
-    p_catalog.set_defaults(handler=_cmd_catalog)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub.add_parser("dmax", help="genus bound over a range, e.g. 16..18 or 100", arguments=_dmax_args)
+    sub.add_parser("tables", help="emit the two summary tables", arguments=_tables_args)
+    sub.add_parser("verify", help="run one exhaustive claim verifier", arguments=_verify_args)
+    sub.add_parser("explain", help="attainment narrative for one genus", arguments=_explain_args)
+    sub.add_parser("catalog", help="classification catalog as JSON", arguments=_catalog_args)
     return parser
 
 

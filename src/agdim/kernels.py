@@ -23,15 +23,19 @@ call each, which its thread pool runs in parallel.  Inside one call the
 kernel walks its block in chunks of ``CHUNK`` values, and every step writes
 through ``out=`` into a few buffers that the call allocates once.  So a call
 allocates no array per step, whatever the block's length, and its working
-set (the chunk's values, two int64 buffers and one or two masks, about
-1.6 MB at 64K values) stays in a core's L2 cache instead of streaming a
-fresh temporary of the whole block through memory at every step.  ``CHUNK``
-is the fastest size of an interleaved sweep run as the benchmark's scan runs
-these kernels, with the pool's two workers, on a 2-CPU x86 VM with 2 MB of
-L2 per core: ``dmax-piecewise`` at 1e7 and 1.6e7 plus ``f-bounds`` at 1e7
-and 2.4e7 took 300 ms at 32K, 257 ms at 64K and 292 ms at 128K (medians of
-9 rounds).  Smaller chunks pay numpy's per-call overhead more often, larger
-ones spill out of L2; a one-thread sweep of one block had favoured 32K.
+set (the chunk's values, two int64 buffers and one mask, about 1.6 MB at
+64K values) stays in a core's L2 cache instead of streaming a fresh
+temporary of the whole block through memory at every step.  A call returns
+the number of failing values and the first ``MAX_LISTED`` of them, so a
+block that fails everywhere costs no more memory than one that passes.
+
+``CHUNK`` is the fastest size of an interleaved sweep run as the benchmark's
+scan runs these kernels, with the pool's two workers, on a 2-CPU x86 VM with
+2 MB of L2 per core: ``dmax-piecewise`` at 1e7 and 1.6e7 plus ``f-bounds``
+at 1e7 and 2.4e7 took 300 ms at 32K, 257 ms at 64K and 292 ms at 128K
+(medians of 9 rounds).  Smaller chunks pay numpy's per-call overhead more
+often, larger ones spill out of L2; a one-thread sweep of one block had
+favoured 32K.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "MAX_SAFE_PAIR_B",
     "half_products",
     "dmax_values",
+    "Found",
     "piecewise_mismatches",
     "f_bound_violations",
     "SuperadditivityScan",
@@ -137,9 +142,29 @@ def _chunks(
         yield start, values[:m], int_bufs[:, :m], mask_bufs[:, :m]
 
 
-def piecewise_mismatches(g_lo: int, g_hi: int) -> np.ndarray:
+class Found(NamedTuple):
+    """What a chunked kernel found: how many values fail, and the first
+    ``MAX_LISTED`` of them, ascending."""
+
+    total: int
+    listed: np.ndarray
+
+
+def _found(chunks: Iterator[tuple[int, np.ndarray]]) -> Found:
+    """Count the failing values of each (first value, failure mask) chunk,
+    and list them until ``MAX_LISTED`` are listed."""
+    total, listed = 0, []
+    for start, failing in chunks:
+        n = int(np.count_nonzero(failing))
+        total += n
+        if n and len(listed) < MAX_LISTED:
+            listed += (np.flatnonzero(failing)[: MAX_LISTED - len(listed)] + start).tolist()
+    return Found(total, np.array(listed, dtype=np.int64))
+
+
+def piecewise_mismatches(g_lo: int, g_hi: int) -> Found:
     """Genera in [g_lo, g_hi] where the max-form and the three-branch form of
-    dmax disagree (expected: none), ascending.
+    dmax disagree (expected: none).
 
     The three branches are g - 1 for g <= 15, floor(g^2/16) for even g >= 16
     and floor((g-1)^2/16) for odd g >= 17.  From g = 16 on, the even and the
@@ -148,35 +173,39 @@ def piecewise_mismatches(g_lo: int, g_hi: int) -> np.ndarray:
     if g_lo < 1 or g_hi < g_lo:
         raise ValueError(f"need 1 <= g_lo <= g_hi (got {g_lo}, {g_hi})")
     _require_at_most("g", g_hi, MAX_SAFE_PIECEWISE_G)
-    found = []
-    for start, gs, (general, piecewise), (differ,) in _chunks(g_lo, g_hi, ints=2, masks=1):
-        general = _dmax(gs, general, piecewise)
-        np.subtract(gs, 1, out=piecewise)
-        first = max(0, 16 - start)  # index of g = 16, or 0 past it
-        even = slice(first + (start + first) % 2, None, 2)
-        odd = slice(first + (start + first + 1) % 2, None, 2)
-        for branch, base in ((piecewise[even], gs[even]), (piecewise[odd], piecewise[odd])):
-            np.multiply(base, base, out=branch)  # g^2 or (g - 1)^2
-            np.right_shift(branch, 4, out=branch)
-        found.append(np.flatnonzero(np.not_equal(general, piecewise, out=differ)) + start)
-    return np.concatenate(found)
+
+    def differ() -> Iterator[tuple[int, np.ndarray]]:
+        for start, gs, (general, piecewise), (mask,) in _chunks(g_lo, g_hi, ints=2, masks=1):
+            general = _dmax(gs, general, piecewise)
+            np.subtract(gs, 1, out=piecewise)
+            first = max(0, 16 - start)  # index of g = 16, or 0 past it
+            even = slice(first + (start + first) % 2, None, 2)
+            odd = slice(first + (start + first + 1) % 2, None, 2)
+            for branch, base in ((piecewise[even], gs[even]), (piecewise[odd], piecewise[odd])):
+                np.multiply(base, base, out=branch)  # g^2 or (g - 1)^2
+                np.right_shift(branch, 4, out=branch)
+            yield start, np.not_equal(general, piecewise, out=mask)
+
+    return _found(differ())
 
 
-def f_bound_violations(n_lo: int, n_hi: int) -> np.ndarray:
-    """n in [n_lo, n_hi] violating (n^2-1)/4 <= F(n) <= n^2/4, compared in
-    integers as n^2-1 <= 4 F(n) <= n^2 (expected: none), ascending."""
+def f_bound_violations(n_lo: int, n_hi: int) -> Found:
+    """n in [n_lo, n_hi] violating (n^2-1)/4 <= F(n) <= n^2/4 (expected:
+    none).  The sandwich holds exactly when d = n^2 - 4 F(n) is 0 or 1, so
+    one comparison of d's uint64 view with 1 tests both sides: a negative d
+    reads as at least 2^63.  d is exact in int64 for n <= ``MAX_SAFE_N``."""
     if n_lo < 2 or n_hi < n_lo:
         raise ValueError(f"need 2 <= n_lo <= n_hi (got {n_lo}, {n_hi})")
     _require_at_most("n", n_hi, MAX_SAFE_N)
-    found = []
-    for start, ns, (f4, sq), (bad, below) in _chunks(n_lo, n_hi, ints=2, masks=2):
-        f4 = half_products(ns, f4, sq)
-        np.multiply(f4, 4, out=f4)
-        np.multiply(ns, ns, out=sq)
-        np.greater(f4, sq, out=bad)
-        np.less(f4, np.subtract(sq, 1, out=sq), out=below)
-        found.append(np.flatnonzero(np.logical_or(bad, below, out=bad)) + start)
-    return np.concatenate(found)
+
+    def violated() -> Iterator[tuple[int, np.ndarray]]:
+        for start, ns, (f4, d), (mask,) in _chunks(n_lo, n_hi, ints=2, masks=1):
+            f4 = half_products(ns, f4, d)
+            np.multiply(f4, 4, out=f4)
+            np.subtract(np.multiply(ns, ns, out=d), f4, out=d)
+            yield start, np.greater(d.view(np.uint64), 1, out=mask)
+
+    return _found(violated())
 
 
 class SuperadditivityScan(NamedTuple):

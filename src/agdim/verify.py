@@ -4,16 +4,19 @@ Each verifier sweeps a stated finite range and returns a
 :class:`~agdim.report.VerificationReport`; ranges have safe defaults (the
 values asserted by the test suite) and hard ceilings so a stray flag cannot
 start a week-long scan.  The ceilings can be lifted with
-``--unsafe-no-ceiling``, subject only to the kernels' int64 exactness guards,
-which are checked against the whole range before any work starts.
+``--unsafe-no-ceiling``, subject only to the kernels' int64 exactness guards
+and, for ``lemma-dmax`` and ``prop-estimate``, whose arrays span the whole
+range, to half of physical memory; both are checked against the whole range
+before any work starts.
 
 ``dmax-piecewise`` and ``f-bounds`` split their integer interval into blocks
 and run them on a thread pool with one worker per CPU: numpy releases the GIL
-inside its large array loops, so blocks execute in parallel, and results are
-concatenated in block order, so output is the same for any worker count.
-Each block is one kernel call, which walks the block in chunks of
-``kernels.CHUNK`` values through buffers of its own, so a block's memory does
-not grow with its length.  ``lemma-dmax`` runs serially, as one scan call on
+inside its large array loops, so blocks execute in parallel.  Each block is
+one kernel call, which walks the block in chunks of ``kernels.CHUNK`` values
+through buffers of its own and returns its count of failing values and the
+first ``MAX_LISTED`` of them, so a block's memory does not grow with its
+length, passing or failing.  The counts are summed and the listed values
+kept in block order, so output is the same for any worker count.  ``lemma-dmax`` runs serially, as one scan call on
 the whole table; the scan is one numpy slice difference per g1.
 
 A failing verifier builds counterexample dicts only for the rows its report
@@ -85,10 +88,21 @@ class RangeParam:
 
 @dataclass(frozen=True)
 class Verifier:
+    """A registered claim.  ``bytes_per_genus`` is the peak memory of a
+    passing run per genus of ``g_max``, for a claim whose arrays span the
+    whole range; ``range_args`` refuses a range whose figure passes
+    ``_memory_budget()``."""
+
     claim: str
     description: str
     params: tuple[RangeParam, ...]
     run: Callable[..., VerificationReport]
+    bytes_per_genus: int = 0
+
+
+def _memory_budget() -> int:
+    """Half of physical memory, in bytes: the most a verifier may plan to use."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
 def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
@@ -106,6 +120,18 @@ def _run_blocked(fn: Callable[[int, int], object], lo: int, hi: int) -> list:
         return [fn(a, b) for a, b in blocks]
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         return list(pool.map(lambda ab: fn(*ab), blocks))
+
+
+def _blocked_failures(
+    kernel: Callable[[int, int], kernels.Found], lo: int, hi: int
+) -> tuple[list[int], int]:
+    """The first ``MAX_LISTED`` failing values of a chunked kernel over
+    lo..hi, run in blocks, and the number of failing values left out.  Each
+    block lists its first ``MAX_LISTED``, so in block order they hold the
+    first ``MAX_LISTED`` of the whole range."""
+    found = _run_blocked(kernel, lo, hi)
+    listed = [v for f in found for v in f.listed.tolist()][:MAX_LISTED]
+    return listed, sum(f.total for f in found) - len(listed)
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +175,11 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
 def _verify_piecewise(g_max: int) -> VerificationReport:
     """max(g-1, floor(floor(g/2)^2/4)) agrees with its three-branch form for
     all 1 <= g <= g_max."""
-    bad = np.concatenate(_run_blocked(kernels.piecewise_mismatches, 1, g_max))
-    listed, unlisted = first_listed(bad)
+    listed, unlisted = _blocked_failures(kernels.piecewise_mismatches, 1, g_max)
     return VerificationReport(
         claim="dmax-piecewise",
         range={"g_max": g_max},
-        counterexamples=[{"g": int(g), "reason": "piecewise forms differ"} for g in listed.tolist()],
+        counterexamples=[{"g": g, "reason": "piecewise forms differ"} for g in listed],
         witnesses=[],
         details={"values_checked": g_max},
         unlisted=unlisted,
@@ -163,14 +188,11 @@ def _verify_piecewise(g_max: int) -> VerificationReport:
 
 def _verify_f_bounds(n_max: int) -> VerificationReport:
     """(n^2 - 1)/4 <= F(n) <= n^2/4 in exact integers for 2 <= n <= n_max."""
-    bad = np.concatenate(_run_blocked(kernels.f_bound_violations, 2, n_max))
-    listed, unlisted = first_listed(bad)
+    listed, unlisted = _blocked_failures(kernels.f_bound_violations, 2, n_max)
     return VerificationReport(
         claim="f-bounds",
         range={"n_max": n_max},
-        counterexamples=[
-            {"n": int(n), "reason": "half-product bound violated"} for n in listed.tolist()
-        ],
+        counterexamples=[{"n": n, "reason": "half-product bound violated"} for n in listed],
         witnesses=[],
         details={"values_checked": n_max - 1},
         unlisted=unlisted,
@@ -362,6 +384,9 @@ REGISTRY: dict[str, Verifier] = {
         description="superadditivity of the genus bound, with its exact equality set",
         params=(RangeParam("g_max", 4000, 100_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_superadditivity,
+        # at the scan's first row: the table (8), the row buffers (17) and
+        # the row's equality genera in a few int64 temporaries (about 20)
+        bytes_per_genus=48,
     ),
     "dmax-piecewise": Verifier(
         claim="dmax-piecewise",
@@ -400,6 +425,10 @@ REGISTRY: dict[str, Verifier] = {
         description="best single-family pair vs the genus bound, with equality genera",
         params=(RangeParam("g_max", 2000, 10_000_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_best_pair_bound,
+        # the int64 table (8) with, while it is built, F(n) and a row for
+        # n <= g_max / 2 (8); or the table, the equality genera (4) and the
+        # expected ones (twice 4) while they are compared
+        bytes_per_genus=24,
     ),
     "remark-domination": Verifier(
         claim="remark-domination",
@@ -448,6 +477,13 @@ def range_args(
             f"{claim} does not take range flags {sorted(unknown)}; "
             f"it takes {[p.flag for p in verifier.params]}"
         )
+    if verifier.bytes_per_genus:
+        need, budget = verifier.bytes_per_genus * kwargs["g_max"], _memory_budget()
+        if need > budget:
+            raise CeilingExceeded(
+                f"--g-max={kwargs['g_max']} needs about {need / 2**30:.1f} GiB for {claim}, "
+                f"more than half of physical memory ({budget / 2**30:.1f} GiB); no flag lifts it"
+            )
     return kwargs
 
 

@@ -45,7 +45,7 @@ class TestDmax:
 
     def test_piecewise_equivalence_full_range(self):
         # configuration default: one million
-        assert kernels.piecewise_mismatches(1, 1_000_000).size == 0
+        assert kernels.piecewise_mismatches(1, 1_000_000).total == 0
 
     def test_matches_vectorized_kernel(self):
         import numpy as np
@@ -82,7 +82,7 @@ class TestHalfProduct:
 
     def test_sandwich_full_range(self):
         # configuration default: one hundred thousand
-        assert kernels.f_bound_violations(2, 100_000).size == 0
+        assert kernels.f_bound_violations(2, 100_000).total == 0
 
 
 class TestDomination:

@@ -1,10 +1,12 @@
 import hashlib
+import inspect
 import json
 import os
 import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 from itertools import islice
 from pathlib import Path
@@ -235,6 +237,30 @@ class TestVerifyCommand:
         assert "int64-safe kernel ceiling" in err
         assert calls == []  # refused before the first block
 
+    @pytest.mark.parametrize("claim, kernel", [("lemma-dmax", "dmax_values"), ("prop-estimate", "best_indec_table")])
+    def test_memory_budget_usage_error(self, capsys, monkeypatch, claim, kernel):
+        # --unsafe-no-ceiling lifts the ceiling, not the memory check.  The
+        # budget is patched, so the refused range is never allocated.
+        calls = []
+        monkeypatch.setattr(kernels, kernel, lambda *args: calls.append(args))
+        monkeypatch.setattr(verify, "_memory_budget", lambda: verify.REGISTRY[claim].bytes_per_genus * 10**6)
+        code, out, err = run(capsys, ["verify", claim, "--g-max", "1000001", "--unsafe-no-ceiling"])
+        assert (code, out, calls) == (2, "", [])  # refused before the first allocation
+        assert err.startswith(f"verify: --g-max=1000001 needs about ") and err.endswith("no flag lifts it\n")
+        with pytest.raises(verify.CeilingExceeded):
+            verify.run_verifier(claim, {"g_max": 10**6 + 1}, unsafe_no_ceiling=True)
+        assert verify.range_args(claim, {"g_max": 10**6}, unsafe_no_ceiling=True) == {"g_max": 10**6}
+
+    @pytest.mark.parametrize("claim, g_max", [("lemma-dmax", 20_000), ("prop-estimate", 1_000_000)])
+    def test_bytes_per_genus_covers_peak(self, claim, g_max):
+        tracemalloc.start()
+        try:
+            report = verify.run_verifier(claim, {"g_max": g_max})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and peak <= verify.REGISTRY[claim].bytes_per_genus * g_max
+
     def test_wrong_flag_for_claim(self, capsys):
         code, _, err = run(capsys, ["verify", "lemma-dmax", "--sum-max", "30"])
         assert code == 2
@@ -331,9 +357,20 @@ def _bump_dmax(mp):
     mp.setattr(kernels, "dmax_values", lambda gs: real(gs) + 1)
 
 
-def _whole_block(kernel):
+# claim -> (its range flag, its chunked kernel, the helper a fault is raised in)
+CHUNKED_CLAIMS = {
+    "dmax-piecewise": ("--g-max", "piecewise_mismatches", "_dmax"),
+    "f-bounds": ("--n-max", "f_bound_violations", "half_products"),
+}
+
+
+def _raise_helper(helper, at=lambda xs: 1):
+    # Raise the value of a chunked kernel's helper by one: at every value, or
+    # where ``at`` holds.  Every genus fails dmax-piecewise (``_dmax``), and
+    # every n fails the upper side of f-bounds (``half_products``).
     def inject(mp):
-        mp.setattr(kernels, kernel, lambda lo, hi: np.arange(lo, hi + 1, dtype=np.int64))
+        real = getattr(kernels, helper)
+        mp.setattr(kernels, helper, lambda xs, out, tmp: real(xs, out, tmp) + at(xs))
 
     return inject
 
@@ -388,8 +425,8 @@ def _zero_dmax(mp):
 # One wrong input per claim, at a tiny range; every verifier must report it.
 FAILURES = {
     "lemma-dmax": (["--g-max", "40"], _bump_dmax),
-    "dmax-piecewise": (["--g-max", "100"], _whole_block("piecewise_mismatches")),
-    "f-bounds": (["--n-max", "100"], _whole_block("f_bound_violations")),
+    "dmax-piecewise": (["--g-max", "100"], _raise_helper("_dmax")),
+    "f-bounds": (["--n-max", "100"], _raise_helper("half_products")),
     "lemma-N": (["--sum-max", "10", "--pair-max", "10"], _negate_closed_form),
     "claim-F": (
         ["--s-max", "4", "--delta-max", "4", "--k-max", "4", "--n-max", "4"],
@@ -426,6 +463,31 @@ class TestVerifierFailures:
         assert len(doc["counterexamples"]) == MAX_LISTED
         # every value of the range fails: 1..100 and 2..100
         assert doc["details"]["counterexamples_total"] == {"dmax-piecewise": 100, "f-bounds": 99}[claim]
+
+    @pytest.mark.parametrize(
+        "claim, every, digest",
+        [
+            ("dmax-piecewise", 1, "254800ce611cb5011ab049c6b86149d0fe0619c6548b2eddbb81e82ca98b12a0"),
+            ("f-bounds", 1, "dba1c10e9e499f0313a870cbc206e29cf215ab477df1e9d0ba0ce50bc6006cd2"),
+            ("dmax-piecewise", 37, "84a1b9426d016363d3c5dd01b529b181816ccecbceb58808fae87345d6874d44"),
+            ("f-bounds", 37, "e88363b5f2bce29161f2adc43de421f9065b9ff1ea58678fff9e179b859def44"),
+        ],
+    )
+    def test_blocks_list_at_most_max_listed(self, capsys, monkeypatch, claim, every, digest):
+        # Blocks of about 1250 values, failing at every value, or at every
+        # 37th so that the listed values span two blocks.  Each block returns
+        # its count and at most MAX_LISTED values, and the report is byte
+        # for byte what returning every failing value gave.
+        flag, kernel, helper = CHUNKED_CLAIMS[claim]
+        _raise_helper(helper, at=lambda xs: xs % every == 3 % every)(monkeypatch)
+        monkeypatch.setattr(verify, "_WORKERS", 4)
+        spied, returned = getattr(kernels, kernel), []
+        monkeypatch.setattr(kernels, kernel, lambda lo, hi: returned.append(spied(lo, hi)) or returned[-1])
+        code, out, _ = run(capsys, ["verify", claim, flag, "5000"])
+        assert code == 1 and len(returned) >= 4
+        assert all(len(f.listed) == min(f.total, MAX_LISTED) for f in returned)
+        assert sum(f.total for f in returned) == json.loads(out)["details"]["counterexamples_total"]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "claim, flags, inject, digest",
@@ -485,9 +547,9 @@ class TestVerifierFailures:
         # Every genus of 1..2e6 fails.  Building a dict per failure took about
         # 510 MB; listing only the reported 50 keeps it near a passing run.
         script = (
-            "import numpy as np\n"
             "from agdim import cli, kernels\n"
-            "kernels.piecewise_mismatches = lambda lo, hi: np.arange(lo, hi + 1, dtype=np.int64)\n"
+            "real = kernels._dmax\n"
+            "kernels._dmax = lambda gs, out, tmp: real(gs, out, tmp) + 1\n"
             "code = cli.main(['verify', 'dmax-piecewise', '--g-max', '2000000'])\n"
         )
         code, peak_kb, out = run_child(script)
@@ -758,6 +820,43 @@ class TestTopLevel:
     def test_version(self, capsys):
         code, out, _ = run(capsys, ["--version"])
         assert code == 0
+
+
+# Exit code, stdout and stderr of each help text and usage error, recorded
+# with COLUMNS=80 when every subcommand's arguments were built up front.
+CLI_SURFACE = json.loads((Path(__file__).parent / "cli_surface.json").read_text(encoding="utf-8"))
+
+
+class TestCliSurface:
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse text recorded as Python 3.11 prints it")
+    @pytest.mark.parametrize("case", CLI_SURFACE, ids=lambda case: " ".join(case["argv"]) or "no-args")
+    def test_text_unchanged(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+    def test_subcommand_arguments_built_on_first_parse(self, monkeypatch):
+        # perfbench's tracer calls build_parser() with no arguments and wraps
+        # parse_args on what it returns.  A subcommand that does not run
+        # builds none of its arguments.
+        assert inspect.signature(cli.build_parser).parameters == {}
+        usages = []
+        real = cli._verify_args
+
+        def spy(p):
+            usages.append(p.format_usage())
+            real(p)
+            usages.append(p.format_usage())
+
+        monkeypatch.setattr(cli, "_verify_args", spy)
+        cli.build_parser().parse_args(["explain", "5"])
+        assert usages == []
+        parser = cli.build_parser()
+        assert usages == []
+        args = parser.parse_args(["verify", "lemma-N", "--g-max", "7"])
+        assert args.g_max == 7 and args.handler is cli._cmd_verify
+        assert "--g-max" not in usages[0] and "--g-max" in usages[1]
+        assert parser.parse_args(["verify", "f-bounds"]).claim == "f-bounds"
+        assert len(usages) == 2  # added once per parser
 
 
 def test_python_dash_m():

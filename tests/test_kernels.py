@@ -21,6 +21,12 @@ def rows(arr):
     return [tuple(int(v) for v in row) for row in arr.tolist()]
 
 
+def found(result):
+    """A chunked kernel's result as (count, listed values)."""
+    assert result.listed.dtype == np.int64 and len(result.listed) <= MAX_LISTED
+    return result.total, result.listed.tolist()
+
+
 def assert_scan_matches(scan, want_viol, want_eqs):
     """A superadditivity scan against every violating and equal row: the
     counts, every g1 = 1 equality and the first MAX_LISTED of the others."""
@@ -57,13 +63,13 @@ class TestAgainstScalars:
 
     def test_piecewise_vs_scalar(self):
         oracle = [g for g in range(1, 5001) if dmax(g) != dmax_piecewise(g)]
-        assert [int(g) for g in kernels.piecewise_mismatches(1, 5000)] == oracle
+        assert found(kernels.piecewise_mismatches(1, 5000)) == (len(oracle), oracle)
 
     def test_f_bounds_vs_scalar(self):
         oracle = [
             n for n in range(2, 5001) if not n * n - 1 <= 4 * half_product(n) <= n * n
         ]
-        assert [int(n) for n in kernels.f_bound_violations(2, 5000)] == oracle
+        assert found(kernels.f_bound_violations(2, 5000)) == (len(oracle), oracle)
 
     def test_superadditivity_vs_scalar(self):
         g_max = 800
@@ -139,7 +145,8 @@ class TestChunkBoundaries:
         # ends mid-way through its third; lo = 2 and 3 cross the g = 15/16/17
         # branch switch.  With the helper's value raised at v = 3 and lowered
         # at v = 5 (mod 7), the reported values show each chunk's offset,
-        # order and end, and both sides of each comparison.
+        # order and end, and both sides of each comparison: every value with
+        # the listing cap lifted, the first MAX_LISTED with it in place.
         helper, reported = CHUNKED[kernel]
 
         def bump(v):
@@ -152,9 +159,12 @@ class TestChunkBoundaries:
         assert bool(oracle) == faulty
         for length in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
             hi = lo + length - 1
-            found = getattr(kernels, kernel)(lo, hi)
-            assert found.dtype == np.int64
-            assert found.tolist() == [v for v in oracle if v <= hi], length
+            want = [v for v in oracle if v <= hi]
+            assert found(getattr(kernels, kernel)(lo, hi)) == (len(want), want[:MAX_LISTED]), length
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels, "MAX_LISTED", len(oracle))
+                listed = getattr(kernels, kernel)(lo, hi).listed.tolist()
+            assert listed == want, length
 
 
 class TestGuards:
@@ -170,17 +180,25 @@ class TestGuards:
         # g * g is the largest intermediate of the three-branch form.
         top = kernels.MAX_SAFE_PIECEWISE_G
         assert top * top <= 2**63 - 1 < (top + 1) * (top + 1)
-        assert kernels.piecewise_mismatches(top - 20, top).size == 0
+        assert kernels.piecewise_mismatches(top - 20, top).total == 0
         assert all(dmax(g) == dmax_piecewise(g) for g in range(top - 20, top + 1))
         with pytest.raises(OverflowError):
             kernels.piecewise_mismatches(top + 1, top + 1)
 
-    def test_f_bounds_ceiling_exact(self):
-        # n * n is the largest intermediate of the sandwich check.
+    def test_f_bounds_ceiling_exact(self, monkeypatch):
+        # n * n is the largest intermediate of the sandwich check.  F(n)
+        # raised or lowered by one breaks the upper or the lower side at
+        # every n of the window ending at the ceiling.
         top = kernels.MAX_SAFE_N
         assert top * top <= 2**63 - 1
-        oracle = [n for n in range(top - 20, top + 1) if not n * n - 1 <= 4 * half_product(n) <= n * n]
-        assert kernels.f_bound_violations(top - 20, top).tolist() == oracle == []
+        real = kernels.half_products
+        for bump in (0, 1, -1):
+            monkeypatch.setattr(kernels, "half_products", lambda ns, out, tmp: real(ns, out, tmp) + bump)
+            oracle = [
+                n for n in range(top - 20, top + 1) if not n * n - 1 <= 4 * (half_product(n) + bump) <= n * n
+            ]
+            assert len(oracle) == (21 if bump else 0)
+            assert found(kernels.f_bound_violations(top - 20, top)) == (len(oracle), oracle)
         with pytest.raises(OverflowError):
             kernels.f_bound_violations(top + 1, top + 1)
 
