@@ -262,11 +262,11 @@ def _print_schema(command: str, out: str | None) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    except ValueError:  # malformed: fails the check below, with its message
+        lo = hi = 0
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid genus range {text!r} (need 1 <= a <= b)")
     return lo, hi
@@ -420,7 +420,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     doc = {"schema": "agdim.catalog/1", "max_rep_dim": args.rep_max, "cases": []}
     if args.timestamp:
         doc["generated_at"] = _timestamp()
-    _write_json(args.out, doc, "cases", iter_cases(args.rep_max, records=True))
+    _write_json(args.out, doc, "cases", iter_cases(args.rep_max))
     return 0
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "is_efficient_oracle",
     "closed_form_efficient",
     "is_efficient_closed",
-    "in_unbounded_family",
     "iter_multisets",
     "verify_efficiency_classification",
 ]
@@ -56,12 +55,6 @@ class Multiset:
         if canon[0] < 2:
             raise ValueError(f"multiset elements must be >= 2 (got {canon[0]})")
         object.__setattr__(self, "elements", canon)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(e) for e in self.elements) + "}"
@@ -101,12 +94,6 @@ def is_efficient_closed(N: Multiset) -> bool:
     """Membership in the closed-form list of efficient multisets."""
     e = N.elements
     return closed_form_efficient(len(e), e[0], e[min(1, len(e) - 1)], e[-1])
-
-
-def in_unbounded_family(N: Multiset) -> bool:
-    """True for the two families that stay efficient for arbitrarily large
-    elements: singletons {b} and {2, b}."""
-    return _unbounded(len(N.elements), N.elements[0])
 
 
 def iter_multisets(sum_max: int, min_element: int = 2) -> Iterator[tuple[int, ...]]:

@@ -28,13 +28,12 @@ The excluded parameters r = 4 (II, IV2) and p = 4 (IV1even) are absorbed by
 the separate D4 row.  The catalog is immutable data; no representation theory
 is computed here.
 
-:func:`family_grid` is the one enumeration of the catalog: per family, its
-parameter rows with their hss_dim and rep_dim as int64 arrays.  The
-cor-decoupled verifier reads those arrays, :func:`iter_cases` builds its
-validated objects from them, and the JSON export builds its records from
-them with no label per row.  Each rule (the two dimensions, the duality
-type, the forced-compact-factor flag) is one function of (family, params)
-that the label API and the grid both call.
+:func:`family_grid` is the one enumeration of the catalog: per family (family
+I in pieces), its parameter rows with their hss_dim and rep_dim as int64
+arrays.  The cor-decoupled verifier reads those arrays, and :func:`iter_cases`
+builds the JSON export's records from them with no label per row.  Each rule
+(the two dimensions, the duality type, the forced-compact-factor flag) is one
+function of (family, params) that the label API and the grid both call.
 """
 
 from __future__ import annotations
@@ -51,15 +50,12 @@ __all__ = [
     "NON_SELF_DUAL",
     "FAMILIES",
     "CaseLabel",
-    "SatakeCase",
     "FamilyGrid",
     "case",
-    "classify",
     "hss_dimension",
     "rep_dimension",
     "duality_type",
     "min_compact_factors",
-    "min_multiplicity",
     "family_grid",
     "iter_cases",
     "catalog_json",
@@ -96,9 +92,6 @@ class CaseLabel:
 
     def __post_init__(self) -> None:
         _validate(self.family, self.params)
-
-    def param(self, name: str) -> int:
-        return self.params[_PARAM_NAMES[self.family].index(name)]
 
     def params_dict(self) -> dict[str, int]:
         return dict(zip(_PARAM_NAMES[self.family], self.params))
@@ -291,38 +284,6 @@ def min_compact_factors(label: CaseLabel) -> int:
     return _min_compact(label.family, label.params)
 
 
-def min_multiplicity(duality: str) -> int:
-    """Minimum isotypic multiplicity admissible for a rational symplectic
-    representation with the given irreducible self-duality type: 1 when the
-    summand is already symplectic, 2 (and even) otherwise."""
-    if duality == SYMPLECTIC:
-        return 1
-    if duality in (ORTHOGONAL, NON_SELF_DUAL):
-        return 2
-    raise ValueError(f"unknown duality type {duality!r}")
-
-
-@dataclass(frozen=True)
-class SatakeCase:
-    """One fully evaluated catalog row."""
-
-    label: CaseLabel
-    hss_dim: int
-    rep_dim: int
-    duality: str
-    min_compact_factors: int
-
-
-def classify(label: CaseLabel) -> SatakeCase:
-    return SatakeCase(
-        label=label,
-        hss_dim=hss_dimension(label),
-        rep_dim=rep_dimension(label),
-        duality=duality_type(label),
-        min_compact_factors=min_compact_factors(label),
-    )
-
-
 # The families whose parameter 4 is absorbed by the D4 row, and the smallest
 # parameter of each one-parameter family.
 _ABSORBED_BY_D4 = ("II", "IV1even", "IV2")
@@ -386,21 +347,14 @@ def _small_family(family: str, max_rep_dim: int) -> FamilyGrid:
     )
 
 
-def family_grid(max_rep_dim: int) -> list[FamilyGrid]:
-    """One grid per family, in ``FAMILIES`` order (empty where no case has
-    rep_dim <= max_rep_dim): the single enumeration of the catalog.  Family
-    I holds about max_rep_dim^2 / 4 cases; the other families hold a few
-    hundred between them."""
-    return [
-        _family_i(3, max_rep_dim) if family == "I" else _small_family(family, max_rep_dim)
-        for family in FAMILIES
-    ]
-
-
-def _grid_pieces(max_rep_dim: int, piece: int = 4096) -> Iterator[FamilyGrid]:
-    """:func:`family_grid` in order, with family I cut into pieces of about
-    ``piece`` cases (whole values of n), so that a reader of every case
-    holds one piece at a time."""
+def family_grid(max_rep_dim: int, piece: int = 4096) -> Iterator[FamilyGrid]:
+    """The one enumeration of the catalog: the grid of each family in
+    ``FAMILIES`` order, with family I (about max_rep_dim^2 / 4 cases) cut
+    into pieces of about ``piece`` cases (whole values of n), so that a
+    reader of every case holds one piece at a time.  Family I yields no
+    piece when max_rep_dim < 3; every other family yields one grid, empty
+    where no case has rep_dim <= max_rep_dim (a few hundred cases between
+    them)."""
     for family in FAMILIES:
         if family != "I":
             yield _small_family(family, max_rep_dim)
@@ -413,38 +367,32 @@ def _grid_pieces(max_rep_dim: int, piece: int = 4096) -> Iterator[FamilyGrid]:
             n = n_hi + 1
 
 
-def iter_cases(max_rep_dim: int, *, records: bool = False) -> Iterator[SatakeCase] | Iterator[dict]:
-    """All catalog rows with rep_dim <= max_rep_dim, in deterministic order
-    (family order as in the module docstring, then ascending parameters),
-    read from :func:`family_grid` a piece at a time, so memory stays flat.
-
-    Rows are validated :class:`SatakeCase` objects, or with ``records`` the
-    JSON-ready records of :func:`catalog_json`, built without a label per
-    row.  The export reads its records here, not from the grid itself, so
-    that perfbench's tracer, which wraps this function, counts the cases of
+def iter_cases(max_rep_dim: int) -> Iterator[dict]:
+    """The JSON-ready record of every catalog case with rep_dim <=
+    max_rep_dim, in deterministic order (family order as in the module
+    docstring, then ascending parameters), read from :func:`family_grid` a
+    piece at a time, so memory stays flat and no label is built per case.
+    The export reads its records here, not from the grid itself, so that
+    perfbench's tracer, which wraps this function, counts the cases of
     every export.
     """
-    for grid in _grid_pieces(max_rep_dim):
+    for grid in family_grid(max_rep_dim):
         family = grid.family
         names = _PARAM_NAMES[family]
         for params, hss, rep in zip(
             grid.params.tolist(), grid.hss_dim.tolist(), grid.rep_dim.tolist()
         ):
-            if records:
-                yield {
-                    "case": family,
-                    "params": dict(zip(names, params)),
-                    "hss_dim": hss,
-                    "rep_dim": rep,
-                    "duality": _duality(family, params),
-                    "min_compact_factors": _min_compact(family, params),
-                }
-            else:
-                label = CaseLabel(family, tuple(params))
-                yield SatakeCase(label, hss, rep, duality_type(label), min_compact_factors(label))
+            yield {
+                "case": family,
+                "params": dict(zip(names, params)),
+                "hss_dim": hss,
+                "rep_dim": rep,
+                "duality": _duality(family, params),
+                "min_compact_factors": _min_compact(family, params),
+            }
 
 
 def catalog_json(max_rep_dim: int) -> list[dict]:
     """Catalog rows as JSON-ready records with fixed field names and order:
     case, params, hss_dim, rep_dim, duality, min_compact_factors."""
-    return list(iter_cases(max_rep_dim, records=True))
+    return list(iter_cases(max_rep_dim))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 from .arith import GenusValue
@@ -106,9 +105,6 @@ class DimensionTable:
                 for g in self.genera
             ],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_jsonable(), indent=indent, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

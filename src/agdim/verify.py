@@ -322,12 +322,14 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
     rep_dim <= rep_max and every 2 <= k <= k_max, with equality only in
     family I at k = 2.
 
-    The cases are read as arrays from :func:`satake.family_grid`; a label is
-    built only for a counterexample the report lists.  dmax(k * rep_dim) is
-    evaluated once per distinct rep_dim (at most rep_max of them, against
-    about rep_max^2 / 4 cases) and gathered to the cases.
+    The cases are read as arrays from the grids of :func:`satake.family_grid`
+    (family I in several pieces), concatenated in catalog order; a label is
+    built only for a counterexample the report lists, from the grid that
+    holds its index.  dmax(k * rep_dim) is evaluated once per distinct
+    rep_dim (at most rep_max of them, against about rep_max^2 / 4 cases) and
+    gathered to the cases.
     """
-    grids = satake.family_grid(rep_max)
+    grids = list(satake.family_grid(rep_max))
     hss = np.concatenate([g.hss_dim for g in grids])
     rep = np.concatenate([g.rep_dim for g in grids])
     reps, rep_at = np.unique(rep, return_inverse=True)

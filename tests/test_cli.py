@@ -80,9 +80,10 @@ class TestDmaxCommand:
         assert doc["values"] == [{"g": 100, "dmax": 625}]
 
     def test_bad_range_usage_error(self, capsys):
-        for bad in ("0", "5..2", "x..y", ""):
+        for bad in ("0", "5..2", "3..", "x..y", ""):
             code, _, err = run(capsys, ["dmax", bad])
             assert code == 2, bad
+            assert err == f"dmax: invalid genus range {bad!r} (need 1 <= a <= b)\n", bad
 
     def test_missing_argument(self, capsys):
         code, _, err = run(capsys, ["dmax"])
@@ -518,6 +519,24 @@ class TestVerifierFailures:
         code, out, _ = run(capsys, ["verify", claim, *flags])
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_catalog_labels_across_family_i_pieces(self, capsys, monkeypatch):
+        # At rep_max 300 family I comes in several pieces (n = 200 is in the
+        # third).  Wrong bounds at three values of k * rep_dim list cases from
+        # the first and a later piece of family I and from the families after
+        # it, up to the last one, IV2.  Recorded with family I as one grid.
+        real = kernels.dmax_values
+        monkeypatch.setattr(
+            kernels, "dmax_values",
+            lambda gs: np.select([gs == 400, gs == 45, gs == 12], [9950, 10, 3], real(gs)),
+        )
+        code, out, _ = run(capsys, ["verify", "cor-decoupled", "--rep-max", "300", "--k-max", "3"])
+        assert code == 1
+        listed = [c["case"] for c in json.loads(out)["counterexamples"]]
+        assert {"I(p=1, n=4)", "I(p=100, n=200)", "Iprime(n=6, c=4)", "IV2(r=3)"} <= set(listed)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cdddeff52323a008beef0c53b7a0b6fd2dd7bbe90525464c2f92027e69356726"
+        )
 
     @pytest.mark.parametrize("inject", [None, _bump_best_pair])
     def test_prop_estimate_chunks_join_exactly(self, capsys, monkeypatch, inject):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -6,20 +7,17 @@ import pytest
 
 from agdim.satake import (
     FAMILIES,
-    _grid_pieces,
     NON_SELF_DUAL,
     ORTHOGONAL,
     SYMPLECTIC,
     CaseLabel,
     case,
     catalog_json,
-    classify,
     duality_type,
     family_grid,
     hss_dimension,
     iter_cases,
     min_compact_factors,
-    min_multiplicity,
     rep_dimension,
 )
 
@@ -71,8 +69,8 @@ class TestDimensions:
         assert rep_dimension(case("II", r=5)) == 10
 
     def test_d4_row(self):
-        d4 = classify(case("D4"))
-        assert (d4.hss_dim, d4.rep_dim, d4.duality) == (6, 8, ORTHOGONAL)
+        d4 = case("D4")
+        assert (hss_dimension(d4), rep_dimension(d4), duality_type(d4)) == (6, 8, ORTHOGONAL)
 
 
 class TestDuality:
@@ -101,13 +99,6 @@ class TestDuality:
         assert duality_type(case("IV2", r=3)) == NON_SELF_DUAL
         assert duality_type(case("IV2", r=6)) == SYMPLECTIC
         assert duality_type(case("IV2", r=8)) == ORTHOGONAL
-
-    def test_min_multiplicity(self):
-        assert min_multiplicity(SYMPLECTIC) == 1
-        assert min_multiplicity(NON_SELF_DUAL) == 2
-        assert min_multiplicity(ORTHOGONAL) == 2
-        with pytest.raises(ValueError):
-            min_multiplicity("twisted")
 
 
 class TestCompactFactorFlags:
@@ -170,19 +161,14 @@ class TestValidation:
 
 class TestCatalog:
     def test_golden_fixture(self):
-        got = [
-            (c.label.family, c.label.params_dict(), c.hss_dim, c.rep_dim, c.duality,
-             c.min_compact_factors)
-            for c in iter_cases(8)
-        ]
-        assert got == GOLDEN_CATALOG_8
+        assert [tuple(rec.values()) for rec in iter_cases(8)] == GOLDEN_CATALOG_8
 
     def test_invariants(self):
-        for c in iter_cases(64):
-            assert c.rep_dim >= 2
-            assert c.hss_dim >= 1
-            assert c.min_compact_factors in (0, 1)
-            assert c.rep_dim <= 64
+        for rec in iter_cases(64):
+            assert rec["rep_dim"] >= 2
+            assert rec["hss_dim"] >= 1
+            assert rec["min_compact_factors"] in (0, 1)
+            assert rec["rep_dim"] <= 64
 
     def test_deterministic(self):
         assert list(iter_cases(32)) == list(iter_cases(32))
@@ -206,9 +192,10 @@ class TestCatalog:
         assert list(iter_cases(1)) == []
         # rep_dim 2 admits exactly the A1 row
         only = list(iter_cases(2))
-        assert len(only) == 1 and only[0].label.family == "A1"
+        assert len(only) == 1 and only[0]["case"] == "A1"
 
 
+@functools.cache
 def seed_case_params(max_rep_dim):
     """The parameters of every case, per family in catalog order, from the
     nested loops that enumerated the catalog before the family grid."""
@@ -250,54 +237,55 @@ def seed_case_params(max_rep_dim):
 
 
 def grid_case_params(grids):
-    """The parameters of every case of a family grid, per family."""
-    return {
-        g.family: list(zip(*g.params.T.tolist())) if g.params.shape[1] else [()] * len(g.params)
-        for g in grids
-    }
+    """The parameters of every case of the family grids, per family, the
+    pieces of a family joined in order."""
+    rows = {}
+    for g in grids:
+        rows.setdefault(g.family, []).extend(map(tuple, g.params.tolist()))
+    return rows
 
 
 class TestFamilyGrid:
     def test_matches_seed_loops(self):
-        for rep_max in range(1, 301):
-            grids = family_grid(rep_max)
-            assert [g.family for g in grids] == list(FAMILIES)
-            assert all(g.params.dtype == g.hss_dim.dtype == g.rep_dim.dtype == np.int64 for g in grids)
-            assert grid_case_params(grids) == seed_case_params(rep_max), rep_max
+        grids = list(family_grid(300))
+        assert all(g.params.dtype == g.hss_dim.dtype == g.rep_dim.dtype == np.int64 for g in grids)
+        assert list(grid_case_params(grids).items()) == list(seed_case_params(300).items())
         labels = [CaseLabel(f, t) for f, rows in seed_case_params(300).items() for t in rows]
         assert np.concatenate([g.hss_dim for g in grids]).tolist() == [hss_dimension(x) for x in labels]
         assert np.concatenate([g.rep_dim for g in grids]).tolist() == [rep_dimension(x) for x in labels]
 
     @pytest.mark.parametrize("piece", [1, 7, 4096])
     def test_pieces_cover_the_grid(self, piece):
-        # iter_cases reads the grid in pieces; together they are the grid
-        for rep_max in (1, 2, 3, 9, 300):
-            got = {}
-            for g in _grid_pieces(rep_max, piece):
-                got.setdefault(g.family, []).append(np.column_stack([g.params, g.hss_dim, g.rep_dim]))
-            grids = family_grid(rep_max)
-            assert list(got) == [g.family for g in grids if g.family != "I" or g.rep_dim.size]
-            for g in grids:
-                want = np.column_stack([g.params, g.hss_dim, g.rep_dim])
-                assert np.array_equal(np.concatenate(got.get(g.family, [want])), want)
+        # family I comes in pieces of whole values of n, about `piece` cases
+        # each (none below rep_max 3); together they are the seed's family I
+        for rep_max in range(1, 301):
+            grids = list(family_grid(rep_max, piece))
+            pieces = [g for g in grids if g.family == "I"]
+            assert all(g.rep_dim.size for g in pieces)
+            assert all(g.rep_dim[0] > h.rep_dim[-1] for h, g in zip(pieces, pieces[1:]))
+            assert all(g.rep_dim.size <= piece + g.rep_dim[-1] for g in pieces)
+            assert list(grid_case_params(grids).items()) == [
+                (f, rows) for f, rows in seed_case_params(rep_max).items() if f != "I" or rows
+            ], (piece, rep_max)
 
     def test_label(self):
-        grid = family_grid(8)[FAMILIES.index("I")]
+        grid = next(g for g in family_grid(8) if g.family == "I")
         assert grid.label(4) == case("I", p=2, n=5)
 
-    def test_records_match_objects(self):
-        # the export's records and the validated objects are one enumeration
+    def test_records_match_rule_functions(self):
+        # the export's records against the per-label rules on the seed loops
         want = [
             {
-                "case": c.label.family,
-                "params": c.label.params_dict(),
-                "hss_dim": c.hss_dim,
-                "rep_dim": c.rep_dim,
-                "duality": c.duality,
-                "min_compact_factors": c.min_compact_factors,
+                "case": label.family,
+                "params": label.params_dict(),
+                "hss_dim": hss_dimension(label),
+                "rep_dim": rep_dimension(label),
+                "duality": duality_type(label),
+                "min_compact_factors": min_compact_factors(label),
             }
-            for c in iter_cases(128)
+            for label in (
+                CaseLabel(f, t) for f, rows in seed_case_params(128).items() for t in rows
+            )
         ]
-        assert len(want) == sum(map(len, seed_case_params(128).values()))
-        assert list(iter_cases(128, records=True)) == want
+        assert list(iter_cases(128)) == want
         assert catalog_json(128) == want
