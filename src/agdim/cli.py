@@ -11,7 +11,10 @@ Subcommands
 
 ``main`` builds only the invoked subcommand's arguments: the parser
 registers all five subcommands with their help lines, and each adds its
-arguments when it first parses (``_Subcommand``).
+arguments when it first parses (``_Subcommand``).  ``main`` also answers
+``--schema`` for every subcommand, before its handler runs, and reports
+every usage error: a handler raises ``ValueError`` and ``main`` prints
+``<command>: <message>`` on stderr.
 
 Exit codes: 0 success or verified pass; 1 claim failure or fixture mismatch;
 2 usage error.  All output is deterministic unless ``--timestamp`` is given.
@@ -256,11 +259,6 @@ def _write_json(out: str | None, doc: dict, key: str, rows: Iterator) -> None:
     _write_rows(out, f'{head}"{key}": [', rows, _json_block, f"\n  ]{tail}\n", sep=",")
 
 
-def _print_schema(command: str, out: str | None) -> int:
-    _emit(_dumps(SCHEMAS_BY_COMMAND[command]), out)
-    return 0
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     lo_s, dots, hi_s = text.partition("..")
     try:
@@ -311,8 +309,8 @@ def _dmax_rows(lo: int, hi: int) -> Iterator[tuple[int, int]]:
 
 
 def _cmd_dmax(args: argparse.Namespace) -> int:
-    if args.schema:
-        return _print_schema("dmax", args.out)
+    if args.range is None:
+        raise ValueError("a genus or range argument is required")
     lo, hi = _parse_range(args.range)
     rows = _dmax_rows(lo, hi)
     if args.format == "markdown":
@@ -329,19 +327,16 @@ def _cmd_dmax(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    if args.schema:
-        return _print_schema("tables", args.out)
     tables = assemble_tables(conjectural=args.conjectural)
     selected = [tables["ag"], tables["mg"]] if args.table == "all" else [tables[args.table]]
     if args.check:
         problems = check_all_tables({t.name: t for t in selected})
         if problems:
-            for p in problems:
-                print(p)
-            print(f"fixture check FAILED: {len(problems)} cell mismatch(es)")
+            failed = f"fixture check FAILED: {len(problems)} cell mismatch(es)"
+            _emit("\n".join([*problems, failed]), args.out)
             return 1
         cells = sum(len(t.genera) * len(t.rows) for t in selected)
-        print(f"fixture check passed: {len(selected)} table(s), {cells} cells")
+        _emit(f"fixture check passed: {len(selected)} table(s), {cells} cells", args.out)
         return 0
     if args.format == "markdown":
         body = "\n".join(t.to_markdown() for t in selected)
@@ -359,11 +354,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.schema:
-        return _print_schema("verify", args.out)
     if args.claim is None:
-        print("verify: a claim id is required (or --schema)", file=sys.stderr)
-        return 2
+        raise ValueError("a claim id is required (or --schema)")
     overrides = {
         flag: getattr(args, flag)
         for flag in _RANGE_FLAGS
@@ -384,11 +376,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    if args.schema:
-        return _print_schema("explain", args.out)
     if args.g is None or args.g < 1:
-        print("explain: g must be a positive integer", file=sys.stderr)
-        return 2
+        raise ValueError("g must be a positive integer")
     result: AgResult = dmc_ag(args.g)
     narrative = _CASE_NARRATIVE[result.case]
     if args.format == "json":
@@ -414,8 +403,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    if args.schema:
-        return _print_schema("catalog", args.out)
     _CATALOG_REP_MAX.check(args.rep_max, "catalog", args.unsafe_no_ceiling)
     doc = {"schema": "agdim.catalog/1", "max_rep_dim": args.rep_max, "cases": []}
     if args.timestamp:
@@ -533,9 +520,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        if args.command == "dmax" and not args.schema and args.range is None:
-            print("dmax: a genus or range argument is required", file=sys.stderr)
-            return 2
+        if args.schema:
+            _emit(_dumps(SCHEMAS_BY_COMMAND[args.command]), args.out)
+            return 0
         return args.handler(args)
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -113,6 +113,12 @@ def case(family: str, **params: int) -> CaseLabel:
     return CaseLabel(family, tuple(params[name] for name in names))
 
 
+# The families whose parameter 4 is absorbed by the D4 row, and the smallest
+# parameter of each one-parameter family.
+_ABSORBED_BY_D4 = ("II", "IV1even", "IV2")
+_FIRST_PARAM = {"II": 2, "III1": 2, "III2": 2, "IV1even": 3, "IV1odd": 2, "IV2": 3}
+
+
 def _validate(family: str, params: tuple[int, ...]) -> None:
     names = _PARAM_NAMES.get(family)
     if names is None:
@@ -132,26 +138,12 @@ def _validate(family: str, params: tuple[int, ...]) -> None:
             raise ValueError(f"case Iprime requires n >= 4 (got n={n})")
         if not 2 <= c <= n - 2:
             raise ValueError(f"case Iprime requires 2 <= c <= n-2 (got c={c}, n={n})")
-    elif family == "II":
-        r = values["r"]
-        if r < 2 or r == 4:
-            raise ValueError(f"case II requires r >= 2 with r != 4 (got r={r})")
-    elif family in ("III1", "III2"):
-        r = values["r"]
-        if r < 2:
-            raise ValueError(f"case {family} requires r >= 2 (got r={r})")
-    elif family == "IV1even":
-        p = values["p"]
-        if p < 3 or p == 4:
-            raise ValueError(f"case IV1even requires p >= 3 with p != 4 (got p={p})")
-    elif family == "IV1odd":
-        p = values["p"]
-        if p < 2:
-            raise ValueError(f"case IV1odd requires p >= 2 (got p={p})")
-    elif family == "IV2":
-        r = values["r"]
-        if r < 3 or r == 4:
-            raise ValueError(f"case IV2 requires r >= 3 with r != 4 (got r={r})")
+    elif family in _FIRST_PARAM:
+        ((name, x),) = values.items()
+        first, absorbed = _FIRST_PARAM[family], family in _ABSORBED_BY_D4
+        if x < first or (absorbed and x == 4):
+            rule = f"{name} >= {first}" + (f" with {name} != 4" if absorbed else "")
+            raise ValueError(f"case {family} requires {rule} (got {name}={x})")
 
 
 def _hss(family: str, params):
@@ -282,12 +274,6 @@ def min_compact_factors(label: CaseLabel) -> int:
       D4 are not covered by the criteria, so these are 0.
     """
     return _min_compact(label.family, label.params)
-
-
-# The families whose parameter 4 is absorbed by the D4 row, and the smallest
-# parameter of each one-parameter family.
-_ABSORBED_BY_D4 = ("II", "IV1even", "IV2")
-_FIRST_PARAM = {"II": 2, "III1": 2, "III2": 2, "IV1even": 3, "IV1odd": 2, "IV2": 3}
 
 
 @dataclass(frozen=True)

@@ -88,13 +88,12 @@ class RangeParam:
 
 @dataclass(frozen=True)
 class Verifier:
-    """A registered claim.  ``bytes_per_genus`` is the peak memory of a
+    """A registered claim, whose id is its key in ``REGISTRY``.
+    ``bytes_per_genus`` is the peak memory of a
     passing run per genus of ``g_max``, for a claim whose arrays span the
     whole range; ``range_args`` refuses a range whose figure passes
     ``_memory_budget()``."""
 
-    claim: str
-    description: str
     params: tuple[RangeParam, ...]
     run: Callable[..., VerificationReport]
     bytes_per_genus: int = 0
@@ -382,8 +381,6 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
 
 REGISTRY: dict[str, Verifier] = {
     "lemma-dmax": Verifier(
-        claim="lemma-dmax",
-        description="superadditivity of the genus bound, with its exact equality set",
         params=(RangeParam("g_max", 4000, 100_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_superadditivity,
         # at the scan's first row: the table (8), the row buffers (17) and
@@ -391,20 +388,14 @@ REGISTRY: dict[str, Verifier] = {
         bytes_per_genus=48,
     ),
     "dmax-piecewise": Verifier(
-        claim="dmax-piecewise",
-        description="agreement of the max form and the three-branch form of the genus bound",
         params=(RangeParam("g_max", 1_000_000, 100_000_000, limit=kernels.MAX_SAFE_PIECEWISE_G),),
         run=_verify_piecewise,
     ),
     "f-bounds": Verifier(
-        claim="f-bounds",
-        description="quadratic sandwich bounds for the half-product F(n)",
         params=(RangeParam("n_max", 100_000, 100_000_000, limit=kernels.MAX_SAFE_N),),
         run=_verify_f_bounds,
     ),
     "lemma-N": Verifier(
-        claim="lemma-N",
-        description="closed classification of efficient multisets vs the definition",
         params=(
             RangeParam("sum_max", 60, 70),
             RangeParam("pair_max", 200, 20_000, limit=kernels.MAX_SAFE_PAIR_B),
@@ -412,8 +403,6 @@ REGISTRY: dict[str, Verifier] = {
         run=_verify_efficiency,
     ),
     "claim-F": Verifier(
-        claim="claim-F",
-        description="division-algebra pair families dominated by unitary pairs",
         params=(
             RangeParam("s_max", 64, 1024, limit=pairs.MAX_SAFE_CLAIM_F),
             RangeParam("delta_max", 64, 1024, limit=pairs.MAX_SAFE_CLAIM_F),
@@ -423,8 +412,6 @@ REGISTRY: dict[str, Verifier] = {
         run=_verify_claim_f,
     ),
     "prop-estimate": Verifier(
-        claim="prop-estimate",
-        description="best single-family pair vs the genus bound, with equality genera",
         params=(RangeParam("g_max", 2000, 10_000_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_best_pair_bound,
         # the int64 table (8) with, while it is built, F(n) and a row for
@@ -433,8 +420,6 @@ REGISTRY: dict[str, Verifier] = {
         bytes_per_genus=24,
     ),
     "remark-domination": Verifier(
-        claim="remark-domination",
-        description="II/III families strictly dominated by unitary pairs",
         params=(
             RangeParam("r_max", 64, 2048, limit=pairs.MAX_SAFE_REMARK),
             RangeParam("k_max", 64, 2048, limit=pairs.MAX_SAFE_REMARK),
@@ -442,14 +427,10 @@ REGISTRY: dict[str, Verifier] = {
         run=_verify_remark_domination,
     ),
     "cor-C": Verifier(
-        claim="cor-C",
-        description="compact-type boundary recursion and its interior hypothesis",
         params=(),
         run=_verify_mgct,
     ),
     "cor-decoupled": Verifier(
-        claim="cor-decoupled",
-        description="catalog dimension bound (k-1) hss <= dmax(k rep), equality set",
         params=(RangeParam("rep_max", 1024, 2048), RangeParam("k_max", 12, 64)),
         run=_verify_catalog_bound,
     ),

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import types
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -85,11 +86,6 @@ class TestDmaxCommand:
             assert code == 2, bad
             assert err == f"dmax: invalid genus range {bad!r} (need 1 <= a <= b)\n", bad
 
-    def test_missing_argument(self, capsys):
-        code, _, err = run(capsys, ["dmax"])
-        assert code == 2
-        assert "required" in err
-
     def test_schema_flag(self, capsys):
         code, out, _ = run(capsys, ["dmax", "--schema"])
         assert code == 0
@@ -139,11 +135,15 @@ class TestTablesCommand:
         assert code == 0
         assert "fixture check passed" in out
 
-    def test_check_fails_on_tampered_fixture(self, capsys, monkeypatch):
+    def test_check_fails_on_tampered_fixture(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setitem(tables_mod.FIXTURE_AG["dmc_ag"], 18, (21, "exact"))
         code, out, _ = run(capsys, ["tables", "--check"])
         assert code == 1
         assert "row dmc_ag, g=18" in out
+        assert out.endswith("\nfixture check FAILED: 1 cell mismatch(es)\n")
+        target = tmp_path / "check.txt"
+        assert run(capsys, ["tables", "--check", "--out", str(target)]) == (1, "", "")
+        assert target.read_text(encoding="utf-8") == out
 
     def test_markdown_header(self, capsys):
         code, out, _ = run(capsys, ["tables", "--table", "ag"])
@@ -192,11 +192,6 @@ class TestVerifyCommand:
     def test_unknown_claim_usage_error(self, capsys):
         code, _, err = run(capsys, ["verify", "lemma-nonsense"])
         assert code == 2
-
-    def test_missing_claim_usage_error(self, capsys):
-        code, _, err = run(capsys, ["verify"])
-        assert code == 2
-        assert "claim id" in err
 
     def test_ceiling_enforced(self, capsys):
         code, _, err = run(capsys, ["verify", "lemma-N", "--sum-max", "500"])
@@ -641,6 +636,47 @@ class TestVerifierFailures:
             ("III", 4, False, 7),
         ]
 
+    def test_cor_c_recursion_mismatch(self, capsys, monkeypatch):
+        # dmc_mgct returns a wrong value without raising: the verifier's own
+        # comparison with the closed form must catch it.
+        real = verify.dmc_mgct
+        monkeypatch.setattr(
+            verify, "dmc_mgct", lambda g: replace(real(g), exact=real(g).exact + 1) if g == 10 else real(g)
+        )
+        code, out, _ = run(capsys, ["verify", "cor-C"])
+        assert code == 1
+        assert json.loads(out)["counterexamples"] == [{"g": 10, "recursion": 14, "closed_form": 13}]
+
+    def test_cor_c_interior_hypothesis_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "mgct_interior_bound_holds", lambda g: g != 9)
+        code, out, _ = run(capsys, ["verify", "cor-C"])
+        assert code == 1
+        assert json.loads(out)["counterexamples"] == [
+            {"g": 9, "reason": "interior hypothesis dmax(g) < floor(3g/2)-2 fails"}
+        ]
+
+    def test_lemma_n_counts_unlisted_multisets(self, capsys, monkeypatch):
+        # With the closed form negated every multiset of the window fails.
+        _negate_closed_form(monkeypatch)
+        code, out, _ = run(capsys, ["verify", "lemma-N", "--sum-max", "12", "--pair-max", "10"])
+        doc = json.loads(out)
+        assert code == 1
+        assert len(doc["counterexamples"]) == MAX_LISTED
+        assert doc["details"]["counterexamples_total"] == doc["details"]["multisets_checked"] > MAX_LISTED
+
+    def test_lemma_n_max_sum_margin(self, capsys, monkeypatch):
+        # The largest sum of an efficient multiset outside {b} and {2, b} is
+        # 8, first reached by {3, 5}; a bound of 7 must report it.
+        monkeypatch.setattr(efficiency, "MAX_SUM_OUTSIDE_UNBOUNDED", 7)
+        code, out, _ = run(capsys, ["verify", "lemma-N", "--sum-max", "20", "--pair-max", "10"])
+        assert code == 1
+        assert json.loads(out)["counterexamples"] == [
+            {
+                "multiset": [3, 5],
+                "reason": "efficient multiset outside the unbounded families with sum 8 > 7",
+            }
+        ]
+
     def test_claim_f_extra_equality_is_a_counterexample(self, capsys, monkeypatch):
         flags, inject = FAILURES["claim-F"]
         inject(monkeypatch)
@@ -683,10 +719,6 @@ class TestExplainCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("explain: internal self-check failed")
-
-    def test_invalid_genus(self, capsys):
-        assert run(capsys, ["explain", "0"])[0] == 2
-        assert run(capsys, ["explain"])[0] == 2
 
     def test_json_schema_valid(self, capsys):
         code, out, _ = run(capsys, ["explain", "17", "--format", "json"])
@@ -832,6 +864,19 @@ class TestTracerContract:
         assert len(yields) == len(json.loads(plain[0][1])["cases"]) > 0
 
 
+# Exit code, stdout and stderr of a subcommand run without its positional
+# (or with a genus below 1): a usage error, except with --schema.
+MISSING_POSITIONAL = {
+    "dmax": (2, "", "dmax: a genus or range argument is required\n"),
+    "verify": (2, "", "verify: a claim id is required (or --schema)\n"),
+    "explain": (2, "", "explain: g must be a positive integer\n"),
+    "explain 0": (2, "", "explain: g must be a positive integer\n"),
+    "dmax --schema": (0, json.dumps(DMAX_TABLE_SCHEMA, indent=2) + "\n", ""),
+    "verify --schema": (0, json.dumps(VERIFICATION_REPORT_SCHEMA, indent=2) + "\n", ""),
+    "explain --schema": (0, json.dumps(EXPLAIN_SCHEMA, indent=2) + "\n", ""),
+}
+
+
 class TestTopLevel:
     def test_no_command_usage_error(self, capsys):
         assert run(capsys, [])[0] == 2
@@ -839,6 +884,29 @@ class TestTopLevel:
     def test_version(self, capsys):
         code, out, _ = run(capsys, ["--version"])
         assert code == 0
+
+    @pytest.mark.parametrize("line", list(MISSING_POSITIONAL))
+    def test_missing_positional(self, capsys, line):
+        assert run(capsys, line.split()) == MISSING_POSITIONAL[line]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dmax", "16..18"],
+            ["tables"],
+            ["tables", "--check"],
+            ["verify", "cor-C"],
+            ["explain", "16"],
+            ["catalog", "--rep-max", "8"],
+            ["catalog", "--schema"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_holds_stdout(self, capsys, tmp_path, argv):
+        code, plain, _ = run(capsys, argv)
+        target = tmp_path / "out.txt"
+        assert run(capsys, [*argv, "--out", str(target)]) == (code, "", "")
+        assert target.read_text(encoding="utf-8") == plain
 
 
 # Exit code, stdout and stderr of each help text and usage error, recorded
