@@ -31,16 +31,20 @@ is computed here.
 :func:`family_grid` is the one enumeration of the catalog: per family (family
 I in pieces), its parameter rows with their hss_dim and rep_dim as int64
 arrays.  The cor-decoupled verifier reads those arrays, and :func:`iter_cases`
-builds the JSON export's records from them with no label per row.  Each rule
-(the two dimensions, the duality type, the forced-compact-factor flag) is one
-function of (family, params) that the label API and the grid both call.
+builds the JSON export's records from them with no label per row.  Each
+family is one record: its parameter names, the range of a one-parameter
+family (smallest parameter, parameter 4 absorbed by D4 or not) and its four
+rules (the two dimensions, the duality type, the forced-compact-factor flag)
+as functions of its parameters.  Validation, the label API and the grid all
+read that record; the table above is its copy for readers.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,21 +69,72 @@ SYMPLECTIC = "symplectic"
 ORTHOGONAL = "orthogonal"
 NON_SELF_DUAL = "non-self-dual"
 
-# Family iteration order is fixed so that catalog exports are deterministic.
-FAMILIES = ("A1", "D4", "I", "Iprime", "II", "III1", "III2", "IV1even", "IV1odd", "IV2")
 
-_PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "A1": (),
-    "D4": (),
-    "I": ("p", "n"),
-    "Iprime": ("n", "c"),
-    "II": ("r",),
-    "III1": ("r",),
-    "III2": ("r",),
-    "IV1even": ("p",),
-    "IV1odd": ("p",),
-    "IV2": ("r",),
+class _Family(NamedTuple):
+    """One catalog family: its parameter names, its four rules as functions
+    of the parameters (int64 arrays of them for family I's grid; the flag is
+    explained in :func:`min_compact_factors`), and for a one-parameter
+    family its smallest parameter and whether the D4 row absorbs 4."""
+
+    params: tuple[str, ...]
+    hss: Callable
+    rep: Callable
+    duality: Callable[..., str]
+    min_compact: Callable[..., int]
+    first: int = 0
+    absorbed: bool = False
+
+
+def _mod4_duality(x: int) -> str:
+    """Duality of IV1even and IV2 (their spin representations) by x mod 4."""
+    return {2: SYMPLECTIC, 0: ORTHOGONAL}.get(x % 4, NON_SELF_DUAL)
+
+
+def _iprime_duality(n: int, c: int) -> str:
+    """Duality of the c-th exterior power of the standard representation of SU(n)."""
+    if 2 * c != n:
+        return NON_SELF_DUAL
+    return ORTHOGONAL if c % 2 == 0 else SYMPLECTIC
+
+
+# Family iteration order is fixed so that catalog exports are deterministic.
+_FAMILY: dict[str, _Family] = {
+    "A1": _Family((), lambda: 1, lambda: 2, lambda: SYMPLECTIC, lambda: 0),
+    "D4": _Family((), lambda: 6, lambda: 8, lambda: ORTHOGONAL, lambda: 0),
+    "I": _Family(
+        ("p", "n"), hss=lambda p, n: p * (n - p), rep=lambda p, n: n,
+        duality=lambda p, n: NON_SELF_DUAL, min_compact=lambda p, n: 1,
+    ),
+    "Iprime": _Family(
+        ("n", "c"), hss=lambda n, c: n - 1, rep=math.comb,
+        duality=_iprime_duality, min_compact=lambda n, c: 1,
+    ),
+    "II": _Family(
+        ("r",), first=2, absorbed=True, hss=lambda r: r * (r - 1) // 2, rep=lambda r: 2 * r,
+        duality=lambda r: ORTHOGONAL, min_compact=lambda r: 1 if r >= 4 else 0,
+    ),
+    "III1": _Family(
+        ("r",), first=2, hss=lambda r: r * (r + 1) // 2, rep=lambda r: 2 * r,
+        duality=lambda r: SYMPLECTIC, min_compact=lambda r: 0,
+    ),
+    "III2": _Family(
+        ("r",), first=2, hss=lambda r: r * (r + 1) // 2, rep=lambda r: 2 * r,
+        duality=lambda r: SYMPLECTIC, min_compact=lambda r: 1,
+    ),
+    "IV1even": _Family(
+        ("p",), first=3, absorbed=True, hss=lambda p: 2 * p - 2, rep=lambda p: 2 ** (p - 1),
+        duality=_mod4_duality, min_compact=lambda p: 1,
+    ),
+    "IV1odd": _Family(
+        ("p",), first=2, hss=lambda p: 2 * p - 1, rep=lambda p: 2**p,
+        duality=lambda p: ORTHOGONAL if p % 4 in (0, 3) else SYMPLECTIC, min_compact=lambda p: 1,
+    ),
+    "IV2": _Family(
+        ("r",), first=3, absorbed=True, hss=lambda r: 2 * r - 2, rep=lambda r: 2 ** (r - 1),
+        duality=_mod4_duality, min_compact=lambda r: 1 if r >= 4 else 0,
+    ),
 }
+FAMILIES = tuple(_FAMILY)
 
 
 @dataclass(frozen=True, order=True)
@@ -94,7 +149,7 @@ class CaseLabel:
         _validate(self.family, self.params)
 
     def params_dict(self) -> dict[str, int]:
-        return dict(zip(_PARAM_NAMES[self.family], self.params))
+        return dict(zip(_FAMILY[self.family].params, self.params))
 
     def __str__(self) -> str:
         if not self.params:
@@ -105,151 +160,57 @@ class CaseLabel:
 
 def case(family: str, **params: int) -> CaseLabel:
     """Construct a validated label, e.g. ``case("I", p=3, n=7)``."""
-    if family not in _PARAM_NAMES:
+    if family not in _FAMILY:
         raise ValueError(f"unknown case family {family!r} (known: {FAMILIES})")
-    names = _PARAM_NAMES[family]
+    names = _FAMILY[family].params
     if set(params) != set(names):
         raise ValueError(f"case {family} takes parameters {names} (got {tuple(params)})")
     return CaseLabel(family, tuple(params[name] for name in names))
 
 
-# The families whose parameter 4 is absorbed by the D4 row, and the smallest
-# parameter of each one-parameter family.
-_ABSORBED_BY_D4 = ("II", "IV1even", "IV2")
-_FIRST_PARAM = {"II": 2, "III1": 2, "III2": 2, "IV1even": 3, "IV1odd": 2, "IV2": 3}
-
-
 def _validate(family: str, params: tuple[int, ...]) -> None:
-    names = _PARAM_NAMES.get(family)
-    if names is None:
+    rule = _FAMILY.get(family)
+    if rule is None:
         raise ValueError(f"unknown case family {family!r} (known: {FAMILIES})")
+    names = rule.params
     if len(params) != len(names):
         raise ValueError(f"case {family} takes parameters {names} (got {params})")
-    values = dict(zip(names, params))
+    for name, x in zip(names, params):
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise ValueError(f"case {family} takes integer parameters (got {name}={x!r})")
     if family == "I":
-        p, n = values["p"], values["n"]
+        p, n = params
         if n < 3:
             raise ValueError(f"case I requires n >= 3 (got n={n})")
         if not 1 <= p <= n // 2:
             raise ValueError(f"case I requires 1 <= p <= floor(n/2) (got p={p}, n={n})")
     elif family == "Iprime":
-        n, c = values["n"], values["c"]
+        n, c = params
         if n < 4:
             raise ValueError(f"case Iprime requires n >= 4 (got n={n})")
         if not 2 <= c <= n - 2:
             raise ValueError(f"case Iprime requires 2 <= c <= n-2 (got c={c}, n={n})")
-    elif family in _FIRST_PARAM:
-        ((name, x),) = values.items()
-        first, absorbed = _FIRST_PARAM[family], family in _ABSORBED_BY_D4
-        if x < first or (absorbed and x == 4):
-            rule = f"{name} >= {first}" + (f" with {name} != 4" if absorbed else "")
-            raise ValueError(f"case {family} requires {rule} (got {name}={x})")
-
-
-def _hss(family: str, params):
-    """hss_dim of a case from its family and parameters: ints, or int64
-    arrays of parameters for family I."""
-    if family == "A1":
-        return 1
-    if family == "D4":
-        return 6
-    if family == "I":
-        p, n = params
-        return p * (n - p)
-    if family == "Iprime":
-        return params[0] - 1
-    (x,) = params
-    if family == "II":
-        return x * (x - 1) // 2
-    if family in ("III1", "III2"):
-        return x * (x + 1) // 2
-    if family == "IV1even":
-        return 2 * x - 2
-    if family == "IV1odd":
-        return 2 * x - 1
-    if family == "IV2":
-        return 2 * x - 2
-    raise AssertionError(f"unhandled family {family}")
-
-
-def _rep(family: str, params):
-    """rep_dim of a case from its family and parameters: ints, or int64
-    arrays of parameters for family I."""
-    if family == "A1":
-        return 2
-    if family == "D4":
-        return 8
-    if family == "I":
-        return params[1]
-    if family == "Iprime":
-        n, c = params
-        return math.comb(n, c)
-    (x,) = params
-    if family in ("II", "III1", "III2"):
-        return 2 * x
-    if family == "IV1even":
-        return 2 ** (x - 1)
-    if family == "IV1odd":
-        return 2**x
-    if family == "IV2":
-        return 2 ** (x - 1)
-    raise AssertionError(f"unhandled family {family}")
-
-
-def _duality(family: str, params: tuple[int, ...]) -> str:
-    """Self-duality type of a case from its family and parameters."""
-    if family == "A1":
-        return SYMPLECTIC
-    if family == "D4":
-        return ORTHOGONAL
-    if family == "I":
-        return NON_SELF_DUAL
-    if family == "Iprime":
-        n, c = params
-        if 2 * c != n:
-            return NON_SELF_DUAL
-        return ORTHOGONAL if c % 2 == 0 else SYMPLECTIC
-    if family == "II":
-        return ORTHOGONAL
-    if family in ("III1", "III2"):
-        return SYMPLECTIC
-    if family in ("IV1even", "IV2"):
-        m = params[0] % 4
-        if m == 2:
-            return SYMPLECTIC
-        if m == 0:
-            return ORTHOGONAL
-        return NON_SELF_DUAL
-    if family == "IV1odd":
-        m = params[0] % 4
-        return ORTHOGONAL if m in (0, 3) else SYMPLECTIC
-    raise AssertionError(f"unhandled family {family}")
-
-
-def _min_compact(family: str, params: tuple[int, ...]) -> int:
-    """Forced-compact-factor flag of a case from its family and parameters
-    (the rule is explained in :func:`min_compact_factors`)."""
-    if family in ("I", "Iprime", "III2", "IV1even", "IV1odd"):
-        return 1
-    if family in ("II", "IV2"):
-        return 1 if params[0] >= 4 else 0
-    return 0
+    elif names:
+        (name,), (x,) = names, params
+        if x < rule.first or (rule.absorbed and x == 4):
+            bound = f"{name} >= {rule.first}" + (f" with {name} != 4" if rule.absorbed else "")
+            raise ValueError(f"case {family} requires {bound} (got {name}={x})")
 
 
 def hss_dimension(label: CaseLabel) -> int:
     """Complex dimension of the Hermitian symmetric space of the case."""
-    return _hss(label.family, label.params)
+    return _FAMILY[label.family].hss(*label.params)
 
 
 def rep_dimension(label: CaseLabel) -> int:
     """Dimension of the distinguished irreducible complex representation."""
-    return _rep(label.family, label.params)
+    return _FAMILY[label.family].rep(*label.params)
 
 
 def duality_type(label: CaseLabel) -> str:
     """Self-duality type of the representation: symplectic, orthogonal, or
     not self-dual."""
-    return _duality(label.family, label.params)
+    return _FAMILY[label.family].duality(*label.params)
 
 
 def min_compact_factors(label: CaseLabel) -> int:
@@ -273,7 +234,7 @@ def min_compact_factors(label: CaseLabel) -> int:
     * III1 carries an alternating form, which is always isotropic, and A1 and
       D4 are not covered by the criteria, so these are 0.
     """
-    return _min_compact(label.family, label.params)
+    return _FAMILY[label.family].min_compact(*label.params)
 
 
 @dataclass(frozen=True)
@@ -292,26 +253,6 @@ class FamilyGrid:
         return CaseLabel(self.family, tuple(self.params[i].tolist()))
 
 
-def _param_rows(family: str, max_rep_dim: int) -> list[tuple[int, ...]]:
-    """Parameters of the cases of a family other than I with rep_dim <=
-    max_rep_dim, ascending (a few hundred rows at most)."""
-    if family in ("A1", "D4"):
-        return [()] if _rep(family, ()) <= max_rep_dim else []
-    rows: list[tuple[int, ...]] = []
-    if family == "Iprime":
-        n = 4
-        while _rep(family, (n, 2)) <= max_rep_dim:  # C(n, 2) <= C(n, c) for 2 <= c <= n-2
-            rows += [(n, c) for c in range(2, n - 1) if _rep(family, (n, c)) <= max_rep_dim]
-            n += 1
-        return rows
-    x = _FIRST_PARAM[family]
-    while _rep(family, (x,)) <= max_rep_dim:  # rep_dim grows with the parameter
-        if x != 4 or family not in _ABSORBED_BY_D4:
-            rows.append((x,))
-        x += 1
-    return rows
-
-
 def _family_i(n_lo: int, n_hi: int) -> FamilyGrid:
     """The family I cases with n_lo <= n <= n_hi (n from 3, then
     1 <= p <= n/2), built as arrays."""
@@ -320,16 +261,33 @@ def _family_i(n_lo: int, n_hi: int) -> FamilyGrid:
     n = np.repeat(n, per_n)
     first = np.repeat(np.cumsum(per_n) - per_n, per_n)
     p = np.arange(n.size, dtype=np.int64) - first + 1
-    return FamilyGrid("I", np.stack([p, n], axis=1), _hss("I", (p, n)), _rep("I", (p, n)))
+    rule = _FAMILY["I"]
+    return FamilyGrid("I", np.stack([p, n], axis=1), rule.hss(p, n), rule.rep(p, n))
 
 
 def _small_family(family: str, max_rep_dim: int) -> FamilyGrid:
-    rows = _param_rows(family, max_rep_dim)
+    """The grid of a family other than I: its cases with rep_dim <=
+    max_rep_dim, ascending (a few hundred rows at most)."""
+    rule = _FAMILY[family]
+    rows: list[tuple[int, ...]] = []
+    if not rule.params:
+        rows = [()] if rule.rep() <= max_rep_dim else []
+    elif family == "Iprime":
+        n = 4
+        while rule.rep(n, 2) <= max_rep_dim:  # C(n, 2) <= C(n, c) for 2 <= c <= n-2
+            rows += [(n, c) for c in range(2, n - 1) if rule.rep(n, c) <= max_rep_dim]
+            n += 1
+    else:
+        x = rule.first
+        while rule.rep(x) <= max_rep_dim:  # rep_dim grows with the parameter
+            if x != 4 or not rule.absorbed:
+                rows.append((x,))
+            x += 1
     return FamilyGrid(
         family,
-        np.array(rows, dtype=np.int64).reshape(len(rows), len(_PARAM_NAMES[family])),
-        np.array([_hss(family, r) for r in rows], dtype=np.int64),
-        np.array([_rep(family, r) for r in rows], dtype=np.int64),
+        np.array(rows, dtype=np.int64).reshape(len(rows), len(rule.params)),
+        np.array([rule.hss(*r) for r in rows], dtype=np.int64),
+        np.array([rule.rep(*r) for r in rows], dtype=np.int64),
     )
 
 
@@ -364,7 +322,8 @@ def iter_cases(max_rep_dim: int) -> Iterator[dict]:
     """
     for grid in family_grid(max_rep_dim):
         family = grid.family
-        names = _PARAM_NAMES[family]
+        rule = _FAMILY[family]
+        names, duality, min_compact = rule.params, rule.duality, rule.min_compact
         for params, hss, rep in zip(
             grid.params.tolist(), grid.hss_dim.tolist(), grid.rep_dim.tolist()
         ):
@@ -373,8 +332,8 @@ def iter_cases(max_rep_dim: int) -> Iterator[dict]:
                 "params": dict(zip(names, params)),
                 "hss_dim": hss,
                 "rep_dim": rep,
-                "duality": _duality(family, params),
-                "min_compact_factors": _min_compact(family, params),
+                "duality": duality(*params),
+                "min_compact_factors": min_compact(*params),
             }
 
 

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 import types
 from dataclasses import replace
+from datetime import datetime, timedelta
 from itertools import islice
 from pathlib import Path
 
@@ -104,6 +105,21 @@ class TestDmaxCommand:
         lines = out.split("\n")
         assert lines[2:19] == [f"| {g} | {dmax(g)} |" for g in range(15, 32)]
         assert lines[19] == "" and lines[20].startswith("generated at ")
+
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+    def test_python_ints_past_kernel_ceiling(self, capsys, fmt):
+        # hi > kernels.MAX_SAFE_G, so the rows come from Python ints, not the kernel
+        lo, hi = kernels.MAX_SAFE_G - 1, kernels.MAX_SAFE_G + 1
+        rows = [(g, dmax(g)) for g in range(lo, hi + 1)]
+        code, out, _ = run(capsys, ["dmax", f"{lo}..{hi}", "--format", fmt])
+        assert code == 0
+        if fmt == "markdown":
+            assert out.splitlines()[2:] == [f"| {g} | {v} |" for g, v in rows]
+        elif fmt == "csv":
+            assert out.splitlines()[1:] == [f"{g},{v}" for g, v in rows]
+            assert out.endswith("\n4000000001,1000000000000000000\n")
+        else:
+            assert json.loads(out)["values"] == [{"g": g, "dmax": v} for g, v in rows]
 
     def test_memory_bounded(self, tmp_path):
         # 2M rows: holding every row and the whole text first peaked at about
@@ -907,6 +923,43 @@ class TestTopLevel:
         target = tmp_path / "out.txt"
         assert run(capsys, [*argv, "--out", str(target)]) == (code, "", "")
         assert target.read_text(encoding="utf-8") == plain
+
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "lemma-dmax", "--g-max", "1"], "verify: --g-max must be >= 2\n"),
+            (["catalog", "--rep-max", "1"], "catalog: --rep-max must be >= 2\n"),
+        ],
+    )
+    def test_range_below_minimum(self, capsys, argv, message):
+        assert run(capsys, argv) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dmax", "16..18"],
+            ["dmax", "16..18", "--format", "json"],
+            ["tables"],
+            ["verify", "cor-C"],
+            ["explain", "16", "--format", "json"],
+        ],
+        ids=" ".join,
+    )
+    def test_timestamp_is_the_only_difference(self, capsys, argv):
+        code, plain, _ = run(capsys, argv)
+        stamped_code, stamped, _ = run(capsys, [*argv, "--timestamp"])
+        assert stamped_code == code
+        if "json" in argv or argv[0] == "verify":
+            doc = json.loads(stamped)
+            stamp = doc.pop("generated_at")
+            rest = json.dumps(doc, indent=2) + "\n"
+        else:
+            rest, _, stamp = stamped.rpartition("\ngenerated at ")
+            assert stamp.endswith("\n")
+            stamp = stamp[:-1]
+        assert rest == plain
+        assert datetime.fromisoformat(stamp).utcoffset() == timedelta(0)
 
 
 # Exit code, stdout and stderr of each help text and usage error, recorded

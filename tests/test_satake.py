@@ -1,10 +1,12 @@
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from agdim import satake
 from agdim.satake import (
     FAMILIES,
     NON_SELF_DUAL,
@@ -85,19 +87,25 @@ class TestDuality:
         assert duality_type(case("Iprime", n=10, c=5)) == SYMPLECTIC
 
     def test_iv1even_mod4(self):
+        assert duality_type(case("IV1even", p=6)) == SYMPLECTIC
         assert duality_type(case("IV1even", p=8)) == ORTHOGONAL
         assert duality_type(case("IV1even", p=3)) == NON_SELF_DUAL
         assert duality_type(case("IV1even", p=5)) == NON_SELF_DUAL
+        assert duality_type(case("IV1even", p=7)) == NON_SELF_DUAL
 
     def test_iv1odd_mod4(self):
         assert duality_type(case("IV1odd", p=2)) == SYMPLECTIC
         assert duality_type(case("IV1odd", p=3)) == ORTHOGONAL
         assert duality_type(case("IV1odd", p=4)) == ORTHOGONAL
         assert duality_type(case("IV1odd", p=5)) == SYMPLECTIC
+        assert duality_type(case("IV1odd", p=6)) == SYMPLECTIC
+        assert duality_type(case("IV1odd", p=7)) == ORTHOGONAL
 
     def test_iv2_mod4(self):
         assert duality_type(case("IV2", r=3)) == NON_SELF_DUAL
+        assert duality_type(case("IV2", r=5)) == NON_SELF_DUAL
         assert duality_type(case("IV2", r=6)) == SYMPLECTIC
+        assert duality_type(case("IV2", r=7)) == NON_SELF_DUAL
         assert duality_type(case("IV2", r=8)) == ORTHOGONAL
 
 
@@ -122,37 +130,64 @@ class TestCompactFactorFlags:
         assert min_compact_factors(case("III1", r=7)) == 0
 
 
+KNOWN = "('A1', 'D4', 'I', 'Iprime', 'II', 'III1', 'III2', 'IV1even', 'IV1odd', 'IV2')"
+# (family, params, message): params as a dict go through case(), as a tuple
+# through CaseLabel()
+REJECTED = [
+    ("I", {"p": 0, "n": 5}, "case I requires 1 <= p <= floor(n/2) (got p=0, n=5)"),
+    ("I", {"p": 3, "n": 5}, "case I requires 1 <= p <= floor(n/2) (got p=3, n=5)"),
+    ("I", {"p": 1, "n": 2}, "case I requires n >= 3 (got n=2)"),
+    ("Iprime", {"n": 3, "c": 2}, "case Iprime requires n >= 4 (got n=3)"),
+    ("Iprime", {"n": 6, "c": 1}, "case Iprime requires 2 <= c <= n-2 (got c=1, n=6)"),
+    ("Iprime", {"n": 6, "c": 5}, "case Iprime requires 2 <= c <= n-2 (got c=5, n=6)"),
+    ("II", {"r": 1}, "case II requires r >= 2 with r != 4 (got r=1)"),
+    ("II", {"r": 4}, "case II requires r >= 2 with r != 4 (got r=4)"),
+    ("III1", {"r": 1}, "case III1 requires r >= 2 (got r=1)"),
+    ("III2", {"r": 0}, "case III2 requires r >= 2 (got r=0)"),
+    ("IV1even", {"p": 2}, "case IV1even requires p >= 3 with p != 4 (got p=2)"),
+    ("IV1even", {"p": 4}, "case IV1even requires p >= 3 with p != 4 (got p=4)"),
+    ("IV1odd", {"p": 1}, "case IV1odd requires p >= 2 (got p=1)"),
+    ("IV2", {"r": 2}, "case IV2 requires r >= 3 with r != 4 (got r=2)"),
+    ("IV2", {"r": 4}, "case IV2 requires r >= 3 with r != 4 (got r=4)"),
+    ("V", {"r": 2}, f"unknown case family 'V' (known: {KNOWN})"),
+    ("V", (2,), f"unknown case family 'V' (known: {KNOWN})"),
+    ("I", {"p": 1}, "case I takes parameters ('p', 'n') (got ('p',))"),
+    ("I", (1,), "case I takes parameters ('p', 'n') (got (1,))"),
+    ("A1", {"r": 2}, "case A1 takes parameters () (got ('r',))"),
+    ("II", (), "case II takes parameters ('r',) (got ())"),
+    ("II", (5.5,), "case II takes integer parameters (got r=5.5)"),
+    ("I", (1.5, 4), "case I takes integer parameters (got p=1.5)"),
+    ("Iprime", {"n": 6, "c": 3.0}, "case Iprime takes integer parameters (got c=3.0)"),
+    ("IV1odd", {"p": "3"}, "case IV1odd takes integer parameters (got p='3')"),
+    ("III1", (True,), "case III1 takes integer parameters (got r=True)"),
+]
+
+
 class TestValidation:
     @pytest.mark.parametrize(
-        "family,params",
-        [
-            ("I", {"p": 0, "n": 5}),
-            ("I", {"p": 3, "n": 5}),
-            ("I", {"p": 1, "n": 2}),
-            ("Iprime", {"n": 3, "c": 2}),
-            ("Iprime", {"n": 6, "c": 1}),
-            ("Iprime", {"n": 6, "c": 5}),
-            ("II", {"r": 1}),
-            ("II", {"r": 4}),
-            ("III1", {"r": 1}),
-            ("III2", {"r": 0}),
-            ("IV1even", {"p": 2}),
-            ("IV1even", {"p": 4}),
-            ("IV1odd", {"p": 1}),
-            ("IV2", {"r": 2}),
-            ("IV2", {"r": 4}),
-        ],
+        "family,params,message",
+        REJECTED,
+        ids=[f"{family}-params{i}" for i, (family, _, _) in enumerate(REJECTED)],
     )
-    def test_rejects_out_of_range(self, family, params):
+    def test_rejects_out_of_range(self, family, params, message):
         with pytest.raises(ValueError) as err:
-            case(family, **params)
-        assert family in str(err.value)  # the error names the constraint
+            if isinstance(params, dict):
+                case(family, **params)
+            else:
+                CaseLabel(family, params)
+        assert str(err.value) == message
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
             case("V", r=2)
         with pytest.raises(ValueError):
             CaseLabel("I", (1,))
+
+    def test_accepts_numpy_integers(self):
+        label = case("Iprime", n=np.int64(6), c=np.int32(3))
+        assert label == case("Iprime", n=6, c=3)
+        assert (hss_dimension(label), rep_dimension(label)) == (5, 20)
+        assert str(CaseLabel("II", (np.int64(5),))) == "II(r=5)"
 
     def test_label_str(self):
         assert str(case("I", p=2, n=5)) == "I(p=2, n=5)"
@@ -289,3 +324,45 @@ class TestFamilyGrid:
         ]
         assert list(iter_cases(128)) == want
         assert catalog_json(128) == want
+
+
+def docstring_table():
+    """(family, parameter names, constraint) of each row of the family table
+    in the module docstring, cut at the columns its ``====`` rules mark."""
+    lines = satake.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("=====")]
+    assert len(rules) == 3
+    (a, b), (c, d), (e, _) = (m.span() for m in re.finditer("=+", lines[rules[0]]))
+    rows = []
+    for line in lines[rules[1] + 1 : rules[2]]:
+        family, params, constraint = line[a:b].strip(), line[c:d].strip(), line[e:].strip()
+        names = () if params == "(none)" else tuple(params.split("  ")[0].split(", "))
+        rows.append((family, names, constraint))
+    return rows
+
+
+class TestDocstringTable:
+    def test_family_order(self):
+        assert tuple(row[0] for row in docstring_table()) == FAMILIES
+
+    def test_parameter_names(self):
+        labels = {g.family: g.label(0) for g in family_grid(64) if g.params.shape[0]}
+        assert set(labels) == set(FAMILIES)
+        for family, names, _ in docstring_table():
+            assert tuple(labels[family].params_dict()) == names, family
+
+    def test_one_parameter_constraints(self):
+        one = [row for row in docstring_table() if len(row[1]) == 1]
+        assert [row[0] for row in one] == ["II", "III1", "III2", "IV1even", "IV1odd", "IV2"]
+        for family, (name,), constraint in one:
+            m = re.fullmatch(rf"{name} >= (\d+)(, {name} != 4)?", constraint)
+            assert m, (family, constraint)
+            first, absorbed = int(m[1]), m[2] is not None
+            with pytest.raises(ValueError):
+                case(family, **{name: first - 1})
+            case(family, **{name: first})
+            if absorbed:
+                with pytest.raises(ValueError):
+                    case(family, **{name: 4})
+            else:
+                case(family, **{name: 4})
