@@ -6,7 +6,8 @@ Subcommands
 ``tables``         the two summary tables; ``--check`` compares every cell
                    against the frozen fixtures and fails on any mismatch
 ``verify CLAIM``   run one exhaustive claim verifier, JSON report on stdout
-``explain G``      attainment narrative for one genus
+``explain G``      attainment narrative for one genus, rendered by
+                   ``moduli``: the case's narrative and descriptors
 ``catalog``        classification catalog export as JSON
 
 ``main`` builds only the invoked subcommand's arguments: the parser
@@ -61,35 +62,13 @@ import numpy as np
 
 from . import __version__, kernels
 from .arith import dmax
-from .moduli import (
-    AgResult,
-    HodgeGeneric,
-    ProductWithPoint,
-    SpecialFamily,
-    assemble_tables,
-    dmc_ag,
-)
+from .moduli import assemble_tables, dmc_ag
 from .satake import iter_cases
 from .schemas import SCHEMAS_BY_COMMAND
 from .tables import check_all_tables
 from .verify import REGISTRY, RangeParam, range_args, run_verifier
 
 _FORMATS = ("markdown", "csv", "json")
-
-_CASE_NARRATIVE = {
-    "o": "the moduli space carries only points as compact subvarieties",
-    "i": "maximal compact subvarieties are Hodge-generic curves or "
-    "quaternionic Shimura curves (two distinct constructions)",
-    "ii": "all maximal-dimensional compact subvarieties are Hodge-generic, "
-    "e.g. components of very general complete intersections",
-    "iii": "all maximal-dimensional compact subvarieties are unitary-family "
-    "special subvarieties",
-    "iv": "all maximal-dimensional compact subvarieties are products of a "
-    "point with a maximal special subvariety one genus down, up to "
-    "Hecke translation",
-    "v": "maximal compact subvarieties are Hodge-generic or point-times-"
-    "special products (two distinct constructions)",
-}
 
 # Every range flag some verifier takes, in registry order.
 _RANGE_FLAGS = tuple(dict.fromkeys(p.flag for v in REGISTRY.values() for p in v.params))
@@ -270,26 +249,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _descriptor_json(d) -> dict:
-    if isinstance(d, HodgeGeneric):
-        return {"type": "HodgeGeneric", "dim": d.dimension}
-    if isinstance(d, SpecialFamily):
-        return {
-            "type": "SpecialFamily",
-            "dim": d.dimension,
-            "family": d.family,
-            "k": d.k,
-            "n": d.n,
-        }
-    if isinstance(d, ProductWithPoint):
-        return {
-            "type": "ProductWithPoint",
-            "dim": d.dimension,
-            "inner": _descriptor_json(d.inner),
-        }
-    raise TypeError(f"unknown descriptor {d!r}")
-
-
 def _dmax_rows(lo: int, hi: int) -> Iterator[tuple[int, int]]:
     """(g, dmax(g)) for lo <= g <= hi.  The values of each ``_BLOCK`` genera
     come from one int64 kernel call, or from Python ints when ``hi`` is past
@@ -378,16 +337,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     if args.g is None or args.g < 1:
         raise ValueError("g must be a positive integer")
-    result: AgResult = dmc_ag(args.g)
-    narrative = _CASE_NARRATIVE[result.case]
+    result = dmc_ag(args.g)
     if args.format == "json":
         doc = {
             "schema": "agdim.explain/1",
             "g": result.g,
             "dmc": result.dmc,
             "case": result.case,
-            "attained_by": [_descriptor_json(d) for d in result.attained_by],
-            "narrative": narrative,
+            "attained_by": [d.to_jsonable() for d in result.attained_by],
+            "narrative": result.narrative,
         }
         if args.timestamp:
             doc["generated_at"] = _timestamp()
@@ -395,7 +353,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     else:
         lines = [
             f"dmc(A_{result.g}) = {result.dmc}",
-            f"case ({result.case}): {narrative}",
+            f"case ({result.case}): {result.narrative}",
             "attained by: " + "; ".join(str(d) for d in result.attained_by),
         ]
         _emit("\n".join(lines), args.out)

@@ -16,12 +16,12 @@ moduli-of-curves bounds and the assembled summary tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
-from .arith import GenusValue, dmax, half_product, keel_sadun_bound
-from .pairs import mdsp_star_table
+from .arith import GenusValue, Pair, dmax, keel_sadun_bound
+from .pairs import a1_pair, mdsp_star_table, unitary_pair
 from .tables import DimensionTable, TableRow
 
 __all__ = [
@@ -63,12 +63,16 @@ class HodgeGeneric:
     def __str__(self) -> str:
         return f"HodgeGeneric(dim={self.dimension})"
 
+    def to_jsonable(self) -> dict:
+        return {"type": type(self).__name__, "dim": self.dimension}
+
 
 @dataclass(frozen=True)
 class SpecialFamily:
     """A compact special subvariety from one pair family: the quaternionic
-    curve (family A1, the pair (1, 2)) or a unitary family member
-    (family I, dimension (k-1) F(n) in genus k n)."""
+    curve (family A1) or a unitary family member (family I).  Its dimension
+    and genus are the family's (d, g) pair, ``pairs.a1_pair()`` or
+    ``pairs.unitary_pair(k, n)``."""
 
     family: str
     k: int | None = None
@@ -82,24 +86,24 @@ class SpecialFamily:
     def unitary(cls, k: int, n: int) -> "SpecialFamily":
         return cls("I", k, n)
 
+    def _pair(self) -> Pair:
+        return a1_pair() if self.family == "A1" else unitary_pair(self.k, self.n)
+
     @property
     def dimension(self) -> int:
-        if self.family == "A1":
-            return 1
-        assert self.k is not None and self.n is not None
-        return (self.k - 1) * half_product(self.n)
+        return self._pair().d
 
     @property
     def genus(self) -> int:
-        if self.family == "A1":
-            return 2
-        assert self.k is not None and self.n is not None
-        return self.k * self.n
+        return self._pair().g
 
     def __str__(self) -> str:
         if self.family == "A1":
             return "SpecialFamily(A1)"
         return f"SpecialFamily(k={self.k}, n={self.n})"
+
+    def to_jsonable(self) -> dict:
+        return {"type": type(self).__name__, "dim": self.dimension, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,10 @@ class ProductWithPoint:
     def __str__(self) -> str:
         return f"ProductWithPoint({self.inner})"
 
+    def to_jsonable(self) -> dict:
+        inner = self.inner.to_jsonable()
+        return {"type": type(self).__name__, "dim": self.dimension, "inner": inner}
+
 
 Attainment = Union[HodgeGeneric, SpecialFamily, ProductWithPoint]
 
@@ -129,7 +137,8 @@ class AgResult:
     g: int
     dmc: int
     attained_by: tuple[Attainment, ...]
-    case: str  # one of "o", "i", "ii", "iii", "iv", "v"
+    case: str  # a key of _CASES: "o", "i", "ii", "iii", "iv" or "v"
+    narrative: str
 
 
 # (M, P): M[g] depends only on bi[g] and on M at smaller genera, and the
@@ -154,10 +163,8 @@ def _recursion_value(g: int, M: tuple[int, ...], P: tuple[int, ...]) -> int:
 
 
 def maxvar_case(g: int) -> str:
-    """Which description applies to the maximal-dimensional compact
-    subvarieties in genus g: (o) a point, (i) generic curves or quaternionic
-    Shimura curves, (ii) generic only, (iii) a unitary special family,
-    (iv) point-times-family products, (v) generic or such a product."""
+    """The key of ``_CASES`` whose record describes the maximal-dimensional
+    compact subvarieties in genus g."""
     if g < 0:
         raise ValueError(f"g must be >= 0 (got {g})")
     if g <= 1:
@@ -173,19 +180,45 @@ def maxvar_case(g: int) -> str:
     return "iv"
 
 
-def _attainments(g: int) -> tuple[Attainment, ...]:
-    case = maxvar_case(g)
-    if case == "o":
-        return (HodgeGeneric(g),)
-    if case == "i":
-        return (HodgeGeneric(2), SpecialFamily.quaternionic_curve())
-    if case == "ii":
-        return (HodgeGeneric(g),)
-    if case == "iii":
-        return (SpecialFamily.unitary(2, g // 2),)
-    if case == "v":
-        return (HodgeGeneric(17), ProductWithPoint(SpecialFamily.unitary(2, 8)))
-    return (ProductWithPoint(SpecialFamily.unitary(2, (g - 1) // 2)),)
+class _Case(NamedTuple):
+    narrative: str
+    attained_by: Callable[[int], tuple[Attainment, ...]]
+
+
+# The paper's classification of the maximal-dimensional compact subvarieties:
+# one record per case of maxvar_case, in its order, with what the case says
+# and, for a genus g in it, the descriptors of everything that attains dmc(g).
+# Each descriptor renders itself (__str__ for text, to_jsonable for json).
+_CASES = {
+    "o": _Case(
+        "the moduli space carries only points as compact subvarieties",
+        lambda g: (HodgeGeneric(g),),
+    ),
+    "i": _Case(
+        "maximal compact subvarieties are Hodge-generic curves or "
+        "quaternionic Shimura curves (two distinct constructions)",
+        lambda g: (HodgeGeneric(2), SpecialFamily.quaternionic_curve()),
+    ),
+    "ii": _Case(
+        "all maximal-dimensional compact subvarieties are Hodge-generic, "
+        "e.g. components of very general complete intersections",
+        lambda g: (HodgeGeneric(g),),
+    ),
+    "iii": _Case(
+        "all maximal-dimensional compact subvarieties are unitary-family special subvarieties",
+        lambda g: (SpecialFamily.unitary(2, g // 2),),
+    ),
+    "iv": _Case(
+        "all maximal-dimensional compact subvarieties are products of a point with a maximal "
+        "special subvariety one genus down, up to Hecke translation",
+        lambda g: (ProductWithPoint(SpecialFamily.unitary(2, (g - 1) // 2)),),
+    ),
+    "v": _Case(
+        "maximal compact subvarieties are Hodge-generic or point-times-"
+        "special products (two distinct constructions)",
+        lambda g: (HodgeGeneric(17), ProductWithPoint(SpecialFamily.unitary(2, 8))),
+    ),
+}
 
 
 def _build_result(g: int, tables: tuple[tuple[int, ...], tuple[int, ...]]) -> AgResult:
@@ -195,14 +228,15 @@ def _build_result(g: int, tables: tuple[tuple[int, ...], tuple[int, ...]]) -> Ag
             "internal self-check failed: the product recursion returned "
             f"{value} for g={g} but the closed form gives {dmax(g)}"
         )
-    attained = _attainments(g)
+    case = maxvar_case(g)
+    attained = _CASES[case].attained_by(g)
     for descriptor in attained:
         if descriptor.dimension != value:
             raise RuntimeError(
                 f"attainment descriptor {descriptor} re-evaluates to "
                 f"{descriptor.dimension}, not dmc={value}, at g={g}"
             )
-    return AgResult(g=g, dmc=value, attained_by=attained, case=maxvar_case(g))
+    return AgResult(g, value, attained, case, _CASES[case].narrative)
 
 
 def dmc_ag(g: int) -> AgResult:

@@ -161,7 +161,7 @@ def best_indecomposable(g: int) -> int:
         if g % k == 0:
             n = g // k
             if n >= 3:
-                best = max(best, (k - 1) * half_product(n))
+                best = max(best, unitary_pair(k, n).d)
     return best
 
 

@@ -147,6 +147,8 @@ class CaseLabel:
 
     def __post_init__(self) -> None:
         _validate(self.family, self.params)
+        # numpy integers pass validation; store Python ints, which serialize
+        object.__setattr__(self, "params", tuple(int(x) for x in self.params))
 
     def params_dict(self) -> dict[str, int]:
         return dict(zip(_FAMILY[self.family].params, self.params))

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import types
+import typing
 from dataclasses import replace
 from datetime import datetime, timedelta
 from itertools import islice
@@ -737,12 +738,20 @@ class TestExplainCommand:
         assert err.startswith("explain: internal self-check failed")
 
     def test_json_schema_valid(self, capsys):
-        code, out, _ = run(capsys, ["explain", "17", "--format", "json"])
-        assert code == 0
-        doc = json.loads(out)
-        jsonschema.validate(doc, EXPLAIN_SCHEMA)
-        assert doc["case"] == "v"
-        assert len(doc["attained_by"]) == 2
+        for g in range(1, 41):
+            code, out, _ = run(capsys, ["explain", str(g), "--format", "json"])
+            assert code == 0
+            doc = json.loads(out)
+            jsonschema.validate(doc, EXPLAIN_SCHEMA)
+            if g == 17:
+                assert doc["case"] == "v"
+                assert len(doc["attained_by"]) == 2
+
+    def test_schema_enums_match_moduli(self):
+        props = EXPLAIN_SCHEMA["properties"]
+        assert props["case"]["enum"] == list(moduli._CASES)
+        descriptor_types = props["attained_by"]["items"]["properties"]["type"]["enum"]
+        assert descriptor_types == [t.__name__ for t in typing.get_args(moduli.Attainment)]
 
 
 class TestCatalogCommand:

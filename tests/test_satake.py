@@ -177,17 +177,16 @@ class TestValidation:
                 CaseLabel(family, params)
         assert str(err.value) == message
 
-    def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError):
-            case("V", r=2)
-        with pytest.raises(ValueError):
-            CaseLabel("I", (1,))
-
     def test_accepts_numpy_integers(self):
         label = case("Iprime", n=np.int64(6), c=np.int32(3))
         assert label == case("Iprime", n=6, c=3)
         assert (hss_dimension(label), rep_dimension(label)) == (5, 20)
         assert str(CaseLabel("II", (np.int64(5),))) == "II(r=5)"
+        # stored as Python ints, so the label's values serialize
+        for label in (label, case("II", r=np.int64(5)), CaseLabel("I", (np.int64(2), np.uint8(7)))):
+            assert all(type(p) is int for p in label.params)
+            assert type(hss_dimension(label)) is int
+            json.dumps(label.params_dict())
 
     def test_label_str(self):
         assert str(case("I", p=2, n=5)) == "I(p=2, n=5)"
