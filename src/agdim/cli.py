@@ -60,7 +60,7 @@ from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__, kernels, verify
 from .arith import dmax
 from .moduli import assemble_tables, dmc_ag
 from .satake import iter_cases
@@ -73,6 +73,13 @@ _FORMATS = ("markdown", "csv", "json")
 # Every range flag some verifier takes, in registry order.
 _RANGE_FLAGS = tuple(dict.fromkeys(p.flag for v in REGISTRY.values() for p in v.params))
 _CATALOG_REP_MAX = RangeParam("rep_max", 64, 4096)
+# explain G builds moduli's tables of M and of its prefix maxima P up to G
+# (a fresh process holds none).  Per genus, the peak comes while P is built:
+# M's tuple slot (8 bytes) and int (32; every value is below 2^60 up to
+# MAX_SAFE_G), P's int (at most 32), and at most two of M[:-1]'s slot (8),
+# P's list slot (9, with list growth) and P's tuple slot (8): 89 bytes.  The
+# int64 kernel arrays and the list of M peak lower, at about 49.
+_EXPLAIN_BYTES_PER_GENUS = 96
 # Rows per write of a long export: bounds its memory.  A block of catalog
 # rows renders to about 90 kB, small enough to reuse memory the process has
 # already touched (4096-row blocks took fresh pages on every write).
@@ -337,6 +344,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     if args.g is None or args.g < 1:
         raise ValueError("g must be a positive integer")
+    if args.g > kernels.MAX_SAFE_G:
+        raise ValueError(
+            f"g={args.g} exceeds the int64-safe kernel ceiling {kernels.MAX_SAFE_G}; "
+            "no flag lifts it"
+        )
+    need, budget = _EXPLAIN_BYTES_PER_GENUS * args.g, verify._memory_budget()
+    if need > budget:
+        raise ValueError(
+            f"g={args.g} needs about {need / 2**30:.1f} GiB, more than half of physical "
+            f"memory ({budget / 2**30:.1f} GiB); no flag lifts it"
+        )
     result = dmc_ag(args.g)
     if args.format == "json":
         doc = {

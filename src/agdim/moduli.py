@@ -11,7 +11,9 @@ self-check, and a mismatch is an internal error, never silently patched.
 
 ``dmc_mgct`` runs the boundary recursion for curves of compact type, exact
 for 2 <= g <= 23 and explicit bounds beyond, plus the Jacobian-locus and
-moduli-of-curves bounds and the assembled summary tables.
+moduli-of-curves bounds.  The two summary tables are data: one record per
+row (key, label, provenance, a function from g to its cell), which
+``assemble_tables`` evaluates at each table's genera.
 """
 
 from __future__ import annotations
@@ -387,120 +389,87 @@ def agind_bounds(g: int) -> tuple[int, int, int | None]:
 # ---------------------------------------------------------------------------
 
 
-def _ag_table() -> DimensionTable:
-    genera = AG_TABLE_GENERA
-    results = {g: dmc_ag(g) for g in genera}
-    rows = (
-        TableRow(
-            key="dmcg_ag",
-            label="dmcg(A_g) =",
-            provenance="closed form g-1, sharp for Hodge-generic subvarieties",
-            cells=tuple(GenusValue(g, g - 1, "exact") for g in genera),
-        ),
-        TableRow(
-            key="dmc_ag",
-            label="dmc(A_g) =",
-            provenance="product recursion over the special-family DP, "
-            "self-checked against max(g-1, floor(floor(g/2)^2/4))",
-            cells=tuple(GenusValue(g, results[g].dmc, "exact") for g in genera),
-        ),
-        TableRow(
-            key="keel_sadun",
-            label="dmc(A_g) <= (Keel-Sadun)",
-            provenance="closed form g(g-1)/2 - 1",
-            cells=tuple(GenusValue(g, keel_sadun_bound(g), "upper-bound") for g in genera),
-        ),
-    )
-    return DimensionTable(
-        name="ag",
-        title="Maximal dimensions of compact subvarieties of A_g",
-        genera=genera,
-        rows=rows,
-    )
+class _Row(NamedTuple):
+    key: str
+    label: str
+    provenance: str
+    cell: Callable[[int], GenusValue]
 
 
-def _mg_table(conjectural: bool = False) -> DimensionTable:
-    genera = MG_TABLE_GENERA
-    mgct = {g: dmc_mgct(g) for g in genera}
-    jac = {g: jacobian_bounds(g) for g in genera}
-    mg = {g: mg_bounds(g) for g in genera}
-    rows = [
-        TableRow(
-            key="dmcg_mgct",
-            label="dmcg(M_g^ct) >=",
-            provenance="boundary codimension 3 in the Satake closure",
-            cells=tuple(GenusValue(g, 2, "lower-bound") for g in genera),
-        ),
-        TableRow(
-            key="dmc_mgct",
-            label="dmc(M_g^ct)",
-            provenance="boundary recursion, exact to genus 23; "
-            "construction lower bound floor(3g/2)-2 beyond",
-            cells=tuple(mgct[g].as_genus_value() for g in genera),
-        ),
-        TableRow(
-            key="jac_upper",
-            label="dmc(J(M_g^ct)) <=",
-            provenance="min of the ambient bound dmax(g) and the "
-            "compact-type bound (floor(3g/2)-2 for g <= 23, else 2g-4)",
-            cells=tuple(GenusValue(g, jac[g][1], "upper-bound") for g in genera),
-        ),
-        TableRow(
-            key="jac_lower",
-            label="dmc(J(M_g^ct)) >=",
-            provenance="closed form floor(2g/3) from boundary products",
-            cells=tuple(GenusValue(g, jac[g][0], "lower-bound") for g in genera),
-        ),
-        TableRow(
-            key="dmcg_mg",
-            label="dmcg(M_g) >=",
-            provenance="boundary codimension 2 in the Satake closure",
-            cells=tuple(GenusValue(g, 1, "lower-bound") for g in genera),
-        ),
-        TableRow(
-            key="mg_lower",
-            label="dmc(M_g) >= (covers)",
-            provenance="covering constructions: a compact d-fold exists "
-            "whenever 2^(d+1) <= g",
-            cells=tuple(GenusValue(g, mg[g][0], "lower-bound") for g in genera),
-        ),
-        TableRow(
-            key="mg_upper",
-            label="dmc(M_g) <= (Diaz)",
-            provenance="closed form g-2",
-            cells=tuple(GenusValue(g, mg[g][1], "upper-bound") for g in genera),
-        ),
-    ]
-    if conjectural:
-        rows.append(
-            TableRow(
-                key="dmc_mgct_conjectural",
-                label="dmc(M_g^ct) = (CONJECTURAL)",
-                provenance="consequence of the conjectured bound "
-                "dmc(J(M_g^ct)) <= g-1 for all g; unproven for g >= 24",
-                cells=tuple(
-                    GenusValue(g, _mgct_closed_form(g), "exact") for g in genera
-                ),
-            )
-        )
-        rows.append(
-            TableRow(
-                key="jac_upper_conjectural",
-                label="dmc(J(M_g^ct)) <= (CONJECTURAL)",
-                provenance="the conjectured bound g-1 itself",
-                cells=tuple(GenusValue(g, g - 1, "upper-bound") for g in genera),
-            )
-        )
-    return DimensionTable(
-        name="mg",
-        title="Known dimensions of compact subvarieties of M_g^ct and M_g",
-        genera=genera,
-        rows=tuple(rows),
-    )
+def _cells(kind: str) -> Callable[[Callable[[int], int]], Callable[[int], GenusValue]]:
+    """Make a row's cell function from a function of g to its value, for a
+    row whose every cell has the bound kind ``kind``."""
+    return lambda value: lambda g: GenusValue(g, value(g), kind)
+
+
+_exact, _lower, _upper = _cells("exact"), _cells("lower-bound"), _cells("upper-bound")
+
+# One record per summary-table row, in display order.  A cell function looks
+# dmc_ag and dmc_mgct up when it runs, never holding them: perfbench's tracer
+# replaces those module attributes.
+_AG_ROWS = (
+    _Row("dmcg_ag", "dmcg(A_g) =",
+         "closed form g-1, sharp for Hodge-generic subvarieties",
+         _exact(lambda g: g - 1)),
+    _Row("dmc_ag", "dmc(A_g) =",
+         "product recursion over the special-family DP, "
+         "self-checked against max(g-1, floor(floor(g/2)^2/4))",
+         _exact(lambda g: dmc_ag(g).dmc)),
+    _Row("keel_sadun", "dmc(A_g) <= (Keel-Sadun)",
+         "closed form g(g-1)/2 - 1",
+         _upper(keel_sadun_bound)),
+)
+_MG_ROWS = (
+    _Row("dmcg_mgct", "dmcg(M_g^ct) >=",
+         "boundary codimension 3 in the Satake closure",
+         _lower(lambda g: 2)),
+    _Row("dmc_mgct", "dmc(M_g^ct)",
+         "boundary recursion, exact to genus 23; "
+         "construction lower bound floor(3g/2)-2 beyond",
+         lambda g: dmc_mgct(g).as_genus_value()),  # exact or lower-bound, by genus
+    _Row("jac_upper", "dmc(J(M_g^ct)) <=",
+         "min of the ambient bound dmax(g) and the "
+         "compact-type bound (floor(3g/2)-2 for g <= 23, else 2g-4)",
+         _upper(lambda g: jacobian_bounds(g)[1])),
+    _Row("jac_lower", "dmc(J(M_g^ct)) >=",
+         "closed form floor(2g/3) from boundary products",
+         _lower(lambda g: jacobian_bounds(g)[0])),
+    _Row("dmcg_mg", "dmcg(M_g) >=",
+         "boundary codimension 2 in the Satake closure",
+         _lower(lambda g: 1)),
+    _Row("mg_lower", "dmc(M_g) >= (covers)",
+         "covering constructions: a compact d-fold exists whenever 2^(d+1) <= g",
+         _lower(lambda g: mg_bounds(g)[0])),
+    _Row("mg_upper", "dmc(M_g) <= (Diaz)",
+         "closed form g-2",
+         _upper(lambda g: mg_bounds(g)[1])),
+)
+# Appended to the M_g table only on request; no fixture checks them.
+_MG_CONJECTURAL = (
+    _Row("dmc_mgct_conjectural", "dmc(M_g^ct) = (CONJECTURAL)",
+         "consequence of the conjectured bound "
+         "dmc(J(M_g^ct)) <= g-1 for all g; unproven for g >= 24",
+         _exact(_mgct_closed_form)),
+    _Row("jac_upper_conjectural", "dmc(J(M_g^ct)) <= (CONJECTURAL)",
+         "the conjectured bound g-1 itself",
+         _upper(lambda g: g - 1)),
+)
+
+# name -> (title, genera, rows, conjectural rows)
+_SUMMARY = {
+    "ag": ("Maximal dimensions of compact subvarieties of A_g", AG_TABLE_GENERA, _AG_ROWS, ()),
+    "mg": ("Known dimensions of compact subvarieties of M_g^ct and M_g", MG_TABLE_GENERA,
+           _MG_ROWS, _MG_CONJECTURAL),
+}
 
 
 def assemble_tables(conjectural: bool = False) -> dict[str, DimensionTable]:
-    """Both summary tables keyed by name; with ``conjectural=True`` the
-    compact-type table gains clearly labeled conjectural rows (excluded from
-    fixture checks)."""
-    return {"ag": _ag_table(), "mg": _mg_table(conjectural=conjectural)}
+    """Both summary tables keyed by name, each row's cells evaluated at the
+    table's genera; with ``conjectural=True`` the compact-type table gains
+    clearly labeled conjectural rows (excluded from fixture checks)."""
+    tables = {}
+    for name, (title, genera, rows, extra) in _SUMMARY.items():
+        rows += extra if conjectural else ()
+        built = (TableRow(r.key, r.label, r.provenance, tuple(map(r.cell, genera))) for r in rows)
+        tables[name] = DimensionTable(name, title, genera, tuple(built))
+    return tables

@@ -227,9 +227,10 @@ _FIXTURES = {"ag": FIXTURE_AG, "mg": FIXTURE_MG}
 
 def check_against_fixture(table: DimensionTable) -> list[str]:
     """Compare every computed cell with the frozen fixture.  Returns a list
-    of human-readable mismatch descriptions, one per offending cell (empty
-    means the table reproduces the fixture exactly).  Rows absent from the
-    fixture (e.g. conjectural rows) are ignored."""
+    of human-readable mismatch descriptions, one per offending cell or
+    missing row (empty means the table reproduces the fixture exactly).  A
+    missing cell is reported, not raised.  Rows absent from the fixture
+    (e.g. conjectural rows) are ignored."""
     fixture = _FIXTURES.get(table.name)
     if fixture is None:
         raise KeyError(f"no fixture for table {table.name!r}")
@@ -241,7 +242,11 @@ def check_against_fixture(table: DimensionTable) -> list[str]:
             problems.append(f"table {table.name}: row {key!r} missing")
             continue
         for g, (value, kind) in expected_cells.items():
-            cell = row.cell(g)
+            try:
+                cell = row.cell(g)
+            except KeyError:
+                problems.append(f"table {table.name}, row {key}, g={g}: cell missing")
+                continue
             if (cell.value, cell.kind) != (value, kind):
                 problems.append(
                     f"table {table.name}, row {key}, g={g}: computed "

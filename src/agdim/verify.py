@@ -16,8 +16,9 @@ one kernel call, which walks the block in chunks of ``kernels.CHUNK`` values
 through buffers of its own and returns its count of failing values and the
 first ``MAX_LISTED`` of them, so a block's memory does not grow with its
 length, passing or failing.  The counts are summed and the listed values
-kept in block order, so output is the same for any worker count.  ``lemma-dmax`` runs serially, as one scan call on
-the whole table; the scan is one numpy slice difference per g1.
+kept in block order, so output is the same for any worker count.
+``lemma-dmax`` runs serially, as one scan call on the whole table; the scan
+is one numpy slice difference per g1.
 
 A failing verifier builds counterexample dicts only for the rows its report
 lists (:func:`~agdim.report.first_listed`), so a broken kernel costs about the

@@ -747,6 +747,56 @@ class TestExplainCommand:
                 assert doc["case"] == "v"
                 assert len(doc["attained_by"]) == 2
 
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Record every table build and stop it before it allocates: the
+        refused genera are far too large to build."""
+        calls = []
+
+        def refuse(g_max):
+            calls.append(g_max)
+            raise RuntimeError("table build reached")
+
+        monkeypatch.setattr(moduli, "_TABLES", ((), ()))
+        monkeypatch.setattr(moduli, "mdsp_star_table", refuse)
+        for kernel in ("best_indec_table", "mdsp_table"):
+            monkeypatch.setattr(kernels, kernel, lambda *args: calls.append(args))
+        return calls
+
+    def test_past_kernel_ceiling_usage_error(self, capsys, monkeypatch, builds):
+        monkeypatch.setattr(verify, "_memory_budget", lambda: 2**80)
+        g = kernels.MAX_SAFE_G + 1
+        assert run(capsys, ["explain", str(g)]) == (
+            2,
+            "",
+            f"explain: g={g} exceeds the int64-safe kernel ceiling {kernels.MAX_SAFE_G}; "
+            "no flag lifts it\n",
+        )
+        assert builds == []
+        # at the ceiling itself, the table build is reached
+        assert run(capsys, ["explain", str(g - 1)])[0] == 1
+        assert builds == [g - 1]
+
+    def test_memory_budget_usage_error(self, capsys, monkeypatch, builds):
+        monkeypatch.setattr(verify, "_memory_budget", lambda: cli._EXPLAIN_BYTES_PER_GENUS * 10**6)
+        code, out, err = run(capsys, ["explain", "1000001", "--format", "json"])
+        assert (code, out, builds) == (2, "", [])  # refused before the first allocation
+        assert err.startswith("explain: g=1000001 needs about 0.1 GiB, more than half of physical")
+        assert err.endswith("; no flag lifts it\n") and err.count("\n") == 1
+        assert run(capsys, ["explain", "1000000"])[0] == 1
+        assert builds == [10**6]
+
+    def test_bytes_per_genus_covers_peak(self, monkeypatch):
+        g = 20_000
+        monkeypatch.setattr(moduli, "_TABLES", ((), ()))  # a fresh process's state
+        tracemalloc.start()
+        try:
+            assert moduli.dmc_ag(g).dmc == dmax(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._EXPLAIN_BYTES_PER_GENUS * g
+
     def test_schema_enums_match_moduli(self):
         props = EXPLAIN_SCHEMA["properties"]
         assert props["case"]["enum"] == list(moduli._CASES)

@@ -5,7 +5,8 @@ before the rewrite it guards: ``verify ...`` and ``catalog --rep-max N``
 before the claim scans moved to numpy and before lemma-N, cor-decoupled
 and the catalog moved to one family grid; ``explain``, ``tables``,
 ``dmax`` and every ``--schema`` before the maximal-subvariety cases moved
-to one record each.  A change to any verifier's arithmetic, iteration
+to one record each; ``tables`` with ``--table ag`` or ``--table mg`` and
+``tables --check`` before the summary-table rows moved to one record each.  A change to any verifier's arithmetic, iteration
 order or report assembly, to the catalog export, or to any rendered
 table, narrative or schema that alters a single byte of a passing run
 fails here.
@@ -53,8 +54,8 @@ CATALOG = {
     256: "0d873a311cb6350126b1d8e04b0911d36ed023adf0093342c27877fc8932e410",
 }
 
-# explain G for G in 1..40, 100, 1001 and 4096; every tables form; dmax over
-# 1..300; every subcommand's --schema.
+# explain G for G in 1..40, 100, 1001 and 4096; every tables form, with each
+# --table and --check; dmax over 1..300; every subcommand's --schema.
 OUTPUTS = {
     "explain 1": "fdd7447bb3228648a64d74a62ae3d6ebc971a13fd33aaed5811ea2ce2de0e85c",
     "explain 1 --format json": "2cc0fdd0fb5d6caef2d4f1e8955af0ba0b98d1f0a54836896809e67393ce1b3b",
@@ -157,6 +158,51 @@ OUTPUTS = {
     "tables --format json": "448e79504cc890ce4be3ba5376d702ea37ada2437937e5b4b39bcb7e655f640f",
     "tables --format json --conjectural": (
         "4defd88877bf5282bcce8c3daab48ec0377f4eed0a08a48d798b4d84cf49b3fb"
+    ),
+    "tables --table ag --format markdown": (
+        "4aecfde0e29a6095488a154210f044e2f8a14e1ee59f0e80fa41bd0091d2edfa"
+    ),
+    "tables --table ag --format markdown --conjectural": (
+        "4aecfde0e29a6095488a154210f044e2f8a14e1ee59f0e80fa41bd0091d2edfa"
+    ),
+    "tables --table ag --format csv": (
+        "44f0844cc25538af728c2161db8c8ea20896f6faa2b2725238c42d63ce4815ac"
+    ),
+    "tables --table ag --format csv --conjectural": (
+        "44f0844cc25538af728c2161db8c8ea20896f6faa2b2725238c42d63ce4815ac"
+    ),
+    "tables --table ag --format json": (
+        "bbab37f75e376bb7fc4943766115a792e18fb7c2cfb091ee0a43b78c89850b0b"
+    ),
+    "tables --table ag --format json --conjectural": (
+        "bbab37f75e376bb7fc4943766115a792e18fb7c2cfb091ee0a43b78c89850b0b"
+    ),
+    "tables --table mg --format markdown": (
+        "112e7006be7d241211b4d63b816e4f8a96258df655b4bbe6646511ffbe460484"
+    ),
+    "tables --table mg --format markdown --conjectural": (
+        "e0d836cad931cdd4bdcdebb4e0662979ac8ebfdbf0f97a58f285a063b04c1188"
+    ),
+    "tables --table mg --format csv": (
+        "c42dd108442cd5eab6858ed09435cf38ec9cea1126837f9f5b27ff161735c870"
+    ),
+    "tables --table mg --format csv --conjectural": (
+        "c74dfaec907abd5c39622f3234da3db8e52adfe65265ca52ac74d3c8d79a9068"
+    ),
+    "tables --table mg --format json": (
+        "0724fcf064d09fba1ad257ebcd045a8a6d898ce4cee1317fcab6758f0493e4a5"
+    ),
+    "tables --table mg --format json --conjectural": (
+        "43dd5e618d8f7ceb7564dd244fe8b35447cd52dfd4e6b9325e96bc583ec85584"
+    ),
+    "tables --check": "47d5eaa1cfbaa2f8c521fe92d2844142f94e0a47f510d5bb9851537e0cf51ed6",
+    "tables --check --table ag": "f1039e89f673aa307ac059e7dab7bf065542e7b2f7b582932af746ca7288d745",
+    "tables --check --table mg": "106dcd611b5dc43bd9493c11dc54f89137a4bd167671d67caf431b2c3cc090dd",
+    "tables --check --conjectural": (
+        "c054ce1a9d004af9e08ed673d61032ed35adebe296763cdbd4d2fd90f98ce611"
+    ),
+    "tables --check --table mg --conjectural": (
+        "59657bf0e50f93ea8c78220fcd984a3204d2f54413927348668321de5a08f2ae"
     ),
     "dmax 1..300 --format markdown": (
         "108b6ad23fbbfb5e1697f2583bf1065f9389f2ef403b49fa5792c08919768cc9"

@@ -1,17 +1,24 @@
-"""Every agdim name the benchmark replaces at run time must still exist.
+"""Every agdim name the benchmark replaces at run time must still exist,
+and no agdim table may hold one of those functions by reference.
 
 perfbench's tracer and ``BlockLog`` swap agdim functions and methods for
 wrappers by name.  A name that no longer exists breaks only the traced
-benchmark run, so these tests read the benchmark's own name lists and check
-each one against agdim.
+benchmark run, and a function object stored in a table at import keeps
+running unwrapped, so the run silently misses it.  These tests read the
+benchmark's own name lists and check each one against agdim.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import pkgutil
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import agdim
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,3 +59,42 @@ def test_patched_methods_exist(tracer):
         if not callable(getattr(getattr(importlib.import_module(mod), cls, None), meth, None))
     ]
     assert missing == []
+
+
+def _children(value) -> list:
+    """What a table holds: a dict's keys and values, a tuple's or list's
+    items (NamedTuples included), a dataclass instance's fields, and a
+    function's closure cells."""
+    if isinstance(value, dict):
+        return [*value, *value.values()]
+    if isinstance(value, (tuple, list)):
+        return list(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, types.FunctionType):
+        return [c.cell_contents for c in value.__closure__ or ()]
+    return []
+
+
+def test_no_table_holds_a_wrapped_function(tracer, workloads):
+    targets = [t for layer in tracer.WRAPPED.values() for t in layer]
+    targets += [("agdim.kernels", name) for name in workloads.BLOCK_RANGE]
+    wrapped = {id(getattr(importlib.import_module(m), n)): f"{m}.{n}" for m, n in targets}
+    for mod, cls, meth in tracer.WRAPPED_METHODS:
+        method = getattr(getattr(importlib.import_module(mod), cls), meth)
+        wrapped[id(method)] = f"{mod}.{cls}.{meth}"
+    modules = [f"agdim.{m.name}" for m in pkgutil.iter_modules(agdim.__path__)]
+    held, seen = [], set()
+    for name in ["agdim", *(m for m in modules if m != "agdim.__main__")]:
+        for attr, root in vars(importlib.import_module(name)).items():
+            # a module attribute itself is what the tracer replaces; what it holds is not
+            stack = [(f"{name}.{attr}", child) for child in _children(root)]
+            while stack:
+                path, value = stack.pop()
+                if id(value) in wrapped:
+                    held.append(f"{path} holds {wrapped[id(value)]}")
+                if isinstance(value, (int, float, str, bytes)) or id(value) in seen:
+                    continue
+                seen.add(id(value))
+                stack += [(path, child) for child in _children(value)]
+    assert held == []

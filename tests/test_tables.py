@@ -5,11 +5,12 @@ import json
 import jsonschema
 import pytest
 
+import agdim.cli as cli
 from agdim.arith import GenusValue
 from agdim.cli import _dumps
 from agdim.moduli import assemble_tables
 from agdim.schemas import DIMENSION_TABLE_SCHEMA
-from agdim.tables import DimensionTable, TableRow, check_against_fixture
+from agdim.tables import FIXTURE_AG, FIXTURE_MG, DimensionTable, TableRow, check_against_fixture
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,39 @@ class TestFixtureCheck:
         )
         problems = check_against_fixture(truncated)
         assert any("keel_sadun" in p and "missing" in p for p in problems)
+
+    def test_missing_cell_reported(self, tables, capsys, monkeypatch):
+        # A row that lacks a fixture genus is one problem, not a KeyError,
+        # so `tables --check` names it and exits 1.
+        original = tables["ag"]
+        rows = tuple(
+            TableRow(r.key, r.label, r.provenance, r.cells[:-1]) if r.key == "dmc_ag" else r
+            for r in original.rows
+        )
+        dropped = DimensionTable(original.name, original.title, original.genera, rows)
+        assert check_against_fixture(dropped) == ["table ag, row dmc_ag, g=100: cell missing"]
+        monkeypatch.setattr(cli, "assemble_tables", lambda conjectural: {**tables, "ag": dropped})
+        assert cli.main(["tables", "--check"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "table ag, row dmc_ag, g=100: cell missing\n"
+            "fixture check FAILED: 1 cell mismatch(es)\n",
+            "",
+        )
+
+    @pytest.mark.parametrize("conjectural", [False, True])
+    def test_rows_and_genera_match_fixtures(self, conjectural):
+        # check_against_fixture skips rows without a fixture, so a new
+        # non-conjectural row would go unchecked unless it is listed here.
+        built = assemble_tables(conjectural=conjectural)
+        for name, fixture in (("ag", FIXTURE_AG), ("mg", FIXTURE_MG)):
+            keys = [r.key for r in built[name].rows]
+            checked = [k for k in keys if not k.endswith("_conjectural")]
+            assert checked == list(fixture)
+            assert keys[: len(checked)] == checked  # conjectural rows come last
+            for cells in fixture.values():
+                assert list(cells) == list(built[name].genera)
+        assert len(built["mg"].rows) - len(FIXTURE_MG) == (2 if conjectural else 0)
 
     def test_unknown_table_rejected(self, tables):
         other = DimensionTable("misc", "t", (3,), ())
