@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .report import MAX_LISTED, VerificationReport
+from .report import VerificationReport
 
 __all__ = [
     "Multiset",
@@ -125,15 +125,14 @@ def verify_efficiency_classification(sum_max: int) -> VerificationReport:
     if sum_max < 2:
         raise ValueError(f"sum_max must be >= 2 (got {sum_max})")
     closed = closed_form_efficient
-    counterexamples: list[dict] = []
-    unlisted = 0
+    report = VerificationReport(claim="lemma-N", range={"sum_max": sum_max})
     checked = 0
     max_sum_outside = 0
     max_outside: tuple[int, ...] | None = None
 
     def visit(prefix: list[int], prod: int, total: int, lo: int, budget: int) -> None:
         """Every multiset prefix + [e, ...] with e >= lo and sum <= total + budget."""
-        nonlocal checked, unlisted, max_sum_outside, max_outside
+        nonlocal checked, max_sum_outside, max_outside
         size = len(prefix) + 1
         smallest = prefix[0] if prefix else None
         second = prefix[1] if size > 2 else None
@@ -143,16 +142,14 @@ def verify_efficiency_classification(sum_max: int) -> VerificationReport:
             s = total + e
             oracle = prod * e < 2 * s
             if oracle != closed(size, smallest or e, second or e, e):
-                if len(counterexamples) == MAX_LISTED:
-                    unlisted += 1
-                else:
-                    counterexamples.append(
-                        {
-                            "multiset": prefix + [e],
-                            "oracle_efficient": oracle,
-                            "closed_form_efficient": not oracle,
-                        }
-                    )
+                report.add(
+                    [e],
+                    lambda last: {
+                        "multiset": prefix + [last],
+                        "oracle_efficient": oracle,
+                        "closed_form_efficient": not oracle,
+                    },
+                )
             if oracle and not unbounded and s > max_sum_outside:
                 max_sum_outside = s
                 max_outside = (*prefix, e)
@@ -162,31 +159,26 @@ def verify_efficiency_classification(sum_max: int) -> VerificationReport:
                 prefix.pop()
 
     visit([], 1, 0, 2, sum_max)
-    bound_ok = max_sum_outside <= MAX_SUM_OUTSIDE_UNBOUNDED
-    if not bound_ok and max_outside is not None:
-        counterexamples.append(
-            {
-                "multiset": list(max_outside),
-                "reason": "efficient multiset outside the unbounded families "
-                f"with sum {max_sum_outside} > {MAX_SUM_OUTSIDE_UNBOUNDED}",
-            }
+    if max_sum_outside > MAX_SUM_OUTSIDE_UNBOUNDED:  # so max_outside is set
+        report.add(
+            [
+                {
+                    "multiset": list(max_outside),
+                    "reason": "efficient multiset outside the unbounded families "
+                    f"with sum {max_sum_outside} > {MAX_SUM_OUTSIDE_UNBOUNDED}",
+                }
+            ]
         )
-    witnesses = [
+    report.witnesses = [
         {
             "unbounded_families": ["{b}", "{2, b}"],
             "note": "efficient for every b by direct algebra; excluded from "
             "the max-sum bound",
         }
     ]
-    return VerificationReport(
-        claim="lemma-N",
-        range={"sum_max": sum_max},
-        counterexamples=counterexamples,
-        witnesses=witnesses,
-        details={
-            "multisets_checked": checked,
-            "max_sum_of_efficient_outside_unbounded": max_sum_outside,
-            "margin_bound": MAX_SUM_OUTSIDE_UNBOUNDED,
-        },
-        unlisted=unlisted,
-    )
+    report.details = {
+        "multisets_checked": checked,
+        "max_sum_of_efficient_outside_unbounded": max_sum_outside,
+        "margin_bound": MAX_SUM_OUTSIDE_UNBOUNDED,
+    }
+    return report

@@ -238,8 +238,10 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
         raise ValueError("all range bounds must be >= 2")
     kernels._require_at_most("s_max", s_max, MAX_SAFE_CLAIM_F)
     kernels._require_at_most("delta_max", delta_max, MAX_SAFE_CLAIM_F)
-    counterexamples: list[dict] = []
-    unlisted = 0
+    report = VerificationReport(
+        claim="claim-F",
+        range={"s_max": s_max, "delta_max": delta_max, "k_max": k_max, "n_max": n_max},
+    )
     equalities: list[dict] = []  # the first MAX_LISTED, for the report
     ties: list[np.ndarray] = []  # every equality pair, for the equality-set check
     deltas = np.arange(2, delta_max + 1, dtype=np.int64)
@@ -267,10 +269,8 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
                             "witness": {"family": FAMILY_I, "k": 2, "n": int(n_w[i])},
                         }
                     )
-            failed = np.flatnonzero(~covered | (td > wd))
-            room = MAX_LISTED - len(counterexamples)
-            unlisted += max(0, failed.size - room)
-            for i in failed[:room].tolist():
+
+            def failure(i: int) -> dict:
                 target = Pair(int(td[i]), int(tg[i]))
                 entry = {"family": family, "s": s, "delta": i + 2, "pair": [target.d, target.g]}
                 found = _search_strict_dominator(target, k_max, n_max)
@@ -279,14 +279,18 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
                 else:
                     entry["reason"] = "designated witness failed; search found one"
                     entry["witness"] = {"family": FAMILY_I, "k": found[0], "n": found[1]}
-                counterexamples.append(entry)
+                return entry
+
+            report.add(np.flatnonzero(~covered | (td > wd)), failure)
     tied = np.concatenate(ties) if ties else np.empty((0, 2), dtype=np.int64)
-    counterexamples += equality_diff(
-        "equality pairs differ from {(1, 4), (4, 8)}",
-        tied[np.lexsort((tied[:, 1], tied[:, 0]))],
-        [[1, 4], [4, 8]],
+    report.add(
+        equality_diff(
+            "equality pairs differ from {(1, 4), (4, 8)}",
+            tied[np.lexsort((tied[:, 1], tied[:, 0]))],
+            [[1, 4], [4, 8]],
+        )
     )
-    witnesses = [
+    report.witnesses = [
         {
             "family": FAMILY_I_NC1,
             "witness_rule": "k=2, n=floor(s*delta^2/2)",
@@ -298,14 +302,8 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
             "strict_except": [[4, 8]],
         },
     ]
-    return VerificationReport(
-        claim="claim-F",
-        range={"s_max": s_max, "delta_max": delta_max, "k_max": k_max, "n_max": n_max},
-        counterexamples=counterexamples,
-        witnesses=witnesses,
-        details={"pairs_checked": 2 * s_max * (delta_max - 1), "equalities": equalities},
-        unlisted=unlisted,
-    )
+    report.details = {"pairs_checked": 2 * s_max * (delta_max - 1), "equalities": equalities}
+    return report
 
 
 def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
@@ -329,9 +327,7 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
         raise ValueError("all range bounds must be >= 2")
     kernels._require_at_most("r_max", r_max, MAX_SAFE_REMARK)
     kernels._require_at_most("k_max", k_max, MAX_SAFE_REMARK)
-    counterexamples: list[dict] = []
-    unlisted = 0
-    witnesses: list[dict] = []
+    report = VerificationReport(claim="remark-domination", range={"r_max": r_max, "k_max": k_max})
     ks = np.arange(2, k_max + 1, dtype=np.int64)
     cases: list[tuple[str, int]] = [(FAMILY_II, r) for r in range(4, r_max + 1)]
     cases += [(FAMILY_III, r) for r in range(2, r_max + 1)]
@@ -347,17 +343,15 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
             target = Pair(int(td[i]), int(tg[i]))
             found = _smallest_dominating_n(k, target)
             if found is None:
-                if len(counterexamples) == MAX_LISTED:
-                    unlisted += 1
-                    continue
-                counterexamples.append(
-                    {
+                report.add(
+                    [target],
+                    lambda t: {
                         "family": family,
                         "k": k,
                         "r": r,
-                        "pair": [target.d, target.g],
+                        "pair": [t.d, t.g],
                         "reason": "no same-k dominating unitary pair",
-                    }
+                    },
                 )
             elif fallback_n is None:
                 fallback_n = found
@@ -372,12 +366,6 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
         }
         if failed and fallback_n is not None and fallback_n > 0:
             entry["witness"] = {"family": FAMILY_I, "k": "same", "n": fallback_n}
-        witnesses.append(entry)
-    return VerificationReport(
-        claim="remark-domination",
-        range={"r_max": r_max, "k_max": k_max},
-        counterexamples=counterexamples,
-        witnesses=witnesses,
-        details={"pairs_checked": len(cases) * (k_max - 1)},
-        unlisted=unlisted,
-    )
+        report.witnesses.append(entry)
+    report.details = {"pairs_checked": len(cases) * (k_max - 1)}
+    return report

@@ -2,14 +2,14 @@
 
 A report fails exactly when it lists a counterexample: ``status`` is derived
 from ``counterexamples`` and no verifier sets it.  A report lists at most
-``MAX_LISTED`` counterexamples; the rest are dropped when it is built, and a
-failing report gives the full count in ``details["counterexamples_total"]``.
-A verifier that finds failures in bulk builds only the rows it lists (see
-:func:`first_listed`) and passes the number it left out as ``unlisted``, so a
-failing run costs about the memory of a passing one.  A claim whose equality
-set is part of the statement reports a difference through
-:func:`equality_diff`, in one shape for every claim.  Verifiers never raise on
-mathematical failure, only on invalid usage.
+``MAX_LISTED`` counterexamples, and a failing report gives the full count in
+``details["counterexamples_total"]``.  A verifier hands its failures to
+:meth:`VerificationReport.add` in the order it finds them, which counts every
+one and builds a row only for those the report lists, so a failing run costs
+about the memory of a passing one.  A claim whose equality set is part of the
+statement reports a difference through :func:`equality_diff`, in one shape for
+every claim.  Verifiers never raise on mathematical failure, only on invalid
+usage.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["MAX_LISTED", "VerificationReport", "equality_diff", "first_listed"]
+__all__ = ["MAX_LISTED", "VerificationReport", "equality_diff"]
 
 MAX_LISTED = 50  # most counterexamples a report lists, and most rows in each list in one
 
@@ -38,6 +38,17 @@ class VerificationReport:
     def __post_init__(self) -> None:
         self.unlisted += max(0, len(self.counterexamples) - MAX_LISTED)
         self.counterexamples = self.counterexamples[:MAX_LISTED]
+
+    def add(self, failures, row=None, total=None) -> None:
+        """Count ``total`` failures (by default ``len(failures)``) and list
+        ``row(x)`` for each item x of ``failures``, in order, while fewer than
+        ``MAX_LISTED`` are listed; ``row=None`` lists the items themselves.
+        ``failures`` is a list or an array, read through ``.tolist()``."""
+        listed = failures[: MAX_LISTED - len(self.counterexamples)]
+        if isinstance(listed, np.ndarray):
+            listed = listed.tolist()
+        self.counterexamples += listed if row is None else [row(x) for x in listed]
+        self.unlisted += (len(failures) if total is None else total) - len(listed)
 
     @property
     def status(self) -> str:
@@ -59,12 +70,6 @@ class VerificationReport:
             "witnesses": list(self.witnesses),
             "details": details,
         }
-
-
-def first_listed(rows):
-    """The first ``MAX_LISTED`` of ``rows`` (an array or list) and the number
-    of rows left out: the rows a verifier turns into counterexamples."""
-    return rows[:MAX_LISTED], max(0, len(rows) - MAX_LISTED)
 
 
 def _excess(rows: np.ndarray, other: np.ndarray) -> np.ndarray:

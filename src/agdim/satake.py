@@ -69,6 +69,8 @@ SYMPLECTIC = "symplectic"
 ORTHOGONAL = "orthogonal"
 NON_SELF_DUAL = "non-self-dual"
 
+_PIECE = 4096  # about how many family-I cases family_grid yields in one piece
+
 
 class _Family(NamedTuple):
     """One catalog family: its parameter names, its four rules as functions
@@ -293,10 +295,10 @@ def _small_family(family: str, max_rep_dim: int) -> FamilyGrid:
     )
 
 
-def family_grid(max_rep_dim: int, piece: int = 4096) -> Iterator[FamilyGrid]:
+def family_grid(max_rep_dim: int) -> Iterator[FamilyGrid]:
     """The one enumeration of the catalog: the grid of each family in
     ``FAMILIES`` order, with family I (about max_rep_dim^2 / 4 cases) cut
-    into pieces of about ``piece`` cases (whole values of n), so that a
+    into pieces of about ``_PIECE`` cases (whole values of n), so that a
     reader of every case holds one piece at a time.  Family I yields no
     piece when max_rep_dim < 3; every other family yields one grid, empty
     where no case has rep_dim <= max_rep_dim (a few hundred cases between
@@ -308,7 +310,7 @@ def family_grid(max_rep_dim: int, piece: int = 4096) -> Iterator[FamilyGrid]:
         n = 3
         while n <= max_rep_dim:
             # n..n_hi holds about (n_hi^2 - n^2) / 4 cases
-            n_hi = min(max_rep_dim, max(n, math.isqrt(n * n + 4 * piece)))
+            n_hi = min(max_rep_dim, max(n, math.isqrt(n * n + 4 * _PIECE)))
             yield _family_i(n, n_hi)
             n = n_hi + 1
 

@@ -15,21 +15,23 @@ inside its large array loops, so blocks execute in parallel.  Each block is
 one kernel call, which walks the block in chunks of ``kernels.CHUNK`` values
 through buffers of its own and returns its count of failing values and the
 first ``MAX_LISTED`` of them, so a block's memory does not grow with its
-length, passing or failing.  The counts are summed and the listed values
-kept in block order, so output is the same for any worker count.
+length, passing or failing.  The blocks' results go to the report in block
+order, so output is the same for any worker count.
 ``lemma-dmax`` runs serially, as one scan call on the whole table; the scan
 is one numpy slice difference per g1.
 
-A failing verifier builds counterexample dicts only for the rows its report
-lists (:func:`~agdim.report.first_listed`), so a broken kernel costs about the
-memory of a passing run and the report still gives the full count.
+Every verifier hands its failures to
+:meth:`~agdim.report.VerificationReport.add` as it finds them, which builds
+counterexample dicts only for the rows the report lists, so a broken kernel
+costs about the memory of a passing run and the report still gives the full
+count.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -38,7 +40,7 @@ from . import kernels, pairs, satake
 from .arith import dmax
 from .efficiency import verify_efficiency_classification
 from .moduli import dmc_mgct, mgct_interior_bound_holds
-from .report import MAX_LISTED, VerificationReport, equality_diff, first_listed
+from .report import MAX_LISTED, VerificationReport, equality_diff
 
 __all__ = [
     "RangeParam",
@@ -122,18 +124,6 @@ def _run_blocked(fn: Callable[[int, int], object], lo: int, hi: int) -> list:
         return list(pool.map(lambda ab: fn(*ab), blocks))
 
 
-def _blocked_failures(
-    kernel: Callable[[int, int], kernels.Found], lo: int, hi: int
-) -> tuple[list[int], int]:
-    """The first ``MAX_LISTED`` failing values of a chunked kernel over
-    lo..hi, run in blocks, and the number of failing values left out.  Each
-    block lists its first ``MAX_LISTED``, so in block order they hold the
-    first ``MAX_LISTED`` of the whole range."""
-    found = _run_blocked(kernel, lo, hi)
-    listed = [v for f in found for v in f.listed.tolist()][:MAX_LISTED]
-    return listed, sum(f.total for f in found) - len(listed)
-
-
 # ---------------------------------------------------------------------------
 # individual verifiers
 # ---------------------------------------------------------------------------
@@ -146,21 +136,9 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
     D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
     scan = kernels.superadditivity_scan(D)
     expected_g2 = np.arange(16, g_max, 2, dtype=np.int64)
-    counterexamples = [
-        {"g1": int(a), "g2": int(b), "reason": "superadditivity violated"}
-        for a, b in scan.violations.tolist()
-    ]
-    # Every expected row has g1 = 1, so each g1 >= 2 equality is unexpected
-    # and the first MAX_LISTED of them give the same difference as all.
-    counterexamples += equality_diff(
-        "equality set differs from {(1, even g2 >= 16)}",
-        scan.equalities,
-        np.stack([np.ones_like(expected_g2), expected_g2], axis=1),
-    )
-    return VerificationReport(
+    report = VerificationReport(
         claim="lemma-dmax",
         range={"g_max": g_max},
-        counterexamples=counterexamples,
         witnesses=[
             {
                 "equality_cases": "g1=1 and g2 even >= 16",
@@ -168,35 +146,47 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
             }
         ],
         details={"pairs_checked": int(g_max) * int(g_max) // 4},
-        unlisted=scan.violations_total - len(scan.violations),
     )
+    report.add(
+        scan.violations,
+        lambda v: {"g1": v[0], "g2": v[1], "reason": "superadditivity violated"},
+        scan.violations_total,
+    )
+    # Every expected row has g1 = 1, so each g1 >= 2 equality is unexpected
+    # and the first MAX_LISTED of them give the same difference as all.
+    report.add(
+        equality_diff(
+            "equality set differs from {(1, even g2 >= 16)}",
+            scan.equalities,
+            np.stack([np.ones_like(expected_g2), expected_g2], axis=1),
+        )
+    )
+    return report
 
 
 def _verify_piecewise(g_max: int) -> VerificationReport:
     """max(g-1, floor(floor(g/2)^2/4)) agrees with its three-branch form for
     all 1 <= g <= g_max."""
-    listed, unlisted = _blocked_failures(kernels.piecewise_mismatches, 1, g_max)
-    return VerificationReport(
-        claim="dmax-piecewise",
-        range={"g_max": g_max},
-        counterexamples=[{"g": g, "reason": "piecewise forms differ"} for g in listed],
-        witnesses=[],
-        details={"values_checked": g_max},
-        unlisted=unlisted,
+    report = VerificationReport(
+        claim="dmax-piecewise", range={"g_max": g_max}, details={"values_checked": g_max}
     )
+    for found in _run_blocked(kernels.piecewise_mismatches, 1, g_max):
+        report.add(
+            found.listed, lambda g: {"g": g, "reason": "piecewise forms differ"}, found.total
+        )
+    return report
 
 
 def _verify_f_bounds(n_max: int) -> VerificationReport:
     """(n^2 - 1)/4 <= F(n) <= n^2/4 in exact integers for 2 <= n <= n_max."""
-    listed, unlisted = _blocked_failures(kernels.f_bound_violations, 2, n_max)
-    return VerificationReport(
-        claim="f-bounds",
-        range={"n_max": n_max},
-        counterexamples=[{"n": n, "reason": "half-product bound violated"} for n in listed],
-        witnesses=[],
-        details={"values_checked": n_max - 1},
-        unlisted=unlisted,
+    report = VerificationReport(
+        claim="f-bounds", range={"n_max": n_max}, details={"values_checked": n_max - 1}
     )
+    for found in _run_blocked(kernels.f_bound_violations, 2, n_max):
+        report.add(
+            found.listed, lambda n: {"n": n, "reason": "half-product bound violated"}, found.total
+        )
+    return report
 
 
 def _verify_efficiency(sum_max: int, pair_max: int) -> VerificationReport:
@@ -205,24 +195,23 @@ def _verify_efficiency(sum_max: int, pair_max: int) -> VerificationReport:
     triangle 2 <= a <= b <= pair_max."""
     report = verify_efficiency_classification(sum_max)
     listed = kernels.pair_efficiency_mismatches(pair_max, pair_max)[:MAX_LISTED].tolist()
-    counterexamples = list(report.counterexamples)
     if listed:
-        counterexamples.append(
-            {
-                "reason": "two-element criterion (a-2)(b-2) < 4 disagrees "
-                "with the definition",
-                "pairs": listed,
-            }
+        report.add(
+            [
+                {
+                    "reason": "two-element criterion (a-2)(b-2) < 4 disagrees "
+                    "with the definition",
+                    "pairs": listed,
+                }
+            ]
         )
-    return replace(
-        report,
-        range={**report.range, "pair_max": pair_max},
-        counterexamples=counterexamples,
-        details={
-            **report.details,
-            "two_element_window": {"a_max": pair_max, "b_max": pair_max, "mismatches": listed},
-        },
-    )
+    report.range["pair_max"] = pair_max
+    report.details["two_element_window"] = {
+        "a_max": pair_max,
+        "b_max": pair_max,
+        "mismatches": listed,
+    }
+    return report
 
 
 # Verifiers look up ``kernels.<name>`` and ``pairs.<name>`` when they run, and
@@ -250,36 +239,40 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
     and the equality genera span the whole range.
     """
     bi = kernels.best_indec_table(g_max)
-    over, eq = [], []
-    for lo in range(1, g_max + 1, kernels.CHUNK):
-        gs = np.arange(lo, min(lo + kernels.CHUNK, g_max + 1), dtype=np.int64)
-        dm, best = kernels.dmax_values(gs), bi[lo : lo + gs.size]
-        over.append(np.flatnonzero(best > dm) + lo)
-        eq.append(np.flatnonzero(best == dm) + lo)
-    eq = np.concatenate(eq)
-    eq = eq[np.searchsorted(eq, 2) :]
-    listed, unlisted = first_listed(np.concatenate(over))
-    counterexamples = [
-        {"g": g, "best_pair": int(bi[g]), "dmax": dm, "reason": "bound violated"}
-        for g, dm in zip(listed.tolist(), kernels.dmax_values(listed).tolist())
-    ]
-    counterexamples += equality_diff(
-        "equality genera differ from {2} union {even g >= 16}",
-        eq,
-        np.concatenate(([2], np.arange(16, g_max + 1, 2))),
-    )
-    return VerificationReport(
+    report = VerificationReport(
         claim="prop-estimate",
         range={"g_max": g_max},
-        counterexamples=counterexamples,
-        witnesses=[{"equality_genera": "{2} union {even g >= 16}", "count": int(eq.size)}],
         details={
             "genera_checked": g_max,
             "degenerate_genus_1": "both sides 0 (points); <= checked, "
             "excluded from the equality set",
         },
-        unlisted=unlisted,
     )
+    eq = []
+    for lo in range(1, g_max + 1, kernels.CHUNK):
+        gs = np.arange(lo, min(lo + kernels.CHUNK, g_max + 1), dtype=np.int64)
+        dm, best = kernels.dmax_values(gs), bi[lo : lo + gs.size]
+        report.add(
+            np.flatnonzero(best > dm),
+            lambda i: {
+                "g": lo + i,
+                "best_pair": int(best[i]),
+                "dmax": int(dm[i]),
+                "reason": "bound violated",
+            },
+        )
+        eq.append(np.flatnonzero(best == dm) + lo)
+    eq = np.concatenate(eq)
+    eq = eq[np.searchsorted(eq, 2) :]
+    report.add(
+        equality_diff(
+            "equality genera differ from {2} union {even g >= 16}",
+            eq,
+            np.concatenate(([2], np.arange(16, g_max + 1, 2))),
+        )
+    )
+    report.witnesses = [{"equality_genera": "{2} union {even g >= 16}", "count": int(eq.size)}]
+    return report
 
 
 def _verify_mgct() -> VerificationReport:
@@ -341,8 +334,11 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
         at = int(np.searchsorted(starts, idx, side="right")) - 1
         return str(grids[at].label(idx - int(starts[at])))
 
-    counterexamples: list[dict] = []
-    unlisted = 0
+    report = VerificationReport(
+        claim="cor-decoupled",
+        range={"rep_max": rep_max, "k_max": k_max},
+        details={"catalog_cases": int(rep.size), "k_range": [2, k_max]},
+    )
     equality_count = 0
     for k in range(2, k_max + 1):
         lhs = (k - 1) * hss
@@ -351,33 +347,22 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
         over = hits[lhs[hits] > bound[hits]]
         equal = hits[lhs[hits] == bound[hits]]
         equality_count += equal.size
-        outside = equal[~in_family_i[equal]] if k == 2 else equal
-        rows = [
-            {
+        report.add(
+            over,
+            lambda idx: {
                 "case": case(idx),
                 "k": k,
                 "lhs": int(lhs[idx]),
                 "dmax": int(bound[idx]),
                 "reason": "dimension bound violated",
-            }
-            for idx in over[: MAX_LISTED - len(counterexamples)].tolist()
-        ]
-        rows += [
-            {"case": case(idx), "k": k, "reason": "equality outside family I with k=2"}
-            for idx in outside[: MAX_LISTED - len(counterexamples) - len(rows)].tolist()
-        ]
-        counterexamples += rows
-        unlisted += over.size + outside.size - len(rows)
-    return VerificationReport(
-        claim="cor-decoupled",
-        range={"rep_max": rep_max, "k_max": k_max},
-        counterexamples=counterexamples,
-        witnesses=[
-            {"equality_cases": "family I with k=2 only", "count": equality_count}
-        ],
-        details={"catalog_cases": int(rep.size), "k_range": [2, k_max]},
-        unlisted=unlisted,
-    )
+            },
+        )
+        report.add(
+            equal[~in_family_i[equal]] if k == 2 else equal,
+            lambda idx: {"case": case(idx), "k": k, "reason": "equality outside family I with k=2"},
+        )
+    report.witnesses = [{"equality_cases": "family I with k=2 only", "count": equality_count}]
+    return report
 
 
 REGISTRY: dict[str, Verifier] = {

@@ -196,6 +196,18 @@ class TestTablesCommand:
         assert code == 0
         assert "CONJECTURAL" in out
 
+    def test_mgct_self_check_exits_one(self, capsys, monkeypatch):
+        # a wrong boundary-recursion value must stop the check, not pass it
+        table = list(moduli._MGCT_TABLE)
+        table[15 - 2] += 1  # g = 15 is a column of the M_g table
+        monkeypatch.setattr(moduli, "_MGCT_TABLE", tuple(table))
+        code, out, err = run(capsys, ["tables", "--check"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "tables: internal self-check failed: the boundary recursion returned "
+            "21 for g=15 but the closed form gives 20\n"
+        )
+
 
 class TestVerifyCommand:
     def test_pass_report(self, capsys):
@@ -273,6 +285,25 @@ class TestVerifyCommand:
         finally:
             tracemalloc.stop()
         assert report.passed and peak <= verify.REGISTRY[claim].bytes_per_genus * g_max
+
+    def test_failing_prop_estimate_bytes_per_genus_covers_peak(self, monkeypatch):
+        # Every genus off the equality set exceeds dmax by one, so about half
+        # the range fails while the equality set is unchanged.  Keeping every
+        # failing genus until the end peaked at 28.3 bytes per genus.
+        g_max = 200_000
+        table = kernels.best_indec_table(g_max)
+        dm = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
+        table[1:] = np.where(table[1:] == dm, dm, dm + 1)
+        del dm
+        monkeypatch.setattr(kernels, "best_indec_table", lambda n: table.copy())
+        tracemalloc.start()
+        try:
+            report = verify.run_verifier("prop-estimate", {"g_max": g_max})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.to_dict()["details"]["counterexamples_total"] == 100_005
+        assert peak <= verify.REGISTRY["prop-estimate"].bytes_per_genus * g_max
 
     def test_wrong_flag_for_claim(self, capsys):
         code, _, err = run(capsys, ["verify", "lemma-dmax", "--sum-max", "30"])
@@ -435,6 +466,34 @@ def _zero_dmax(mp):
     mp.setattr(kernels, "dmax_values", lambda gs: np.zeros_like(gs))
 
 
+def _both_claim_f_faults(mp):
+    _huge_rank2(mp)
+    _extra_equality(mp)
+
+
+def _lemma_n_margin_7(mp):
+    mp.setattr(efficiency, "MAX_SUM_OUTSIDE_UNBOUNDED", 7)
+
+
+def _bump_best_pair_chunk_11(mp):
+    _bump_best_pair(mp)
+    mp.setattr(kernels, "CHUNK", 11)
+
+
+def _best_pair_plus_million(mp):
+    real = kernels.best_indec_table
+    mp.setattr(kernels, "best_indec_table", lambda g_max: real(g_max) + 10**6)
+
+
+def _mgct_off_by_one_at_10(mp):
+    real = verify.dmc_mgct
+    mp.setattr(verify, "dmc_mgct", lambda g: replace(real(g), exact=real(g).exact + 1) if g == 10 else real(g))
+
+
+def _interior_fails_at_9(mp):
+    mp.setattr(verify, "mgct_interior_bound_holds", lambda g: g != 9)
+
+
 # One wrong input per claim, at a tiny range; every verifier must report it.
 FAILURES = {
     "lemma-dmax": (["--g-max", "40"], _bump_dmax),
@@ -522,11 +581,82 @@ class TestVerifierFailures:
                 "remark-domination", ["--r-max", "40", "--k-max", "40"], _undominated_family_ii,
                 "643c5347c3c0eb87544c322cb77a70affceaf012333e1bba7f7ba0a36063a5ec",
             ),
+            (
+                "lemma-dmax", *FAILURES["lemma-dmax"],
+                "b5cf1f28432a7c38a3fbb1b973b197e68d15e51dbd18ec26cb6b3817cbcba0c8",
+            ),
+            (
+                "dmax-piecewise", *FAILURES["dmax-piecewise"],
+                "1d98490b3c60fe646b8e86a8ec9e30d82de3456b0bcd0ebd95132a37c9ffb5e8",
+            ),
+            (
+                "f-bounds", *FAILURES["f-bounds"],
+                "663fef813e54f73db064ae65d22ded7013ddcb9c9f0c7e02906a89e9558f2438",
+            ),
+            (
+                "lemma-N", *FAILURES["lemma-N"],
+                "b4e52c93b9575935aeb8e02233dd01f375fb7350bab94462c5ff3437b755de72",
+            ),
+            (
+                "prop-estimate", *FAILURES["prop-estimate"],
+                "2219380bc19c80ae866c2f55e2937af586a14de00c6fdd9ff84c3a8912b7d856",
+            ),
+            (
+                "cor-C", *FAILURES["cor-C"],
+                "08973e858711aaa556a527b4353361cb88a30e8d9d97466699b829ad7f609d6e",
+            ),
+            (
+                "cor-decoupled", *FAILURES["cor-decoupled"],
+                "dc3f31cb2591bc6c0b467e88a030831008194d1e5652a11b4190f07463eac9c4",
+            ),
+            (
+                "lemma-dmax", ["--g-max", "400"], _zero_dmax,
+                "1c721687f8f1d30dcee067aa25400cb1946dc1380b1e7fe84fa89a04f644d0a7",
+            ),
+            (
+                "dmax-piecewise", ["--g-max", "300000"], _raise_helper("_dmax", at=lambda xs: xs % 1001 == 7),
+                "17fa9f480a4fa41a65bc1b1caae5f779b0b48b17ed484705d070afbff3410504",
+            ),
+            (
+                "lemma-N", ["--sum-max", "14", "--pair-max", "30"], _negate_closed_form,
+                "ecc582d9952c954070daf0dd6c88b125d26f201be4b1e5ac73618f427a1ebdbd",
+            ),
+            (
+                "lemma-N", ["--sum-max", "20", "--pair-max", "10"], _lemma_n_margin_7,
+                "f854044a531b4c18f5c4a2fc7121304a61cac955294c16d6adb4fff6585eac90",
+            ),
+            (
+                "claim-F", ["--s-max", "40", "--delta-max", "40", "--k-max", "8", "--n-max", "8"],
+                _both_claim_f_faults,
+                "0e2bcd8e5c88cd3c56eb106f2046dcf10f16c9e81f9c61fcfab80ed327f3af9e",
+            ),
+            (
+                "prop-estimate", ["--g-max", "100"], _bump_best_pair_chunk_11,
+                "1479d9a51c61e9ad1e3839539d6f257130c62681129d672dce9bcec14cf55aeb",
+            ),
+            (
+                "prop-estimate", ["--g-max", "200000"], _best_pair_plus_million,
+                "2befb77f896ab566e1b1c87ea07f4a9d12e7f939b259fcb60d3b359bded0a529",
+            ),
+            (
+                "cor-C", [], _mgct_off_by_one_at_10,
+                "fb9e9f30b57b84d6b467a0a1a3893f1c1bb1934a4ed5fb305d00f548d9258087",
+            ),
+            (
+                "cor-C", [], _interior_fails_at_9,
+                "9134b049760e14e43036ba62a2d979fc956ac0383d1169e123a7b40836203533",
+            ),
+            (
+                "cor-decoupled", ["--rep-max", "64", "--k-max", "6"], _zero_dmax,
+                "63202e5f450837ac161c7408908d57d14ebd8e26d620268ea921f5a88fb3be8c",
+            ),
         ],
     )
     def test_failing_stdout_unchanged(self, capsys, monkeypatch, claim, flags, inject, digest):
-        # Recorded with the per-n Python-int searches, before the closed-form
-        # smallest dominating n replaced them.
+        # The first four were recorded with the per-n Python-int searches,
+        # before the closed-form smallest dominating n replaced them; the rest
+        # with each verifier keeping its own tally of unlisted failures,
+        # before the report's one listing rule replaced them.
         inject(monkeypatch)
         code, out, _ = run(capsys, ["verify", claim, *flags])
         assert code == 1
@@ -736,6 +866,15 @@ class TestExplainCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("explain: internal self-check failed")
+
+    def test_descriptor_self_check_exits_one(self, capsys, monkeypatch):
+        # a case record whose descriptor does not attain dmc must stop explain
+        wrong = moduli._CASES["iii"]._replace(attained_by=lambda g: (moduli.SpecialFamily.unitary(2, g // 2 - 1),))
+        monkeypatch.setitem(moduli._CASES, "iii", wrong)
+        code, out, err = run(capsys, ["explain", "16"])
+        assert (code, out) == (1, "")
+        assert err.startswith("explain: attainment descriptor ") and err.count("\n") == 1
+        assert err.endswith(" re-evaluates to 12, not dmc=16, at g=16\n")
 
     def test_json_schema_valid(self, capsys):
         for g in range(1, 41):

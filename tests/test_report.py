@@ -1,8 +1,9 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 
-from agdim.report import MAX_LISTED, VerificationReport, equality_diff, first_listed
+from agdim.report import MAX_LISTED, VerificationReport, equality_diff
 
 
 def test_status_follows_from_counterexamples():
@@ -16,17 +17,21 @@ def test_status_follows_from_counterexamples():
 
 def test_failing_report_gives_the_full_count():
     rows = [{"g": g} for g in range(70)]
-    listed, unlisted = first_listed(rows)
-    assert (len(listed), unlisted) == (MAX_LISTED, 20)
-    assert first_listed(np.arange(3))[1] == 0
-    # a verifier that built only the listed rows, plus one more from elsewhere
-    built = VerificationReport(claim="c", range={}, counterexamples=listed + [{"g": -1}], unlisted=unlisted)
+    built, seen = VerificationReport(claim="c", range={}), []
+    # failures given as an array, with rows built only for the listed ones;
+    # then a kernel's count beyond the values it returned; then a ready row
+    built.add(np.arange(60), lambda g: seen.append(g) or {"g": g})
+    built.add(np.arange(60, 62), lambda g: pytest.fail("no room"), total=10)
+    built.add([{"g": -1}])
     everything = VerificationReport(claim="c", range={}, counterexamples=rows + [{"g": -1}])
+    assert seen == list(range(MAX_LISTED))
     assert built.to_dict() == everything.to_dict()
     assert built.to_dict()["details"] == {"counterexamples_total": 71}
     assert built.counterexamples == rows[:MAX_LISTED]
     # a passing report's details are exactly what the verifier gave
-    assert VerificationReport(claim="c", range={}, details={"n": 1}).to_dict()["details"] == {"n": 1}
+    passing = VerificationReport(claim="c", range={}, details={"n": 1})
+    passing.add(np.empty((0, 2), dtype=np.int64), lambda ab: pytest.fail("nothing to list"))
+    assert passing.to_dict()["details"] == {"n": 1} and passing.passed
 
 
 class TestEqualityDiff:

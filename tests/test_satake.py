@@ -289,11 +289,12 @@ class TestFamilyGrid:
         assert np.concatenate([g.rep_dim for g in grids]).tolist() == [rep_dimension(x) for x in labels]
 
     @pytest.mark.parametrize("piece", [1, 7, 4096])
-    def test_pieces_cover_the_grid(self, piece):
+    def test_pieces_cover_the_grid(self, monkeypatch, piece):
         # family I comes in pieces of whole values of n, about `piece` cases
         # each (none below rep_max 3); together they are the seed's family I
+        monkeypatch.setattr(satake, "_PIECE", piece)
         for rep_max in range(1, 301):
-            grids = list(family_grid(rep_max, piece))
+            grids = list(family_grid(rep_max))
             pieces = [g for g in grids if g.family == "I"]
             assert all(g.rep_dim.size for g in pieces)
             assert all(g.rep_dim[0] > h.rep_dim[-1] for h, g in zip(pieces, pieces[1:]))
