@@ -10,9 +10,10 @@ Subcommands
                    ``moduli``: the case's narrative and descriptors
 ``catalog``        classification catalog export as JSON
 
-``main`` builds only the invoked subcommand's arguments: the parser
-registers all five subcommands with their help lines, and each adds its
-arguments when it first parses (``_Subcommand``).  ``main`` also answers
+``main`` builds two ``argparse.ArgumentParser`` objects, the top-level one
+and the invoked subcommand's: the top level registers all five subcommands
+with their help lines only (``_Subcommand``), and a subcommand's parser and
+its arguments are built when it first parses.  ``main`` also answers
 ``--schema`` for every subcommand, before its handler runs, and reports
 every usage error: a handler raises ``ValueError`` and ``main`` prints
 ``<command>: <message>`` on stderr.
@@ -42,7 +43,11 @@ separator, runs the C encoder on every leaf; its text is split on
   escapes them all, ``"\x00"`` included), so the split cannot cut inside a
   value, and a raw newline only comes from the layout, so a block of rows
   can be rendered at any depth;
-- the constant text of the template escapes ``%`` as ``%%``.
+- the constant text of the template escapes ``%`` as ``%%``;
+- the ``dmax --format json`` rows all fill one row template, built by
+  ``_template`` from a sample row, with ``template % (g, dmax)``: both
+  leaves are Python ints, and ``%s`` of an int is ``int.__repr__``, which
+  is what json writes for it.
 """
 
 from __future__ import annotations
@@ -147,9 +152,9 @@ def _write_rows(
         fh.write(tail)
 
 
-def _lines(template: str) -> Callable[[list], str]:
-    """Render a block of tuples, ``template % row`` each."""
-    return lambda block: "".join(template % row for row in block)
+def _lines(template: str, sep: str = "") -> Callable[[list], str]:
+    """Render a block of tuples, ``template % row`` each, joined by ``sep``."""
+    return lambda block: sep.join([template % row for row in block])
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -238,11 +243,14 @@ def _json_block(block: list) -> str:
     return _dumps(block, "\n  ")[1:-4]
 
 
-def _write_json(out: str | None, doc: dict, key: str, rows: Iterator) -> None:
+def _write_json(
+    out: str | None, doc: dict, key: str, rows: Iterator, render: Callable[[list], str] = _json_block
+) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline, where the list
-    ``doc[key]`` (empty in ``doc``) holds the rows, at least one."""
+    ``doc[key]`` (empty in ``doc``) holds the rows, at least one, each block
+    of them rendered by ``render`` as ``_json_block`` renders it."""
     head, tail = _dumps(doc).split(f'"{key}": []')
-    _write_rows(out, f'{head}"{key}": [', rows, _json_block, f"\n  ]{tail}\n", sep=",")
+    _write_rows(out, f'{head}"{key}": [', rows, render, f"\n  ]{tail}\n", sep=",")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -288,7 +296,9 @@ def _cmd_dmax(args: argparse.Namespace) -> int:
         doc = {"schema": "agdim.dmax-table/1", "values": []}
         if args.timestamp:
             doc["generated_at"] = _timestamp()
-        _write_json(args.out, doc, "values", ({"g": g, "dmax": v} for g, v in rows))
+        # Every row has one layout: its template, filled by (g, dmax) tuples.
+        row = "\n    " + _template({"g": 1, "dmax": 1}, "\n    ", [])
+        _write_json(args.out, doc, "values", rows, _lines(row, ","))
     return 0
 
 
@@ -452,28 +462,38 @@ def _catalog_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_catalog)
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments (the ``arguments``
-    callback) when it first parses.  Every ``add_argument`` builds a help
-    formatter and reads the terminal size, so building all five subcommands
-    cost more than most commands take to run; a run parses one."""
+class _Subcommand:
+    """A registered subcommand: the keyword arguments of its
+    ``argparse.ArgumentParser`` and the ``arguments`` callback that adds its
+    arguments.  Its first ``parse_known_args`` builds that parser and its
+    arguments, so a run builds one subcommand's parser and no other; each
+    parser costs three gettext lookups and a ``-h`` action, and each
+    argument a help formatter, which for all five subcommands took longer
+    than most commands take to run.
 
-    def __init__(self, *args, arguments: Callable[[argparse.ArgumentParser], None], **kwargs):
-        super().__init__(*args, **kwargs)
-        self._arguments: Callable[[argparse.ArgumentParser], None] | None = arguments
+    This relies on argparse asking nothing else of a subparser, as CPython
+    3.10-3.13 do: ``_SubParsersAction.__call__`` calls only its
+    ``parse_known_args``, and the top-level help and usage read only the
+    subcommand names and the help lines (``_ChoicesPseudoAction``)."""
+
+    def __init__(self, *, arguments: Callable[[argparse.ArgumentParser], None], **kwargs):
+        self._arguments = arguments
+        self._kwargs = kwargs
+        self._parser: argparse.ArgumentParser | None = None
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._arguments is not None:
-            add, self._arguments = self._arguments, None
-            add(self)
-        return super().parse_known_args(args, namespace)
+        if self._parser is None:
+            self._parser = argparse.ArgumentParser(**self._kwargs)
+            self._arguments(self._parser)
+        return self._parser.parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``agdim`` parser: every subcommand is registered with its help
-    line, and adds its own arguments only when it parses.  All five stay
-    registered because the top-level usage line, which also reports an
-    unknown flag, lists them."""
+    """A new ``agdim`` parser, the only ``argparse.ArgumentParser`` it
+    builds: every subcommand is registered with its help line, and builds
+    its own parser and arguments only when it parses (``_Subcommand``).
+    All five stay registered because the top-level usage line, which also
+    reports an unknown flag, lists them."""
     parser = argparse.ArgumentParser(
         prog="agdim",
         description="Exact dimension bounds for compact subvarieties of the "

@@ -153,7 +153,9 @@ _TABLES: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 def _tables(g_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     global _TABLES
     if len(_TABLES[0]) <= g_max:
-        M = tuple(mdsp_star_table(max(g_max, 2 * len(_TABLES[0]))))
+        g_top = max(g_max, 2 * len(_TABLES[0]))
+        _TABLES = ((), ())  # the old pair is freed before the longer one is built
+        M = tuple(mdsp_star_table(g_top))
         # P[0] is a max over no genera; _recursion_value never reads it.
         P = (0, *accumulate((m - g for g, m in enumerate(M[:-1])), max))
         _TABLES = (M, P)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import inspect
 import json
@@ -1172,29 +1173,51 @@ class TestCliSurface:
         monkeypatch.setenv("COLUMNS", "80")
         assert run(capsys, case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
-    def test_subcommand_arguments_built_on_first_parse(self, monkeypatch):
+    def test_one_parser_per_command(self, capsys, monkeypatch):
         # perfbench's tracer calls build_parser() with no arguments and wraps
-        # parse_args on what it returns.  A subcommand that does not run
-        # builds none of its arguments.
+        # parse_args on each parser it returns, so every call builds a new
+        # one.  build_parser builds one ArgumentParser; a run builds one
+        # more, the invoked subcommand's, and no other subcommand adds its
+        # arguments.
         assert inspect.signature(cli.build_parser).parameters == {}
-        usages = []
-        real = cli._verify_args
+        built, added = [], []
+        init = argparse.ArgumentParser.__init__
 
-        def spy(p):
-            usages.append(p.format_usage())
-            real(p)
-            usages.append(p.format_usage())
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_verify_args", spy)
-        cli.build_parser().parse_args(["explain", "5"])
-        assert usages == []
+        def counting(name, real):
+            def add(p):
+                added.append(name)
+                real(p)
+
+            return add
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for name in ("dmax", "tables", "verify", "explain", "catalog"):
+            monkeypatch.setattr(cli, f"_{name}_args", counting(name, getattr(cli, f"_{name}_args")))
+
         parser = cli.build_parser()
-        assert usages == []
-        args = parser.parse_args(["verify", "lemma-N", "--g-max", "7"])
-        assert args.g_max == 7 and args.handler is cli._cmd_verify
-        assert "--g-max" not in usages[0] and "--g-max" in usages[1]
+        assert cli.build_parser() is not parser
+        assert (built, added) == (["agdim", "agdim"], [])
+        assert parser.parse_args(["verify", "lemma-N", "--g-max", "7"]).g_max == 7
         assert parser.parse_args(["verify", "f-bounds"]).claim == "f-bounds"
-        assert len(usages) == 2  # added once per parser
+        assert (built[2:], added) == (["agdim verify"], ["verify"])  # added once per parser
+
+        for argv, code, command in [
+            (["explain", "5"], 0, "explain"),
+            (["verify", "lemma-N", "--sum-max", "8"], 0, "verify"),
+            (["-h"], 0, None),
+            (["--version"], 0, None),
+            ([], 2, None),
+            (["bogus"], 2, None),
+        ]:
+            built.clear()
+            added.clear()
+            assert run(capsys, argv)[0] == code
+            assert built == ["agdim", *([f"agdim {command}"] if command else [])]
+            assert added == ([command] if command else [])
 
 
 def test_python_dash_m():

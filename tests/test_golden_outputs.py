@@ -55,7 +55,9 @@ CATALOG = {
 }
 
 # explain G for G in 1..40, 100, 1001 and 4096; every tables form, with each
-# --table and --check; dmax over 1..300; every subcommand's --schema.
+# --table and --check; dmax over 1..300; every subcommand's --schema.  The
+# dmax json runs over 5, 1..1200 (three row blocks) and a range past the
+# int64 kernel's ceiling were recorded before those rows took one template.
 OUTPUTS = {
     "explain 1": "fdd7447bb3228648a64d74a62ae3d6ebc971a13fd33aaed5811ea2ce2de0e85c",
     "explain 1 --format json": "2cc0fdd0fb5d6caef2d4f1e8955af0ba0b98d1f0a54836896809e67393ce1b3b",
@@ -209,6 +211,13 @@ OUTPUTS = {
     ),
     "dmax 1..300 --format csv": "a98557efc3d3c7e4f34112bb982c1dd1477c111f45ccc16986e288ec0ebf6739",
     "dmax 1..300 --format json": "a3b506f16c7c48b3a9d732b5ec638177e8a67f0fa4a0052ccbd2fc35b0deaad0",
+    "dmax 5 --format json": "635f425c27cefcda85e5f5f0cb36fbc8c92970e3d557eb9c221a11758a35f1c6",
+    "dmax 1..1200 --format json": (
+        "788c222d3ae25dab81a1b81ecbbe8ce68a104d26eaa5680f260ca02e674ce45c"
+    ),
+    "dmax 3999999990..4000000010 --format json": (
+        "104abcd962b596cbf5df059b2119a313695a7cf0b763ba37ac6b794e5ccbd461"
+    ),
     "dmax --schema": "2ae595be6691dfa4adf89cb6ec940392e5073cb0ec9a902e49e89b7534e04320",
     "tables --schema": "5f5781fb5de661a97151b9ce4c795563f1be4e1a92b63f4ccde05f96c5f2ee72",
     "verify --schema": "7762cc3bf99d4f58408c96c242bc073ce8954a750148cb45eeaac2a0c258b81d",

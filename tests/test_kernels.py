@@ -168,13 +168,18 @@ class TestChunkBoundaries:
 
 
 class TestGuards:
-    def test_overflow_ceilings(self):
-        with pytest.raises(OverflowError):
-            kernels.piecewise_mismatches(1, kernels.MAX_SAFE_G + 1)
+    def test_overflow_ceilings(self, monkeypatch):
+        top = kernels.MAX_SAFE_G
+        window = np.arange(top - 20, top + 1, dtype=np.int64)
+        assert kernels.dmax_values(window).tolist() == [dmax(g) for g in range(top - 20, top + 1)]
         with pytest.raises(OverflowError):
             kernels.f_bound_violations(2, kernels.MAX_SAFE_N + 1)
         with pytest.raises(OverflowError):
-            kernels.dmax_values(np.array([kernels.MAX_SAFE_G + 1], dtype=np.int64))
+            kernels.dmax_values(np.array([top + 1], dtype=np.int64))
+        # Without numpy, any allocation would raise AttributeError instead.
+        monkeypatch.setattr(kernels, "np", None)
+        with pytest.raises(OverflowError):
+            kernels.best_indec_table(top + 1)
 
     def test_piecewise_ceiling_exact(self):
         # g * g is the largest intermediate of the three-branch form.

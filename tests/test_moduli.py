@@ -103,6 +103,20 @@ class TestDmcAg:
         assert len(builds) <= n.bit_length() + 1
         assert queried == dmc_ag_range(n)
 
+    def test_rebuild_frees_old_tables_first(self, monkeypatch):
+        # A rebuild holds the new (M, P) pair only, not the old one beside it.
+        held = []
+
+        def recording_table(g_max):
+            held.append((g_max, moduli._TABLES))
+            return mdsp_star_table(g_max)
+
+        monkeypatch.setattr(moduli, "_TABLES", ((), ()))
+        monkeypatch.setattr(moduli, "mdsp_star_table", recording_table)
+        dmc_ag(100)
+        dmc_ag(101)  # rebuilds to 202
+        assert held == [(100, ((), ())), (202, ((), ()))]
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             dmc_ag(-1)
