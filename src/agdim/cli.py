@@ -16,7 +16,9 @@ with their help lines only (``_Subcommand``), and a subcommand's parser and
 its arguments are built when it first parses.  ``main`` also answers
 ``--schema`` for every subcommand, before its handler runs, and reports
 every usage error: a handler raises ``ValueError`` and ``main`` prints
-``<command>: <message>`` on stderr.
+``<command>: <message>`` on stderr.  ``verify``, ``catalog`` and
+``explain`` check their range inputs and stated peak memory through one
+rule, ``verify.admit``, before any work.
 
 Exit codes: 0 success or verified pass; 1 claim failure or fixture mismatch;
 2 usage error.  All output is deterministic unless ``--timestamp`` is given.
@@ -65,26 +67,20 @@ from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
-from . import __version__, kernels, verify
+from . import __version__, kernels
 from .arith import dmax
-from .moduli import assemble_tables, dmc_ag
+from .moduli import assemble_tables, dmc_ag, dmc_ag_peak_bytes
 from .satake import iter_cases
 from .schemas import SCHEMAS_BY_COMMAND
 from .tables import check_all_tables
-from .verify import REGISTRY, RangeParam, range_args, run_verifier
+from .verify import REGISTRY, RangeParam, admit, range_args, run_verifier
 
 _FORMATS = ("markdown", "csv", "json")
 
-# Every range flag some verifier takes, in registry order.
-_RANGE_FLAGS = tuple(dict.fromkeys(p.flag for v in REGISTRY.values() for p in v.params))
-_CATALOG_REP_MAX = RangeParam("rep_max", 64, 4096)
-# explain G builds moduli's tables of M and of its prefix maxima P up to G
-# (a fresh process holds none).  Per genus, the peak comes while P is built:
-# M's tuple slot (8 bytes) and int (32; every value is below 2^60 up to
-# MAX_SAFE_G), P's int (at most 32), and at most two of M[:-1]'s slot (8),
-# P's list slot (9, with list growth) and P's tuple slot (8): 89 bytes.  The
-# int64 kernel arrays and the list of M peak lower, at about 49.
-_EXPLAIN_BYTES_PER_GENUS = 96
+# Every range flag some verifier takes, keyword to flag, in registry order.
+_RANGE_FLAGS = {p.keyword: p.name for v in REGISTRY.values() for p in v.params}
+_CATALOG_REP_MAX = RangeParam("--rep-max", 64, 4096)
+_EXPLAIN_G = RangeParam("g", minimum=1, limit=kernels.MAX_SAFE_G)
 # Rows per write of a long export: bounds its memory.  A block of catalog
 # rows renders to about 90 kB, small enough to reuse memory the process has
 # already touched (4096-row blocks took fresh pages on every write).
@@ -332,11 +328,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.claim is None:
         raise ValueError("a claim id is required (or --schema)")
-    overrides = {
-        flag: getattr(args, flag)
-        for flag in _RANGE_FLAGS
-        if getattr(args, flag) is not None
-    }
+    overrides = {key: getattr(args, key) for key in _RANGE_FLAGS if getattr(args, key) is not None}
     # A usage error, then an --out path that cannot be opened, is refused
     # before any work.
     range_args(args.claim, overrides, args.unsafe_no_ceiling)
@@ -354,17 +346,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     if args.g is None or args.g < 1:
         raise ValueError("g must be a positive integer")
-    if args.g > kernels.MAX_SAFE_G:
-        raise ValueError(
-            f"g={args.g} exceeds the int64-safe kernel ceiling {kernels.MAX_SAFE_G}; "
-            "no flag lifts it"
-        )
-    need, budget = _EXPLAIN_BYTES_PER_GENUS * args.g, verify._memory_budget()
-    if need > budget:
-        raise ValueError(
-            f"g={args.g} needs about {need / 2**30:.1f} GiB, more than half of physical "
-            f"memory ({budget / 2**30:.1f} GiB); no flag lifts it"
-        )
+    admit("explain", (_EXPLAIN_G,), {"g": args.g}, peak_bytes=dmc_ag_peak_bytes)
     result = dmc_ag(args.g)
     if args.format == "json":
         doc = {
@@ -389,7 +371,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    _CATALOG_REP_MAX.check(args.rep_max, "catalog", args.unsafe_no_ceiling)
+    admit("catalog", (_CATALOG_REP_MAX,), {"rep_max": args.rep_max}, args.unsafe_no_ceiling)
     doc = {"schema": "agdim.catalog/1", "max_rep_dim": args.rep_max, "cases": []}
     if args.timestamp:
         doc["generated_at"] = _timestamp()
@@ -438,8 +420,8 @@ def _tables_args(p: argparse.ArgumentParser) -> None:
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("claim", nargs="?", choices=sorted(REGISTRY))
-    for flag in _RANGE_FLAGS:
-        p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None, metavar="N")
+    for flag in _RANGE_FLAGS.values():
+        p.add_argument(flag, type=int, default=None, metavar="N")
     p.add_argument(
         "--unsafe-no-ceiling",
         action="store_true",
@@ -456,7 +438,7 @@ def _explain_args(p: argparse.ArgumentParser) -> None:
 
 
 def _catalog_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rep-max", type=int, default=_CATALOG_REP_MAX.default, metavar="N")
+    p.add_argument(_CATALOG_REP_MAX.name, type=int, default=_CATALOG_REP_MAX.default, metavar="N")
     p.add_argument("--unsafe-no-ceiling", action="store_true")
     _add_common(p, formats=False)
     p.set_defaults(handler=_cmd_catalog)

@@ -8,6 +8,8 @@
 over the superadditive closure M = mdsp_star and checks the result against
 the closed form; the recursion is the computation, the closed form is the
 self-check, and a mismatch is an internal error, never silently patched.
+The tables of M and P cost at most 96 bytes per genus
+(``dmc_ag_peak_bytes``), the figure ``explain`` is admitted by.
 
 ``dmc_mgct`` runs the boundary recursion for curves of compact type, exact
 for 2 <= g <= 23 and explicit bounds beyond, plus the Jacobian-locus and
@@ -35,6 +37,7 @@ __all__ = [
     "MgctResult",
     "dmc_ag",
     "dmc_ag_range",
+    "dmc_ag_peak_bytes",
     "maxvar_case",
     "dmc_mgct",
     "mgct_interior_bound_holds",
@@ -148,6 +151,16 @@ class AgResult:
 # pair of tables serves every genus up to their length.  The pair is rebuilt
 # together, at least twice as long, when a query outgrows it.
 _TABLES: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+
+
+def dmc_ag_peak_bytes(g: int) -> int:
+    """Peak memory of ``dmc_ag(g)`` in a fresh process, which builds the
+    tables up to g.  Per genus, the peak comes while P is built: M's tuple
+    slot (8 bytes) and int (32; every value is below 2^60 up to
+    ``kernels.MAX_SAFE_G``), P's int (at most 32), and at most two of M[:-1]'s
+    slot (8), P's list slot (9, with growth) and P's tuple slot (8): 89.  The
+    int64 kernel arrays and the list of M peak lower, at about 49."""
+    return 96 * g
 
 
 def _tables(g_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -5,11 +5,11 @@ from ``counterexamples`` and no verifier sets it.  A report lists at most
 ``MAX_LISTED`` counterexamples, and a failing report gives the full count in
 ``details["counterexamples_total"]``.  A verifier hands its failures to
 :meth:`VerificationReport.add` in the order it finds them, which counts every
-one and builds a row only for those the report lists, so a failing run costs
-about the memory of a passing one.  A claim whose equality set is part of the
-statement reports a difference through :func:`equality_diff`, in one shape for
-every claim.  Verifiers never raise on mathematical failure, only on invalid
-usage.
+one and builds a row only for those the report lists, so unlisted failures
+cost no rows.  A claim whose equality set is part of the statement reports a
+difference through :func:`equality_diff`, in one shape for every claim; it
+sorts both sets whole, so a failing claim's peak can pass a passing one's.
+Verifiers never raise on mathematical failure, only on invalid usage.
 """
 
 from __future__ import annotations
@@ -76,8 +76,6 @@ def _excess(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
     """The first ``MAX_LISTED`` rows, ascending, of the multiset difference
     ``rows`` - ``other`` of two 2-D row arrays, in O(len) int64 memory."""
     both = np.concatenate([rows, other])
-    if not both.size:
-        return both
     order = np.lexsort(both.T[::-1])  # rows ascending, first column first
     ordered = both[order]
     starts = np.flatnonzero(np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
@@ -95,11 +93,11 @@ def equality_diff(reason: str, found, expected) -> list[dict]:
     order."""
     found = np.asarray(found, dtype=np.int64)
     expected = np.asarray(expected, dtype=np.int64)
-    if np.array_equal(found, expected):
-        return []
     pairs = max(found.ndim, expected.ndim) > 1
     width = 2 if pairs else 1
     have, want = found.reshape(-1, width), expected.reshape(-1, width)
+    if np.array_equal(have, want):
+        return []
 
     def listed(rows: np.ndarray) -> list:
         return rows.tolist() if pairs else rows[:, 0].tolist()

@@ -5,9 +5,9 @@ Each verifier sweeps a stated finite range and returns a
 values asserted by the test suite) and hard ceilings so a stray flag cannot
 start a week-long scan.  The ceilings can be lifted with
 ``--unsafe-no-ceiling``, subject only to the kernels' int64 exactness guards
-and, for ``lemma-dmax`` and ``prop-estimate``, whose arrays span the whole
-range, to half of physical memory; both are checked against the whole range
-before any work starts.
+and, for a claim whose arrays grow with its range, to half of physical
+memory.  :func:`admit` is the one admission rule, for ``verify``,
+``catalog`` and ``explain``: it checks the whole range before any work.
 
 ``dmax-piecewise`` and ``f-bounds`` split their integer interval into blocks
 and run them on a thread pool with one worker per CPU: numpy releases the GIL
@@ -18,13 +18,8 @@ first ``MAX_LISTED`` of them, so a block's memory does not grow with its
 length, passing or failing.  The blocks' results go to the report in block
 order, so output is the same for any worker count.
 ``lemma-dmax`` runs serially, as one scan call on the whole table; the scan
-is one numpy slice difference per g1.
-
-Every verifier hands its failures to
-:meth:`~agdim.report.VerificationReport.add` as it finds them, which builds
-counterexample dicts only for the rows the report lists, so a broken kernel
-costs about the memory of a passing run and the report still gives the full
-count.
+is one numpy slice difference per g1.  Every verifier hands its failures to
+:meth:`~agdim.report.VerificationReport.add` as it finds them.
 """
 
 from __future__ import annotations
@@ -47,6 +42,7 @@ __all__ = [
     "Verifier",
     "REGISTRY",
     "CeilingExceeded",
+    "admit",
     "range_args",
 ]
 
@@ -59,31 +55,35 @@ class CeilingExceeded(ValueError):
 
 @dataclass(frozen=True)
 class RangeParam:
-    """A range flag: ``ceiling`` is lifted by ``--unsafe-no-ceiling``;
-    ``limit`` is the int64-safe ceiling of the kernel the flag feeds, which
+    """A range input, named as the user types it (``--g-max``, or ``g`` for
+    a positional): ``ceiling`` is lifted by ``--unsafe-no-ceiling``;
+    ``limit`` is the int64-safe ceiling of the kernel the input feeds, which
     nothing lifts."""
 
-    flag: str
-    default: int
-    ceiling: int
+    name: str
+    default: int | None = None
+    ceiling: int | None = None
     minimum: int = 2
     limit: int | None = None
+
+    @property
+    def keyword(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
 
     def check(self, value: int, owner: str, unsafe_no_ceiling: bool) -> int:
         """Return ``value`` if ``owner`` (a claim or subcommand) may run with
         it; raise ``ValueError`` below the minimum and ``CeilingExceeded``
         above the kernel limit or, unless lifted, the ceiling."""
-        option = f"--{self.flag.replace('_', '-')}"
         if value < self.minimum:
-            raise ValueError(f"{option} must be >= {self.minimum}")
+            raise ValueError(f"{self.name} must be >= {self.minimum}")
         if self.limit is not None and value > self.limit:
             raise CeilingExceeded(
-                f"{option}={value} exceeds the int64-safe kernel ceiling "
+                f"{self.name}={value} exceeds the int64-safe kernel ceiling "
                 f"{self.limit} for {owner}; no flag lifts it"
             )
-        if not unsafe_no_ceiling and value > self.ceiling:
+        if self.ceiling is not None and not unsafe_no_ceiling and value > self.ceiling:
             raise CeilingExceeded(
-                f"{option}={value} exceeds the ceiling "
+                f"{self.name}={value} exceeds the ceiling "
                 f"{self.ceiling} for {owner}; pass --unsafe-no-ceiling to override"
             )
         return value
@@ -91,19 +91,17 @@ class RangeParam:
 
 @dataclass(frozen=True)
 class Verifier:
-    """A registered claim, whose id is its key in ``REGISTRY``.
-    ``bytes_per_genus`` is the peak memory of a
-    passing run per genus of ``g_max``, for a claim whose arrays span the
-    whole range; ``range_args`` refuses a range whose figure passes
-    ``_memory_budget()``."""
+    """A registered claim, whose id is its key in ``REGISTRY``.  A claim
+    whose arrays grow with its range states ``peak_bytes``, its peak memory,
+    passing or failing, as a function of its checked range arguments."""
 
     params: tuple[RangeParam, ...]
     run: Callable[..., VerificationReport]
-    bytes_per_genus: int = 0
+    peak_bytes: Callable[..., int] | None = None
 
 
 def _memory_budget() -> int:
-    """Half of physical memory, in bytes: the most a verifier may plan to use."""
+    """Half of physical memory, in bytes: the most a command may plan to use."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
@@ -365,101 +363,108 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
     return report
 
 
+# peak_bytes figures are tracemalloc peaks per unit of range; tests pin the
+# claims that state none.
 REGISTRY: dict[str, Verifier] = {
     "lemma-dmax": Verifier(
-        params=(RangeParam("g_max", 4000, 100_000, limit=kernels.MAX_SAFE_G),),
+        params=(RangeParam("--g-max", 4000, 100_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_superadditivity,
-        # at the scan's first row: the table (8), the row buffers (17) and
-        # the row's equality genera in a few int64 temporaries (about 20)
-        bytes_per_genus=48,
+        # per genus, 45 passing (the table, the row buffers); 128-140 when every
+        # pair is an equality, in equality_diff over the g1 = 1 row's pairs
+        peak_bytes=lambda g_max: 144 * g_max,
     ),
     "dmax-piecewise": Verifier(
-        params=(RangeParam("g_max", 1_000_000, 100_000_000, limit=kernels.MAX_SAFE_PIECEWISE_G),),
+        params=(RangeParam("--g-max", 1_000_000, 100_000_000, limit=kernels.MAX_SAFE_PIECEWISE_G),),
         run=_verify_piecewise,
     ),
     "f-bounds": Verifier(
-        params=(RangeParam("n_max", 100_000, 100_000_000, limit=kernels.MAX_SAFE_N),),
+        params=(RangeParam("--n-max", 100_000, 100_000_000, limit=kernels.MAX_SAFE_N),),
         run=_verify_f_bounds,
     ),
     "lemma-N": Verifier(
         params=(
-            RangeParam("sum_max", 60, 70),
-            RangeParam("pair_max", 200, 20_000, limit=kernels.MAX_SAFE_PAIR_B),
+            RangeParam("--sum-max", 60, 70),
+            RangeParam("--pair-max", 200, 20_000, limit=kernels.MAX_SAFE_PAIR_B),
         ),
         run=_verify_efficiency,
+        # a pair-kernel block: PAIR_BLOCK cells or, past that, one row of
+        # pair_max, at 27 bytes per cell (34 at 2e4)
+        peak_bytes=lambda sum_max, pair_max: 32 * (pair_max + kernels.PAIR_BLOCK),
     ),
     "claim-F": Verifier(
         params=(
-            RangeParam("s_max", 64, 1024, limit=pairs.MAX_SAFE_CLAIM_F),
-            RangeParam("delta_max", 64, 1024, limit=pairs.MAX_SAFE_CLAIM_F),
-            RangeParam("k_max", 64, 1024),
-            RangeParam("n_max", 64, 1024),
+            RangeParam("--s-max", 64, 1024, limit=pairs.MAX_SAFE_CLAIM_F),
+            RangeParam("--delta-max", 64, 1024, limit=pairs.MAX_SAFE_CLAIM_F),
+            RangeParam("--k-max", 64, 1024),
+            RangeParam("--n-max", 64, 1024),
         ),
         run=_verify_claim_f,
     ),
     "prop-estimate": Verifier(
-        params=(RangeParam("g_max", 2000, 10_000_000, limit=kernels.MAX_SAFE_G),),
+        params=(RangeParam("--g-max", 2000, 10_000_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_best_pair_bound,
-        # the int64 table (8) with, while it is built, F(n) and a row for
-        # n <= g_max / 2 (8); or the table, the equality genera (4) and the
-        # expected ones (twice 4) while they are compared
-        bytes_per_genus=24,
+        # per genus, 21 passing (the table, F(n) and a row for n <= g_max / 2);
+        # 36.3 with no equality genus, in equality_diff over the g_max / 2 expected
+        peak_bytes=lambda g_max: 40 * g_max,
     ),
     "remark-domination": Verifier(
         params=(
-            RangeParam("r_max", 64, 2048, limit=pairs.MAX_SAFE_REMARK),
-            RangeParam("k_max", 64, 2048, limit=pairs.MAX_SAFE_REMARK),
+            RangeParam("--r-max", 64, 2048, limit=pairs.MAX_SAFE_REMARK),
+            RangeParam("--k-max", 64, 2048, limit=pairs.MAX_SAFE_REMARK),
         ),
         run=_verify_remark_domination,
     ),
-    "cor-C": Verifier(
-        params=(),
-        run=_verify_mgct,
-    ),
+    "cor-C": Verifier(params=(), run=_verify_mgct),
     "cor-decoupled": Verifier(
-        params=(RangeParam("rep_max", 1024, 2048), RangeParam("k_max", 12, 64)),
+        params=(RangeParam("--rep-max", 1024, 2048), RangeParam("--k-max", 12, 64)),
         run=_verify_catalog_bound,
+        # the whole grid: about rep_max^2 / 4 cases at 89-99 bytes each (64 to
+        # 1024), plus 64 kB of fixed cost that dominates small ranges
+        peak_bytes=lambda rep_max, k_max: 26 * rep_max**2 + 2**16,
     ),
 }
 
 
-def range_args(
-    claim: str,
-    overrides: dict[str, int] | None = None,
-    unsafe_no_ceiling: bool = False,
+def admit(
+    owner: str, params: tuple[RangeParam, ...], overrides: dict[str, int],
+    unsafe_no_ceiling: bool = False, peak_bytes: Callable[..., int] | None = None,
 ) -> dict[str, int]:
-    """The range arguments one registered verifier runs with: its defaults
-    with ``overrides`` applied, each checked against its minimum, its
-    kernel's int64 limit always and its ceiling unless explicitly lifted.
-    A usage error raises ``ValueError`` (``CeilingExceeded`` among them)."""
-    if claim not in REGISTRY:
-        raise KeyError(f"unknown claim id {claim!r} (known: {sorted(REGISTRY)})")
-    verifier = REGISTRY[claim]
-    overrides = overrides or {}
+    """The one admission rule of ``verify``, ``catalog`` and ``explain``:
+    the keyword arguments ``owner`` runs with, its ``params``' defaults with
+    ``overrides`` applied, each checked by :meth:`RangeParam.check` in order;
+    then no unknown override; then ``peak_bytes`` of them, if ``owner``
+    states it, within ``_memory_budget()``.  A usage error raises
+    ``ValueError`` (``CeilingExceeded`` among them)."""
     kwargs = {
-        p.flag: p.check(overrides.get(p.flag, p.default), claim, unsafe_no_ceiling)
-        for p in verifier.params
+        p.keyword: p.check(overrides.get(p.keyword, p.default), owner, unsafe_no_ceiling)
+        for p in params
     }
-    unknown = set(overrides) - {p.flag for p in verifier.params}
+    unknown = set(overrides) - set(kwargs)
     if unknown:
         raise ValueError(
-            f"{claim} does not take range flags {sorted(unknown)}; "
-            f"it takes {[p.flag for p in verifier.params]}"
+            f"{owner} does not take range flags {sorted(unknown)}; it takes {list(kwargs)}"
         )
-    if verifier.bytes_per_genus:
-        need, budget = verifier.bytes_per_genus * kwargs["g_max"], _memory_budget()
-        if need > budget:
-            raise CeilingExceeded(
-                f"--g-max={kwargs['g_max']} needs about {need / 2**30:.1f} GiB for {claim}, "
-                f"more than half of physical memory ({budget / 2**30:.1f} GiB); no flag lifts it"
-            )
+    if peak_bytes and (need := peak_bytes(**kwargs)) > (budget := _memory_budget()):
+        given = " ".join(f"{p.name}={kwargs[p.keyword]}" for p in params)
+        raise CeilingExceeded(
+            f"{given} needs about {need / 2**30:.1f} GiB for {owner}, "
+            f"more than half of physical memory ({budget / 2**30:.1f} GiB); no flag lifts it"
+        )
     return kwargs
 
 
+def range_args(
+    claim: str, overrides: dict[str, int] | None = None, unsafe_no_ceiling: bool = False
+) -> dict[str, int]:
+    """The range arguments one registered verifier runs with, by :func:`admit`."""
+    if claim not in REGISTRY:
+        raise KeyError(f"unknown claim id {claim!r} (known: {sorted(REGISTRY)})")
+    verifier = REGISTRY[claim]
+    return admit(claim, verifier.params, overrides or {}, unsafe_no_ceiling, verifier.peak_bytes)
+
+
 def run_verifier(
-    claim: str,
-    overrides: dict[str, int] | None = None,
-    unsafe_no_ceiling: bool = False,
+    claim: str, overrides: dict[str, int] | None = None, unsafe_no_ceiling: bool = False
 ) -> VerificationReport:
     """Run one registered verifier with the arguments of :func:`range_args`."""
     return REGISTRY[claim].run(**range_args(claim, overrides, unsafe_no_ceiling))

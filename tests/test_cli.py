@@ -263,29 +263,64 @@ class TestVerifyCommand:
         assert "int64-safe kernel ceiling" in err
         assert calls == []  # refused before the first block
 
-    @pytest.mark.parametrize("claim, kernel", [("lemma-dmax", "dmax_values"), ("prop-estimate", "best_indec_table")])
+    @pytest.mark.parametrize(
+        "claim, kernel",
+        [
+            ("lemma-dmax", "dmax_values"),
+            ("prop-estimate", "best_indec_table"),
+            ("lemma-N", "pair_efficiency_mismatches"),
+            ("cor-decoupled", "family_grid"),
+        ],
+    )
     def test_memory_budget_usage_error(self, capsys, monkeypatch, claim, kernel):
         # --unsafe-no-ceiling lifts the ceiling, not the memory check.  The
         # budget is patched, so the refused range is never allocated.
         calls = []
-        monkeypatch.setattr(kernels, kernel, lambda *args: calls.append(args))
-        monkeypatch.setattr(verify, "_memory_budget", lambda: verify.REGISTRY[claim].bytes_per_genus * 10**6)
-        code, out, err = run(capsys, ["verify", claim, "--g-max", "1000001", "--unsafe-no-ceiling"])
+        owner = kernels if hasattr(kernels, kernel) else satake
+        monkeypatch.setattr(owner, kernel, lambda *args: calls.append(args))
+        verifier = verify.REGISTRY[claim]
+        flag, size = SIZED_CLAIMS[claim]
+        key = next(p.keyword for p in verifier.params if p.name == flag)
+        at = {p.keyword: p.default for p in verifier.params} | {key: size}
+        monkeypatch.setattr(verify, "_memory_budget", lambda: verifier.peak_bytes(**at))
+        code, out, err = run(capsys, ["verify", claim, flag, str(size + 1), "--unsafe-no-ceiling"])
         assert (code, out, calls) == (2, "", [])  # refused before the first allocation
-        assert err.startswith(f"verify: --g-max=1000001 needs about ") and err.endswith("no flag lifts it\n")
+        given = " ".join(f"{p.name}={at[p.keyword] + (p.keyword == key)}" for p in verifier.params)
+        assert err.startswith(f"verify: {given} needs about ")
+        assert err.endswith("no flag lifts it\n") and err.count("\n") == 1
         with pytest.raises(verify.CeilingExceeded):
-            verify.run_verifier(claim, {"g_max": 10**6 + 1}, unsafe_no_ceiling=True)
-        assert verify.range_args(claim, {"g_max": 10**6}, unsafe_no_ceiling=True) == {"g_max": 10**6}
+            verify.run_verifier(claim, {key: size + 1}, unsafe_no_ceiling=True)
+        assert verify.range_args(claim, {key: size}, unsafe_no_ceiling=True) == at
 
     @pytest.mark.parametrize("claim, g_max", [("lemma-dmax", 20_000), ("prop-estimate", 1_000_000)])
     def test_bytes_per_genus_covers_peak(self, claim, g_max):
+        # Passing runs keep their own tight bounds, below the figures, which
+        # also cover failing runs.
         tracemalloc.start()
         try:
             report = verify.run_verifier(claim, {"g_max": g_max})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.passed and peak <= verify.REGISTRY[claim].bytes_per_genus * g_max
+        assert report.passed and peak <= {"lemma-dmax": 48, "prop-estimate": 24}[claim] * g_max
+
+    @pytest.mark.parametrize(
+        "claim, overrides",
+        [("lemma-N", {"sum_max": 24, "pair_max": 4000}), ("cor-decoupled", {"rep_max": 512})],
+        ids=["lemma-N", "cor-decoupled"],
+    )
+    def test_peak_bytes_covers_peak(self, monkeypatch, claim, overrides):
+        # A smaller pair block, so that lemma-N's blocks are single rows of
+        # pair_max, as past 2^14, at a size that runs in well under a second.
+        monkeypatch.setattr(kernels, "PAIR_BLOCK", 1024)
+        tracemalloc.start()
+        try:
+            report = verify.run_verifier(claim, overrides)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        figure = verify.REGISTRY[claim].peak_bytes(**verify.range_args(claim, overrides))
+        assert report.passed and peak <= figure
 
     def test_failing_prop_estimate_bytes_per_genus_covers_peak(self, monkeypatch):
         # Every genus off the equality set exceeds dmax by one, so about half
@@ -304,7 +339,40 @@ class TestVerifyCommand:
         finally:
             tracemalloc.stop()
         assert report.to_dict()["details"]["counterexamples_total"] == 100_005
-        assert peak <= verify.REGISTRY["prop-estimate"].bytes_per_genus * g_max
+        assert peak <= 24 * g_max
+
+    @pytest.mark.parametrize(
+        "claim, kernel, fault, g_max",
+        [
+            # no genus attains dmax, so the equality set is empty
+            ("prop-estimate", "best_indec_table", lambda real, n: real(n) + 10**6, 200_000),
+            # every pair is an equality, all g_max of the first row among them
+            ("lemma-dmax", "dmax_values", lambda real, gs: np.zeros_like(gs), 10_000),
+        ],
+        ids=["prop-estimate", "lemma-dmax"],
+    )
+    def test_peak_bytes_covers_failing_peak(self, monkeypatch, claim, kernel, fault, g_max):
+        real = getattr(kernels, kernel)
+        monkeypatch.setattr(kernels, kernel, lambda x: fault(real, x))
+        tracemalloc.start()
+        try:
+            report = verify.run_verifier(claim, {"g_max": g_max})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.passed and peak <= verify.REGISTRY[claim].peak_bytes(g_max=g_max)
+
+    def test_claims_without_peak_bytes(self):
+        # A claim states no memory figure only for a reason, given here:
+        assert {c for c, v in verify.REGISTRY.items() if v.peak_bytes is None} == {
+            "dmax-piecewise",  # block buffers of kernels.CHUNK values, whatever the range
+            "f-bounds",  # block buffers of kernels.CHUNK values, whatever the range
+            "claim-F",  # rows over delta <= MAX_SAFE_CLAIM_F: 167 kB at the limit
+            # rows over k <= MAX_SAFE_REMARK = 2^21, 16 MB per array (its
+            # witness list, about 1.1 kB per r, is not counted)
+            "remark-domination",
+            "cor-C",  # a fixed range, g <= 23
+        }
 
     def test_wrong_flag_for_claim(self, capsys):
         code, _, err = run(capsys, ["verify", "lemma-dmax", "--sum-max", "30"])
@@ -395,6 +463,15 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify", "lemma-dmax", "--g-max", "40", "--out", str(target)])
         assert (code, out) == (0, "")
         assert json.loads(target.read_text())["status"] == "pass"
+
+
+# claim -> (the flag its peak_bytes grows with, a size it is measured at)
+SIZED_CLAIMS = {
+    "lemma-dmax": ("--g-max", 10**6),
+    "prop-estimate": ("--g-max", 10**6),
+    "lemma-N": ("--pair-max", 10**6),
+    "cor-decoupled": ("--rep-max", 10**4),
+}
 
 
 def _bump_dmax(mp):
@@ -909,8 +986,8 @@ class TestExplainCommand:
         assert run(capsys, ["explain", str(g)]) == (
             2,
             "",
-            f"explain: g={g} exceeds the int64-safe kernel ceiling {kernels.MAX_SAFE_G}; "
-            "no flag lifts it\n",
+            f"explain: g={g} exceeds the int64-safe kernel ceiling {kernels.MAX_SAFE_G} "
+            "for explain; no flag lifts it\n",
         )
         assert builds == []
         # at the ceiling itself, the table build is reached
@@ -918,10 +995,10 @@ class TestExplainCommand:
         assert builds == [g - 1]
 
     def test_memory_budget_usage_error(self, capsys, monkeypatch, builds):
-        monkeypatch.setattr(verify, "_memory_budget", lambda: cli._EXPLAIN_BYTES_PER_GENUS * 10**6)
+        monkeypatch.setattr(verify, "_memory_budget", lambda: moduli.dmc_ag_peak_bytes(10**6))
         code, out, err = run(capsys, ["explain", "1000001", "--format", "json"])
         assert (code, out, builds) == (2, "", [])  # refused before the first allocation
-        assert err.startswith("explain: g=1000001 needs about 0.1 GiB, more than half of physical")
+        assert err.startswith("explain: g=1000001 needs about 0.1 GiB for explain, more than half of physical")
         assert err.endswith("; no flag lifts it\n") and err.count("\n") == 1
         assert run(capsys, ["explain", "1000000"])[0] == 1
         assert builds == [10**6]
@@ -935,7 +1012,7 @@ class TestExplainCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= cli._EXPLAIN_BYTES_PER_GENUS * g
+        assert peak <= moduli.dmc_ag_peak_bytes(g)
 
     def test_schema_enums_match_moduli(self):
         props = EXPLAIN_SCHEMA["properties"]

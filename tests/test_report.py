@@ -38,6 +38,8 @@ class TestEqualityDiff:
     def test_equal_sets_give_nothing(self):
         assert equality_diff("r", np.array([2, 16]), [2, 16]) == []
         assert equality_diff("r", np.empty((0, 2), dtype=np.int64), np.empty((0, 2))) == []
+        # an empty list of pairs has no second axis; it is still the empty set
+        assert equality_diff("r", [], np.empty((0, 2))) == []
 
     def test_unexpected_and_missing_rows(self):
         found = np.array([[1, 4], [2, 6]])
