@@ -364,6 +364,27 @@ def dmc_mgct(g: int) -> MgctResult:
     return MgctResult(g=g, lower=closed, upper=upper, exact=None, open_question=True)
 
 
+# Each bound of jacobian_bounds and mg_bounds is its own function of g >= 2,
+# so that a summary-table row evaluates only its own bound.
+
+
+def _jacobian_lower(g: int) -> int:
+    return (2 * g) // 3
+
+
+def _jacobian_upper(g: int) -> int:
+    mgct = dmc_mgct(g)
+    return min(dmax(g), mgct.exact if mgct.exact is not None else 2 * g - 4)
+
+
+def _mg_lower(g: int) -> int:
+    return 0 if g == 2 else max(1, g.bit_length() - 2)
+
+
+def _mg_upper(g: int) -> int:
+    return g - 2
+
+
 def jacobian_bounds(g: int) -> tuple[int, int]:
     """Bounds for dmc of the Jacobian locus of compact-type curves:
     floor(2g/3) from the boundary construction, and from above the smaller of
@@ -371,10 +392,7 @@ def jacobian_bounds(g: int) -> tuple[int, int]:
     2 <= g <= 15)."""
     if g < 2:
         raise ValueError(f"g must be >= 2 (got {g})")
-    lower = (2 * g) // 3
-    mgct = dmc_mgct(g)
-    upper = min(dmax(g), mgct.exact if mgct.exact is not None else 2 * g - 4)
-    return lower, upper
+    return _jacobian_lower(g), _jacobian_upper(g)
 
 
 def mg_bounds(g: int) -> tuple[int, int]:
@@ -383,10 +401,7 @@ def mg_bounds(g: int) -> tuple[int, int]:
     curve from genus 3 on), and g - 2 from above (Diaz); genus 2 is affine."""
     if g < 2:
         raise ValueError(f"g must be >= 2 (got {g})")
-    if g == 2:
-        return 0, 0
-    lower = max(1, g.bit_length() - 2)
-    return lower, g - 2
+    return _mg_lower(g), _mg_upper(g)
 
 
 def agind_bounds(g: int) -> tuple[int, int, int | None]:
@@ -445,19 +460,19 @@ _MG_ROWS = (
     _Row("jac_upper", "dmc(J(M_g^ct)) <=",
          "min of the ambient bound dmax(g) and the "
          "compact-type bound (floor(3g/2)-2 for g <= 23, else 2g-4)",
-         _upper(lambda g: jacobian_bounds(g)[1])),
+         _upper(_jacobian_upper)),
     _Row("jac_lower", "dmc(J(M_g^ct)) >=",
          "closed form floor(2g/3) from boundary products",
-         _lower(lambda g: jacobian_bounds(g)[0])),
+         _lower(_jacobian_lower)),
     _Row("dmcg_mg", "dmcg(M_g) >=",
          "boundary codimension 2 in the Satake closure",
          _lower(lambda g: 1)),
     _Row("mg_lower", "dmc(M_g) >= (covers)",
          "covering constructions: a compact d-fold exists whenever 2^(d+1) <= g",
-         _lower(lambda g: mg_bounds(g)[0])),
+         _lower(_mg_lower)),
     _Row("mg_upper", "dmc(M_g) <= (Diaz)",
          "closed form g-2",
-         _upper(lambda g: mg_bounds(g)[1])),
+         _upper(_mg_upper)),
 )
 # Appended to the M_g table only on request; no fixture checks them.
 _MG_CONJECTURAL = (

@@ -413,6 +413,10 @@ REGISTRY: dict[str, Verifier] = {
             RangeParam("--k-max", 64, 2048, limit=pairs.MAX_SAFE_REMARK),
         ),
         run=_verify_remark_domination,
+        # per unit of r_max, two witness entries and two cases, 1.0-1.2 kB;
+        # per unit of k_max, one row's arrays, 88-96 bytes passing and up to
+        # 127 when every k of a row misses its designated witness
+        peak_bytes=lambda r_max, k_max: 1280 * r_max + 160 * k_max + 2**16,
     ),
     "cor-C": Verifier(params=(), run=_verify_mgct),
     "cor-decoupled": Verifier(
@@ -464,7 +468,12 @@ def range_args(
 
 
 def run_verifier(
-    claim: str, overrides: dict[str, int] | None = None, unsafe_no_ceiling: bool = False
+    claim: str, overrides: dict[str, int] | None = None, unsafe_no_ceiling: bool = False,
+    *, admitted: dict[str, int] | None = None,
 ) -> VerificationReport:
-    """Run one registered verifier with the arguments of :func:`range_args`."""
-    return REGISTRY[claim].run(**range_args(claim, overrides, unsafe_no_ceiling))
+    """Run one registered verifier with the arguments of :func:`range_args`,
+    or with ``admitted``, arguments that :func:`range_args` already
+    returned for ``claim``."""
+    if admitted is None:
+        admitted = range_args(claim, overrides, unsafe_no_ceiling)
+    return REGISTRY[claim].run(**admitted)

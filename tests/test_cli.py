@@ -270,13 +270,14 @@ class TestVerifyCommand:
             ("prop-estimate", "best_indec_table"),
             ("lemma-N", "pair_efficiency_mismatches"),
             ("cor-decoupled", "family_grid"),
+            ("remark-domination", "orthogonal_star_pairs"),
         ],
     )
     def test_memory_budget_usage_error(self, capsys, monkeypatch, claim, kernel):
         # --unsafe-no-ceiling lifts the ceiling, not the memory check.  The
         # budget is patched, so the refused range is never allocated.
         calls = []
-        owner = kernels if hasattr(kernels, kernel) else satake
+        owner = next(m for m in (kernels, pairs, satake) if hasattr(m, kernel))
         monkeypatch.setattr(owner, kernel, lambda *args: calls.append(args))
         verifier = verify.REGISTRY[claim]
         flag, size = SIZED_CLAIMS[claim]
@@ -362,15 +363,29 @@ class TestVerifyCommand:
             tracemalloc.stop()
         assert not report.passed and peak <= verify.REGISTRY[claim].peak_bytes(g_max=g_max)
 
+    @pytest.mark.parametrize("fault", [None, "undominated II"])
+    @pytest.mark.parametrize("r_max, k_max", [(4096, 2), (5, 1 << 14)])
+    def test_remark_peak_bytes_covers_peak(self, monkeypatch, r_max, k_max, fault):
+        # Its witness list grows with r_max, its rows with k_max; under the
+        # fault every family II row misses its witness at every k.
+        if fault:
+            _undominated_family_ii(monkeypatch)
+        overrides = {"r_max": r_max, "k_max": k_max}
+        tracemalloc.start()
+        try:
+            report = verify.run_verifier("remark-domination", overrides, unsafe_no_ceiling=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed is (fault is None)
+        assert peak <= verify.REGISTRY["remark-domination"].peak_bytes(**overrides)
+
     def test_claims_without_peak_bytes(self):
         # A claim states no memory figure only for a reason, given here:
         assert {c for c, v in verify.REGISTRY.items() if v.peak_bytes is None} == {
             "dmax-piecewise",  # block buffers of kernels.CHUNK values, whatever the range
             "f-bounds",  # block buffers of kernels.CHUNK values, whatever the range
             "claim-F",  # rows over delta <= MAX_SAFE_CLAIM_F: 167 kB at the limit
-            # rows over k <= MAX_SAFE_REMARK = 2^21, 16 MB per array (its
-            # witness list, about 1.1 kB per r, is not counted)
-            "remark-domination",
             "cor-C",  # a fixed range, g <= 23
         }
 
@@ -417,7 +432,7 @@ class TestVerifyCommand:
         assert calls == [601]  # one call, on the whole table
 
     def test_failing_report_exits_one(self, capsys, monkeypatch):
-        def fake_run_verifier(claim, overrides=None, unsafe_no_ceiling=False):
+        def fake_run_verifier(claim, **kwargs):
             return VerificationReport(
                 claim=claim,
                 range={},
@@ -453,6 +468,15 @@ class TestVerifyCommand:
         assert (code, out, calls) == (2, "", [])
         assert err.startswith(f"verify: cannot write --out {target}: ")
 
+    def test_admitted_once(self, capsys, monkeypatch):
+        # The check before --out opens is the only one: run_verifier takes
+        # the arguments it admitted.
+        real = verify.admit
+        calls = []
+        monkeypatch.setattr(verify, "admit", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+        code, out, _ = run(capsys, ["verify", "lemma-dmax", "--g-max", "40"])
+        assert (code, json.loads(out)["range"], calls) == (0, {"g_max": 40}, ["lemma-dmax"])
+
     def test_verify_usage_error_keeps_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         target.write_text("kept\n")
@@ -471,6 +495,7 @@ SIZED_CLAIMS = {
     "prop-estimate": ("--g-max", 10**6),
     "lemma-N": ("--pair-max", 10**6),
     "cor-decoupled": ("--rep-max", 10**4),
+    "remark-domination": ("--r-max", 10**5),
 }
 
 
@@ -1115,6 +1140,63 @@ class TestCatalogCommand:
         assert not reader.is_alive() and got == [plain]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "real.json"]
+
+    @pytest.mark.parametrize("block", [512, 7])
+    @pytest.mark.parametrize("rep_max", [2, 3, 8, 64, 300])
+    def test_blocks_equal_json_block(self, capsys, monkeypatch, rep_max, block):
+        # Every block the layout templates render is the general renderer's
+        # text for the same records: at 300 every small family's duality and
+        # flag layouts, and blocks of 7 straddle the family boundaries.
+        real = cli._catalog_rows
+        written = []
+
+        def spied():
+            render = real()
+            return lambda rows: written.append((rows, render(rows))) or written[-1][1]
+
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        monkeypatch.setattr(cli, "_catalog_rows", spied)
+        code, out, _ = run(capsys, ["catalog", "--rep-max", str(rep_max)])
+        records = satake.catalog_json(rep_max)
+        assert code == 0 and [r for rows, _ in written for r in rows] == records
+        assert all(text == cli._json_block(rows) for rows, text in written)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        if rep_max == 300:
+            layouts = {(r["case"], r["duality"], r["min_compact_factors"]) for r in records}
+            # all 19 the families have: three dualities each for Iprime and
+            # IV1even, two flags for II, and IV2's three dualities at r >= 5
+            # besides r = 3 with no forced compact factor
+            assert len(layouts) == 19 and {r[0] for r in layouts} == set(satake.FAMILIES)
+
+    @pytest.mark.parametrize("key", ["hss_dim", "rep_dim", "min_compact_factors", "p"])
+    def test_non_int_leaves_never_filled(self, key):
+        # A bool or a numpy integer is never written with %s: a bool as json
+        # writes it, and a numpy integer is json's TypeError, as in
+        # _json_block.  The block around it renders as before, and so does
+        # a later block of the same layout.
+        records = satake.catalog_json(8)
+        render = cli._catalog_rows()
+        for odd, want in [(True, "true"), (np.int64(5), TypeError)]:
+            block = [dict(r, params=dict(r["params"])) for r in records]
+            at = next(i for i, r in enumerate(block) if r["case"] == "I" and r["params"]["n"] == 5)
+            holder = block[at]["params"] if key == "p" else block[at]
+            holder[key] = odd
+            if want is TypeError:
+                with pytest.raises(TypeError):
+                    cli._json_block(block)
+                with pytest.raises(TypeError):
+                    render(block)
+                continue
+            text = render(block)
+            assert text == cli._json_block(block)
+            assert f'"{key}": {want}' in text and "True" not in text
+        assert render(records) == cli._json_block(records)
+
+    def test_non_str_layout_takes_the_general_path(self):
+        records = satake.catalog_json(8)
+        block = [dict(r) for r in records]
+        block[-1]["duality"] = None
+        assert cli._catalog_rows()(block) == cli._json_block(block)
 
     def test_ceiling(self, capsys):
         code, _, err = run(capsys, ["catalog", "--rep-max", "100000"])

@@ -52,6 +52,9 @@ CATALOG = {
     64: "ef6ec0caea182993d7a9e3ddac1dfb707b5fefbdaa05a4617161835d1efe9c95",
     96: "7700b4a91c38d62145470eea7af6263395776426a083460b34c79949a6251161",
     256: "0d873a311cb6350126b1d8e04b0911d36ed023adf0093342c27877fc8932e410",
+    # 263831 cases: several family-I pieces, and row blocks that straddle
+    # them; recorded before the rows took one template per record layout
+    1024: "c7be08b2968d5f036618edeb668dc15c0fddb09bf147bf66c5a19c1aad929f8b",
 }
 
 # explain G for G in 1..40, 100, 1001 and 4096; every tables form, with each

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agdim.cli import _dumps
+from agdim.cli import _dumps, _layout, _template
 
 ODD_TEXT = ['"', "\\", "%", "%s", "%%", "\x00", "\n", "\x1f", "\x7f", "é", " ", "\ud800", "😀"]
 
@@ -81,3 +81,16 @@ def test_non_str_key_is_a_type_error(doc):
 def test_unencodable_leaf_is_a_type_error():
     with pytest.raises(TypeError):
         _dumps({"a": [1, {2, 3}]})
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.dictionaries(keys, nested, max_size=5))
+@example({"case": "I", "params": {"p": 1, "n": 3}, "hss_dim": 2, "min_compact_factors": True})
+@example({"%s": "%", "\x00": [0, 2**70, -1], "%%": {"%d": False}})
+def test_layout_filled_with_int_leaves(row):
+    # A row of a long export: the template of its layout, filled with its
+    # int leaves (never a bool) in document order, is its text in the list.
+    leaves: list = []
+    _template(row, "\n    ", leaves)
+    ints = tuple(x for x in leaves if type(x) is int)
+    assert _layout(row) % ints == "\n    " + json.dumps(row, indent=2).replace("\n", "\n    ")
