@@ -9,13 +9,15 @@ thread pool.
 Exactness: int64 arithmetic overflows silently, so every kernel input is
 validated against a ceiling derived from that kernel's largest intermediate
 value (``MAX_SAFE_G``, ``MAX_SAFE_PIECEWISE_G``, ``MAX_SAFE_N``,
-``MAX_SAFE_PAIR_B``).  Beyond its ceiling a kernel refuses to run rather than
-return wrong answers; the scalar Python-int API remains available at any size.
+``MAX_SAFE_PAIR_B``, ``MAX_SAFE_D``).  Beyond its ceiling a kernel refuses
+to run rather than return wrong answers; the scalar Python-int API remains
+available at any size.
 
 The 2-D scans loop in Python over one parameter only, and do the other in
 numpy on contiguous or strided slices, with no gather and no ``ufunc.at``:
-``superadditivity_scan`` takes one row per g1 and ``best_indec_table`` one
-step per k <= isqrt(g_max).
+``superadditivity_scan`` takes one row per g1, a slice difference and its
+min, and lists a row's pairs only where the min fails; ``best_indec_table``
+takes one step per k <= isqrt(g_max).
 
 Chunks and blocks: :mod:`agdim.verify` splits the ranges of
 ``piecewise_mismatches`` and ``f_bound_violations`` into blocks, one kernel
@@ -53,6 +55,7 @@ __all__ = [
     "MAX_SAFE_PIECEWISE_G",
     "MAX_SAFE_N",
     "MAX_SAFE_PAIR_B",
+    "MAX_SAFE_D",
     "half_products",
     "dmax_values",
     "Found",
@@ -71,6 +74,8 @@ BACKEND = "numpy"
 MAX_SAFE_G = 4_000_000_000
 # The three-branch form of dmax squares g itself: g^2 <= 2^63 - 1.
 MAX_SAFE_PIECEWISE_G = math.isqrt(2**63 - 1)
+# D[g1+g2] - D[g2] - D[g1] in superadditivity_scan stays within 3 max|D|.
+MAX_SAFE_D = (2**63 - 1) // 3
 # n^2 < 2^63 requires n < ~3.04e9.
 MAX_SAFE_N = 3_000_000_000
 # a * b <= b^2 stays far below 2^63.
@@ -223,6 +228,16 @@ def _rows(pairs: list[tuple[int, int]]) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
 
 
+def _low_pairs(row: np.ndarray, g1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The g2 of row g1's violations and equalities, where row[j] is the
+    difference of the pair (g1, g1 + j).  Its temporaries end with the call,
+    so a listed row keeps only its two results."""
+    g2s = np.flatnonzero(row <= 0)
+    values = row[g2s]
+    g2s += g1
+    return g2s[values < 0], g2s[values == 0]
+
+
 def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     """Scan dmax(g1+g2) - dmax(g1) - dmax(g2) over 1 <= g1 <= g2 with
     g1+g2 <= len(D)-1, where D[g] = dmax(g) (D[0] ignored).
@@ -235,27 +250,27 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
 
     One row per g1: with g2 = g1 + j, D[g1+g2] and D[g2] are the contiguous
     slices D[2 g1 + j] and D[g1 + j], so a row is one slice difference in a
-    reused buffer and one pass that picks the pairs with difference <= 0.
+    reused buffer and one min.  Only a row whose min is at most D[g1] is
+    listed, and in a passing table that is the g1 = 1 row alone.  The
+    largest intermediate, D[g1+g2] - D[g2] - D[g1], stays within 3 max|D|,
+    which ``MAX_SAFE_D`` bounds.
     """
     D = np.ascontiguousarray(D, dtype=np.int64)
+    if D.size:
+        _require_at_most("|D[g]|", max(-int(D.min()), int(D.max())), MAX_SAFE_D)
     g_max = D.shape[0] - 1
     diff = np.empty(max(g_max, 0), dtype=np.int64)
-    low = np.empty(max(g_max, 0), dtype=bool)
     violations: list[tuple[int, int]] = []
     others: list[tuple[int, int]] = []
     first_row = np.empty(0, dtype=np.int64)
     violations_total = others_total = 0
     for g1 in range(1, g_max // 2 + 1):
         m = g_max - 2 * g1 + 1  # g2 in g1..g_max-g1
-        row, hit = diff[:m], low[:m]
-        np.subtract(D[2 * g1 :], D[g1 : g1 + m], out=row)
-        np.less_equal(row, D[g1], out=hit)
-        j = np.flatnonzero(hit)
-        if not j.size:
+        row = np.subtract(D[2 * g1 :], D[g1 : g1 + m], out=diff[:m])
+        if row.min() > D[g1]:
             continue
-        values = row[j] - D[g1]
-        g2s = j + g1
-        below, equal = g2s[values < 0], g2s[values == 0]
+        row -= D[g1]
+        below, equal = _low_pairs(row, g1)
         violations_total += below.size
         violations += [(g1, g2) for g2 in below[: MAX_LISTED - len(violations)].tolist()]
         if g1 == 1:

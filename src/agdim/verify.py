@@ -369,8 +369,9 @@ REGISTRY: dict[str, Verifier] = {
     "lemma-dmax": Verifier(
         params=(RangeParam("--g-max", 4000, 100_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_superadditivity,
-        # per genus, 45 passing (the table, the row buffers); 128-140 when every
-        # pair is an equality, in equality_diff over the g1 = 1 row's pairs
+        # per genus, 36 passing (the table, the row buffer, row 1's pairs);
+        # 128-140 when every pair is an equality, in equality_diff over the
+        # g1 = 1 row's pairs
         peak_bytes=lambda g_max: 144 * g_max,
     ),
     "dmax-piecewise": Verifier(

@@ -303,7 +303,7 @@ class TestVerifyCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.passed and peak <= {"lemma-dmax": 48, "prop-estimate": 24}[claim] * g_max
+        assert report.passed and peak <= {"lemma-dmax": 38, "prop-estimate": 24}[claim] * g_max
 
     @pytest.mark.parametrize(
         "claim, overrides",

@@ -27,6 +27,20 @@ def found(result):
     return result.total, result.listed.tolist()
 
 
+def brute_scan(D):
+    """Every violating and every equal pair of D, in Python integers."""
+    g_max = len(D) - 1
+    want_viol, want_eqs = [], []
+    for g1 in range(1, g_max // 2 + 1):
+        for g2 in range(g1, g_max - g1 + 1):
+            diff = int(D[g1 + g2]) - int(D[g1]) - int(D[g2])
+            if diff < 0:
+                want_viol.append((g1, g2))
+            elif diff == 0:
+                want_eqs.append((g1, g2))
+    return want_viol, want_eqs
+
+
 def assert_scan_matches(scan, want_viol, want_eqs):
     """A superadditivity scan against every violating and equal row: the
     counts, every g1 = 1 equality and the first MAX_LISTED of the others."""
@@ -91,20 +105,25 @@ class TestAgainstScalars:
         rng = np.random.default_rng(20240409)
         for g_max in (0, 1, 2, 3, 9, 10, 77, 160):
             D = rng.integers(0, 40, size=g_max + 1, dtype=np.int64)
-            want_viol, want_eqs = [], []
-            for g1 in range(1, g_max // 2 + 1):
-                for g2 in range(g1, g_max - g1 + 1):
-                    diff = int(D[g1 + g2]) - int(D[g1]) - int(D[g2])
-                    if diff < 0:
-                        want_viol.append((g1, g2))
-                    elif diff == 0:
-                        want_eqs.append((g1, g2))
+            want_viol, want_eqs = brute_scan(D)
             assert_scan_matches(kernels.superadditivity_scan(D), want_viol, want_eqs)
             if g_max >= 77:
                 assert want_viol and want_eqs  # both kinds of row are exercised
             if g_max == 160:  # both capped lists are cut
                 assert len(want_viol) > MAX_LISTED
                 assert sum(1 for g1, _ in want_eqs if g1 > 1) > MAX_LISTED
+        # D[g] = g^2 gives every pair the difference 2 g1 g2 > 0.  Lowering
+        # D[5 + b] sets the pair (5, b) to d: at the row's first cell, inside
+        # it and at its last cell.  Row 5's min is then D[5] - 1, D[5] exactly
+        # or D[5] + 1, and the pair is its only violation or equality, or the
+        # row has none.
+        for b in (5, 17, 35):
+            for d in (-1, 0, 1):
+                D = np.arange(41, dtype=np.int64) ** 2
+                D[5 + b] -= 2 * 5 * b - d
+                want_viol, want_eqs = brute_scan(D)
+                assert [p for p in want_viol + want_eqs if p[0] == 5] == ([(5, b)] if d <= 0 else [])
+                assert_scan_matches(kernels.superadditivity_scan(D), want_viol, want_eqs)
 
     def test_pair_efficiency_vs_scalar(self):
         for n in (60, 200):
@@ -180,6 +199,21 @@ class TestGuards:
         monkeypatch.setattr(kernels, "np", None)
         with pytest.raises(OverflowError):
             kernels.best_indec_table(top + 1)
+
+    def test_superadditivity_ceiling_exact(self):
+        # 3 max|D| bounds D[g1+g2] - D[g2] - D[g1].  At the ceiling the scan
+        # lists -3 top at (1, 1) and computes 3 top at (1, 1) while listing
+        # row 1; one past it, on either sign, it refuses.  Unguarded, the
+        # last table wrapped around to no violation at all.
+        top = kernels.MAX_SAFE_D
+        assert 3 * top <= 2**63 - 1 < 3 * (top + 1)
+        for D in ([0, top, -top, -top], [0, -top, top, 0, 0]):
+            want = brute_scan(D)
+            assert want[0]  # violations
+            assert_scan_matches(kernels.superadditivity_scan(np.array(D, dtype=np.int64)), *want)
+        for D in ([0, top + 1, 0], [0, 0, -top - 1], [0, 2**62 + 1, 0, -(2**62)]):
+            with pytest.raises(OverflowError):
+                kernels.superadditivity_scan(np.array(D, dtype=np.int64))
 
     def test_piecewise_ceiling_exact(self):
         # g * g is the largest intermediate of the three-branch form.
