@@ -51,9 +51,14 @@ GOLDEN = {
 CATALOG = {
     2: "f73c030451e13ab6e9b246d6aaee6f94f1aa77bcde48be5fd6870092a56624d3",
     8: "f1a8fa714a142dc18fa3b41772d3fb836e4f473579e48f92eb9593e4ca2d58d1",
+    # the smallest size of the query benchmark's catalog ops
+    32: "039d6f588fe797b45ad0079b3a4b094e21a0fd3cbcaf7cc9de9bf2500bc2374a",
     64: "ef6ec0caea182993d7a9e3ddac1dfb707b5fefbdaa05a4617161835d1efe9c95",
     96: "7700b4a91c38d62145470eea7af6263395776426a083460b34c79949a6251161",
     256: "0d873a311cb6350126b1d8e04b0911d36ed023adf0093342c27877fc8932e410",
+    # every (case, duality) layout of the catalog, all 17; recorded, like
+    # 32, before the export read its rows from the grid's columns
+    300: "f9552800692e0c41792192eddb2d2fe726ce4cb723645e101691d891e112586b",
     # 263831 cases: several family-I pieces, and row blocks that straddle
     # them; recorded before the rows took one template per record layout
     1024: "c7be08b2968d5f036618edeb668dc15c0fddb09bf147bf66c5a19c1aad929f8b",
