@@ -56,8 +56,8 @@ CATALOG = {
     64: "ef6ec0caea182993d7a9e3ddac1dfb707b5fefbdaa05a4617161835d1efe9c95",
     96: "7700b4a91c38d62145470eea7af6263395776426a083460b34c79949a6251161",
     256: "0d873a311cb6350126b1d8e04b0911d36ed023adf0093342c27877fc8932e410",
-    # every (case, duality) layout of the catalog, all 17; recorded, like
-    # 32, before the export read its rows from the grid's columns
+    # every case, duality and forced-compact flag the families have, all
+    # 19; recorded, like 32, before the export read its rows from the grid
     300: "f9552800692e0c41792192eddb2d2fe726ce4cb723645e101691d891e112586b",
     # 263831 cases: several family-I pieces, and row blocks that straddle
     # them; recorded before the rows took one template per record layout
