@@ -52,13 +52,16 @@ separator, runs the C encoder on every leaf; its text is split on
   ``int.__repr__``, which is what json writes for it; a ``bool``, a numpy
   integer or any other ``int`` subclass is never filled in this way.  The
   ``dmax --format json`` rows, ``{"g", "dmax"}``, all share one layout;
-- a ``catalog`` row's layout is its case and duality, the string leaves of
-  an ``iter_cases`` record, whose keys its case fixes.  ``_catalog_rows``
-  builds each layout's template once, from the first record of that layout,
-  and fills it with each record's integer leaves (params, hss_dim, rep_dim,
-  min_compact_factors), one ``%`` per row.  A block with any integer leaf
-  that is not exactly ``int``, or a case or duality that is not exactly
-  ``str``, is rendered by ``_json_block`` instead.
+- a ``catalog`` row is an ``iter_cases`` row ``(layout, ints)``: its
+  layout is its case and duality, the string leaves of its record, whose
+  keys its case fixes, and ``ints`` its integer leaves (params, hss_dim,
+  rep_dim, min_compact_factors) in document order.  ``_catalog_rows``
+  builds each layout's template once, from the ``satake.record`` of the
+  first row of that layout, and fills it with each row's ``ints``, one
+  ``%`` per row; no record is built for the other rows.  A block with any
+  integer leaf that is not exactly ``int``, or a case or duality that is
+  not exactly ``str``, is rendered by ``_json_block`` of its records
+  instead.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ import sys
 from datetime import datetime, timezone
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Callable, Iterator, TextIO
 
 import numpy as np
@@ -80,7 +82,7 @@ import numpy as np
 from . import __version__, kernels
 from .arith import dmax
 from .moduli import assemble_tables, dmc_ag, dmc_ag_peak_bytes
-from .satake import iter_cases
+from .satake import iter_cases, record
 from .schemas import SCHEMAS_BY_COMMAND
 from .tables import check_all_tables
 from .verify import REGISTRY, RangeParam, admit, range_args, run_verifier
@@ -264,32 +266,24 @@ def _layout(row) -> str:
     return _ROW + text.replace("%", "%%").replace("\x00", "%s")
 
 
-# The string leaves of a catalog record, which fix its layout.
-_CATALOG_LAYOUT = itemgetter("case", "duality")
-
-
 def _catalog_rows() -> Callable[[list], str]:
-    """The block renderer of ``catalog``: ``_json_block`` of a block of
-    ``iter_cases`` records, by one ``_layout`` template per layout (see the
-    module docstring), built once per export."""
+    """The block renderer of ``catalog``: ``_json_block`` of the records of
+    a block of ``iter_cases`` rows, by one ``_layout`` template per row
+    layout (see the module docstring), built once per export."""
     templates: dict = {}
 
-    def render(block: list[dict]) -> str:
-        layouts = list(map(_CATALOG_LAYOUT, block))
-        ints = [
-            (*r["params"].values(), r["hss_dim"], r["rep_dim"], r["min_compact_factors"])
-            for r in block
-        ]
+    def render(block: list[tuple]) -> str:
+        layouts, ints = zip(*block)
         exact = set(map(type, chain.from_iterable(ints))) == {int}
         if not exact or set(map(type, chain.from_iterable(layouts))) != {str}:
-            return _json_block(block)
+            return _json_block([record(*row) for row in block])
         # one % per row: one % of the whole block's template ran 7-10%
         # faster, but raised the peak RSS of the query benchmark by 1 MB
         rows = []
-        for record, layout, values in zip(block, layouts, ints):
+        for layout, values in block:
             template = templates.get(layout)
             if template is None:
-                template = templates[layout] = _layout(record)
+                template = templates[layout] = _layout(record(layout, values))
             rows.append(template % values)
         return ",".join(rows)
 

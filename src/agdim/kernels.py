@@ -278,10 +278,15 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
         else:
             others_total += equal.size
             others += [(g1, g2) for g2 in equal[: MAX_LISTED - len(others)].tolist()]
+    # the equality rows, written in place: the g1 = 1 row, then the others
+    equalities = np.empty((first_row.size + len(others), 2), dtype=np.int64)
+    equalities[: first_row.size, 0] = 1
+    equalities[: first_row.size, 1] = first_row
+    equalities[first_row.size :] = _rows(others)
     return SuperadditivityScan(
         violations=_rows(violations),
         violations_total=violations_total,
-        equalities=np.concatenate([np.stack([np.ones_like(first_row), first_row], axis=1), _rows(others)]),
+        equalities=equalities,
         equalities_total=first_row.size + others_total,
     )
 

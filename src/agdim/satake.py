@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -62,6 +63,7 @@ __all__ = [
     "min_compact_factors",
     "family_grid",
     "iter_cases",
+    "record",
     "catalog_json",
 ]
 
@@ -315,33 +317,49 @@ def family_grid(max_rep_dim: int) -> Iterator[FamilyGrid]:
             n = n_hi + 1
 
 
-def iter_cases(max_rep_dim: int) -> Iterator[dict]:
-    """The JSON-ready record of every catalog case with rep_dim <=
-    max_rep_dim, in deterministic order (family order as in the module
-    docstring, then ascending parameters), read from :func:`family_grid` a
-    piece at a time, so memory stays flat and no label is built per case.
-    The export reads its records here, not from the grid itself, so that
-    perfbench's tracer, which wraps this function, counts the cases of
-    every export.
+def _rule_column(rule: Callable, cols: list[list[int]], rows: int) -> Iterator:
+    """``rule`` of each of ``rows`` cases, from their parameter columns; a
+    family with no parameter has one value for its case."""
+    return map(rule, *cols) if cols else repeat(rule(), rows)
+
+
+def iter_cases(max_rep_dim: int) -> Iterator[tuple[tuple[str, str], tuple[int, ...]]]:
+    """Every catalog case with rep_dim <= max_rep_dim as one row ``(layout,
+    ints)``: ``layout`` is ``(case, duality)``, its string leaves, and
+    ``ints`` is ``(*params, hss_dim, rep_dim, min_compact_factors)``, its
+    integer leaves, all Python ints; :func:`record` makes the JSON record of
+    a row.  The order is deterministic (family order as in the module
+    docstring, then ascending parameters).  The rows of each piece of
+    :func:`family_grid` are zipped from its columns, so memory stays flat
+    and nothing is built per case but the row.  The export reads its rows
+    here, one yield per case, so that perfbench's tracer, which wraps this
+    function, counts the cases of every export.
     """
     for grid in family_grid(max_rep_dim):
-        family = grid.family
-        rule = _FAMILY[family]
-        names, duality, min_compact = rule.params, rule.duality, rule.min_compact
-        for params, hss, rep in zip(
-            grid.params.tolist(), grid.hss_dim.tolist(), grid.rep_dim.tolist()
-        ):
-            yield {
-                "case": family,
-                "params": dict(zip(names, params)),
-                "hss_dim": hss,
-                "rep_dim": rep,
-                "duality": duality(*params),
-                "min_compact_factors": min_compact(*params),
-            }
+        rule = _FAMILY[grid.family]
+        cols = grid.params.T.tolist()
+        rep = grid.rep_dim.tolist()
+        layouts = zip(repeat(grid.family), _rule_column(rule.duality, cols, len(rep)))
+        flags = _rule_column(rule.min_compact, cols, len(rep))
+        yield from zip(layouts, zip(*cols, grid.hss_dim.tolist(), rep, flags))
+
+
+def record(layout: tuple[str, str], ints: tuple[int, ...]) -> dict:
+    """The JSON-ready record of an :func:`iter_cases` row, with fixed field
+    names and order: case, params, hss_dim, rep_dim, duality,
+    min_compact_factors."""
+    family, duality = layout
+    *params, hss, rep, flag = ints
+    return {
+        "case": family,
+        "params": dict(zip(_FAMILY[family].params, params)),
+        "hss_dim": hss,
+        "rep_dim": rep,
+        "duality": duality,
+        "min_compact_factors": flag,
+    }
 
 
 def catalog_json(max_rep_dim: int) -> list[dict]:
-    """Catalog rows as JSON-ready records with fixed field names and order:
-    case, params, hss_dim, rep_dim, duality, min_compact_factors."""
-    return list(iter_cases(max_rep_dim))
+    """The JSON-ready record of every catalog case, in catalog order."""
+    return [record(*row) for row in iter_cases(max_rep_dim)]

@@ -369,7 +369,8 @@ REGISTRY: dict[str, Verifier] = {
     "lemma-dmax": Verifier(
         params=(RangeParam("--g-max", 4000, 100_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_superadditivity,
-        # per genus, 36 passing (the table, the row buffer, row 1's pairs);
+        # per genus, 32 passing (building the table; the scan holds 20.5
+        # above it: the row buffer and row 1's pairs);
         # 128-140 when every pair is an equality, in equality_diff over the
         # g1 = 1 row's pairs
         peak_bytes=lambda g_max: 144 * g_max,

@@ -303,7 +303,7 @@ class TestVerifyCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.passed and peak <= {"lemma-dmax": 38, "prop-estimate": 24}[claim] * g_max
+        assert report.passed and peak <= {"lemma-dmax": 34, "prop-estimate": 24}[claim] * g_max
 
     @pytest.mark.parametrize(
         "claim, overrides",
@@ -1145,8 +1145,9 @@ class TestCatalogCommand:
     @pytest.mark.parametrize("rep_max", [2, 3, 8, 64, 300])
     def test_blocks_equal_json_block(self, capsys, monkeypatch, rep_max, block):
         # Every block the layout templates render is the general renderer's
-        # text for the same records: at 300 every small family's duality and
-        # flag layouts, and blocks of 7 straddle the family boundaries.
+        # text for the records of the same rows: at 300 every small family's
+        # duality and flag layouts, and blocks of 7 straddle the family
+        # boundaries.
         real = cli._catalog_rows
         written = []
 
@@ -1158,8 +1159,8 @@ class TestCatalogCommand:
         monkeypatch.setattr(cli, "_catalog_rows", spied)
         code, out, _ = run(capsys, ["catalog", "--rep-max", str(rep_max)])
         records = satake.catalog_json(rep_max)
-        assert code == 0 and [r for rows, _ in written for r in rows] == records
-        assert all(text == cli._json_block(rows) for rows, text in written)
+        assert code == 0 and [satake.record(*r) for rows, _ in written for r in rows] == records
+        assert all(text == cli._json_block([satake.record(*r) for r in rows]) for rows, text in written)
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         if rep_max == 300:
             layouts = {(r["case"], r["duality"], r["min_compact_factors"]) for r in records}
@@ -1174,29 +1175,38 @@ class TestCatalogCommand:
         # writes it, and a numpy integer is json's TypeError, as in
         # _json_block.  The block around it renders as before, and so does
         # a later block of the same layout.
-        records = satake.catalog_json(8)
+        rows = list(satake.iter_cases(8))
         render = cli._catalog_rows()
         for odd, want in [(True, "true"), (np.int64(5), TypeError)]:
-            block = [dict(r, params=dict(r["params"])) for r in records]
-            at = next(i for i, r in enumerate(block) if r["case"] == "I" and r["params"]["n"] == 5)
-            holder = block[at]["params"] if key == "p" else block[at]
-            holder[key] = odd
+            block = list(rows)
+            at = next(i for i, (layout, ints) in enumerate(block) if layout[0] == "I" and ints[1] == 5)
+            layout, ints = block[at]
+            pos = ("p", "n", "hss_dim", "rep_dim", "min_compact_factors").index(key)
+            block[at] = (layout, (*ints[:pos], odd, *ints[pos + 1 :]))
+            records = [satake.record(*r) for r in block]
             if want is TypeError:
                 with pytest.raises(TypeError):
-                    cli._json_block(block)
+                    cli._json_block(records)
                 with pytest.raises(TypeError):
                     render(block)
                 continue
             text = render(block)
-            assert text == cli._json_block(block)
+            assert text == cli._json_block(records)
             assert f'"{key}": {want}' in text and "True" not in text
-        assert render(records) == cli._json_block(records)
+        assert render(rows) == cli._json_block(satake.catalog_json(8))
+
+    class Family(str):
+        """A case name that is a ``str`` but not exactly one."""
 
     def test_non_str_layout_takes_the_general_path(self):
-        records = satake.catalog_json(8)
-        block = [dict(r) for r in records]
-        block[-1]["duality"] = None
-        assert cli._catalog_rows()(block) == cli._json_block(block)
+        # a case of a str subclass, or a duality of None, in the last row
+        rows = list(satake.iter_cases(8))
+        (case, duality), ints = rows[-1]
+        render = cli._catalog_rows()
+        for layout in [(self.Family(case), duality), (case, None)]:
+            block = [*rows[:-1], (layout, ints)]
+            assert render(block) == cli._json_block([satake.record(*r) for r in block])
+        assert render(rows) == cli._json_block(satake.catalog_json(8))
 
     def test_ceiling(self, capsys):
         code, _, err = run(capsys, ["catalog", "--rep-max", "100000"])
@@ -1216,8 +1226,11 @@ class TestTracerContract:
     exported case.  The outputs must not change under those swaps."""
 
     def test_outputs_unchanged_and_cases_counted(self, capsys, monkeypatch):
+        # the smallest catalog (one case), a default-sized one and one with
+        # every layout
+        catalogs = [["catalog", "--rep-max", str(n)] for n in (2, 64, 300)]
         argvs = [
-            ["catalog", "--rep-max", "64"],
+            *catalogs,
             ["verify", "remark-domination"],
             ["explain", "750", "--format", "json"],
         ]
@@ -1233,9 +1246,15 @@ class TestTracerContract:
         monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=json.dumps))
         for module in (satake, cli):
             monkeypatch.setattr(module, "iter_cases", counted)
-        assert [run(capsys, argv) for argv in argvs] == plain
-        assert plain[0][0] == 0
-        assert len(yields) == len(json.loads(plain[0][1])["cases"]) > 0
+        counts = []
+        for argv, want in zip(argvs, plain):
+            del yields[:]
+            assert run(capsys, argv) == want
+            counts.append(len(yields))
+        # one yield per exported case, and none outside catalog
+        cases = [len(json.loads(out)["cases"]) for code, out, _ in plain[: len(catalogs)]]
+        assert all(code == 0 for code, _, _ in plain[: len(catalogs)])
+        assert counts == [*cases, 0, 0] and cases[0] == 1
 
 
 # Exit code, stdout and stderr of a subcommand run without its positional

@@ -20,6 +20,7 @@ from agdim.satake import (
     hss_dimension,
     iter_cases,
     min_compact_factors,
+    record,
     rep_dimension,
 )
 
@@ -195,14 +196,36 @@ class TestValidation:
 
 class TestCatalog:
     def test_golden_fixture(self):
-        assert [tuple(rec.values()) for rec in iter_cases(8)] == GOLDEN_CATALOG_8
+        assert [tuple(rec.values()) for rec in catalog_json(8)] == GOLDEN_CATALOG_8
+        # each row holds the same values as its record, leaves in document order
+        assert [
+            (case, dict(zip(satake._FAMILY[case].params, params)), hss, rep, duality, flag)
+            for (case, duality), (*params, hss, rep, flag) in iter_cases(8)
+        ] == GOLDEN_CATALOG_8
 
     def test_invariants(self):
-        for rec in iter_cases(64):
+        records = catalog_json(64)
+        assert len(records) == len(list(iter_cases(64))) > 0
+        for rec in records:
             assert rec["rep_dim"] >= 2
             assert rec["hss_dim"] >= 1
             assert rec["min_compact_factors"] in (0, 1)
             assert rec["rep_dim"] <= 64
+
+    def test_rows_hold_exact_ints_and_strs(self):
+        # the export fills its templates with %s only from exact ints and
+        # strs, so every row of the stream must take that path
+        rows = list(iter_cases(300))
+        assert len(rows) == 23030
+        for layout, ints in rows:
+            assert type(layout) is tuple and len(layout) == 2
+            assert all(type(x) is str for x in layout)
+            assert type(ints) is tuple
+            assert all(type(x) is int for x in ints)
+
+    @pytest.mark.parametrize("rep_max", [1, 2, 8, 300])
+    def test_catalog_json_is_the_records_of_the_rows(self, rep_max):
+        assert catalog_json(rep_max) == [record(*row) for row in iter_cases(rep_max)]
 
     def test_deterministic(self):
         assert list(iter_cases(32)) == list(iter_cases(32))
@@ -223,10 +246,19 @@ class TestCatalog:
         assert json.loads(json.dumps(records)) == records
 
     def test_empty_below_minimum(self):
-        assert list(iter_cases(1)) == []
+        assert list(iter_cases(1)) == [] and catalog_json(1) == []
         # rep_dim 2 admits exactly the A1 row
-        only = list(iter_cases(2))
-        assert len(only) == 1 and only[0]["case"] == "A1"
+        assert list(iter_cases(2)) == [(("A1", SYMPLECTIC), (1, 2, 0))]
+        assert catalog_json(2) == [
+            {
+                "case": "A1",
+                "params": {},
+                "hss_dim": 1,
+                "rep_dim": 2,
+                "duality": SYMPLECTIC,
+                "min_compact_factors": 0,
+            }
+        ]
 
 
 @functools.cache
@@ -322,7 +354,7 @@ class TestFamilyGrid:
                 CaseLabel(f, t) for f, rows in seed_case_params(128).items() for t in rows
             )
         ]
-        assert list(iter_cases(128)) == want
+        assert [record(*row) for row in iter_cases(128)] == want
         assert catalog_json(128) == want
 
 
