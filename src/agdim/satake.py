@@ -31,8 +31,10 @@ is computed here.
 :func:`family_grid` is the one enumeration of the catalog: per family (family
 I in pieces), its parameter rows with their hss_dim and rep_dim as int64
 arrays.  The cor-decoupled verifier reads those arrays, and :func:`iter_cases`
-builds the JSON export's records from them with no label per row.  Each
-family is one record: its parameter names, the range of a one-parameter
+zips the export's rows from their columns, one ``(layout, ints)`` tuple per
+case with no label and no dict; :func:`record` makes a row's JSON record,
+and :func:`catalog_json` is the records of every row.  Each family is one
+record: its parameter names, the range of a one-parameter
 family (smallest parameter, parameter 4 absorbed by D4 or not) and its four
 rules (the two dimensions, the duality type, the forced-compact-factor flag)
 as functions of its parameters.  Validation, the label API and the grid all
@@ -317,10 +319,11 @@ def family_grid(max_rep_dim: int) -> Iterator[FamilyGrid]:
             n = n_hi + 1
 
 
-def _rule_column(rule: Callable, cols: list[list[int]], rows: int) -> Iterator:
-    """``rule`` of each of ``rows`` cases, from their parameter columns; a
-    family with no parameter has one value for its case."""
-    return map(rule, *cols) if cols else repeat(rule(), rows)
+def _rule_column(rule: Callable, cols: list[list[int]]) -> Iterator:
+    """``rule`` of each case, from the parameter columns of the cases; a
+    family with no parameter repeats its one value (a zip with the cases'
+    other columns ends it)."""
+    return map(rule, *cols) if cols else repeat(rule())
 
 
 def iter_cases(max_rep_dim: int) -> Iterator[tuple[tuple[str, str], tuple[int, ...]]]:
@@ -338,10 +341,9 @@ def iter_cases(max_rep_dim: int) -> Iterator[tuple[tuple[str, str], tuple[int, .
     for grid in family_grid(max_rep_dim):
         rule = _FAMILY[grid.family]
         cols = grid.params.T.tolist()
-        rep = grid.rep_dim.tolist()
-        layouts = zip(repeat(grid.family), _rule_column(rule.duality, cols, len(rep)))
-        flags = _rule_column(rule.min_compact, cols, len(rep))
-        yield from zip(layouts, zip(*cols, grid.hss_dim.tolist(), rep, flags))
+        layouts = zip(repeat(grid.family), _rule_column(rule.duality, cols))
+        flags = _rule_column(rule.min_compact, cols)
+        yield from zip(layouts, zip(*cols, grid.hss_dim.tolist(), grid.rep_dim.tolist(), flags))
 
 
 def record(layout: tuple[str, str], ints: tuple[int, ...]) -> dict:

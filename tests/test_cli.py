@@ -1199,11 +1199,12 @@ class TestCatalogCommand:
         """A case name that is a ``str`` but not exactly one."""
 
     def test_non_str_layout_takes_the_general_path(self):
-        # a case of a str subclass, or a duality of None, in the last row
+        # a case of a str subclass, or a duality of None or of an int, which
+        # a template would take for one more integer leaf, in the last row
         rows = list(satake.iter_cases(8))
         (case, duality), ints = rows[-1]
         render = cli._catalog_rows()
-        for layout in [(self.Family(case), duality), (case, None)]:
+        for layout in [(self.Family(case), duality), (case, None), (case, 1)]:
             block = [*rows[:-1], (layout, ints)]
             assert render(block) == cli._json_block([satake.record(*r) for r in block])
         assert render(rows) == cli._json_block(satake.catalog_json(8))
