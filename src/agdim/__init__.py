@@ -1,7 +1,8 @@
 """agdim: exact integer arithmetic for maximal compact subvarieties of the
 moduli of principally polarized abelian varieties.
 
-Public surface:
+The public surface is the modules; the package itself holds only
+``__version__``, so importing it loads no module and no numpy:
 
 * :mod:`agdim.arith` -- the genus bound ``dmax``, half-product, pair order;
 * :mod:`agdim.satake` -- the classification catalog;
@@ -12,48 +13,6 @@ Public surface:
 * :mod:`agdim.kernels` -- numpy int64 bulk kernels behind the verifiers.
 """
 
-from .arith import (
-    GenusValue,
-    Pair,
-    dmax,
-    dominates,
-    half_product,
-    is_negligible,
-    keel_sadun_bound,
-    strictly_dominates,
-)
-from .moduli import (
-    AgResult,
-    MgctResult,
-    agind_bounds,
-    assemble_tables,
-    dmc_ag,
-    dmc_mgct,
-    jacobian_bounds,
-    mg_bounds,
-)
-from .pairs import best_indecomposable, mdsp_star
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Pair",
-    "GenusValue",
-    "dmax",
-    "half_product",
-    "dominates",
-    "strictly_dominates",
-    "is_negligible",
-    "keel_sadun_bound",
-    "best_indecomposable",
-    "mdsp_star",
-    "AgResult",
-    "MgctResult",
-    "dmc_ag",
-    "dmc_mgct",
-    "jacobian_bounds",
-    "mg_bounds",
-    "agind_bounds",
-    "assemble_tables",
-]
+__all__ = ["__version__"]

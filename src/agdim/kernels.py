@@ -148,8 +148,8 @@ def _chunks(
 
 
 class Found(NamedTuple):
-    """What a chunked kernel found: how many values fail, and the first
-    ``MAX_LISTED`` of them, ascending."""
+    """What a listing kernel found: how many values (or pairs) fail, and the
+    first ``MAX_LISTED`` of them, ascending."""
 
     total: int
     listed: np.ndarray
@@ -339,9 +339,16 @@ def mdsp_table(bi: np.ndarray) -> np.ndarray:
     return M
 
 
-def pair_efficiency_mismatches(a_max: int, b_max: int) -> np.ndarray:
+def _two_element_efficient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The closed two-element criterion (a-2)(b-2) < 4, elementwise; a
+    function of its own, so that a test can inject a fault into it."""
+    return (a - 2) * (b - 2) < 4
+
+
+def pair_efficiency_mismatches(a_max: int, b_max: int) -> Found:
     """(a, b) with 2 <= a <= a_max and a <= b <= b_max where 'ab < 2(a+b)'
-    and '(a-2)(b-2) < 4' disagree (expected: none), ascending.
+    and '(a-2)(b-2) < 4' disagree (expected: none): their count and the
+    first ``MAX_LISTED`` of them, ascending, as rows of ``listed``.
 
     Rows of a are taken in blocks of about ``PAIR_BLOCK`` cells, each block
     one broadcast over a rectangle with the cells b < a masked out, so the
@@ -351,16 +358,16 @@ def pair_efficiency_mismatches(a_max: int, b_max: int) -> np.ndarray:
     if a_max < 2 or b_max < a_max:
         raise ValueError(f"need 2 <= a_max <= b_max (got {a_max}, {b_max})")
     _require_at_most("b_max", b_max, MAX_SAFE_PAIR_B)
-    out: list[np.ndarray] = []
+    total, listed = 0, []
     rows = max(1, PAIR_BLOCK // (b_max - 1))
     for a_lo in range(2, a_max + 1, rows):
         a = np.arange(a_lo, min(a_lo + rows, a_max + 1), dtype=np.int64)[:, None]
         b = np.arange(a_lo, b_max + 1, dtype=np.int64)[None, :]
-        oracle = a * b < 2 * (a + b)
-        closed = (a - 2) * (b - 2) < 4
-        i, j = np.nonzero((oracle != closed) & (b >= a))
-        if i.size:
-            out.append(np.stack([a[i, 0], b[0, j]], axis=1))
-    if not out:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(out)
+        failing = (a * b < 2 * (a + b)) != _two_element_efficient(a, b)
+        failing &= b >= a
+        n = int(np.count_nonzero(failing))
+        total += n
+        if n and len(listed) < MAX_LISTED:
+            i, j = np.divmod(np.flatnonzero(failing)[: MAX_LISTED - len(listed)], b.size)
+            listed += np.stack([a_lo + i, a_lo + j], axis=1).tolist()
+    return Found(total, np.array(listed, dtype=np.int64).reshape(-1, 2))

@@ -5,7 +5,7 @@
     dmc(g) = max( M(g), max_{0 <= g' < g} (g - g' - 1 + M(g')) )
            = max( M(g), g - 1 + P(g) ),   P(g) = max_{0 <= g' < g} (M(g') - g')
 
-over the superadditive closure M = mdsp_star and checks the result against
+over the superadditive closure M = mdsp_star_table and checks dmc against
 the closed form; the recursion is the computation, the closed form is the
 self-check, and a mismatch is an internal error, never silently patched.
 The tables of M and P cost at most 96 bytes per genus
@@ -43,7 +43,6 @@ __all__ = [
     "mgct_interior_bound_holds",
     "jacobian_bounds",
     "mg_bounds",
-    "agind_bounds",
     "assemble_tables",
     "AG_TABLE_GENERA",
     "MG_TABLE_GENERA",
@@ -402,16 +401,6 @@ def mg_bounds(g: int) -> tuple[int, int]:
     if g < 2:
         raise ValueError(f"g must be >= 2 (got {g})")
     return _mg_lower(g), _mg_upper(g)
-
-
-def agind_bounds(g: int) -> tuple[int, int, int | None]:
-    """(lower, upper, exact-if-known) for the very-general compact dimension
-    of the indecomposable locus: g - 2 <= value <= g - 1, with equality
-    value = g - 2 known for g in {2, 3, 4}."""
-    if g < 2:
-        raise ValueError(f"g must be >= 2 (got {g})")
-    exact = g - 2 if g in (2, 3, 4) else None
-    return g - 2, g - 1, exact
 
 
 # ---------------------------------------------------------------------------

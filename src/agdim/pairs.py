@@ -13,10 +13,10 @@ Six parametric families produce every non-negligible candidate pair:
 
 Families II, III, I_nc1 and I_nc2 are each dominated by an I-family pair
 (:func:`verify_remark_domination`, :func:`verify_claim_f`), so only A1 and I
-feed :func:`best_indecomposable`.  The dynamic program :func:`mdsp_star`
-closes the single-family optimum under products; its value is a certified
-lower bound for the best compact special subvariety of each genus, exact
-whenever it reaches g - 1.
+feed :func:`best_indecomposable`.  The dynamic program :func:`mdsp_star_table`
+closes the single-family optimum under products; its entry M(g) is a
+certified lower bound for the best compact special subvariety of genus g,
+exact whenever it reaches g - 1.
 
 Each family has a scalar constructor in Python ints (``unitary_pair``, ...),
 which is exact at any size and is the test oracle, and an array form
@@ -37,7 +37,6 @@ from .arith import Pair, half_product
 from .report import MAX_LISTED, VerificationReport, equality_diff
 
 __all__ = [
-    "FAMILY_A1",
     "FAMILY_I",
     "FAMILY_II",
     "FAMILY_III",
@@ -58,13 +57,11 @@ __all__ = [
     "MAX_SAFE_REMARK",
     "best_indecomposable",
     "best_indecomposable_table",
-    "mdsp_star",
     "mdsp_star_table",
     "verify_claim_f",
     "verify_remark_domination",
 ]
 
-FAMILY_A1 = "A1"
 FAMILY_I = "I"
 FAMILY_II = "II"
 FAMILY_III = "III"
@@ -184,12 +181,6 @@ def mdsp_star_table(g_max: int) -> list[int]:
     if g_max < 0:
         raise ValueError(f"g_max must be >= 0 (got {g_max})")
     return [int(v) for v in kernels.mdsp_table(kernels.best_indec_table(g_max))]
-
-
-def mdsp_star(g: int) -> int:
-    if g < 0:
-        raise ValueError(f"g must be >= 0 (got {g})")
-    return mdsp_star_table(g)[g]
 
 
 def _smallest_dominating_n(k: int, target: Pair) -> int | None:

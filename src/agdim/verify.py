@@ -9,9 +9,9 @@ and, for a claim whose arrays grow with its range, to half of physical
 memory.  :func:`admit` is the one admission rule, for ``verify``,
 ``catalog`` and ``explain``: it checks the whole range before any work.
 
-``dmax-piecewise`` and ``f-bounds`` split their integer interval into blocks
-and run them on a thread pool with one worker per CPU: numpy releases the GIL
-inside its large array loops, so blocks execute in parallel.  Each block is
+``dmax-piecewise`` and ``f-bounds`` split their integer interval into one
+block per worker of a thread pool with one worker per CPU: numpy releases the
+GIL inside its large array loops, so blocks execute in parallel.  Each block is
 one kernel call, which walks the block in chunks of ``kernels.CHUNK`` values
 through buffers of its own and returns its count of failing values and the
 first ``MAX_LISTED`` of them, so a block's memory does not grow with its
@@ -35,7 +35,7 @@ from . import kernels, pairs, satake
 from .arith import dmax
 from .efficiency import verify_efficiency_classification
 from .moduli import dmc_mgct, mgct_interior_bound_holds
-from .report import MAX_LISTED, VerificationReport, equality_diff
+from .report import VerificationReport, equality_diff
 
 __all__ = [
     "RangeParam",
@@ -106,7 +106,7 @@ def _memory_budget() -> int:
 
 
 def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    size = min(1 << 21, max(1, (hi - lo + 1) // _WORKERS))
+    size = -(-(hi - lo + 1) // _WORKERS)  # one block per worker
     start = lo
     while start <= hi:
         end = min(start + size - 1, hi)
@@ -192,7 +192,7 @@ def _verify_efficiency(sum_max: int, pair_max: int) -> VerificationReport:
     sum <= sum_max window, plus the two-element criterion on the whole
     triangle 2 <= a <= b <= pair_max."""
     report = verify_efficiency_classification(sum_max)
-    listed = kernels.pair_efficiency_mismatches(pair_max, pair_max)[:MAX_LISTED].tolist()
+    listed = kernels.pair_efficiency_mismatches(pair_max, pair_max).listed.tolist()
     if listed:
         report.add(
             [

@@ -323,6 +323,25 @@ class TestVerifyCommand:
         figure = verify.REGISTRY[claim].peak_bytes(**verify.range_args(claim, overrides))
         assert report.passed and peak <= figure
 
+    @pytest.mark.parametrize("block", [1024, kernels.PAIR_BLOCK])
+    def test_failing_lemma_n_peak_bytes_covers_peak(self, monkeypatch, block):
+        # The closed criterion negated, so every cell of the triangle fails:
+        # the kernel counts them and keeps the first MAX_LISTED, so a failing
+        # run needs no more than a passing one.
+        monkeypatch.setattr(kernels, "PAIR_BLOCK", block)
+        real = kernels._two_element_efficient
+        monkeypatch.setattr(kernels, "_two_element_efficient", lambda a, b: ~real(a, b))
+        overrides = {"sum_max": 24, "pair_max": 4000}
+        tracemalloc.start()
+        try:
+            report = verify.run_verifier("lemma-N", overrides)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        window = report.details["two_element_window"]["mismatches"]
+        assert window == [[2, b] for b in range(2, 2 + MAX_LISTED)]
+        assert peak <= verify.REGISTRY["lemma-N"].peak_bytes(**verify.range_args("lemma-N", overrides))
+
     def test_failing_prop_estimate_bytes_per_genus_covers_peak(self, monkeypatch):
         # Every genus off the equality set exceeds dmax by one, so about half
         # the range fails while the equality set is unchanged.  Keeping every
@@ -402,7 +421,7 @@ class TestVerifyCommand:
         ],
     )
     def test_pool_output_independent_of_workers(self, capsys, monkeypatch, claim, flag, kernel):
-        # 2.5M values exceed one 2^21 block, so even one worker runs 2 blocks.
+        # One kernel call per worker, whose blocks tile the range exactly.
         spied = getattr(kernels, kernel)
         outs = {}
         for workers in (1, 4):
@@ -413,7 +432,11 @@ class TestVerifyCommand:
             )
             code, outs[workers], _ = run(capsys, ["verify", claim, flag, "2500000"])
             assert code == 0
-            assert len(calls) > 1
+            calls.sort()
+            assert len(calls) == workers
+            assert calls[0][0] == {"piecewise_mismatches": 1, "f_bound_violations": 2}[kernel]
+            assert calls[-1][1] == 2500000
+            assert all(prev[1] + 1 == nxt[0] for prev, nxt in zip(calls, calls[1:]))
         assert outs[1] == outs[4]
 
     def test_lemma_dmax_one_serial_scan(self, capsys, monkeypatch):
@@ -849,7 +872,9 @@ class TestVerifierFailures:
 
         def with_mismatch_at_3(a_max, b_max):
             found = real(a_max, b_max)
-            return np.concatenate([found, [[3, 7]]]) if a_max >= 3 else found
+            if a_max < 3:
+                return found
+            return kernels.Found(found.total + 1, np.concatenate([found.listed, [[3, 7]]]))
 
         monkeypatch.setattr(kernels, "pair_efficiency_mismatches", with_mismatch_at_3)
         code, out, _ = run(capsys, ["verify", "lemma-N", "--sum-max", "10", "--pair-max", "10"])

@@ -2,7 +2,11 @@
 dangling ``__all__`` entry or re-export behind."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,19 @@ def test_every_export_resolves(name):
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_package_and_pure_modules_import_no_numpy():
+    # The package exports only __version__, so importing it, or a module
+    # of pure integer arithmetic, loads no numpy.
+    src = str(Path(agdim.__file__).resolve().parent.parent)
+    script = "import sys\nimport agdim, agdim.arith, agdim.tables, agdim.schemas\nprint('numpy' in sys.modules)\n"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -133,15 +133,33 @@ class TestAgainstScalars:
                 for b in range(a, n + 1)
                 if (a * b < 2 * (a + b)) != ((a - 2) * (b - 2) < 4)
             ]
-            assert rows(kernels.pair_efficiency_mismatches(n, n)) == oracle == []
+            result = kernels.pair_efficiency_mismatches(n, n)
+            assert result.total == 0 and rows(result.listed) == oracle == []
 
     @pytest.mark.parametrize("block", [1, 97, 1 << 16])
     def test_pair_efficiency_blocks(self, monkeypatch, block):
-        # one row per block, blocks that split the rows unevenly, one block
+        # One row per block, blocks that split the rows unevenly, one block;
+        # with no fault, then with the closed criterion negated at every cell
+        # of the triangle or at the cells with 7 | a + b.  The kernel counts
+        # every failing cell and lists the first MAX_LISTED, ascending.
         monkeypatch.setattr(kernels, "PAIR_BLOCK", block)
-        for a_max, b_max in ((2, 2), (2, 9), (3, 3), (7, 50), (60, 60)):
-            found = kernels.pair_efficiency_mismatches(a_max, b_max)
-            assert found.dtype == np.int64 and found.shape == (0, 2)
+        real = kernels._two_element_efficient
+        for every in (None, 1, 7):
+            if every:
+                monkeypatch.setattr(
+                    kernels, "_two_element_efficient", lambda a, b: real(a, b) ^ ((a + b) % every == 0)
+                )
+            for a_max, b_max in ((2, 2), (2, 9), (3, 3), (7, 50), (60, 60)):
+                cells = [
+                    (a, b)
+                    for a in range(2, a_max + 1)
+                    for b in range(a, b_max + 1)
+                    if every and (a + b) % every == 0
+                ]
+                result = kernels.pair_efficiency_mismatches(a_max, b_max)
+                assert result.total == len(cells)
+                assert result.listed.dtype == np.int64 and result.listed.shape[1:] == (2,)
+                assert rows(result.listed) == cells[:MAX_LISTED]
 
 
 # chunked kernel -> (the helper a fault is injected into, whether value v is

@@ -8,7 +8,6 @@ from agdim.moduli import (
     HodgeGeneric,
     ProductWithPoint,
     SpecialFamily,
-    agind_bounds,
     assemble_tables,
     dmc_ag,
     dmc_ag_range,
@@ -205,17 +204,6 @@ class TestMgBounds:
             lower, _ = mg_bounds(g)
             assert 2 ** (lower + 1) <= g or lower == 1
             assert 2 ** (lower + 2) > g
-
-
-class TestAgindBounds:
-    def test_examples(self):
-        assert agind_bounds(4) == (2, 3, 2)
-        assert agind_bounds(2) == (0, 1, 0)
-        assert agind_bounds(10) == (8, 9, None)
-
-    def test_rejects_below_two(self):
-        with pytest.raises(ValueError):
-            agind_bounds(1)
 
 
 class TestAssembledTables:

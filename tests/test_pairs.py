@@ -15,7 +15,6 @@ from agdim.pairs import (
     division_rank1_pairs,
     division_rank2_pair,
     division_rank2_pairs,
-    mdsp_star,
     mdsp_star_table,
     orthogonal_star_pair,
     orthogonal_star_pairs,
@@ -127,9 +126,9 @@ class TestBestIndecomposable:
 
 class TestMdspStar:
     def test_examples(self):
-        assert mdsp_star(0) == 0
-        assert mdsp_star(16) == 16
-        assert mdsp_star(4) == 2
+        assert mdsp_star_table(0)[0] == 0
+        assert mdsp_star_table(16)[16] == 16
+        assert mdsp_star_table(4)[4] == 2
 
     def test_partition_enumeration_oracle(self):
         bi = best_indecomposable_table(60)
