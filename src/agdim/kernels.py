@@ -214,14 +214,15 @@ def f_bound_violations(n_lo: int, n_hi: int) -> Found:
 
 
 class SuperadditivityScan(NamedTuple):
-    """What :func:`superadditivity_scan` found, as (g1, g2) row arrays in
-    ascending order; ``equalities`` holds at most ``MAX_LISTED`` rows with
-    g1 >= 2 and ``violations`` at most ``MAX_LISTED`` rows."""
+    """What :func:`superadditivity_scan` found, in ascending order: at most
+    ``MAX_LISTED`` (g1, g2) rows in each row array, and the g2 of every
+    equality (1, g2)."""
 
     violations: np.ndarray  # the first rows with a negative difference
     violations_total: int
-    equalities: np.ndarray  # every g1 = 1 row, then the first g1 >= 2 rows, with difference 0
-    equalities_total: int
+    first_row: np.ndarray  # every g2 with difference 0 at g1 = 1
+    equalities: np.ndarray  # the first rows with g1 >= 2 and difference 0
+    equalities_total: int  # g1 = 1 included
 
 
 def _rows(pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -246,7 +247,8 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     equalities are exactly g1 = 1 with g2 even >= 16.  So the scan returns
     both counts, every g1 = 1 equality and the first ``MAX_LISTED``
     violations and other equalities: enough to list the claim's
-    counterexamples, while a broken D costs no memory per failing row.
+    counterexamples.  Only the g1 = 1 equalities are kept whole, so a broken
+    D costs no memory per failing row beyond them.
 
     One row per g1: with g2 = g1 + j, D[g1+g2] and D[g2] are the contiguous
     slices D[2 g1 + j] and D[g1 + j], so a row is one slice difference in a
@@ -263,7 +265,7 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     violations: list[tuple[int, int]] = []
     others: list[tuple[int, int]] = []
     first_row = np.empty(0, dtype=np.int64)
-    violations_total = others_total = 0
+    violations_total = equalities_total = 0
     for g1 in range(1, g_max // 2 + 1):
         m = g_max - 2 * g1 + 1  # g2 in g1..g_max-g1
         row = np.subtract(D[2 * g1 :], D[g1 : g1 + m], out=diff[:m])
@@ -273,21 +275,17 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
         below, equal = _low_pairs(row, g1)
         violations_total += below.size
         violations += [(g1, g2) for g2 in below[: MAX_LISTED - len(violations)].tolist()]
+        equalities_total += equal.size
         if g1 == 1:
             first_row = equal
         else:
-            others_total += equal.size
             others += [(g1, g2) for g2 in equal[: MAX_LISTED - len(others)].tolist()]
-    # the equality rows, written in place: the g1 = 1 row, then the others
-    equalities = np.empty((first_row.size + len(others), 2), dtype=np.int64)
-    equalities[: first_row.size, 0] = 1
-    equalities[: first_row.size, 1] = first_row
-    equalities[first_row.size :] = _rows(others)
     return SuperadditivityScan(
         violations=_rows(violations),
         violations_total=violations_total,
-        equalities=equalities,
-        equalities_total=first_row.size + others_total,
+        first_row=first_row,
+        equalities=_rows(others),
+        equalities_total=equalities_total,
     )
 
 

@@ -6,18 +6,16 @@ from ``counterexamples`` and no verifier sets it.  A report lists at most
 ``details["counterexamples_total"]``.  A verifier hands its failures to
 :meth:`VerificationReport.add` in the order it finds them, which counts every
 one and builds a row only for those the report lists, so unlisted failures
-cost no rows.  A claim whose equality set is part of the statement reports a
-difference through :func:`equality_diff`, in one shape for every claim; it
-sorts both sets whole, so a failing claim's peak can pass a passing one's.
-Verifiers never raise on mathematical failure, only on invalid usage.
+cost no rows.  A claim whose equality set is part of the statement checks it
+against its rule where it finds the equalities, and reports a difference
+through :func:`equality_diff`, in one shape for every claim.  Verifiers never
+raise on mathematical failure, only on invalid usage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
-
-import numpy as np
 
 __all__ = ["MAX_LISTED", "VerificationReport", "equality_diff"]
 
@@ -43,9 +41,9 @@ class VerificationReport:
         """Count ``total`` failures (by default ``len(failures)``) and list
         ``row(x)`` for each item x of ``failures``, in order, while fewer than
         ``MAX_LISTED`` are listed; ``row=None`` lists the items themselves.
-        ``failures`` is a list or an array, read through ``.tolist()``."""
+        ``failures`` is a list, or an array read through ``.tolist()``."""
         listed = failures[: MAX_LISTED - len(self.counterexamples)]
-        if isinstance(listed, np.ndarray):
+        if not isinstance(listed, list):
             listed = listed.tolist()
         self.counterexamples += listed if row is None else [row(x) for x in listed]
         self.unlisted += (len(failures) if total is None else total) - len(listed)
@@ -72,40 +70,13 @@ class VerificationReport:
         }
 
 
-def _excess(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """The first ``MAX_LISTED`` rows, ascending, of the multiset difference
-    ``rows`` - ``other`` of two 2-D row arrays, in O(len) int64 memory."""
-    both = np.concatenate([rows, other])
-    order = np.lexsort(both.T[::-1])  # rows ascending, first column first
-    ordered = both[order]
-    starts = np.flatnonzero(np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
-    surplus = np.maximum(np.add.reduceat(np.where(order < len(rows), 1, -1), starts), 0)
-    upto = int(np.searchsorted(np.cumsum(surplus), MAX_LISTED)) + 1
-    return np.repeat(ordered[starts[:upto]], surplus[:upto], axis=0)[:MAX_LISTED]
-
-
-def equality_diff(reason: str, found, expected) -> list[dict]:
+def equality_diff(reason: str, unexpected: list, missing: list) -> list[dict]:
     """The counterexamples of an equality set that is part of a claim: none
-    when ``found`` equals ``expected``, else one listing the rows found but
-    not expected and the rows expected but not found (as multisets, so a
-    repeated row counts), each list ascending and capped at ``MAX_LISTED``.
-    Rows are integers or integer pairs, given as arrays or lists in ascending
-    order."""
-    found = np.asarray(found, dtype=np.int64)
-    expected = np.asarray(expected, dtype=np.int64)
-    pairs = max(found.ndim, expected.ndim) > 1
-    width = 2 if pairs else 1
-    have, want = found.reshape(-1, width), expected.reshape(-1, width)
-    if np.array_equal(have, want):
+    when nothing is ``unexpected`` (found but not stated) or ``missing``
+    (stated but not found), else one listing the first ``MAX_LISTED`` of
+    each.  Each list holds integers or integer pairs in ascending order."""
+    if not unexpected and not missing:
         return []
-
-    def listed(rows: np.ndarray) -> list:
-        return rows.tolist() if pairs else rows[:, 0].tolist()
-
     return [
-        {
-            "reason": reason,
-            "unexpected": listed(_excess(have, want)),
-            "missing": listed(_excess(want, have)),
-        }
+        {"reason": reason, "unexpected": unexpected[:MAX_LISTED], "missing": missing[:MAX_LISTED]}
     ]

@@ -35,7 +35,7 @@ from . import kernels, pairs, satake
 from .arith import dmax
 from .efficiency import verify_efficiency_classification
 from .moduli import dmc_mgct, mgct_interior_bound_holds
-from .report import VerificationReport, equality_diff
+from .report import MAX_LISTED, VerificationReport, equality_diff
 
 __all__ = [
     "RangeParam",
@@ -133,7 +133,6 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
     D = np.zeros(g_max + 1, dtype=np.int64)
     D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
     scan = kernels.superadditivity_scan(D)
-    expected_g2 = np.arange(16, g_max, 2, dtype=np.int64)
     report = VerificationReport(
         claim="lemma-dmax",
         range={"g_max": g_max},
@@ -150,13 +149,18 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
         lambda v: {"g1": v[0], "g2": v[1], "reason": "superadditivity violated"},
         scan.violations_total,
     )
-    # Every expected row has g1 = 1, so each g1 >= 2 equality is unexpected
-    # and the first MAX_LISTED of them give the same difference as all.
+    # Every stated row has g1 = 1, so the unexpected rows are the g1 = 1 rows
+    # off the rule, then every g1 >= 2 row, of which the scan lists enough.
+    g2 = scan.first_row
+    off = np.flatnonzero((g2 < 16) | (g2 % 2 == 1))[:MAX_LISTED]
+    found = np.zeros(g_max, dtype=bool)
+    found[g2] = True
+    absent = np.flatnonzero(~found[16::2])[:MAX_LISTED] * 2 + 16
     report.add(
         equality_diff(
             "equality set differs from {(1, even g2 >= 16)}",
-            scan.equalities,
-            np.stack([np.ones_like(expected_g2), expected_g2], axis=1),
+            [[1, g] for g in g2[off].tolist()] + scan.equalities.tolist(),
+            [[1, g] for g in absent.tolist()],
         )
     )
     return report
@@ -232,9 +236,11 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
     both sides are 0 (points only).  The <= check covers it; the equality-set
     comparison, which is about genuine family pairs, starts at g = 2.
 
-    dmax is compared with the table ``kernels.CHUNK`` genera at a time, so
-    its temporaries stay small and are reused from the heap; only the table
-    and the equality genera span the whole range.
+    dmax is compared with the table ``kernels.CHUNK`` genera at a time, and
+    so is the equality mask with the rule's, so the temporaries stay small;
+    a chunk's are freed before the next chunk's are built, and only the
+    table spans the whole range.  The first ``MAX_LISTED`` unexpected and
+    missing genera are kept, and the equalities counted.
     """
     bi = kernels.best_indec_table(g_max)
     report = VerificationReport(
@@ -246,7 +252,7 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
             "excluded from the equality set",
         },
     )
-    eq = []
+    unexpected, missing, equalities = [], [], 0
     for lo in range(1, g_max + 1, kernels.CHUNK):
         gs = np.arange(lo, min(lo + kernels.CHUNK, g_max + 1), dtype=np.int64)
         dm, best = kernels.dmax_values(gs), bi[lo : lo + gs.size]
@@ -259,17 +265,18 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
                 "reason": "bound violated",
             },
         )
-        eq.append(np.flatnonzero(best == dm) + lo)
-    eq = np.concatenate(eq)
-    eq = eq[np.searchsorted(eq, 2) :]
+        equal = (best == dm) & (gs >= 2)
+        stated = ((gs >= 16) & (gs % 2 == 0)) | (gs == 2)
+        equalities += int(np.count_nonzero(equal))
+        for listed, mask in ((unexpected, equal & ~stated), (missing, stated & ~equal)):
+            listed += (np.flatnonzero(mask)[: MAX_LISTED - len(listed)] + lo).tolist()
+        del gs, dm, equal, stated, mask
     report.add(
         equality_diff(
-            "equality genera differ from {2} union {even g >= 16}",
-            eq,
-            np.concatenate(([2], np.arange(16, g_max + 1, 2))),
+            "equality genera differ from {2} union {even g >= 16}", unexpected, missing
         )
     )
-    report.witnesses = [{"equality_genera": "{2} union {even g >= 16}", "count": int(eq.size)}]
+    report.witnesses = [{"equality_genera": "{2} union {even g >= 16}", "count": equalities}]
     return report
 
 
@@ -370,10 +377,10 @@ REGISTRY: dict[str, Verifier] = {
         params=(RangeParam("--g-max", 4000, 100_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_superadditivity,
         # per genus, 32 passing (building the table; the scan holds 20.5
-        # above it: the row buffer and row 1's pairs);
-        # 128-140 when every pair is an equality, in equality_diff over the
-        # g1 = 1 row's pairs
-        peak_bytes=lambda g_max: 144 * g_max,
+        # above it: the row buffer and row 1's pairs); 57-58 from 2e3 to 2e4
+        # when every pair is an equality, in the scan of the g1 = 1 row; 10%
+        # above that, and 64 kB for the fixed cost of a small range
+        peak_bytes=lambda g_max: 64 * g_max + 2**16,
     ),
     "dmax-piecewise": Verifier(
         params=(RangeParam("--g-max", 1_000_000, 100_000_000, limit=kernels.MAX_SAFE_PIECEWISE_G),),
@@ -405,9 +412,10 @@ REGISTRY: dict[str, Verifier] = {
     "prop-estimate": Verifier(
         params=(RangeParam("--g-max", 2000, 10_000_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_best_pair_bound,
-        # per genus, 21 passing (the table, F(n) and a row for n <= g_max / 2);
-        # 36.3 with no equality genus, in equality_diff over the g_max / 2 expected
-        peak_bytes=lambda g_max: 40 * g_max,
+        # per genus, 16 from 1e6 to 4e6, passing or failing (the table, F(n)
+        # and a row for n <= g_max / 2); 12% above that, and 2 MB for one
+        # chunk's temporaries, about 27 bytes per genus of a full chunk
+        peak_bytes=lambda g_max: 18 * g_max + 2**21,
     ),
     "remark-domination": Verifier(
         params=(

@@ -303,7 +303,7 @@ class TestVerifyCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.passed and peak <= {"lemma-dmax": 34, "prop-estimate": 24}[claim] * g_max
+        assert report.passed and peak <= {"lemma-dmax": 33, "prop-estimate": 17}[claim] * g_max
 
     @pytest.mark.parametrize(
         "claim, overrides",
@@ -345,7 +345,8 @@ class TestVerifyCommand:
     def test_failing_prop_estimate_bytes_per_genus_covers_peak(self, monkeypatch):
         # Every genus off the equality set exceeds dmax by one, so about half
         # the range fails while the equality set is unchanged.  Keeping every
-        # failing genus until the end peaked at 28.3 bytes per genus.
+        # failing genus until the end peaked at 28.3 bytes per genus, and
+        # sorting the found and stated equality genera together at 21.1.
         g_max = 200_000
         table = kernels.best_indec_table(g_max)
         dm = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
@@ -359,17 +360,20 @@ class TestVerifyCommand:
         finally:
             tracemalloc.stop()
         assert report.to_dict()["details"]["counterexamples_total"] == 100_005
-        assert peak <= 24 * g_max
+        assert peak <= 18 * g_max
 
     @pytest.mark.parametrize(
         "claim, kernel, fault, g_max",
         [
             # no genus attains dmax, so the equality set is empty
             ("prop-estimate", "best_indec_table", lambda real, n: real(n) + 10**6, 200_000),
+            # every genus attains dmax; sorting the found and stated genera
+            # together peaked at 84 bytes per genus
+            ("prop-estimate", "best_indec_table", lambda real, n: kernels._dmax(np.arange(n + 1)), 200_000),
             # every pair is an equality, all g_max of the first row among them
             ("lemma-dmax", "dmax_values", lambda real, gs: np.zeros_like(gs), 10_000),
         ],
-        ids=["prop-estimate", "lemma-dmax"],
+        ids=["prop-estimate", "prop-estimate-all-equal", "lemma-dmax"],
     )
     def test_peak_bytes_covers_failing_peak(self, monkeypatch, claim, kernel, fault, g_max):
         real = getattr(kernels, kernel)
@@ -611,6 +615,37 @@ def _best_pair_plus_million(mp):
     mp.setattr(kernels, "best_indec_table", lambda g_max: real(g_max) + 10**6)
 
 
+def _ramp_dmax(mp):
+    # max(g - 16, 0) is superadditive, equal on every pair with g1 + g2 <= 16
+    # and strict at every (1, g2 >= 16): both equality lists pass the cap
+    mp.setattr(kernels, "dmax_values", lambda gs: np.maximum(gs - 16, 0))
+
+
+def _shift_dmax_equalities(mp):
+    # Raised at 17, 21, 25, ..., so (1, g2) is strict at g2 = 0 mod 4; lowered
+    # at 11 and 15, so every pair summing to them becomes an equality
+    real = kernels.dmax_values
+    mp.setattr(kernels, "dmax_values", lambda gs: real(gs) + ((gs % 4 == 1) & (gs >= 17)) - np.isin(gs, (11, 15)))
+
+
+def _best_pair_off_the_rule(mp):
+    # Equal to dmax at every multiple of 3 and below it at the other
+    # multiples of 4; nowhere above it
+    real = kernels.best_indec_table
+
+    def table(g_max):
+        g = np.arange(g_max + 1)
+        dm = np.concatenate(([0], kernels.dmax_values(g[1:])))
+        return np.select([g % 3 == 0, g % 4 == 0], [dm, dm - 1], real(g_max))
+
+    mp.setattr(kernels, "best_indec_table", table)
+
+
+def _best_pair_off_the_rule_chunk_11(mp):
+    _best_pair_off_the_rule(mp)
+    mp.setattr(kernels, "CHUNK", 11)
+
+
 def _mgct_off_by_one_at_10(mp):
     real = verify.dmc_mgct
     mp.setattr(verify, "dmc_mgct", lambda g: replace(real(g), exact=real(g).exact + 1) if g == 10 else real(g))
@@ -776,13 +811,32 @@ class TestVerifierFailures:
                 "cor-decoupled", ["--rep-max", "64", "--k-max", "6"], _zero_dmax,
                 "63202e5f450837ac161c7408908d57d14ebd8e26d620268ea921f5a88fb3be8c",
             ),
+            (
+                "lemma-dmax", ["--g-max", "400"], _ramp_dmax,
+                "4c823c600a0a0a3ca42744250758442ac5c0e477622672a37a5e457f3f87dc87",
+            ),
+            (
+                "lemma-dmax", ["--g-max", "400"], _shift_dmax_equalities,
+                "5ba0fdaa9ca9c0f8a1eac79941e77a5b813b058b49447f8ae4d3b598a6e1976f",
+            ),
+            (
+                "prop-estimate", ["--g-max", "400"], _best_pair_off_the_rule,
+                "79f7b6865d987377da9cf85cb7eced4aef6ad86328ca8eee23aca2bc0744067d",
+            ),
+            (
+                "prop-estimate", ["--g-max", "300"], _best_pair_off_the_rule_chunk_11,
+                "699f55a7fb18cf19d82d759cfb0c502c136afecb01774ca05c85542fa6e00271",
+            ),
         ],
     )
     def test_failing_stdout_unchanged(self, capsys, monkeypatch, claim, flags, inject, digest):
         # The first four were recorded with the per-n Python-int searches,
         # before the closed-form smallest dominating n replaced them; the rest
         # with each verifier keeping its own tally of unlisted failures,
-        # before the report's one listing rule replaced them.
+        # before the report's one listing rule replaced them; the last four,
+        # two-sided lemma-dmax and prop-estimate pins, with the found and
+        # stated equality sets sorted together, before each claim checked
+        # its set against its rule.
         inject(monkeypatch)
         code, out, _ = run(capsys, ["verify", claim, *flags])
         assert code == 1

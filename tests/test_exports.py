@@ -25,9 +25,10 @@ def test_every_export_resolves(name):
 
 def test_package_and_pure_modules_import_no_numpy():
     # The package exports only __version__, so importing it, or a module
-    # of pure integer arithmetic, loads no numpy.
+    # of pure integer arithmetic or the report it fills, loads no numpy.
     src = str(Path(agdim.__file__).resolve().parent.parent)
-    script = "import sys\nimport agdim, agdim.arith, agdim.tables, agdim.schemas\nprint('numpy' in sys.modules)\n"
+    modules = "agdim, agdim.arith, agdim.tables, agdim.schemas, agdim.report, agdim.efficiency"
+    script = f"import sys\nimport {modules}\nprint('numpy' in sys.modules)\n"
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script],

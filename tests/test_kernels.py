@@ -43,14 +43,17 @@ def brute_scan(D):
 
 def assert_scan_matches(scan, want_viol, want_eqs):
     """A superadditivity scan against every violating and equal row: the
-    counts, every g1 = 1 equality and the first MAX_LISTED of the others."""
-    first_row = [(g1, g2) for g1, g2 in want_eqs if g1 == 1]
+    counts, the g2 of every g1 = 1 equality and the first MAX_LISTED of the
+    others."""
+    first_row = [g2 for g1, g2 in want_eqs if g1 == 1]
     others = [(g1, g2) for g1, g2 in want_eqs if g1 > 1]
     for listed in (scan.violations, scan.equalities):
         assert listed.dtype == np.int64 and listed.shape[1:] == (2,)
+    assert scan.first_row.dtype == np.int64 and scan.first_row.ndim == 1
     assert rows(scan.violations) == want_viol[:MAX_LISTED]
     assert scan.violations_total == len(want_viol)
-    assert rows(scan.equalities) == first_row + others[:MAX_LISTED]
+    assert scan.first_row.tolist() == first_row
+    assert rows(scan.equalities) == others[:MAX_LISTED]
     assert scan.equalities_total == len(want_eqs)
 
 

@@ -25,7 +25,8 @@ from agdim.pairs import (
     verify_claim_f,
     verify_remark_domination,
 )
-from agdim.report import MAX_LISTED, VerificationReport, equality_diff
+from agdim.report import MAX_LISTED, VerificationReport
+from test_report import counter_diff
 
 # The ten unitary-family pairs of genus <= 15, frozen from the case analysis:
 # k=2 gives (2,6),(4,8),(6,10),(9,12),(12,14); k=3 gives (4,9),(8,12),(12,15);
@@ -218,7 +219,7 @@ class TestClaimF:
             for n in (s * d * d // 2, s * d * d)
         )
         assert len(report.details["equalities"]) == MAX_LISTED
-        assert report.counterexamples == equality_diff(
+        assert report.counterexamples == counter_diff(
             "equality pairs differ from {(1, 4), (4, 8)}", tied, [[1, 4], [4, 8]]
         )
         assert report.counterexamples[0]["missing"] == []
@@ -335,7 +336,7 @@ def scalar_claim_f(s_max, delta_max, k_max, n_max):
                             "witness": {"family": "I", "k": found[0], "n": found[1]},
                         }
                     )
-    counterexamples += equality_diff(
+    counterexamples += counter_diff(
         "equality pairs differ from {(1, 4), (4, 8)}",
         sorted(e["pair"] for e in equalities),
         [[1, 4], [4, 8]],
