@@ -4,7 +4,7 @@ The scalar API (:mod:`agdim.arith`) uses Python integers and is exact for any
 input.  The range verifiers, however, sweep millions of values, so their inner
 loops run on numpy int64 arrays.  numpy releases the GIL inside its large
 array loops, which is what lets :mod:`agdim.verify` run blocked scans on a
-thread pool.
+thread pool.  ``mdsp_table`` alone is one Python-int pass, exact at any size.
 
 Exactness: int64 arithmetic overflows silently, so every kernel input is
 validated against a ceiling derived from that kernel's largest intermediate
@@ -321,19 +321,26 @@ def best_indec_table(g_max: int) -> np.ndarray:
     return bi
 
 
-def mdsp_table(bi: np.ndarray) -> np.ndarray:
-    """Superadditive closure of a best-pair table: M[0] = 0 and
-    M[g] = max(bi[g], max_{0<g'<g} M[g'] + M[g-g'])."""
-    bi = np.ascontiguousarray(bi, dtype=np.int64)
-    g_max = bi.shape[0] - 1
-    M = np.zeros(g_max + 1, dtype=np.int64)
-    for g in range(1, g_max + 1):
-        best = bi[g]
-        h = g // 2
-        if h >= 1:
-            splits = M[1 : h + 1] + M[g - 1 : g - h - 1 : -1]
-            best = max(best, int(splits.max()))
-        M[g] = best
+def mdsp_table(bi: np.ndarray) -> list[int]:
+    """Superadditive closure of a best-pair table, in Python ints: M[0] = 0
+    and M[g] = max(bi[g], max_{0<a<=g/2} M[a] + M[g-a]).
+
+    The splits a = 1, 2, ... of g stop at the first a with a^2 + (g-a)^2 + 2C
+    < 16 best, best the largest value so far, C = max_{x<g} (16 M[x] - x^2).
+    Exact, reading only the table: 16 M[x] <= C + x^2 for x < g, so every
+    later split has 16 (M[a'] + M[g-a']) <= a'^2 + (g-a')^2 + 2C, a bound that
+    falls as a' grows to g/2.  The real table stops each genus within 4
+    splits; one far from g^2/16 growth (all zeros, say) runs the whole scan.
+    """
+    M, C = [0], 0
+    for g in range(1, len(bi)):
+        best = int(bi[g])
+        for a in range(1, g // 2 + 1):
+            if a * a + (g - a) ** 2 + 2 * C < 16 * best:
+                break
+            best = max(best, M[a] + M[g - a])
+        M.append(best)
+        C = max(C, 16 * best - g * g)
     return M
 
 

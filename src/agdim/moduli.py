@@ -3,13 +3,13 @@
 ``dmc_ag`` evaluates the product recursion
 
     dmc(g) = max( M(g), max_{0 <= g' < g} (g - g' - 1 + M(g')) )
-           = max( M(g), g - 1 + P(g) ),   P(g) = max_{0 <= g' < g} (M(g') - g')
+           = max( M(g), g - 1 + max_{0 <= g' < g} (M(g') - g') )
 
 over the superadditive closure M = mdsp_star_table and checks dmc against
 the closed form; the recursion is the computation, the closed form is the
 self-check, and a mismatch is an internal error, never silently patched.
-The tables of M and P cost at most 96 bytes per genus
-(``dmc_ag_peak_bytes``), the figure ``explain`` is admitted by.
+One table holds dmc, written over M in place; building it costs at most 60
+bytes per genus (``dmc_ag_peak_bytes``), the figure ``explain`` is admitted by.
 
 ``dmc_mgct`` runs the boundary recursion for curves of compact type, exact
 for 2 <= g <= 23 and explicit bounds beyond, plus the Jacobian-locus and
@@ -21,7 +21,6 @@ row (key, label, provenance, a function from g to its cell), which
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import accumulate
 from typing import Callable, NamedTuple, Union
 
 from .arith import GenusValue, Pair, dmax, keel_sadun_bound
@@ -145,37 +144,29 @@ class AgResult:
     narrative: str
 
 
-# (M, P): M[g] depends only on bi[g] and on M at smaller genera, and the
-# prefix maximum P[g] = max_{g' < g} (M[g'] - g') only on M below g, so one
-# pair of tables serves every genus up to their length.  The pair is rebuilt
-# together, at least twice as long, when a query outgrows it.
-_TABLES: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+# One table of dmc serves every genus below its length; it is rebuilt, at
+# least twice as long, when a query outgrows it.
+_DMC: tuple[int, ...] = ()
 
 
 def dmc_ag_peak_bytes(g: int) -> int:
     """Peak memory of ``dmc_ag(g)`` in a fresh process, which builds the
-    tables up to g.  Per genus, the peak comes while P is built: M's tuple
-    slot (8 bytes) and int (32; every value is below 2^60 up to
-    ``kernels.MAX_SAFE_G``), P's int (at most 32), and at most two of M[:-1]'s
-    slot (8), P's list slot (9, with growth) and P's tuple slot (8): 89.  The
-    int64 kernel arrays and the list of M peak lower, at about 49."""
-    return 96 * g
+    table up to g: per genus, M's list slot (9 with growth) and int (32;
+    every value is below 2^60 up to ``kernels.MAX_SAFE_G``) beside bi's
+    int64 or the tuple's slot (8), 49 in all; measured 47-50 at 2e3 to 4e5."""
+    return 60 * g
 
 
-def _tables(g_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    global _TABLES
-    if len(_TABLES[0]) <= g_max:
-        g_top = max(g_max, 2 * len(_TABLES[0]))
-        _TABLES = ((), ())  # the old pair is freed before the longer one is built
-        M = tuple(mdsp_star_table(g_top))
-        # P[0] is a max over no genera; _recursion_value never reads it.
-        P = (0, *accumulate((m - g for g, m in enumerate(M[:-1])), max))
-        _TABLES = (M, P)
-    return _TABLES
-
-
-def _recursion_value(g: int, M: tuple[int, ...], P: tuple[int, ...]) -> int:
-    return M[g] if g == 0 else max(M[g], g - 1 + P[g])
+def _table(g_max: int) -> tuple[int, ...]:
+    global _DMC
+    if len(_DMC) <= g_max:
+        g_top = max(g_max, 2 * len(_DMC))
+        _DMC = ()  # the old table is freed before the longer one is built
+        dmc, p = mdsp_star_table(g_top), 0  # M, overwritten in place by dmc
+        for g, m in enumerate(dmc):  # p = max_{g' < g} (M[g'] - g'), 0 at g = 0
+            dmc[g], p = max(m, g - 1 + p), max(p, m - g)
+        _DMC = tuple(dmc)
+    return _DMC
 
 
 def maxvar_case(g: int) -> str:
@@ -237,8 +228,8 @@ _CASES = {
 }
 
 
-def _build_result(g: int, tables: tuple[tuple[int, ...], tuple[int, ...]]) -> AgResult:
-    value = _recursion_value(g, *tables)
+def _build_result(g: int, table: tuple[int, ...]) -> AgResult:
+    value = table[g]
     if g >= 1 and value != dmax(g):
         raise RuntimeError(
             "internal self-check failed: the product recursion returned "
@@ -261,15 +252,15 @@ def dmc_ag(g: int) -> AgResult:
     with the descriptors of everything that attains it."""
     if g < 0:
         raise ValueError(f"g must be >= 0 (got {g})")
-    return _build_result(g, _tables(g))
+    return _build_result(g, _table(g))
 
 
 def dmc_ag_range(g_max: int) -> list[AgResult]:
     """dmc_ag for every 0 <= g <= g_max, sharing one DP table."""
     if g_max < 0:
         raise ValueError(f"g_max must be >= 0 (got {g_max})")
-    tables = _tables(g_max)
-    return [_build_result(g, tables) for g in range(g_max + 1)]
+    table = _table(g_max)
+    return [_build_result(g, table) for g in range(g_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def mdsp_star_table(g_max: int) -> list[int]:
     """
     if g_max < 0:
         raise ValueError(f"g_max must be >= 0 (got {g_max})")
-    return [int(v) for v in kernels.mdsp_table(kernels.best_indec_table(g_max))]
+    return kernels.mdsp_table(kernels.best_indec_table(g_max))
 
 
 def _smallest_dominating_n(k: int, target: Pair) -> int | None:

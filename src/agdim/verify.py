@@ -17,9 +17,9 @@ through buffers of its own and returns its count of failing values and the
 first ``MAX_LISTED`` of them, so a block's memory does not grow with its
 length, passing or failing.  The blocks' results go to the report in block
 order, so output is the same for any worker count.
-``lemma-dmax`` runs serially, as one scan call on the whole table; the scan
-is one numpy slice difference per g1.  Every verifier hands its failures to
-:meth:`~agdim.report.VerificationReport.add` as it finds them.
+``lemma-dmax`` writes its table ``kernels.CHUNK`` genera at a time, then
+scans it in one call, a numpy slice difference per g1.  Every verifier hands
+its failures to :meth:`~agdim.report.VerificationReport.add` as it finds them.
 """
 
 from __future__ import annotations
@@ -131,7 +131,9 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
     """dmax(g1+g2) >= dmax(g1) + dmax(g2) for all 1 <= g1 <= g2 with
     g1+g2 <= g_max, with equality exactly at g1 = 1, g2 even >= 16."""
     D = np.zeros(g_max + 1, dtype=np.int64)
-    D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
+    for lo in range(1, g_max + 1, kernels.CHUNK):  # one chunk's temporaries at a time
+        hi = min(lo + kernels.CHUNK, g_max + 1)
+        D[lo:hi] = kernels.dmax_values(np.arange(lo, hi, dtype=np.int64))
     scan = kernels.superadditivity_scan(D)
     report = VerificationReport(
         claim="lemma-dmax",
@@ -376,10 +378,10 @@ REGISTRY: dict[str, Verifier] = {
     "lemma-dmax": Verifier(
         params=(RangeParam("--g-max", 4000, 100_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_superadditivity,
-        # per genus, 32 passing (building the table; the scan holds 20.5
-        # above it: the row buffer and row 1's pairs); 57-58 from 2e3 to 2e4
-        # when every pair is an equality, in the scan of the g1 = 1 row; 10%
-        # above that, and 64 kB for the fixed cost of a small range
+        # per genus, passing: 32 within one chunk (its table build), 28.5
+        # past it (the table, and the scan's 20.5: the row buffer and row 1's
+        # pairs); 57-58 from 2e3 to 2e4 when every pair is an equality, in the
+        # g1 = 1 row's scan; 10% above that, and 64 kB for a small range
         peak_bytes=lambda g_max: 64 * g_max + 2**16,
     ),
     "dmax-piecewise": Verifier(

@@ -7,8 +7,9 @@ criterion including its runtime against the stated limit.
 import time
 from contextlib import contextmanager
 
+from agdim import moduli
 from agdim.arith import dmax_piecewise, keel_sadun_bound
-from agdim.moduli import assemble_tables, dmc_ag_range
+from agdim.moduli import assemble_tables, dmc_ag, dmc_ag_range
 from agdim.tables import check_against_fixture
 from agdim.verify import run_verifier
 
@@ -120,3 +121,9 @@ def test_criterion_9_catalog_dimension_bound():
         assert report.witnesses[0]["equality_cases"] == "family I with k=2 only"
         # one equality per even-split unitary case with n in [8, 1024]
         assert report.witnesses[0]["count"] == 1017
+
+
+def test_criterion_10_recursion_at_large_genus(monkeypatch):
+    with criterion(10, "product recursion at g = 160000 from an empty table", 5.0):
+        monkeypatch.setattr(moduli, "_DMC", ())  # a fresh process's state
+        assert dmc_ag(160_000).dmc == dmax_piecewise(160_000)

@@ -293,17 +293,26 @@ class TestVerifyCommand:
             verify.run_verifier(claim, {key: size + 1}, unsafe_no_ceiling=True)
         assert verify.range_args(claim, {key: size}, unsafe_no_ceiling=True) == at
 
-    @pytest.mark.parametrize("claim, g_max", [("lemma-dmax", 20_000), ("prop-estimate", 1_000_000)])
-    def test_bytes_per_genus_covers_peak(self, claim, g_max):
+    @pytest.mark.parametrize(
+        "claim, g_max, chunk, per_genus",
+        [
+            pytest.param("lemma-dmax", 20_000, kernels.CHUNK, 33, id="lemma-dmax-20000"),
+            # a table of five chunks, as past CHUNK genera: the scan sets the peak
+            pytest.param("lemma-dmax", 20_000, 4096, 29, id="lemma-dmax-20000-chunk-4096"),
+            pytest.param("prop-estimate", 1_000_000, kernels.CHUNK, 17, id="prop-estimate-1000000"),
+        ],
+    )
+    def test_bytes_per_genus_covers_peak(self, monkeypatch, claim, g_max, chunk, per_genus):
         # Passing runs keep their own tight bounds, below the figures, which
         # also cover failing runs.
+        monkeypatch.setattr(kernels, "CHUNK", chunk)
         tracemalloc.start()
         try:
             report = verify.run_verifier(claim, {"g_max": g_max})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.passed and peak <= {"lemma-dmax": 33, "prop-estimate": 17}[claim] * g_max
+        assert report.passed and peak <= per_genus * g_max
 
     @pytest.mark.parametrize(
         "claim, overrides",
@@ -1078,7 +1087,7 @@ class TestExplainCommand:
             calls.append(g_max)
             raise RuntimeError("table build reached")
 
-        monkeypatch.setattr(moduli, "_TABLES", ((), ()))
+        monkeypatch.setattr(moduli, "_DMC", ())
         monkeypatch.setattr(moduli, "mdsp_star_table", refuse)
         for kernel in ("best_indec_table", "mdsp_table"):
             monkeypatch.setattr(kernels, kernel, lambda *args: calls.append(args))
@@ -1109,7 +1118,7 @@ class TestExplainCommand:
 
     def test_bytes_per_genus_covers_peak(self, monkeypatch):
         g = 20_000
-        monkeypatch.setattr(moduli, "_TABLES", ((), ()))  # a fresh process's state
+        monkeypatch.setattr(moduli, "_DMC", ())  # a fresh process's state
         tracemalloc.start()
         try:
             assert moduli.dmc_ag(g).dmc == dmax(g)

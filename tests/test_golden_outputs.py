@@ -6,10 +6,12 @@ before the claim scans moved to numpy and before lemma-N, cor-decoupled
 and the catalog moved to one family grid; ``explain``, ``tables``,
 ``dmax`` and every ``--schema`` before the maximal-subvariety cases moved
 to one record each; ``tables`` with ``--table ag`` or ``--table mg`` and
-``tables --check`` before the summary-table rows moved to one record each.  A change to any verifier's arithmetic, iteration
-order or report assembly, to the catalog export, or to any rendered
-table, narrative or schema that alters a single byte of a passing run
-fails here.
+``tables --check`` before the summary-table rows moved to one record each;
+``explain 160000`` and ``explain 160001`` before the superadditive closure
+stopped each genus's splits at a bound and ``moduli`` kept one table of
+dmc.  A change to any verifier's arithmetic, iteration order or report
+assembly, to the catalog export, or to any rendered table, narrative or
+schema that alters a single byte of a passing run fails here.
 """
 
 import hashlib
@@ -64,10 +66,11 @@ CATALOG = {
     1024: "c7be08b2968d5f036618edeb668dc15c0fddb09bf147bf66c5a19c1aad929f8b",
 }
 
-# explain G for G in 1..40, 100, 1001 and 4096; every tables form, with each
-# --table and --check; dmax over 1..300; every subcommand's --schema.  The
-# dmax json runs over 5, 1..1200 (three row blocks) and a range past the
-# int64 kernel's ceiling were recorded before those rows took one template.
+# explain G for G in 1..40, 100, 1001, 4096, 160000 and 160001; every
+# tables form, with each --table and --check; dmax over 1..300; every
+# subcommand's --schema.  The dmax json runs over 5, 1..1200 (three row
+# blocks) and a range past the int64 kernel's ceiling were recorded before
+# those rows took one template.
 OUTPUTS = {
     "explain 1": "fdd7447bb3228648a64d74a62ae3d6ebc971a13fd33aaed5811ea2ce2de0e85c",
     "explain 1 --format json": "2cc0fdd0fb5d6caef2d4f1e8955af0ba0b98d1f0a54836896809e67393ce1b3b",
@@ -159,6 +162,12 @@ OUTPUTS = {
     "explain 4096 --format json": (
         "1b01832108d1adc45deec42d529a82bb3f03db9a0c09ac360abdd3cd9411d670"
     ),
+    # a table of 160001 genera, recorded before the closure stopped its
+    # splits at the bound read off its own table
+    "explain 160000 --format json": (
+        "17a794e454b9ffaf85a0855b087b8d5b9eb6b3cfd6fa817d2cc7f6f75236dd2b"
+    ),
+    "explain 160001": "836805e32f33c5367f93fbeba7411d071e9257e2774a71b50050a09cb53a70d3",
     "tables --format markdown": "7983edfe79dabdca78d5981e233443f0395a6f5e444f4782500edc280bdc29d3",
     "tables --format markdown --conjectural": (
         "c74c48403f17726e42be1f2d3860024d7e3932ebdbdbb46ad68a8058dee38472"

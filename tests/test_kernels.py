@@ -17,6 +17,19 @@ def python_mdsp(bi):
     return M
 
 
+def numpy_mdsp(bi):
+    """The closure by one numpy split scan per genus, quadratic in len(bi)."""
+    M = np.zeros(len(bi), dtype=np.int64)
+    for g in range(1, len(bi)):
+        best = bi[g]
+        h = g // 2
+        if h >= 1:
+            splits = M[1 : h + 1] + M[g - 1 : g - h - 1 : -1]
+            best = max(best, int(splits.max()))
+        M[g] = best
+    return M.tolist()
+
+
 def rows(arr):
     return [tuple(int(v) for v in row) for row in arr.tolist()]
 
@@ -77,6 +90,28 @@ class TestAgainstScalars:
     def test_mdsp_vs_pure_python(self):
         bi = [int(v) for v in kernels.best_indec_table(300)]
         assert [int(v) for v in kernels.mdsp_table(np.array(bi, dtype=np.int64))] == python_mdsp(bi)
+
+    @pytest.mark.parametrize("shape", ["real-plus-noise", "zeros", "linear", "spike"])
+    def test_mdsp_cutoff_vs_pure_python(self, shape):
+        # The split loop stops at once on the real table, late on a noisy
+        # one, and never on tables far from quadratic growth.
+        rng = np.random.default_rng(26)
+        real = kernels.best_indec_table(300)
+        bi = {
+            "real-plus-noise": real + rng.integers(0, 4, size=301),
+            "zeros": np.zeros(301, dtype=np.int64),
+            "linear": np.arange(301, dtype=np.int64),
+            "spike": np.where(np.arange(301) == 3, 10**6, real),
+        }[shape]
+        for g_max in (0, 1, 2, 17, 300):
+            M = kernels.mdsp_table(bi[: g_max + 1])
+            assert M == python_mdsp(bi[: g_max + 1].tolist())
+            assert all(type(v) is int for v in M)
+
+    def test_mdsp_vs_numpy_scan(self):
+        bi = kernels.best_indec_table(40_000)
+        M = kernels.mdsp_table(bi)
+        assert M == numpy_mdsp(bi) and all(type(v) is int for v in M)
 
     def test_piecewise_vs_scalar(self):
         oracle = [g for g in range(1, 5001) if dmax(g) != dmax_piecewise(g)]

@@ -85,8 +85,7 @@ class TestDmcAg:
             max([M[g]] + [g - g_prime - 1 + M[g_prime] for g_prime in range(g)])
             for g in range(601)
         ]
-        tables = moduli._tables(600)
-        assert [moduli._recursion_value(g, *tables) for g in range(601)] == literal
+        assert list(moduli._table(600)[:601]) == literal
 
     def test_one_growing_dp_table(self, monkeypatch):
         n = 400
@@ -96,25 +95,25 @@ class TestDmcAg:
             builds.append(g_max)
             return mdsp_star_table(g_max)
 
-        monkeypatch.setattr(moduli, "_TABLES", ((), ()))
+        monkeypatch.setattr(moduli, "_DMC", ())
         monkeypatch.setattr(moduli, "mdsp_star_table", counting_table)
         queried = [dmc_ag(g) for g in range(n + 1)]
         assert len(builds) <= n.bit_length() + 1
         assert queried == dmc_ag_range(n)
 
     def test_rebuild_frees_old_tables_first(self, monkeypatch):
-        # A rebuild holds the new (M, P) pair only, not the old one beside it.
+        # A rebuild holds the new table only, not the old one beside it.
         held = []
 
         def recording_table(g_max):
-            held.append((g_max, moduli._TABLES))
+            held.append((g_max, moduli._DMC))
             return mdsp_star_table(g_max)
 
-        monkeypatch.setattr(moduli, "_TABLES", ((), ()))
+        monkeypatch.setattr(moduli, "_DMC", ())
         monkeypatch.setattr(moduli, "mdsp_star_table", recording_table)
         dmc_ag(100)
         dmc_ag(101)  # rebuilds to 202
-        assert held == [(100, ((), ())), (202, ((), ()))]
+        assert held == [(100, ()), (202, ())]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
