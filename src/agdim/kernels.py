@@ -15,9 +15,14 @@ available at any size.
 
 The 2-D scans loop in Python over one parameter only, and do the other in
 numpy on contiguous or strided slices, with no gather and no ``ufunc.at``:
-``superadditivity_scan`` takes one row per g1, a slice difference and its
-min, and lists a row's pairs only where the min fails; ``best_indec_table``
-takes one step per k <= isqrt(g_max).
+``best_indec_table`` takes one step per k <= isqrt(g_max), and
+``superadditivity_scan`` one row per g1 that its block bounds leave.  Those
+bounds read D's minima and maxima over blocks of genera, one reshape per
+band of g1, and each clears a whole block of pairs that holds no violation
+and no equality; on dmax they clear every row but the first 31, so the scan
+does near-linear work where a row per g1 made it quadratic.  A row is a
+slice difference and its min, and its pairs are listed only where the min
+fails.
 
 Chunks and blocks: :mod:`agdim.verify` splits the ranges of
 ``piecewise_mismatches`` and ``f_bound_violations`` into blocks, one kernel
@@ -74,7 +79,8 @@ BACKEND = "numpy"
 MAX_SAFE_G = 4_000_000_000
 # The three-branch form of dmax squares g itself: g^2 <= 2^63 - 1.
 MAX_SAFE_PIECEWISE_G = math.isqrt(2**63 - 1)
-# D[g1+g2] - D[g2] - D[g1] in superadditivity_scan stays within 3 max|D|.
+# D[g1+g2] - D[g2] - D[g1] in superadditivity_scan, and each of its block
+# bounds, stays within 3 max|D|.
 MAX_SAFE_D = (2**63 - 1) // 3
 # n^2 < 2^63 requires n < ~3.04e9.
 MAX_SAFE_N = 3_000_000_000
@@ -84,6 +90,9 @@ MAX_SAFE_PAIR_B = 1_000_000_000
 PAIR_BLOCK = 1 << 14
 # Values per chunk of piecewise_mismatches and f_bound_violations.
 CHUNK = 1 << 16
+# Rows g1 below this are scanned whole by superadditivity_scan; the bands of
+# block bounds start here, at a block width of WHOLE_ROWS / 8.
+WHOLE_ROWS = 32
 
 
 def _require_at_most(name: str, value: int, ceiling: int) -> None:
@@ -216,13 +225,14 @@ def f_bound_violations(n_lo: int, n_hi: int) -> Found:
 class SuperadditivityScan(NamedTuple):
     """What :func:`superadditivity_scan` found, in ascending order: at most
     ``MAX_LISTED`` (g1, g2) rows in each row array, and the g2 of every
-    equality (1, g2)."""
+    equality (1, g2); and how many pair differences it computed one by one."""
 
     violations: np.ndarray  # the first rows with a negative difference
     violations_total: int
     first_row: np.ndarray  # every g2 with difference 0 at g1 = 1
     equalities: np.ndarray  # the first rows with g1 >= 2 and difference 0
     equalities_total: int  # g1 = 1 included
+    cells_scanned: int  # the pairs of the rows that no block bound cleared
 
 
 def _rows(pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -239,6 +249,45 @@ def _low_pairs(row: np.ndarray, g1: int) -> tuple[np.ndarray, np.ndarray]:
     return g2s[values < 0], g2s[values == 0]
 
 
+def _block_extremes(D: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The minima and maxima of D over the blocks [b w, (b+1) w), the tail
+    block padded with +-``MAX_SAFE_D``, and one block of padding past it."""
+    g_max = D.shape[0] - 1
+    full = (g_max + 1) // w
+    bmin = np.full(g_max // w + 2, MAX_SAFE_D, dtype=np.int64)
+    bmax = np.full(g_max // w + 2, -MAX_SAFE_D, dtype=np.int64)
+    blocks = D[: full * w].reshape(full, w)
+    blocks.min(1, out=bmin[:full])
+    blocks.max(1, out=bmax[:full])
+    if full * w <= g_max:
+        bmin[full], bmax[full] = D[full * w :].min(), D[full * w :].max()
+    return bmin, bmax
+
+
+def _uncleared_rows(D: np.ndarray) -> Iterator[int]:
+    """Every g1 of the scan whose row the block bounds cannot clear, in
+    ascending order: the rows g1 < ``WHOLE_ROWS``, then those of each block
+    row of g1 that has a bound <= 0."""
+    g_max = D.shape[0] - 1
+    half = g_max // 2
+    yield from range(1, min(WHOLE_ROWS, half + 1))
+    lo = WHOLE_ROWS
+    while lo <= half:
+        w = lo // 8
+        bmin, bmax = _block_extremes(D, w)
+        pmin = np.minimum(bmin[:-1], bmin[1:])  # D's min over blocks b and b + 1
+        uncleared = []
+        for a in range(8, -(-min(2 * lo, half + 1) // w)):
+            last = (g_max - a * w) // w  # the block of g2 = g_max - a w
+            # min over k in a..last of bound(a, k) + bmax[a]
+            if (pmin[2 * a : a + last + 1] - bmax[a : last + 1]).min() <= bmax[a]:
+                uncleared.append(a)
+        del bmin, bmax, pmin  # freed before the uncleared rows are scanned
+        for a in uncleared:
+            yield from range(a * w, min((a + 1) * w, half + 1))
+        lo *= 2
+
+
 def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     """Scan dmax(g1+g2) - dmax(g1) - dmax(g2) over 1 <= g1 <= g2 with
     g1+g2 <= len(D)-1, where D[g] = dmax(g) (D[0] ignored).
@@ -250,12 +299,28 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     counterexamples.  Only the g1 = 1 equalities are kept whole, so a broken
     D costs no memory per failing row beyond them.
 
-    One row per g1: with g2 = g1 + j, D[g1+g2] and D[g2] are the contiguous
+    A row is exact: with g2 = g1 + j, D[g1+g2] and D[g2] are the contiguous
     slices D[2 g1 + j] and D[g1 + j], so a row is one slice difference in a
     reused buffer and one min.  Only a row whose min is at most D[g1] is
-    listed, and in a passing table that is the g1 = 1 row alone.  The
-    largest intermediate, D[g1+g2] - D[g2] - D[g1], stays within 3 max|D|,
-    which ``MAX_SAFE_D`` bounds.
+    listed, and in a passing table that is the g1 = 1 row alone.
+
+    Most rows are never formed.  The rows g1 < ``WHOLE_ROWS`` are; past
+    them, the band of g1 in [lo, 2 lo) is cut into blocks of w = lo / 8
+    genera, and so is g2.  Let bmin[b] and bmax[b] be D's min and max over
+    [b w, (b+1) w).  For g1 in block a and g2 in block k, g1 + g2 lies in
+    [(a+k) w, (a+k+2) w - 2], inside blocks a+k and a+k+1, so
+    D[g1+g2] - D[g1] - D[g2] >= min(bmin[a+k], bmin[a+k+1]) - bmax[a] -
+    bmax[k] =: bound(a, k).  This assumes nothing of D, not even that it
+    is monotone; the blocks also hold pairs outside the triangle, which can
+    only lower a bound.  A block row a whose bounds are all > 0 over
+    k = a .. (g_max - a w) / w holds no violation and no equality, and is
+    cleared; one with any bound <= 0 has its w rows scanned exactly, in g1
+    order, so the listing order, the caps and the totals are those of a
+    row-by-row scan.  On dmax the slack grows like g1 g2 / 8, so every block
+    row clears, and the scan forms 31 rows and one vector of bounds per
+    block row.  The tail block is padded with +-``MAX_SAFE_D``, so a bound
+    stays within 3 ``MAX_SAFE_D``, as does the row intermediate
+    D[g1+g2] - D[g2] - D[g1].
     """
     D = np.ascontiguousarray(D, dtype=np.int64)
     if D.size:
@@ -265,9 +330,10 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     violations: list[tuple[int, int]] = []
     others: list[tuple[int, int]] = []
     first_row = np.empty(0, dtype=np.int64)
-    violations_total = equalities_total = 0
-    for g1 in range(1, g_max // 2 + 1):
+    violations_total = equalities_total = cells = 0
+    for g1 in _uncleared_rows(D):
         m = g_max - 2 * g1 + 1  # g2 in g1..g_max-g1
+        cells += m
         row = np.subtract(D[2 * g1 :], D[g1 : g1 + m], out=diff[:m])
         if row.min() > D[g1]:
             continue
@@ -286,6 +352,7 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
         first_row=first_row,
         equalities=_rows(others),
         equalities_total=equalities_total,
+        cells_scanned=cells,
     )
 
 
@@ -333,14 +400,16 @@ def mdsp_table(bi: np.ndarray) -> list[int]:
     splits; one far from g^2/16 growth (all zeros, say) runs the whole scan.
     """
     M, C = [0], 0
-    for g in range(1, len(bi)):
-        best = int(bi[g])
-        for a in range(1, g // 2 + 1):
-            if a * a + (g - a) ** 2 + 2 * C < 16 * best:
-                break
-            best = max(best, M[a] + M[g - a])
-        M.append(best)
-        C = max(C, 16 * best - g * g)
+    for lo in range(1, len(bi), 1024):  # bi as Python ints, about 40 kB at a time
+        for g, best in enumerate(bi[lo : lo + 1024].tolist(), lo):
+            for a in range(1, g // 2 + 1):
+                if a * a + (g - a) ** 2 + 2 * C < 16 * best:
+                    break
+                if (split := M[a] + M[g - a]) > best:
+                    best = split
+            M.append(best)
+            if (c := 16 * best - g * g) > C:
+                C = c
     return M
 
 

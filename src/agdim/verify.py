@@ -18,7 +18,8 @@ first ``MAX_LISTED`` of them, so a block's memory does not grow with its
 length, passing or failing.  The blocks' results go to the report in block
 order, so output is the same for any worker count.
 ``lemma-dmax`` writes its table ``kernels.CHUNK`` genera at a time, then
-scans it in one call, a numpy slice difference per g1.  Every verifier hands
+scans it in one call, which clears whole blocks of pairs by exact bounds and
+takes a numpy slice difference per g1 that they leave.  Every verifier hands
 its failures to :meth:`~agdim.report.VerificationReport.add` as it finds them.
 """
 
@@ -238,11 +239,12 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
     both sides are 0 (points only).  The <= check covers it; the equality-set
     comparison, which is about genuine family pairs, starts at g = 2.
 
-    dmax is compared with the table ``kernels.CHUNK`` genera at a time, and
-    so is the equality mask with the rule's, so the temporaries stay small;
-    a chunk's are freed before the next chunk's are built, and only the
-    table spans the whole range.  The first ``MAX_LISTED`` unexpected and
-    missing genera are kept, and the equalities counted.
+    dmax is compared with the table ``kernels.CHUNK`` genera at a time,
+    through two int64 buffers and three masks that the run allocates once
+    and every step writes into with ``out=``, so only the table spans the
+    whole range.  The rule's genera are strided slices of the chunk, as in
+    ``kernels.piecewise_mismatches``.  The first ``MAX_LISTED`` unexpected
+    and missing genera are kept, and the equalities counted.
     """
     bi = kernels.best_indec_table(g_max)
     report = VerificationReport(
@@ -255,11 +257,16 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
         },
     )
     unexpected, missing, equalities = [], [], 0
-    for lo in range(1, g_max + 1, kernels.CHUNK):
-        gs = np.arange(lo, min(lo + kernels.CHUNK, g_max + 1), dtype=np.int64)
-        dm, best = kernels.dmax_values(gs), bi[lo : lo + gs.size]
+    size = min(kernels.CHUNK, g_max)
+    gs, dm_buf = np.arange(1, size + 1, dtype=np.int64), np.empty(size, dtype=np.int64)
+    masks = np.empty((3, size), dtype=bool)
+    for lo in range(1, g_max + 1, size):
+        m = min(size, g_max + 1 - lo)
+        best, (failing, equal, stated) = bi[lo : lo + m], masks[:, :m]
+        dm = kernels._dmax(gs[:m], dm_buf[:m], gs[:m])  # leaves g - 1 in gs
+        np.add(gs, size + 1, out=gs)  # the next chunk's genera
         report.add(
-            np.flatnonzero(best > dm),
+            np.flatnonzero(np.greater(best, dm, out=failing)),
             lambda i: {
                 "g": lo + i,
                 "best_pair": int(best[i]),
@@ -267,12 +274,18 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
                 "reason": "bound violated",
             },
         )
-        equal = (best == dm) & (gs >= 2)
-        stated = ((gs >= 16) & (gs % 2 == 0)) | (gs == 2)
+        np.equal(best, dm, out=equal)
+        stated[:] = False
+        first = max(0, 16 - lo)  # index of g = 16, or 0 past it
+        stated[first + (lo + first) % 2 :: 2] = True  # even g >= 16
+        if lo == 1:
+            equal[0] = False  # genus 1
+        if lo <= 2 < lo + m:
+            stated[2 - lo] = True
         equalities += int(np.count_nonzero(equal))
-        for listed, mask in ((unexpected, equal & ~stated), (missing, stated & ~equal)):
-            listed += (np.flatnonzero(mask)[: MAX_LISTED - len(listed)] + lo).tolist()
-        del gs, dm, equal, stated, mask
+        for listed, (a, b) in ((unexpected, (equal, stated)), (missing, (stated, equal))):
+            np.greater(a, b, out=failing)  # a and not b
+            listed += (np.flatnonzero(failing)[: MAX_LISTED - len(listed)] + lo).tolist()
     report.add(
         equality_diff(
             "equality genera differ from {2} union {even g >= 16}", unexpected, missing
@@ -376,12 +389,14 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
 # claims that state none.
 REGISTRY: dict[str, Verifier] = {
     "lemma-dmax": Verifier(
-        params=(RangeParam("--g-max", 4000, 100_000, limit=kernels.MAX_SAFE_G),),
+        params=(RangeParam("--g-max", 4000, 10_000_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_superadditivity,
         # per genus, passing: 32 within one chunk (its table build), 28.5
-        # past it (the table, and the scan's 20.5: the row buffer and row 1's
-        # pairs); 57-58 from 2e3 to 2e4 when every pair is an equality, in the
-        # g1 = 1 row's scan; 10% above that, and 64 kB for a small range
+        # past it up to 1e7 (the table, and the scan's 20.5: the row buffer
+        # and row 1's pairs; the block bounds' arrays, 8 at most, are freed
+        # before a band's rows are scanned); 57-58 from 2e3 to 2e4 when every
+        # pair is an equality, in the g1 = 1 row's scan; 10% above that, and
+        # 64 kB for a small range
         peak_bytes=lambda g_max: 64 * g_max + 2**16,
     ),
     "dmax-piecewise": Verifier(
@@ -416,7 +431,8 @@ REGISTRY: dict[str, Verifier] = {
         run=_verify_best_pair_bound,
         # per genus, 16 from 1e6 to 4e6, passing or failing (the table, F(n)
         # and a row for n <= g_max / 2); 12% above that, and 2 MB for one
-        # chunk's temporaries, about 27 bytes per genus of a full chunk
+        # chunk: its buffers, 19 bytes per genus of a full chunk (27 in all
+        # for a one-chunk range), and up to 1.2 MB under the all-equal fault
         peak_bytes=lambda g_max: 18 * g_max + 2**21,
     ),
     "remark-domination": Verifier(

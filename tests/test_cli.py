@@ -300,6 +300,9 @@ class TestVerifyCommand:
             # a table of five chunks, as past CHUNK genera: the scan sets the peak
             pytest.param("lemma-dmax", 20_000, 4096, 29, id="lemma-dmax-20000-chunk-4096"),
             pytest.param("prop-estimate", 1_000_000, kernels.CHUNK, 17, id="prop-estimate-1000000"),
+            # one chunk, whose buffers span the range: 35.0 when each chunk
+            # allocated its own temporaries, 27.0 through reused buffers
+            pytest.param("prop-estimate", kernels.CHUNK, kernels.CHUNK, 28, id="prop-estimate-one-chunk"),
         ],
     )
     def test_bytes_per_genus_covers_peak(self, monkeypatch, claim, g_max, chunk, per_genus):
@@ -516,7 +519,7 @@ class TestVerifyCommand:
     def test_verify_usage_error_keeps_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         target.write_text("kept\n")
-        for bad in (["--g-max", "1000000"], ["--n-max", "5"]):
+        for bad in (["--g-max", "10000001"], ["--n-max", "5"]):
             code, _, err = run(capsys, ["verify", "lemma-dmax", *bad, "--out", str(target)])
             assert code == 2 and err.startswith("verify: "), bad
             assert target.read_text() == "kept\n"
@@ -849,6 +852,29 @@ class TestVerifierFailures:
         inject(monkeypatch)
         code, out, _ = run(capsys, ["verify", claim, *flags])
         assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "g, delta, code, digest",
+        [
+            (33, -1, 1, "ba88693df31759ff6cc30485ce8b7574bd96370186e74edbd9f040065fd98623"),
+            (64, 1, 1, "b97a41bec1b731b5012eda4029c57193737863b31c22d3d761630061c99d673c"),
+            (96, 100, 1, "0d3c9bd44dd2a3797ae22eb9ea33d6f093a370448b4786f9187ed1e8613bc9db"),
+            # too small to break a pair: the passing default's stdout
+            (4000, -2, 0, "2e3a0bcb74a59d922c3ffcdf0da1b8285590af9e3e36f5fc1f25daf1a0caf1b1"),
+            (4000, -1000, 1, "16b89f414cc24b2d40909625d3acde84b76ed7ccf70095138f2f6a9bcb527563"),
+            (4000, -1001, 1, "de0f87dd86ad77d0e2645b9557e957525bd37be18f89b847bfdfdf4c2a67ca6b"),
+        ],
+    )
+    def test_lemma_dmax_block_edge_fault_stdout(self, capsys, monkeypatch, g, delta, code, digest):
+        # dmax moved at one genus: past the whole rows (33), at a band edge
+        # (64), at a block edge of the next band (96) and in the last block
+        # (4000).  Recorded with the flat row scan, before block bounds
+        # cleared most rows.
+        real = kernels.dmax_values
+        monkeypatch.setattr(kernels, "dmax_values", lambda gs: real(gs) + delta * (gs == g))
+        got, out, _ = run(capsys, ["verify", "lemma-dmax", "--g-max", "4000"])
+        assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_catalog_labels_across_family_i_pieces(self, capsys, monkeypatch):

@@ -31,8 +31,13 @@ GOLDEN = {
     "cor-C": "af32ba723225442aab2ab8ba2c9c15a426327712e2b4429b43cc50190f7ddc10",
     "cor-decoupled": "49e59e26ecdb03e51bb8f498ae8f18387747ac45f04a0ae8587814c50f0813c8",
     "lemma-dmax --g-max 12000": "d16ebf71cb8d71c72c1abb2ea7c6c3659f1512eda69dee63bb07a4e6b1914437",
-    # the claim's ceiling; recorded before the row loop decided each row with one min
+    # the claim's ceiling before block bounds; recorded before the row loop
+    # decided each row with one min
     "lemma-dmax --g-max 100000": "bf65e85a3f45b6105fa4cc5d5e25945e8da221b310734a19451c7a0d7b16916c",
+    # recorded with the flat row scan (337 s there), before block bounds
+    "lemma-dmax --g-max 1000000 --unsafe-no-ceiling": (
+        "55152231724397be0dad49c383ddb072a8c3211e856c763ba35e1106dc35b745"
+    ),
     "prop-estimate --g-max 200000": "b11cc05c38913532d9bedd5bd502cbcd3afc808c00e3039d1557f381bfe27cce",
     "claim-F --s-max 256 --delta-max 256 --k-max 256 --n-max 256": (
         "ba207b9d0acd54b6160cd5be9efabb17d99b231d5fd5d97d86017eba23d3c6ac"

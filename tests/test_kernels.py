@@ -54,6 +54,54 @@ def brute_scan(D):
     return want_viol, want_eqs
 
 
+def flat_scan(D):
+    """The superadditivity scan with every row formed, one numpy row per g1:
+    the kernel's row loop before block bounds cleared most rows, kept as the
+    oracle of the bounded scan.  It returns what the kernel does, with every
+    pair of the triangle counted as scanned."""
+    D = np.asarray(D, dtype=np.int64)
+    g_max = len(D) - 1
+    violations, others, first_row = [], [], np.empty(0, dtype=np.int64)
+    violations_total = equalities_total = cells = 0
+    for g1 in range(1, g_max // 2 + 1):
+        row = D[2 * g1 :] - D[g1 : g_max - g1 + 1] - D[g1]  # g2 = g1 + j
+        cells += row.size
+        below, equal = np.flatnonzero(row < 0) + g1, np.flatnonzero(row == 0) + g1
+        violations_total += below.size
+        equalities_total += equal.size
+        violations += [(g1, g2) for g2 in below.tolist()][: MAX_LISTED - len(violations)]
+        if g1 == 1:
+            first_row = equal
+        else:
+            others += [(g1, g2) for g2 in equal.tolist()][: MAX_LISTED - len(others)]
+    return kernels.SuperadditivityScan(
+        violations=np.array(violations, dtype=np.int64).reshape(-1, 2),
+        violations_total=violations_total,
+        first_row=first_row,
+        equalities=np.array(others, dtype=np.int64).reshape(-1, 2),
+        equalities_total=equalities_total,
+        cells_scanned=cells,
+    )
+
+
+def assert_same_scan(D):
+    """The bounded scan of D against the flat one: every total, listed row
+    and equality of row 1; return the bounded scan."""
+    got, want = kernels.superadditivity_scan(D), flat_scan(D)
+    for name in ("violations", "first_row", "equalities"):
+        assert getattr(got, name).dtype == np.int64
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    assert (got.violations_total, got.equalities_total) == (want.violations_total, want.equalities_total)
+    assert got.cells_scanned <= want.cells_scanned
+    return got
+
+
+def dmax_table(g_max):
+    D = np.zeros(g_max + 1, dtype=np.int64)
+    D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
+    return D
+
+
 def assert_scan_matches(scan, want_viol, want_eqs):
     """A superadditivity scan against every violating and equal row: the
     counts, the g2 of every g1 = 1 equality and the first MAX_LISTED of the
@@ -209,6 +257,92 @@ CHUNKED = {
         lambda n, bump: not n * n - 1 <= 4 * (half_product(n) + bump) <= n * n,
     ),
 }
+
+
+class TestBlockBounds:
+    """The block-bounded superadditivity scan against the flat row scan.
+    Rows g1 < 32 are formed whole; the band of g1 in [lo, 2 lo) has blocks
+    of lo / 8 genera, so 31, 32, 63, 64, 65 and 2^k +- 1 are band edges."""
+
+    EDGES = (31, 32, 33, 63, 64, 65, 66, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 2047, 2049)
+
+    def test_random_tables(self):
+        # Random, negative and descending tables fail every block row's
+        # bounds; dmax with deep dips at 1% of genera fails some, and dmax
+        # with noise of +-8 none.
+        rng = np.random.default_rng(27)
+        sizes = [*self.EDGES, *rng.integers(34, 3000, size=6).tolist()]
+        for g_max in sizes:
+            real = dmax_table(g_max)
+            for D in (
+                rng.integers(-50, 50, size=g_max + 1),
+                rng.integers(0, 10**6, size=g_max + 1),
+                real + rng.integers(-8, 9, size=g_max + 1),
+                real - 20 * (rng.random(g_max + 1) < 0.01) * np.arange(g_max + 1),
+                -np.arange(g_max + 1, dtype=np.int64) ** 2,
+            ):
+                assert_same_scan(D)
+
+    def test_faults_at_block_edges(self):
+        # One genus of dmax moved at each edge of a block of the first bands,
+        # and in the tail block: lowered so that the pairs summing to it
+        # fail, or raised so that the pairs it belongs to do.  Every fault
+        # also lands where a bound must see it, at g1 >= 32.
+        # Blocks (w, b) hold b w .. (b+1) w - 1: the first and last g1 block
+        # of each band, and g2 blocks and sums past them.
+        blocks = [(4, 8), (4, 9), (4, 16), (8, 8), (8, 16), (8, 23), (16, 8), (16, 31), (32, 8), (32, 31)]
+        for g_max, edges in (
+            (1025, {b * w + e for w, b in blocks for e in (-1, 0)} | {1023, 1024, 1025}),
+            (2047, {2045, 2046, 2047}),
+        ):
+            real = dmax_table(g_max)
+            for g in sorted(edges):
+                for delta in (-real[g], -1, 1, real[g] // 8):
+                    D = real.copy()
+                    D[g] += delta
+                    assert_same_scan(D)
+
+    def test_spike_and_dip_in_neighbouring_blocks(self):
+        # g1 and g2 at the last genus of their blocks a and k put g1 + g2 in
+        # block a+k+1.  D[g2] raised and D[g1+g2] lowered by just over half
+        # the pair's slack break that pair, while the bounds of block row a
+        # that read only block a+k, or only block a+k+1, stay positive.
+        g_max = 1025
+        for w, a, k in ((4, 8, 8), (4, 15, 20), (8, 9, 30), (16, 12, 14), (32, 15, 15)):
+            g1, g2 = (a + 1) * w - 1, (k + 1) * w - 1
+            D = dmax_table(g_max)
+            s = (D[g1 + g2] - D[g1] - D[g2]) // 2 + 1
+            D[g2] += s
+            D[g1 + g2] -= s
+            assert D[g1 + g2] - D[g1] - D[g2] < 0
+            assert_same_scan(D)
+
+    def test_tables_at_the_kernel_ceiling(self):
+        # Every value within one unit of +-MAX_SAFE_D: each bound and row
+        # intermediate stays within 3 MAX_SAFE_D, with the tail block's
+        # padding at +-MAX_SAFE_D itself.
+        top = kernels.MAX_SAFE_D
+        rng = np.random.default_rng(2027)
+        for g_max in (63, 64, 65, 130, 257):
+            for D in (
+                rng.choice([top, top - 1, -top, 1 - top], size=g_max + 1),
+                np.full(g_max + 1, top) - rng.integers(0, 2, size=g_max + 1),
+                np.full(g_max + 1, -top) + rng.integers(0, 2, size=g_max + 1),
+            ):
+                assert_same_scan(D)
+
+    def test_scans_few_pairs_of_dmax(self):
+        # A passing table forms its 31 whole rows and no other; a regression
+        # to a row per g1 scans every pair.
+        g_max = 100_000
+        scan = kernels.superadditivity_scan(dmax_table(g_max))
+        assert scan.violations_total == 0 and scan.equalities_total == g_max // 2 - 8
+        assert scan.cells_scanned == sum(g_max - 2 * g1 + 1 for g1 in range(1, 32))
+        assert scan.cells_scanned < g_max * g_max // 4 // 100
+
+    def test_every_row_scanned_where_no_bound_clears(self):
+        D = np.zeros(2049, dtype=np.int64)
+        assert assert_same_scan(D).cells_scanned == flat_scan(D).cells_scanned == 1024 * 1024
 
 
 class TestChunkBoundaries:
