@@ -17,12 +17,12 @@ The 2-D scans loop in Python over one parameter only, and do the other in
 numpy on contiguous or strided slices, with no gather and no ``ufunc.at``:
 ``best_indec_table`` takes one step per k <= isqrt(g_max), and
 ``superadditivity_scan`` one row per g1 that its block bounds leave.  Those
-bounds read D's minima and maxima over blocks of genera, one reshape per
-band of g1, and each clears a whole block of pairs that holds no violation
-and no equality; on dmax they clear every row but the first 31, so the scan
-does near-linear work where a row per g1 made it quadratic.  A row is a
-slice difference and its min, and its pairs are listed only where the min
-fails.
+bounds read D's minima and maxima over blocks of genera, taken from D by
+strided passes for the first band of g1 and halved pairwise for each later
+one, and each clears a whole block of pairs that holds no violation and no
+equality; on dmax they clear every row but the first 31, so the scan does
+near-linear work where a row per g1 made it quadratic.  A row is a slice
+difference and its min, and its pairs are listed only where the min fails.
 
 Chunks and blocks: :mod:`agdim.verify` splits the ranges of
 ``piecewise_mismatches`` and ``f_bound_violations`` into blocks, one kernel
@@ -86,7 +86,8 @@ MAX_SAFE_D = (2**63 - 1) // 3
 MAX_SAFE_N = 3_000_000_000
 # a * b <= b^2 stays far below 2^63.
 MAX_SAFE_PAIR_B = 1_000_000_000
-# Cells (a, b) per block of pair_efficiency_mismatches.
+# Cells per block of the three pair scans: (a, b) in pair_efficiency_mismatches,
+# (s, delta) in pairs.verify_claim_f and (r, k) in pairs.verify_remark_domination.
 PAIR_BLOCK = 1 << 14
 # Values per chunk of piecewise_mismatches and f_bound_violations.
 CHUNK = 1 << 16
@@ -249,43 +250,55 @@ def _low_pairs(row: np.ndarray, g1: int) -> tuple[np.ndarray, np.ndarray]:
     return g2s[values < 0], g2s[values == 0]
 
 
-def _block_extremes(D: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The minima and maxima of D over the blocks [b w, (b+1) w), the tail
-    block padded with +-``MAX_SAFE_D``, and one block of padding past it."""
+def _coarsen(b: np.ndarray, k: int, op: np.ufunc) -> np.ndarray:
+    """``op`` (``np.minimum`` or ``np.maximum``) over each group of k
+    consecutive entries of b, the last group short when k does not divide
+    b's length: one strided copy and k - 1 strided ufunc calls."""
+    out = b[::k].copy()
+    for j in range(1, k):
+        part = b[j::k]
+        op(out[: part.size], part, out=out[: part.size])
+    return out
+
+
+def _uncleared_blocks(D: np.ndarray) -> list[tuple[int, int]]:
+    """(a, w) of every block row of g1 >= ``WHOLE_ROWS`` that has a bound
+    <= 0, in ascending order of g1: its rows are a w .. (a+1) w - 1.
+
+    bmin[b] and bmax[b] are D's min and max over the genera of
+    [b w, (b+1) w) up to g_max, the last block short.  The first band's come
+    from D in one strided pass; since w doubles from band to band, each
+    later band's come from the band before's, in one pairwise pass of half
+    its length.  They all end with the call, so none is held while the rows
+    are scanned."""
     g_max = D.shape[0] - 1
-    full = (g_max + 1) // w
-    bmin = np.full(g_max // w + 2, MAX_SAFE_D, dtype=np.int64)
-    bmax = np.full(g_max // w + 2, -MAX_SAFE_D, dtype=np.int64)
-    blocks = D[: full * w].reshape(full, w)
-    blocks.min(1, out=bmin[:full])
-    blocks.max(1, out=bmax[:full])
-    if full * w <= g_max:
-        bmin[full], bmax[full] = D[full * w :].min(), D[full * w :].max()
-    return bmin, bmax
+    half = g_max // 2
+    found = []
+    lo = WHOLE_ROWS
+    bmin, bmax = _coarsen(D, lo // 8, np.minimum), _coarsen(D, lo // 8, np.maximum)
+    while lo <= half:
+        w = lo // 8
+        pmin = bmin.copy()  # D's min over blocks b and b + 1 (block b alone for the last)
+        np.minimum(bmin[:-1], bmin[1:], out=pmin[:-1])
+        for a in range(8, -(-min(2 * lo, half + 1) // w)):
+            last = (g_max - a * w) // w  # the block of g2 = g_max - a w
+            # min over k in a..last of bound(a, k) + bmax[a]
+            if (pmin[2 * a : a + last + 1] - bmax[a : last + 1]).min() <= bmax[a]:
+                found.append((a, w))
+        del pmin
+        bmin, bmax = _coarsen(bmin, 2, np.minimum), _coarsen(bmax, 2, np.maximum)
+        lo *= 2
+    return found
 
 
 def _uncleared_rows(D: np.ndarray) -> Iterator[int]:
     """Every g1 of the scan whose row the block bounds cannot clear, in
     ascending order: the rows g1 < ``WHOLE_ROWS``, then those of each block
     row of g1 that has a bound <= 0."""
-    g_max = D.shape[0] - 1
-    half = g_max // 2
+    half = (D.shape[0] - 1) // 2
     yield from range(1, min(WHOLE_ROWS, half + 1))
-    lo = WHOLE_ROWS
-    while lo <= half:
-        w = lo // 8
-        bmin, bmax = _block_extremes(D, w)
-        pmin = np.minimum(bmin[:-1], bmin[1:])  # D's min over blocks b and b + 1
-        uncleared = []
-        for a in range(8, -(-min(2 * lo, half + 1) // w)):
-            last = (g_max - a * w) // w  # the block of g2 = g_max - a w
-            # min over k in a..last of bound(a, k) + bmax[a]
-            if (pmin[2 * a : a + last + 1] - bmax[a : last + 1]).min() <= bmax[a]:
-                uncleared.append(a)
-        del bmin, bmax, pmin  # freed before the uncleared rows are scanned
-        for a in uncleared:
-            yield from range(a * w, min((a + 1) * w, half + 1))
-        lo *= 2
+    for a, w in _uncleared_blocks(D):
+        yield from range(a * w, min((a + 1) * w, half + 1))
 
 
 def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
@@ -307,10 +320,11 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     Most rows are never formed.  The rows g1 < ``WHOLE_ROWS`` are; past
     them, the band of g1 in [lo, 2 lo) is cut into blocks of w = lo / 8
     genera, and so is g2.  Let bmin[b] and bmax[b] be D's min and max over
-    [b w, (b+1) w).  For g1 in block a and g2 in block k, g1 + g2 lies in
-    [(a+k) w, (a+k+2) w - 2], inside blocks a+k and a+k+1, so
-    D[g1+g2] - D[g1] - D[g2] >= min(bmin[a+k], bmin[a+k+1]) - bmax[a] -
-    bmax[k] =: bound(a, k).  This assumes nothing of D, not even that it
+    [b w, (b+1) w), the last block cut short at g_max.  For g1 in block a
+    and g2 in block k, g1 + g2 lies in [(a+k) w, (a+k+2) w - 2], inside
+    blocks a+k and a+k+1, so D[g1+g2] - D[g1] - D[g2] >=
+    min(bmin[a+k], bmin[a+k+1]) - bmax[a] - bmax[k] =: bound(a, k), with
+    bmin[a+k] alone where block a+k+1 lies past g_max.  This assumes nothing of D, not even that it
     is monotone; the blocks also hold pairs outside the triangle, which can
     only lower a bound.  A block row a whose bounds are all > 0 over
     k = a .. (g_max - a w) / w holds no violation and no equality, and is
@@ -318,9 +332,8 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     order, so the listing order, the caps and the totals are those of a
     row-by-row scan.  On dmax the slack grows like g1 g2 / 8, so every block
     row clears, and the scan forms 31 rows and one vector of bounds per
-    block row.  The tail block is padded with +-``MAX_SAFE_D``, so a bound
-    stays within 3 ``MAX_SAFE_D``, as does the row intermediate
-    D[g1+g2] - D[g2] - D[g1].
+    block row.  A bound is a value of D less two others, so it stays within
+    3 ``MAX_SAFE_D``, as does the row intermediate D[g1+g2] - D[g2] - D[g1].
     """
     D = np.ascontiguousarray(D, dtype=np.int64)
     if D.size:

@@ -21,9 +21,10 @@ exact whenever it reaches g - 1.
 Each family has a scalar constructor in Python ints (``unitary_pair``, ...),
 which is exact at any size and is the test oracle, and an array form
 (``unitary_pairs``, ...) over int64 arrays, which the two domination checks
-use one row at a time.  Where a designated witness fails, both checks take
-the smallest dominating unitary pair from one closed-form rule in Python
-ints (:func:`_smallest_dominating_n`).
+call once per block of rows of about ``kernels.PAIR_BLOCK`` cells.  Where a
+designated witness fails, both checks take the smallest dominating unitary
+pair from one closed-form rule in Python ints
+(:func:`_smallest_dominating_n`).
 """
 
 from __future__ import annotations
@@ -216,13 +217,16 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
     designated witness ever failed, a search over k <= k_max, n <= n_max
     would run before declaring a counterexample.
 
-    Each (family, s) is one int64 row over delta, built with the array
-    constructors, and compared with its witnesses in numpy; only the listed
+    Each family is taken in blocks of rows of about ``kernels.PAIR_BLOCK``
+    cells: a column of s against the row of delta, one call of the array
+    constructors and one failure mask per block.  A flat index decodes to
+    (s, delta) in (s, delta) order, so the failures, the equalities and the
+    witnesses come in the order of a scan pair by pair.  Only the listed
     failures are searched, in Python ints, one k at a time.
     ``details["equalities"]`` lists the first ``MAX_LISTED`` equality pairs;
-    the equality-set check uses all.  The largest value in a row is the rank-2
-    witness dimension F(s delta^2); F(n) <= n^2 / 4 <= 2^63 - 1 holds for
-    n < 2^32.5, and s, delta <= ``MAX_SAFE_CLAIM_F`` = 1824 gives
+    the equality-set check uses all.  The largest value in a block is the
+    rank-2 witness dimension F(s delta^2); F(n) <= n^2 / 4 <= 2^63 - 1 holds
+    for n < 2^32.5, and s, delta <= ``MAX_SAFE_CLAIM_F`` = 1824 gives
     s delta^2 <= 1824^3 < 2^32.5 < 1825^3.
     """
     if min(s_max, delta_max, k_max, n_max) < 2:
@@ -237,33 +241,38 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
     ties: list[np.ndarray] = []  # every equality pair, for the equality-set check
     deltas = np.arange(2, delta_max + 1, dtype=np.int64)
     squares = deltas * deltas
+    width = deltas.size
+    rows = max(1, kernels.PAIR_BLOCK // width)
     branches = (
         (FAMILY_I_NC1, division_rank1_pairs, lambda s: s * squares // 2),
         (FAMILY_I_NC2, division_rank2_pairs, lambda s: s * squares),
     )
     for family, pairs_fn, witness_n in branches:
-        for s in range(1, s_max + 1):
-            td, tg = pairs_fn(s, deltas)
+        for s_lo in range(1, s_max + 1, rows):
+            s = np.arange(s_lo, min(s_lo + rows, s_max + 1), dtype=np.int64)[:, None]
             n_w = witness_n(s)
             wd, wg = unitary_pairs(2, n_w)
+            td, tg = (np.broadcast_to(x, n_w.shape) for x in pairs_fn(s, deltas))
             covered = tg >= wg
             tie = covered & (td == wd)
             if tie.any():
                 ties.append(np.stack([td[tie], tg[tie]], axis=1))
-                for i in np.flatnonzero(tie)[: MAX_LISTED - len(equalities)].tolist():
+                for idx in np.flatnonzero(tie)[: MAX_LISTED - len(equalities)].tolist():
+                    i, j = divmod(idx, width)
                     equalities.append(
                         {
                             "family": family,
-                            "s": s,
-                            "delta": i + 2,
-                            "pair": [int(td[i]), int(tg[i])],
-                            "witness": {"family": FAMILY_I, "k": 2, "n": int(n_w[i])},
+                            "s": s_lo + i,
+                            "delta": j + 2,
+                            "pair": [int(td[i, j]), int(tg[i, j])],
+                            "witness": {"family": FAMILY_I, "k": 2, "n": int(n_w[i, j])},
                         }
                     )
 
-            def failure(i: int) -> dict:
-                target = Pair(int(td[i]), int(tg[i]))
-                entry = {"family": family, "s": s, "delta": i + 2, "pair": [target.d, target.g]}
+            def failure(idx: int) -> dict:
+                i, j = divmod(idx, width)
+                target = Pair(int(td[i, j]), int(tg[i, j]))
+                entry = {"family": family, "s": s_lo + i, "delta": j + 2, "pair": [target.d, target.g]}
                 found = _search_strict_dominator(target, k_max, n_max)
                 if found is None:
                     entry["reason"] = "no dominating unitary pair in range"
@@ -307,6 +316,32 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
     return report
 
 
+def _row_fallback(report: VerificationReport, family: str, r: int, cells) -> int | None:
+    """The fallback witness of row r of a family, from its (k, target) cells
+    whose designated witness failed, in k order: the smallest dominating n
+    if every cell that has one has the same, -1 if they differ, None if no
+    cell has one.  A cell with none is reported."""
+    fallback_n: int | None = None
+    for k, target in cells:
+        found = _smallest_dominating_n(k, target)
+        if found is None:
+            report.add(
+                [target],
+                lambda t: {
+                    "family": family,
+                    "k": k,
+                    "r": r,
+                    "pair": [t.d, t.g],
+                    "reason": "no same-k dominating unitary pair",
+                },
+            )
+        elif fallback_n is None:
+            fallback_n = found
+        elif fallback_n != found:
+            fallback_n = -1
+    return fallback_n
+
+
 def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
     """Check that every II- and III-family pair in range is strictly
     dominated by a same-k unitary pair.
@@ -316,10 +351,14 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
     III with r = 2 the (I)_{2r-1} witness does not apply and the smallest
     dominating n, 4, is used instead.
 
-    Each (family, r) is one int64 row over k, built with the array
-    constructors; only the k whose designated witness is not strict go to
-    the closed-form rule in Python ints (for III with r = 2, k_max - 1 of
-    them).  The largest value in a row is the witness dimension
+    Each family is taken in blocks of rows of about ``kernels.PAIR_BLOCK``
+    cells: a column of r against the row of k, one call of the array
+    constructors and one failure mask per block.  The block's rows are read
+    in r order, each failing row's k in k order, so the failures and the
+    per-r witness entries come in the order of a scan pair by pair.  Only
+    the k whose designated witness is not strict go to the closed-form rule
+    in Python ints (for III with r = 2, k_max - 1 of them), one row at a
+    time.  The largest value in a block is the witness dimension
     (k-1) F(2r-1) = (k-1) r (r-1), below 2^63 for k, r <= ``MAX_SAFE_REMARK``
     = 2^21, where it is 2^63 - 2^43 + 2^21; at k = r = 2^21 + 1 it is
     2^63 + 2^42.
@@ -330,43 +369,36 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
     kernels._require_at_most("k_max", k_max, MAX_SAFE_REMARK)
     report = VerificationReport(claim="remark-domination", range={"r_max": r_max, "k_max": k_max})
     ks = np.arange(2, k_max + 1, dtype=np.int64)
-    cases: list[tuple[str, int]] = [(FAMILY_II, r) for r in range(4, r_max + 1)]
-    cases += [(FAMILY_III, r) for r in range(2, r_max + 1)]
-    for family, r in sorted(cases):
-        pairs_fn = orthogonal_star_pairs if family == FAMILY_II else quaternion_symplectic_pairs
-        designated_n = 6 if (family, r) == (FAMILY_III, 3) else 2 * r - 1
-        td, tg = pairs_fn(ks, r)
-        wd, wg = unitary_pairs(ks, designated_n)
-        failed = np.flatnonzero((td >= wd) | (tg < wg)).tolist()
-        fallback_n: int | None = None
-        for i in failed:
-            k = i + 2
-            target = Pair(int(td[i]), int(tg[i]))
-            found = _smallest_dominating_n(k, target)
-            if found is None:
-                report.add(
-                    [target],
-                    lambda t: {
-                        "family": family,
-                        "k": k,
-                        "r": r,
-                        "pair": [t.d, t.g],
-                        "reason": "no same-k dominating unitary pair",
-                    },
-                )
-            elif fallback_n is None:
-                fallback_n = found
-            elif fallback_n != found:
-                fallback_n = -1  # non-uniform; recorded per entry below
-        entry = {
-            "family": family,
-            "r": r,
-            "k_range": [2, k_max],
-            "designated": not failed,
-            "witness": {"family": FAMILY_I, "k": "same", "n": designated_n},
-        }
-        if failed and fallback_n is not None and fallback_n > 0:
-            entry["witness"] = {"family": FAMILY_I, "k": "same", "n": fallback_n}
-        report.witnesses.append(entry)
-    report.details = {"pairs_checked": len(cases) * (k_max - 1)}
+    width = ks.size
+    rows = max(1, kernels.PAIR_BLOCK // width)
+    branches = (
+        (FAMILY_II, orthogonal_star_pairs, 4),
+        (FAMILY_III, quaternion_symplectic_pairs, 2),
+    )
+    for family, pairs_fn, r_lo in branches:
+        for r_start in range(r_lo, r_max + 1, rows):
+            r = np.arange(r_start, min(r_start + rows, r_max + 1), dtype=np.int64)[:, None]
+            designated = 2 * r - 1
+            if family == FAMILY_III:
+                designated[r == 3] = 6
+            wd, wg = unitary_pairs(ks, designated)
+            td, tg = (np.broadcast_to(x, (r.size, width)) for x in pairs_fn(ks, r))
+            failing = (td >= wd) | (tg < wg)
+            for i, (n, failed) in enumerate(zip(designated[:, 0].tolist(), failing.any(1).tolist())):
+                entry = {
+                    "family": family,
+                    "r": r_start + i,
+                    "k_range": [2, k_max],
+                    "designated": not failed,
+                    "witness": {"family": FAMILY_I, "k": "same", "n": n},
+                }
+                if failed:
+                    js = np.flatnonzero(failing[i]).tolist()
+                    cells = ((j + 2, Pair(td.item(i, j), tg.item(i, j))) for j in js)
+                    fallback_n = _row_fallback(report, family, r_start + i, cells)
+                    if fallback_n is not None and fallback_n > 0:
+                        entry["witness"]["n"] = fallback_n
+                report.witnesses.append(entry)
+    cases = max(0, r_max - 3) + r_max - 1  # II over r >= 4, III over r >= 2
+    report.details = {"pairs_checked": cases * (k_max - 1)}
     return report

@@ -394,9 +394,9 @@ REGISTRY: dict[str, Verifier] = {
         # per genus, passing: 32 within one chunk (its table build), 28.5
         # past it up to 1e7 (the table, and the scan's 20.5: the row buffer
         # and row 1's pairs; the block bounds' arrays, 8 at most, are freed
-        # before a band's rows are scanned); 57-58 from 2e3 to 2e4 when every
-        # pair is an equality, in the g1 = 1 row's scan; 10% above that, and
-        # 64 kB for a small range
+        # before the rows they leave are scanned); 57-58 from 2e3 to 2e4 when
+        # every pair is an equality, in the g1 = 1 row's scan; 10% above
+        # that, and 64 kB for a small range
         peak_bytes=lambda g_max: 64 * g_max + 2**16,
     ),
     "dmax-piecewise": Verifier(
@@ -441,10 +441,11 @@ REGISTRY: dict[str, Verifier] = {
             RangeParam("--k-max", 64, 2048, limit=pairs.MAX_SAFE_REMARK),
         ),
         run=_verify_remark_domination,
-        # per unit of r_max, two witness entries and two cases, 1.0-1.2 kB;
-        # per unit of k_max, one row's arrays, 88-96 bytes passing and up to
-        # 127 when every k of a row misses its designated witness
-        peak_bytes=lambda r_max, k_max: 1280 * r_max + 160 * k_max + 2**16,
+        # per unit of r_max, two witness entries, 1.0-1.1 kB; per unit of
+        # k_max, the arrays of a row wider than a block; and one block of up
+        # to PAIR_BLOCK cells, 30-60 bytes per cell: peaks of 0.28 MB at
+        # 64/64 and 1.14 MB at 256/256, passing or not
+        peak_bytes=lambda r_max, k_max: 1280 * r_max + 160 * k_max + 64 * kernels.PAIR_BLOCK,
     ),
     "cor-C": Verifier(params=(), run=_verify_mgct),
     "cor-decoupled": Verifier(

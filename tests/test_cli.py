@@ -399,10 +399,12 @@ class TestVerifyCommand:
         assert not report.passed and peak <= verify.REGISTRY[claim].peak_bytes(g_max=g_max)
 
     @pytest.mark.parametrize("fault", [None, "undominated II"])
-    @pytest.mark.parametrize("r_max, k_max", [(4096, 2), (5, 1 << 14)])
+    @pytest.mark.parametrize("r_max, k_max", [(4096, 2), (5, 1 << 14), (64, 64), (256, 256)])
     def test_remark_peak_bytes_covers_peak(self, monkeypatch, r_max, k_max, fault):
-        # Its witness list grows with r_max, its rows with k_max; under the
-        # fault every family II row misses its witness at every k.
+        # Its witness list grows with r_max, a row wider than a block with
+        # k_max, and 64/64 and 256/256 are one block of 3969 cells and
+        # blocks of 16320; under the fault every family II row misses its
+        # witness at every k.
         if fault:
             _undominated_family_ii(monkeypatch)
         overrides = {"r_max": r_max, "k_max": k_max}
@@ -415,12 +417,28 @@ class TestVerifyCommand:
         assert report.passed is (fault is None)
         assert peak <= verify.REGISTRY["remark-domination"].peak_bytes(**overrides)
 
+    @pytest.mark.parametrize("size", [64, 1024, pairs.MAX_SAFE_CLAIM_F])
+    def test_claim_f_peak_set_by_its_block(self, size):
+        # claim-F holds one block of about kernels.PAIR_BLOCK cells at a
+        # time, and the equalities it keeps: 0.31 MB at the default, where
+        # one block is the whole range, and 1.06-1.17 MB from 1024 to the
+        # int64 limit.
+        tracemalloc.start()
+        try:
+            report = verify.run_verifier(
+                "claim-F", {"s_max": size, "delta_max": size}, unsafe_no_ceiling=True
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and peak <= 96 * kernels.PAIR_BLOCK
+
     def test_claims_without_peak_bytes(self):
         # A claim states no memory figure only for a reason, given here:
         assert {c for c, v in verify.REGISTRY.items() if v.peak_bytes is None} == {
             "dmax-piecewise",  # block buffers of kernels.CHUNK values, whatever the range
             "f-bounds",  # block buffers of kernels.CHUNK values, whatever the range
-            "claim-F",  # rows over delta <= MAX_SAFE_CLAIM_F: 167 kB at the limit
+            "claim-F",  # blocks of kernels.PAIR_BLOCK cells, whatever the range
             "cor-C",  # a fixed range, g <= 23
         }
 

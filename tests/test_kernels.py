@@ -96,6 +96,23 @@ def assert_same_scan(D):
     return got
 
 
+def block_extremes(D, w):
+    """D's minima and maxima over the blocks [b w, (b+1) w), the tail block
+    padded with +-MAX_SAFE_D, and one block of padding past it: one
+    reshape per band, as the kernel built them before it halved each band's
+    from the one before, kept as the oracle of the halving."""
+    g_max = D.shape[0] - 1
+    full = (g_max + 1) // w
+    bmin = np.full(g_max // w + 2, kernels.MAX_SAFE_D, dtype=np.int64)
+    bmax = np.full(g_max // w + 2, -kernels.MAX_SAFE_D, dtype=np.int64)
+    blocks = D[: full * w].reshape(full, w)
+    blocks.min(1, out=bmin[:full])
+    blocks.max(1, out=bmax[:full])
+    if full * w <= g_max:
+        bmin[full], bmax[full] = D[full * w :].min(), D[full * w :].max()
+    return bmin, bmax
+
+
 def dmax_table(g_max):
     D = np.zeros(g_max + 1, dtype=np.int64)
     D[1:] = kernels.dmax_values(np.arange(1, g_max + 1, dtype=np.int64))
@@ -317,10 +334,26 @@ class TestBlockBounds:
             assert D[g1 + g2] - D[g1] - D[g2] < 0
             assert_same_scan(D)
 
+    def test_spike_and_dip_reaching_the_tail_block(self):
+        # As above, with g1 at the end of block a and g2 = g_max - g1 in
+        # block k = last - 1, where last is the block of g_max - a w: the
+        # pair sums to g_max, in the short tail block a+k+1, whose min only
+        # bound(a, k) and bound(a, last) read.
+        g_max = 1025
+        for w, a in ((4, 8), (4, 15), (8, 9), (16, 12), (32, 15)):
+            g1 = (a + 1) * w - 1
+            g2 = g_max - g1
+            assert g2 // w == (g_max - a * w) // w - 1 and g_max // w == a + g2 // w + 1
+            D = dmax_table(g_max)
+            s = (D[g_max] - D[g1] - D[g2]) // 2 + 1
+            D[g2] += s
+            D[g_max] -= s
+            assert D[g_max] - D[g1] - D[g2] < 0
+            assert_same_scan(D)
+
     def test_tables_at_the_kernel_ceiling(self):
         # Every value within one unit of +-MAX_SAFE_D: each bound and row
-        # intermediate stays within 3 MAX_SAFE_D, with the tail block's
-        # padding at +-MAX_SAFE_D itself.
+        # intermediate stays within 3 MAX_SAFE_D.
         top = kernels.MAX_SAFE_D
         rng = np.random.default_rng(2027)
         for g_max in (63, 64, 65, 130, 257):
@@ -330,6 +363,31 @@ class TestBlockBounds:
                 np.full(g_max + 1, -top) + rng.integers(0, 2, size=g_max + 1),
             ):
                 assert_same_scan(D)
+
+    def test_band_extremes_match_per_band_reshape(self):
+        # The first band's blocks of 4 come from D, each later band's from
+        # the band before's, pairwise; the kernel's blocks end at g_max,
+        # where the oracle pads the tail block and adds one of padding.
+        # g_max + 1 on and off a multiple of each w, down to one block.
+        rng = np.random.default_rng(28)
+        top = kernels.MAX_SAFE_D
+        for size in (1, 3, 4, 5, 63, 64, 65, 127, 128, 129, 1000, 1023, 1024, 1025, 4097):
+            for D in (
+                rng.integers(-10**6, 10**6, size=size),
+                dmax_table(size - 1),
+                -np.arange(size, dtype=np.int64) ** 2,
+                rng.choice([top, -top], size=size),
+            ):
+                w = kernels.WHOLE_ROWS // 8
+                bmin, bmax = kernels._coarsen(D, w, np.minimum), kernels._coarsen(D, w, np.maximum)
+                while True:
+                    want_min, want_max = block_extremes(D, w)
+                    assert bmin.tolist() + [top] == want_min.tolist(), (size, w)
+                    assert bmax.tolist() + [-top] == want_max.tolist(), (size, w)
+                    if w >= size:
+                        break
+                    bmin, bmax = kernels._coarsen(bmin, 2, np.minimum), kernels._coarsen(bmax, 2, np.maximum)
+                    w *= 2
 
     def test_scans_few_pairs_of_dmax(self):
         # A passing table forms its 31 whole rows and no other; a regression

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import agdim.pairs as pairs_mod
+from agdim import kernels
 from agdim.arith import Pair, dmax, dominates, half_product, strictly_dominates
 from agdim.pairs import (
     MAX_SAFE_CLAIM_F,
@@ -26,6 +27,7 @@ from agdim.pairs import (
     verify_remark_domination,
 )
 from agdim.report import MAX_LISTED, VerificationReport
+from test_cli import _extra_equality, _huge_rank2, _undominated_family_ii
 from test_report import counter_diff
 
 # The ten unitary-family pairs of genus <= 15, frozen from the case analysis:
@@ -306,11 +308,13 @@ def test_search_strict_dominator_matches_scalar_search():
 
 
 def scalar_claim_f(s_max, delta_max, k_max, n_max):
-    """The pair-by-pair claim-F loop, in Python ints, as the reference."""
+    """The pair-by-pair claim-F loop, in Python ints, as the reference.  It
+    reads the division-family constructors off ``agdim.pairs`` at call time,
+    so a test can fault them as it faults their array forms."""
     counterexamples, equalities, checked = [], [], 0
     branches = (
-        ("I_nc1", division_rank1_pair, lambda s, d: max(2, (s * d * d) // 2)),
-        ("I_nc2", division_rank2_pair, lambda s, d: s * d * d),
+        ("I_nc1", pairs_mod.division_rank1_pair, lambda s, d: max(2, (s * d * d) // 2)),
+        ("I_nc2", pairs_mod.division_rank2_pair, lambda s, d: s * d * d),
     )
     for family, pair_fn, witness_n in branches:
         for s in range(1, s_max + 1):
@@ -354,11 +358,13 @@ def scalar_claim_f(s_max, delta_max, k_max, n_max):
 
 
 def scalar_remark_domination(r_max, k_max):
-    """The pair-by-pair remark-domination loop, in Python ints, as the reference."""
+    """The pair-by-pair remark-domination loop, in Python ints, as the
+    reference.  It reads ``orthogonal_star_pair`` off ``agdim.pairs`` at call
+    time, so a test can fault it as it faults the array form."""
     counterexamples, witnesses, checked = [], [], 0
     cases = [("II", r) for r in range(4, r_max + 1)] + [("III", r) for r in range(2, r_max + 1)]
     for family, r in sorted(cases):
-        pair_fn = orthogonal_star_pair if family == "II" else quaternion_symplectic_pair
+        pair_fn = pairs_mod.orthogonal_star_pair if family == "II" else quaternion_symplectic_pair
         designated_n = 6 if (family, r) == ("III", 3) else 2 * r - 1
         designated_ok, fallback_n = True, None
         for k in range(2, k_max + 1):
@@ -414,6 +420,69 @@ def test_claim_f_rows_match_scalar_loop(s_max, delta_max, k_max, n_max):
 def test_remark_rows_match_scalar_loop(r_max, k_max):
     got = verify_remark_domination(r_max, k_max).to_dict()
     assert got == scalar_remark_domination(r_max, k_max).to_dict()
+
+
+def _scalar_extra_equality(mp):
+    _extra_equality(mp)
+    real = pairs_mod.division_rank1_pair
+    mp.setattr(pairs_mod, "division_rank1_pair", lambda s, d: Pair(4, 8) if (s, d) == (2, 2) else real(s, d))
+
+
+def _scalar_huge_rank2(mp):
+    _huge_rank2(mp)
+    real = pairs_mod.division_rank2_pair
+    mp.setattr(pairs_mod, "division_rank2_pair", lambda s, d: Pair(10**9, real(s, d).g))
+
+
+def _scalar_undominated_family_ii(mp):
+    _undominated_family_ii(mp)
+    mp.setattr(pairs_mod, "orthogonal_star_pair", lambda k, r: Pair(10**6, 2 * r * k))
+
+
+class TestBlocksOfRows:
+    """Each family is taken in blocks of rows of about kernels.PAIR_BLOCK
+    cells.  At 1 every block is one row, and a row is wider than its block;
+    at 7 and 300 the ranges below take several blocks of several rows, one
+    of them short.  Each fault is made in the array form and in its scalar
+    twin: it fails every rank-2 cell, or every family II cell, so failures
+    straddle every block edge, or adds a tie at (s, delta) = (2, 2)."""
+
+    CLAIM_F = [(2, 2, 2, 2), (9, 2, 3, 3), (40, 13, 3, 4), (70, 6, 2, 4), (3, 400, 2, 2)]
+    REMARK = [(2, 2), (13, 2), (9, 13), (40, 9), (320, 2), (6, 400)]
+
+    @pytest.mark.parametrize("fault", [None, _scalar_extra_equality, _scalar_huge_rank2])
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    def test_claim_f_matches_scalar_loop(self, monkeypatch, block, fault):
+        monkeypatch.setattr(kernels, "PAIR_BLOCK", block)
+        if fault:
+            fault(monkeypatch)
+        for args in self.CLAIM_F:
+            want = scalar_claim_f(*args).to_dict()
+            assert verify_claim_f(*args).to_dict() == want, args
+            assert want["status"] == ("pass" if fault is None else "fail")
+
+    @pytest.mark.parametrize("fault", [None, _scalar_undominated_family_ii])
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    def test_remark_matches_scalar_loop(self, monkeypatch, block, fault):
+        monkeypatch.setattr(kernels, "PAIR_BLOCK", block)
+        if fault:
+            fault(monkeypatch)
+        for args in self.REMARK:
+            want = scalar_remark_domination(*args).to_dict()
+            assert verify_remark_domination(*args).to_dict() == want, args
+            assert want["status"] == ("fail" if fault and args[0] >= 4 else "pass")
+
+    def test_one_unitary_call_per_block(self, monkeypatch):
+        # At 256/256 a block is 64 rows of 255 cells; a row per s or per r
+        # made 512 and 508 calls.
+        real, calls = pairs_mod.unitary_pairs, []
+        monkeypatch.setattr(pairs_mod, "unitary_pairs", lambda k, n: calls.append(1) or real(k, n))
+        rows = kernels.PAIR_BLOCK // 255
+        assert verify_claim_f(256, 256, 2, 2).passed
+        assert len(calls) <= 2 * -(-256 // rows)
+        calls.clear()
+        assert verify_remark_domination(256, 256).passed
+        assert len(calls) <= -(-253 // rows) + -(-255 // rows)
 
 
 class TestInt64Limits:
