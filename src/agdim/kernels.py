@@ -24,17 +24,23 @@ equality; on dmax they clear every row but the first 31, so the scan does
 near-linear work where a row per g1 made it quadratic.  A row is a slice
 difference and its min, and its pairs are listed only where the min fails.
 
-Chunks and blocks: :mod:`agdim.verify` splits the ranges of
-``piecewise_mismatches`` and ``f_bound_violations`` into blocks, one kernel
-call each, which its thread pool runs in parallel.  Inside one call the
-kernel walks its block in chunks of ``CHUNK`` values, and every step writes
-through ``out=`` into a few buffers that the call allocates once.  So a call
-allocates no array per step, whatever the block's length, and its working
-set (the chunk's values, two int64 buffers and one mask, about 1.6 MB at
-64K values) stays in a core's L2 cache instead of streaming a fresh
-temporary of the whole block through memory at every step.  A call returns
-the number of failing values and the first ``MAX_LISTED`` of them, so a
-block that fails everywhere costs no more memory than one that passes.
+Chunks and blocks: every bulk scan walks its range in one of two ways.
+``_chunks`` takes a range of values in chunks of ``CHUNK``, with a few int64
+and bool buffers that it allocates once and every step writes into through
+``out=``: ``piecewise_mismatches`` and ``f_bound_violations`` here, and
+:mod:`agdim.verify`'s table build for ``lemma-dmax`` and comparison for
+``prop-estimate``.  ``_row_blocks`` takes the rows of a 2-D scan in blocks
+of about ``PAIR_BLOCK`` cells: ``pair_efficiency_mismatches`` here, and the
+two domination checks of :mod:`agdim.pairs`.  :mod:`agdim.verify` splits
+the ranges of ``piecewise_mismatches`` and ``f_bound_violations`` into
+blocks, one kernel call each, which its thread pool runs in parallel.  So a
+call allocates no array per step, whatever the block's length, and its
+working set (the chunk's values, two int64 buffers and one mask, about
+1.6 MB at 64K values) stays in a core's L2 cache instead of streaming a
+fresh temporary of the whole block through memory at every step.  A call
+returns the number of failing values and the first ``MAX_LISTED`` of them,
+counted and listed by ``_tally``, so a block that fails everywhere costs no
+more memory than one that passes.
 
 ``CHUNK`` is the fastest size of an interleaved sweep run as the benchmark's
 scan runs these kernels, with the pool's two workers, on a 2-CPU x86 VM with
@@ -117,14 +123,16 @@ def half_products(
 
 
 def _dmax(
-    gs: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+    gs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """max(g - 1, floor(floor(g/2)^2 / 4)) elementwise, computed in ``out``
-    and ``tmp`` as :func:`half_products` does."""
+    """max(g - 1, floor(floor(g/2)^2 / 4)) elementwise, computed in the
+    int64 buffer ``out`` of ``gs``' shape and, for the genera where g - 1
+    wins, the bool buffer ``scratch``; both are allocated when not given."""
     out = np.right_shift(gs, 1, out=out)
     np.multiply(out, out, out=out)
     np.right_shift(out, 2, out=out)
-    return np.maximum(out, np.subtract(gs, 1, out=tmp), out=out)
+    scratch = np.less(out, gs, out=scratch)
+    return np.subtract(gs, 1, out=out, where=scratch)
 
 
 def dmax_values(gs: np.ndarray) -> np.ndarray:
@@ -157,6 +165,23 @@ def _chunks(
         yield start, values[:m], int_bufs[:, :m], mask_bufs[:, :m]
 
 
+def _even_odd(start: int) -> tuple[slice, slice]:
+    """The even and the odd genera g >= 16 of a chunk whose first genus is
+    ``start``, as strided slices of it."""
+    first = max(0, 16 - start)  # index of g = 16, or 0 past it
+    parity = (start + first) % 2
+    return slice(first + parity, None, 2), slice(first + 1 - parity, None, 2)
+
+
+def _row_blocks(lo: int, hi: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Split the rows lo..hi of a scan ``width`` cells wide into blocks of
+    about ``PAIR_BLOCK`` cells, one row at least.  Per block, yield its
+    first row and its rows as an int64 column."""
+    rows = max(1, PAIR_BLOCK // width)
+    for start in range(lo, hi + 1, rows):
+        yield start, np.arange(start, min(start + rows, hi + 1), dtype=np.int64)[:, None]
+
+
 class Found(NamedTuple):
     """What a listing kernel found: how many values (or pairs) fail, and the
     first ``MAX_LISTED`` of them, ascending."""
@@ -165,15 +190,20 @@ class Found(NamedTuple):
     listed: np.ndarray
 
 
+def _tally(listed: list[int], start: int, failing: np.ndarray) -> int:
+    """Count the failing values of a chunk whose first value is ``start``,
+    given its failure mask, and append them to ``listed`` until
+    ``MAX_LISTED`` are listed."""
+    n = int(np.count_nonzero(failing))
+    if n and len(listed) < MAX_LISTED:
+        listed += (np.flatnonzero(failing)[: MAX_LISTED - len(listed)] + start).tolist()
+    return n
+
+
 def _found(chunks: Iterator[tuple[int, np.ndarray]]) -> Found:
-    """Count the failing values of each (first value, failure mask) chunk,
-    and list them until ``MAX_LISTED`` are listed."""
-    total, listed = 0, []
-    for start, failing in chunks:
-        n = int(np.count_nonzero(failing))
-        total += n
-        if n and len(listed) < MAX_LISTED:
-            listed += (np.flatnonzero(failing)[: MAX_LISTED - len(listed)] + start).tolist()
+    """:func:`_tally` over (first value, failure mask) chunks."""
+    listed: list[int] = []
+    total = sum(_tally(listed, start, failing) for start, failing in chunks)
     return Found(total, np.array(listed, dtype=np.int64))
 
 
@@ -191,11 +221,9 @@ def piecewise_mismatches(g_lo: int, g_hi: int) -> Found:
 
     def differ() -> Iterator[tuple[int, np.ndarray]]:
         for start, gs, (general, piecewise), (mask,) in _chunks(g_lo, g_hi, ints=2, masks=1):
-            general = _dmax(gs, general, piecewise)
+            general = _dmax(gs, general, mask)
             np.subtract(gs, 1, out=piecewise)
-            first = max(0, 16 - start)  # index of g = 16, or 0 past it
-            even = slice(first + (start + first) % 2, None, 2)
-            odd = slice(first + (start + first + 1) % 2, None, 2)
+            even, odd = _even_odd(start)
             for branch, base in ((piecewise[even], gs[even]), (piecewise[odd], piecewise[odd])):
                 np.multiply(base, base, out=branch)  # g^2 or (g - 1)^2
                 np.right_shift(branch, 4, out=branch)
@@ -446,9 +474,7 @@ def pair_efficiency_mismatches(a_max: int, b_max: int) -> Found:
         raise ValueError(f"need 2 <= a_max <= b_max (got {a_max}, {b_max})")
     _require_at_most("b_max", b_max, MAX_SAFE_PAIR_B)
     total, listed = 0, []
-    rows = max(1, PAIR_BLOCK // (b_max - 1))
-    for a_lo in range(2, a_max + 1, rows):
-        a = np.arange(a_lo, min(a_lo + rows, a_max + 1), dtype=np.int64)[:, None]
+    for a_lo, a in _row_blocks(2, a_max, b_max - 1):
         b = np.arange(a_lo, b_max + 1, dtype=np.int64)[None, :]
         failing = (a * b < 2 * (a + b)) != _two_element_efficient(a, b)
         failing &= b >= a

@@ -73,6 +73,8 @@ FAMILY_I_NC2 = "I_nc2"
 # derived in the docstrings of verify_claim_f and verify_remark_domination.
 MAX_SAFE_CLAIM_F = 1824  # s_max, delta_max
 MAX_SAFE_REMARK = 2**21  # r_max, k_max
+# the equality pairs of claim F, one of each: (1, 4) in I_nc1, (4, 8) in I_nc2
+_STATED_TIES = ((1, 4), (4, 8))
 
 
 def a1_pair() -> Pair:
@@ -218,15 +220,20 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
     would run before declaring a counterexample.
 
     Each family is taken in blocks of rows of about ``kernels.PAIR_BLOCK``
-    cells: a column of s against the row of delta, one call of the array
-    constructors and one failure mask per block.  A flat index decodes to
-    (s, delta) in (s, delta) order, so the failures, the equalities and the
-    witnesses come in the order of a scan pair by pair.  Only the listed
-    failures are searched, in Python ints, one k at a time.
-    ``details["equalities"]`` lists the first ``MAX_LISTED`` equality pairs;
-    the equality-set check uses all.  The largest value in a block is the
-    rank-2 witness dimension F(s delta^2); F(n) <= n^2 / 4 <= 2^63 - 1 holds
-    for n < 2^32.5, and s, delta <= ``MAX_SAFE_CLAIM_F`` = 1824 gives
+    cells (``kernels._row_blocks``): a column of s against the row of
+    delta, one call of the array constructors and one failure mask per
+    block.  A flat index decodes to (s, delta) in (s, delta) order, so the
+    failures, the equalities and the witnesses come in the order of a scan
+    pair by pair.  Only the listed failures are searched, in Python ints,
+    one k at a time.  ``details["equalities"]`` lists the first
+    ``MAX_LISTED`` equality pairs.  The equality-set check keeps the
+    ``MAX_LISTED`` + 2 smallest and which stated pairs occur at all: taking
+    one occurrence of each stated pair out of the sorted multiset removes
+    at most two of the kept pairs, so its first ``MAX_LISTED`` unexpected
+    pairs are exact, and a run whose every cell ties holds no more than a
+    passing one.  The largest value in a block is the rank-2 witness
+    dimension F(s delta^2); F(n) <= n^2 / 4 <= 2^63 - 1 holds for
+    n < 2^32.5, and s, delta <= ``MAX_SAFE_CLAIM_F`` = 1824 gives
     s delta^2 <= 1824^3 < 2^32.5 < 1825^3.
     """
     if min(s_max, delta_max, k_max, n_max) < 2:
@@ -238,25 +245,32 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
         range={"s_max": s_max, "delta_max": delta_max, "k_max": k_max, "n_max": n_max},
     )
     equalities: list[dict] = []  # the first MAX_LISTED, for the report
-    ties: list[np.ndarray] = []  # every equality pair, for the equality-set check
+    # for the equality-set check: the smallest equality pairs, enough to list
+    # MAX_LISTED once one occurrence of each stated pair is taken out, and
+    # the stated pairs found anywhere
+    kept: list[tuple[int, int]] = []
+    present: set[tuple[int, int]] = set()
     deltas = np.arange(2, delta_max + 1, dtype=np.int64)
     squares = deltas * deltas
     width = deltas.size
-    rows = max(1, kernels.PAIR_BLOCK // width)
     branches = (
         (FAMILY_I_NC1, division_rank1_pairs, lambda s: s * squares // 2),
         (FAMILY_I_NC2, division_rank2_pairs, lambda s: s * squares),
     )
     for family, pairs_fn, witness_n in branches:
-        for s_lo in range(1, s_max + 1, rows):
-            s = np.arange(s_lo, min(s_lo + rows, s_max + 1), dtype=np.int64)[:, None]
+        for s_lo, s in kernels._row_blocks(1, s_max, width):
             n_w = witness_n(s)
             wd, wg = unitary_pairs(2, n_w)
             td, tg = (np.broadcast_to(x, n_w.shape) for x in pairs_fn(s, deltas))
             covered = tg >= wg
             tie = covered & (td == wd)
             if tie.any():
-                ties.append(np.stack([td[tie], tg[tie]], axis=1))
+                d, g = td[tie], tg[tie]
+                present |= {p for p in _STATED_TIES if ((d == p[0]) & (g == p[1])).any()}
+                least = np.lexsort((g, d))[: MAX_LISTED + 2]
+                kept += zip(d[least].tolist(), g[least].tolist())
+                kept = sorted(kept)[: MAX_LISTED + 2]
+                del d, g, least  # a block's worth each, freed before the next block
                 for idx in np.flatnonzero(tie)[: MAX_LISTED - len(equalities)].tolist():
                     i, j = divmod(idx, width)
                     equalities.append(
@@ -282,21 +296,18 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
                 return entry
 
             report.add(np.flatnonzero(~covered | (td > wd)), failure)
-    tied = np.concatenate(ties) if ties else np.empty((0, 2), dtype=np.int64)
-    tied = tied[np.lexsort((tied[:, 1], tied[:, 0]))]
     # the equalities as a multiset: one occurrence of each stated pair is
     # expected, and a second is unexpected
-    unexpected, missing = np.ones(len(tied), dtype=bool), []
-    for pair in ([1, 4], [4, 8]):
-        at = np.flatnonzero((tied == pair).all(axis=1))
-        if at.size:
-            unexpected[at[0]] = False
-        else:
-            missing.append(pair)
+    missing = []
+    for pair in _STATED_TIES:
+        if pair in kept:
+            kept.remove(pair)
+        elif pair not in present:
+            missing.append(list(pair))
     report.add(
         equality_diff(
             "equality pairs differ from {(1, 4), (4, 8)}",
-            tied[unexpected][:MAX_LISTED].tolist(),
+            [list(pair) for pair in kept[:MAX_LISTED]],
             missing,
         )
     )
@@ -352,10 +363,11 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
     dominating n, 4, is used instead.
 
     Each family is taken in blocks of rows of about ``kernels.PAIR_BLOCK``
-    cells: a column of r against the row of k, one call of the array
-    constructors and one failure mask per block.  The block's rows are read
-    in r order, each failing row's k in k order, so the failures and the
-    per-r witness entries come in the order of a scan pair by pair.  Only
+    cells (``kernels._row_blocks``): a column of r against the row of k,
+    one call of the array constructors and one failure mask per block.
+    The block's rows are read in r order, each failing row's k in k order,
+    so the failures and the per-r witness entries come in the order of a
+    scan pair by pair.  Only
     the k whose designated witness is not strict go to the closed-form rule
     in Python ints (for III with r = 2, k_max - 1 of them), one row at a
     time.  The largest value in a block is the witness dimension
@@ -370,14 +382,12 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
     report = VerificationReport(claim="remark-domination", range={"r_max": r_max, "k_max": k_max})
     ks = np.arange(2, k_max + 1, dtype=np.int64)
     width = ks.size
-    rows = max(1, kernels.PAIR_BLOCK // width)
     branches = (
         (FAMILY_II, orthogonal_star_pairs, 4),
         (FAMILY_III, quaternion_symplectic_pairs, 2),
     )
     for family, pairs_fn, r_lo in branches:
-        for r_start in range(r_lo, r_max + 1, rows):
-            r = np.arange(r_start, min(r_start + rows, r_max + 1), dtype=np.int64)[:, None]
+        for r_start, r in kernels._row_blocks(r_lo, r_max, width):
             designated = 2 * r - 1
             if family == FAMILY_III:
                 designated[r == 3] = 6

@@ -17,10 +17,13 @@ through buffers of its own and returns its count of failing values and the
 first ``MAX_LISTED`` of them, so a block's memory does not grow with its
 length, passing or failing.  The blocks' results go to the report in block
 order, so output is the same for any worker count.
-``lemma-dmax`` writes its table ``kernels.CHUNK`` genera at a time, then
-scans it in one call, which clears whole blocks of pairs by exact bounds and
-takes a numpy slice difference per g1 that they leave.  Every verifier hands
-its failures to :meth:`~agdim.report.VerificationReport.add` as it finds them.
+``lemma-dmax`` writes its table and ``prop-estimate`` compares its table
+with dmax chunk by chunk of ``kernels._chunks``, the one chunk walk; this
+module allocates no chunk buffer of its own and never writes into the
+values it walks.  ``lemma-dmax`` then scans its table in one call, which
+clears whole blocks of pairs by exact bounds and takes a numpy slice
+difference per g1 that they leave.  Every verifier hands its failures to
+:meth:`~agdim.report.VerificationReport.add` as it finds them.
 """
 
 from __future__ import annotations
@@ -132,9 +135,9 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
     """dmax(g1+g2) >= dmax(g1) + dmax(g2) for all 1 <= g1 <= g2 with
     g1+g2 <= g_max, with equality exactly at g1 = 1, g2 even >= 16."""
     D = np.zeros(g_max + 1, dtype=np.int64)
-    for lo in range(1, g_max + 1, kernels.CHUNK):  # one chunk's temporaries at a time
-        hi = min(lo + kernels.CHUNK, g_max + 1)
-        D[lo:hi] = kernels.dmax_values(np.arange(lo, hi, dtype=np.int64))
+    for lo, gs, _, _ in kernels._chunks(1, g_max, ints=0, masks=0):
+        D[lo : lo + gs.size] = kernels.dmax_values(gs)
+    del gs  # the chunk's values, freed before the scan
     scan = kernels.superadditivity_scan(D)
     report = VerificationReport(
         claim="lemma-dmax",
@@ -239,12 +242,12 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
     both sides are 0 (points only).  The <= check covers it; the equality-set
     comparison, which is about genuine family pairs, starts at g = 2.
 
-    dmax is compared with the table ``kernels.CHUNK`` genera at a time,
-    through two int64 buffers and three masks that the run allocates once
-    and every step writes into with ``out=``, so only the table spans the
-    whole range.  The rule's genera are strided slices of the chunk, as in
+    dmax is compared with the table chunk by chunk of ``kernels._chunks``,
+    through its buffers, so only the table spans the whole range.  The
+    rule's genera are strided slices of the chunk, as in
     ``kernels.piecewise_mismatches``.  The first ``MAX_LISTED`` unexpected
-    and missing genera are kept, and the equalities counted.
+    and missing genera are kept, by ``kernels._tally``, and the equalities
+    counted.
     """
     bi = kernels.best_indec_table(g_max)
     report = VerificationReport(
@@ -257,14 +260,9 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
         },
     )
     unexpected, missing, equalities = [], [], 0
-    size = min(kernels.CHUNK, g_max)
-    gs, dm_buf = np.arange(1, size + 1, dtype=np.int64), np.empty(size, dtype=np.int64)
-    masks = np.empty((3, size), dtype=bool)
-    for lo in range(1, g_max + 1, size):
-        m = min(size, g_max + 1 - lo)
-        best, (failing, equal, stated) = bi[lo : lo + m], masks[:, :m]
-        dm = kernels._dmax(gs[:m], dm_buf[:m], gs[:m])  # leaves g - 1 in gs
-        np.add(gs, size + 1, out=gs)  # the next chunk's genera
+    for lo, gs, (dm,), (failing, equal, stated) in kernels._chunks(1, g_max, ints=1, masks=3):
+        best = bi[lo : lo + gs.size]
+        dm = kernels._dmax(gs, dm, failing)
         report.add(
             np.flatnonzero(np.greater(best, dm, out=failing)),
             lambda i: {
@@ -276,16 +274,14 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
         )
         np.equal(best, dm, out=equal)
         stated[:] = False
-        first = max(0, 16 - lo)  # index of g = 16, or 0 past it
-        stated[first + (lo + first) % 2 :: 2] = True  # even g >= 16
+        stated[kernels._even_odd(lo)[0]] = True  # even g >= 16
         if lo == 1:
             equal[0] = False  # genus 1
-        if lo <= 2 < lo + m:
+        if lo <= 2 < lo + gs.size:
             stated[2 - lo] = True
         equalities += int(np.count_nonzero(equal))
         for listed, (a, b) in ((unexpected, (equal, stated)), (missing, (stated, equal))):
-            np.greater(a, b, out=failing)  # a and not b
-            listed += (np.flatnonzero(failing)[: MAX_LISTED - len(listed)] + lo).tolist()
+            kernels._tally(listed, lo, np.greater(a, b, out=failing))  # a and not b
     report.add(
         equality_diff(
             "equality genera differ from {2} union {even g >= 16}", unexpected, missing
@@ -391,10 +387,10 @@ REGISTRY: dict[str, Verifier] = {
     "lemma-dmax": Verifier(
         params=(RangeParam("--g-max", 4000, 10_000_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_superadditivity,
-        # per genus, passing: 32 within one chunk (its table build), 28.5
-        # past it up to 1e7 (the table, and the scan's 20.5: the row buffer
-        # and row 1's pairs; the block bounds' arrays, 8 at most, are freed
-        # before the rows they leave are scanned); 57-58 from 2e3 to 2e4 when
+        # per genus, passing: 28.5-28.7 up to 1e7, within one chunk or past
+        # it (the table, and the scan's 20.5: the row buffer and row 1's
+        # pairs; the block bounds' arrays, 8 at most, are freed before the
+        # rows they leave are scanned); 57-58 from 2e3 to 2e4 when
         # every pair is an equality, in the g1 = 1 row's scan; 10% above
         # that, and 64 kB for a small range
         peak_bytes=lambda g_max: 64 * g_max + 2**16,

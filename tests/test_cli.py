@@ -296,7 +296,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "claim, g_max, chunk, per_genus",
         [
-            pytest.param("lemma-dmax", 20_000, kernels.CHUNK, 33, id="lemma-dmax-20000"),
+            # one chunk: 32.05 while the table build kept its own temporaries,
+            # 28.6 through the chunk walk, where the scan sets the peak
+            pytest.param("lemma-dmax", 20_000, kernels.CHUNK, 30, id="lemma-dmax-20000"),
             # a table of five chunks, as past CHUNK genera: the scan sets the peak
             pytest.param("lemma-dmax", 20_000, 4096, 29, id="lemma-dmax-20000-chunk-4096"),
             pytest.param("prop-estimate", 1_000_000, kernels.CHUNK, 17, id="prop-estimate-1000000"),
@@ -432,6 +434,22 @@ class TestVerifyCommand:
         finally:
             tracemalloc.stop()
         assert report.passed and peak <= 96 * kernels.PAIR_BLOCK
+
+    def test_failing_claim_f_peak_set_by_its_block(self, monkeypatch):
+        # Every rank-1 cell ties with its witness.  Keeping every tie for the
+        # equality-set check peaked at 60 MB at 1024; the check keeps
+        # MAX_LISTED + 2 of them, so a failing run stays within a passing
+        # run's bound.
+        _tie_every_rank1_cell(monkeypatch)
+        tracemalloc.start()
+        try:
+            report = verify.run_verifier(
+                "claim-F", {"s_max": 1024, "delta_max": 1024}, unsafe_no_ceiling=True
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.passed and peak <= 96 * kernels.PAIR_BLOCK
 
     def test_claims_without_peak_bytes(self):
         # A claim states no memory figure only for a reason, given here:
@@ -594,6 +612,11 @@ def _extra_equality(mp):
         return np.where(at, 4, d), np.where(at, 8, g)
 
     mp.setattr(pairs, "division_rank1_pairs", fake)
+
+
+def _tie_every_rank1_cell(mp):
+    # every I_nc1 pair equals its designated witness unitary_pair(2, s delta^2 // 2)
+    mp.setattr(pairs, "division_rank1_pairs", lambda s, delta: pairs.unitary_pairs(2, s * delta**2 // 2))
 
 
 def _bump_best_pair(mp):
@@ -871,6 +894,23 @@ class TestVerifierFailures:
         code, out, _ = run(capsys, ["verify", claim, *flags])
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "inject, size, digest",
+        [
+            (_tie_every_rank1_cell, 64, "8308a80b39215e4fd64168728970838d99f73f091156600c5b15ac3e9fb5f4fc"),
+            (_tie_every_rank1_cell, 256, "f8280c4c31ccd1a5625ffb2f31df40ceee453ed195f3907365e87ef5360d03c3"),
+            (_extra_equality, 64, "b8ca5c63fbe767c45e00366bbad79e16c5598844f5836ee208893d9f2135abd3"),
+            (_extra_equality, 256, "24c6272ff6398f06b1a24f2b3804201cb027a22f8c0f7a42717475356fca7bc6"),
+        ],
+    )
+    def test_claim_f_equality_set_report_unchanged(self, monkeypatch, inject, size, digest):
+        # Recorded while the equality-set check kept every tie pair, before
+        # it kept the MAX_LISTED + 2 smallest.
+        inject(monkeypatch)
+        doc = verify.run_verifier("claim-F", {"s_max": size, "delta_max": size}).to_dict()
+        assert doc["status"] == "fail"
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "g, delta, code, digest",

@@ -434,6 +434,45 @@ class TestChunkBoundaries:
             assert listed == want, length
 
 
+class TestWalks:
+    """The two walks every bulk scan takes: chunks of ``CHUNK`` values and
+    blocks of about ``PAIR_BLOCK`` cells of rows."""
+
+    @pytest.mark.parametrize("fill", [True, False])
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_dmax_in_chunk_buffers(self, monkeypatch, chunk, fill):
+        # out and the bool scratch are dirtied before each call, so a step
+        # that left a stale value where g - 1 does not win would show.
+        monkeypatch.setattr(kernels, "CHUNK", chunk)
+        got = []
+        for start, gs, (out,), (scratch,) in kernels._chunks(1, 5000, ints=1, masks=1):
+            out[:], scratch[:] = -1, fill
+            assert kernels._dmax(gs, out, scratch) is out
+            got += out.tolist()
+        assert got == [dmax(g) for g in range(1, 5001)]
+        top = kernels.MAX_SAFE_G
+        gs = np.arange(top - 20, top + 1, dtype=np.int64)
+        out, scratch = np.full(gs.size, -1, dtype=np.int64), np.full(gs.size, fill)
+        assert kernels._dmax(gs, out, scratch).tolist() == [dmax(g) for g in range(top - 20, top + 1)]
+
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    def test_row_blocks_tile_rows(self, monkeypatch, block):
+        # Widths below, at and above the block: every row once, in order,
+        # in blocks of max(1, PAIR_BLOCK // width) rows, the last one short.
+        monkeypatch.setattr(kernels, "PAIR_BLOCK", block)
+        for lo, hi in ((1, 1), (2, 9), (4, 1000)):
+            for width in sorted({1, 2, 3, max(1, block - 1), block, block + 1, 5 * block}):
+                rows = max(1, block // width)
+                seen, sizes = [], []
+                for start, column in kernels._row_blocks(lo, hi, width):
+                    assert column.dtype == np.int64 and column.shape == (column.size, 1)
+                    assert column[0, 0] == start
+                    seen += column[:, 0].tolist()
+                    sizes.append(column.size)
+                assert seen == list(range(lo, hi + 1)), (lo, hi, width)
+                assert sizes[:-1] == [rows] * (len(sizes) - 1) and 1 <= sizes[-1] <= rows
+
+
 class TestGuards:
     def test_overflow_ceilings(self, monkeypatch):
         top = kernels.MAX_SAFE_G

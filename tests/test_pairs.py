@@ -27,7 +27,7 @@ from agdim.pairs import (
     verify_remark_domination,
 )
 from agdim.report import MAX_LISTED, VerificationReport
-from test_cli import _extra_equality, _huge_rank2, _undominated_family_ii
+from test_cli import _extra_equality, _huge_rank2, _tie_every_rank1_cell, _undominated_family_ii
 from test_report import counter_diff
 
 # The ten unitary-family pairs of genus <= 15, frozen from the case analysis:
@@ -353,7 +353,7 @@ def scalar_claim_f(s_max, delta_max, k_max, n_max):
             {"family": "I_nc1", "witness_rule": "k=2, n=floor(s*delta^2/2)", "strict_except": [[1, 4]]},
             {"family": "I_nc2", "witness_rule": "k=2, n=s*delta^2", "strict_except": [[4, 8]]},
         ],
-        details={"pairs_checked": checked, "equalities": equalities},
+        details={"pairs_checked": checked, "equalities": equalities[:MAX_LISTED]},
     )
 
 
@@ -434,6 +434,11 @@ def _scalar_huge_rank2(mp):
     mp.setattr(pairs_mod, "division_rank2_pair", lambda s, d: Pair(10**9, real(s, d).g))
 
 
+def _scalar_tie_every_rank1_cell(mp):
+    _tie_every_rank1_cell(mp)
+    mp.setattr(pairs_mod, "division_rank1_pair", lambda s, d: unitary_pair(2, s * d * d // 2))
+
+
 def _scalar_undominated_family_ii(mp):
     _undominated_family_ii(mp)
     mp.setattr(pairs_mod, "orthogonal_star_pair", lambda k, r: Pair(10**6, 2 * r * k))
@@ -445,12 +450,15 @@ class TestBlocksOfRows:
     at 7 and 300 the ranges below take several blocks of several rows, one
     of them short.  Each fault is made in the array form and in its scalar
     twin: it fails every rank-2 cell, or every family II cell, so failures
-    straddle every block edge, or adds a tie at (s, delta) = (2, 2)."""
+    straddle every block edge, or adds a tie at (s, delta) = (2, 2), or
+    ties every rank-1 cell, so the smallest ties come from several blocks."""
 
     CLAIM_F = [(2, 2, 2, 2), (9, 2, 3, 3), (40, 13, 3, 4), (70, 6, 2, 4), (3, 400, 2, 2)]
     REMARK = [(2, 2), (13, 2), (9, 13), (40, 9), (320, 2), (6, 400)]
 
-    @pytest.mark.parametrize("fault", [None, _scalar_extra_equality, _scalar_huge_rank2])
+    @pytest.mark.parametrize(
+        "fault", [None, _scalar_extra_equality, _scalar_huge_rank2, _scalar_tie_every_rank1_cell]
+    )
     @pytest.mark.parametrize("block", [1, 7, 300])
     def test_claim_f_matches_scalar_loop(self, monkeypatch, block, fault):
         monkeypatch.setattr(kernels, "PAIR_BLOCK", block)
