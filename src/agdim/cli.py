@@ -10,10 +10,21 @@ Subcommands
                    ``moduli``: the case's narrative and descriptors
 ``catalog``        classification catalog export as JSON
 
-``main`` builds two ``argparse.ArgumentParser`` objects, the top-level one
-and the invoked subcommand's: the top level registers all five subcommands
-with their help lines only (``_Subcommand``), and a subcommand's parser and
-its arguments are built when it first parses.  ``main`` also answers
+``main`` parses a well-formed command line without argparse, by the
+arguments its subcommand declares (``_Declared``): the subcommand; its
+positional, if the next token does not start with ``-``; then exact flags,
+each at most once, a value flag followed by a token that does not start
+with ``-`` and that the flag's ``type`` converts to one of its ``choices``.
+The namespace equals the one argparse returns.  Any other command line
+(``-h``, ``--version``, an abbreviation, ``--flag=value``, ``--``, a
+repeated flag, a negative value, a positional after a flag, a bad value, no
+arguments) goes to argparse, which prints every help text, usage line and
+error.  argparse builds two ``argparse.ArgumentParser`` objects, the
+top-level one and the invoked subcommand's: the top level registers all
+five subcommands with their help lines only (``_Subcommand``), and a
+subcommand's parser and its arguments are built when it first parses.  In
+process on a 2-CPU x86 VM the direct parse takes 3-10 us, where building
+and parsing take 0.5-0.8 ms.  ``main`` also answers
 ``--schema`` for every subcommand, before its handler runs, and reports
 every usage error: a handler raises ``ValueError`` and ``main`` prints
 ``<command>: <message>`` on stderr.  ``verify``, ``catalog`` and
@@ -492,14 +503,112 @@ def _catalog_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_catalog)
 
 
+# name -> (help line, the callback that declares its arguments), in the
+# order the top-level help lists them
+_SUBCOMMANDS = {
+    "dmax": ("genus bound over a range, e.g. 16..18 or 100", _dmax_args),
+    "tables": ("emit the two summary tables", _tables_args),
+    "verify": ("run one exhaustive claim verifier", _verify_args),
+    "explain": ("attainment narrative for one genus", _explain_args),
+    "catalog": ("classification catalog as JSON", _catalog_args),
+}
+
+
+class _Declared:
+    """The arguments one subcommand's callback declares, recorded by running
+    the callback once, at import, on this object in place of an
+    ``argparse.ArgumentParser``.  ``parse`` reads them to parse a
+    well-formed command line without building a parser (see the module
+    docstring).
+
+    It records a positional with ``nargs="?"`` and flags that store one
+    value or ``store_true``, with their ``type``, ``choices`` and
+    ``default``.  A callback that declares anything else, or any other
+    keyword, leaves ``parse`` declining every command line of its
+    subcommand, so argparse parses them all."""
+
+    _KEYWORDS = {"action", "nargs", "type", "choices", "default", "help", "metavar"}
+
+    def __init__(self, arguments: Callable) -> None:
+        self.positional: tuple | None = None  # (dest, (type, choices))
+        self.flags: dict[str, tuple] = {}  # flag -> (dest, (type, choices)), or (dest, None) for store_true
+        self.defaults: dict = {}  # dest -> value when not given, set_defaults included
+        self.modeled = True
+        arguments(self)
+
+    def add_argument(self, name: str, *names: str, **kwargs) -> None:
+        action, nargs = kwargs.get("action"), kwargs.get("nargs")
+        kind = (kwargs.get("type"), kwargs.get("choices"))
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")  # argparse's dest for one long flag
+            store_true = action == "store_true"
+            self.flags[name] = (dest, None if store_true else kind)
+            self.defaults[dest] = kwargs.get("default", False if store_true else None)
+            modeled = nargs is None and action in (None, "store_true")
+        else:
+            modeled = self.positional is None and nargs == "?" and action is None
+            self.positional = (name, kind)
+            self.defaults[name] = kwargs.get("default")
+        self.modeled &= modeled and not names and kwargs.keys() <= self._KEYWORDS
+
+    def set_defaults(self, **kwargs) -> None:
+        self.defaults.update(kwargs)
+
+    def parse(self, command: str, tokens: list[str]) -> argparse.Namespace | None:
+        """The namespace ``build_parser().parse_args([command, *tokens])``
+        returns, when ``tokens`` are well formed (see the module
+        docstring); None for anything else."""
+        if not self.modeled:
+            return None
+        values = {"command": command, **self.defaults}
+        given = []  # ((dest, (type, choices)), token), converted below
+        tokens = iter(tokens)
+        token = next(tokens, None)
+        if self.positional and token is not None and not token.startswith("-"):
+            given.append((self.positional, token))
+            token = next(tokens, None)
+        seen = set()
+        while token is not None:
+            if token in seen or token not in self.flags:
+                return None
+            seen.add(token)
+            dest, kind = self.flags[token]
+            if kind is None:
+                values[dest] = True
+            else:  # a missing value declines, as a value starting with "-" does
+                given.append(((dest, kind), next(tokens, "-")))
+            token = next(tokens, None)
+        for (dest, (convert, choices)), token in given:
+            if token.startswith("-"):
+                return None
+            try:  # argparse reports exactly these as an invalid value
+                value = token if convert is None else convert(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+        return argparse.Namespace(**values)
+
+
+_DECLARED = {name: _Declared(arguments) for name, (_, arguments) in _SUBCOMMANDS.items()}
+
+
+def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
+    """``_Declared.parse`` of ``argv`` by its subcommand's declarations, or
+    None when ``argv`` does not start with a subcommand."""
+    declared = _DECLARED.get(argv[0]) if argv else None
+    return declared.parse(argv[0], argv[1:]) if declared else None
+
+
 class _Subcommand:
-    """A registered subcommand: the keyword arguments of its
-    ``argparse.ArgumentParser`` and the ``arguments`` callback that adds its
-    arguments.  Its first ``parse_known_args`` builds that parser and its
-    arguments, so a run builds one subcommand's parser and no other; each
-    parser costs three gettext lookups and a ``-h`` action, and each
-    argument a help formatter, which for all five subcommands took longer
-    than most commands take to run.
+    """A registered subcommand of ``build_parser``: the keyword arguments of
+    its ``argparse.ArgumentParser`` and the ``arguments`` callback that adds
+    its arguments.  Its first ``parse_known_args`` builds that parser and
+    its arguments, so a run that argparse parses builds one subcommand's
+    parser and no other; each parser costs three gettext lookups and a
+    ``-h`` action, and each argument a help formatter, which for all five
+    subcommands took longer than most commands take to run.
 
     This relies on argparse asking nothing else of a subparser, as CPython
     3.10-3.13 do: ``_SubParsersAction.__call__`` calls only its
@@ -523,7 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     builds: every subcommand is registered with its help line, and builds
     its own parser and arguments only when it parses (``_Subcommand``).
     All five stay registered because the top-level usage line, which also
-    reports an unknown flag, lists them."""
+    reports an unknown flag, lists them.  ``main`` builds it only for a
+    command line that ``_Declared.parse`` declines."""
     parser = argparse.ArgumentParser(
         prog="agdim",
         description="Exact dimension bounds for compact subvarieties of the "
@@ -531,20 +641,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"agdim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    sub.add_parser("dmax", help="genus bound over a range, e.g. 16..18 or 100", arguments=_dmax_args)
-    sub.add_parser("tables", help="emit the two summary tables", arguments=_tables_args)
-    sub.add_parser("verify", help="run one exhaustive claim verifier", arguments=_verify_args)
-    sub.add_parser("explain", help="attainment narrative for one genus", arguments=_explain_args)
-    sub.add_parser("catalog", help="classification catalog as JSON", arguments=_catalog_args)
+    for name, (line, arguments) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=line, arguments=arguments)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses 2 for usage errors already
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_direct(argv)
+    if args is None:  # argparse prints every help text, usage line and error
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse uses 2 for usage errors already
+            return int(exc.code or 0)
     try:
         if args.schema:
             _emit(_dumps(SCHEMAS_BY_COMMAND[args.command]), args.out)

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import stat
@@ -12,12 +14,14 @@ import types
 import typing
 from dataclasses import replace
 from datetime import datetime, timedelta
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import agdim
 import agdim.cli as cli
@@ -1517,6 +1521,56 @@ class TestTopLevel:
 CLI_SURFACE = json.loads((Path(__file__).parent / "cli_surface.json").read_text(encoding="utf-8"))
 
 
+# valid and invalid values of every positional and value flag
+_VALUES = st.sampled_from(
+    ["5", "0", "64", "16..18", "json", "csv", "xml", "ag", "all", "lemma-N", "cor-C", "abc", "-5", "", "1_000", " 7", "x.json"]
+)
+
+
+def _values(action: argparse.Action):
+    """A value for ``action``: one it accepts, or any of ``_VALUES``; None
+    for a flag that takes no value."""
+    if action.nargs == 0:
+        return None
+    accepted = action.choices or (["7", "128"] if action.type is int else ["16..18", "x.json"])
+    return st.one_of(st.sampled_from(sorted(accepted)), _VALUES)
+
+
+def _declared() -> dict[str, tuple]:
+    """Each subcommand's positional and flags, read from an argparse parser
+    built by its own callback (``-h`` and ``--help`` included): the values
+    of its positional, and its flags, each with ``_values`` of it."""
+    declared = {}
+    for name, (_, arguments) in cli._SUBCOMMANDS.items():
+        p = argparse.ArgumentParser()
+        arguments(p)
+        positional = next((_values(a) for a in p._actions if not a.option_strings), _VALUES)
+        declared[name] = (positional, {f: _values(a) for f, a in sorted(p._option_string_actions.items())})
+    return declared
+
+
+_ARGUMENTS = _declared()
+_COMMANDS = sorted(_ARGUMENTS)
+_FLAGS = st.sampled_from(sorted({flag for _, flags in _ARGUMENTS.values() for flag in flags}))
+_TOKENS = st.one_of(
+    st.sampled_from(_COMMANDS), _FLAGS, _VALUES, st.sampled_from(["--version", "--", "--g-max=5", "--g-m", "-"])
+)
+
+
+@st.composite
+def _shaped_argv(draw) -> list[str]:
+    """A subcommand, maybe a positional, then some of its own flags other
+    than ``-h`` and ``--help``, each once, a value after each that takes
+    one."""
+    command = draw(st.sampled_from(_COMMANDS))
+    positional, flags = _ARGUMENTS[command]
+    argv = [command, *draw(st.lists(positional, max_size=1))]
+    own = [flag for flag in flags if flag not in ("-h", "--help")]
+    for flag in draw(st.lists(st.sampled_from(own), max_size=4, unique=True)):
+        argv += [flag] if flags[flag] is None else [flag, draw(flags[flag])]
+    return argv
+
+
 class TestCliSurface:
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse text recorded as Python 3.11 prints it")
     @pytest.mark.parametrize("case", CLI_SURFACE, ids=lambda case: " ".join(case["argv"]) or "no-args")
@@ -1527,9 +1581,10 @@ class TestCliSurface:
     def test_one_parser_per_command(self, capsys, monkeypatch):
         # perfbench's tracer calls build_parser() with no arguments and wraps
         # parse_args on each parser it returns, so every call builds a new
-        # one.  build_parser builds one ArgumentParser; a run builds one
+        # one.  build_parser builds one ArgumentParser; a parse builds one
         # more, the invoked subcommand's, and no other subcommand adds its
-        # arguments.
+        # arguments.  main builds none for a well-formed command line, and
+        # for every other one what it built before it parsed any directly.
         assert inspect.signature(cli.build_parser).parameters == {}
         built, added = [], []
         init = argparse.ArgumentParser.__init__
@@ -1546,8 +1601,8 @@ class TestCliSurface:
             return add
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-        for name in ("dmax", "tables", "verify", "explain", "catalog"):
-            monkeypatch.setattr(cli, f"_{name}_args", counting(name, getattr(cli, f"_{name}_args")))
+        subcommands = {name: (line, counting(name, real)) for name, (line, real) in cli._SUBCOMMANDS.items()}
+        monkeypatch.setattr(cli, "_SUBCOMMANDS", subcommands)
 
         parser = cli.build_parser()
         assert cli.build_parser() is not parser
@@ -1556,19 +1611,41 @@ class TestCliSurface:
         assert parser.parse_args(["verify", "f-bounds"]).claim == "f-bounds"
         assert (built[2:], added) == (["agdim verify"], ["verify"])  # added once per parser
 
-        for argv, code, command in [
-            (["explain", "5"], 0, "explain"),
-            (["verify", "lemma-N", "--sum-max", "8"], 0, "verify"),
-            (["-h"], 0, None),
-            (["--version"], 0, None),
-            ([], 2, None),
-            (["bogus"], 2, None),
+        for argv, code, parsers in [
+            (["explain", "5"], 0, []),
+            (["verify", "lemma-N", "--sum-max", "8"], 0, []),
+            (["explain", "--format", "json", "5"], 0, ["agdim", "agdim explain"]),  # declined
+            (["-h"], 0, ["agdim"]),
+            (["--version"], 0, ["agdim"]),
+            ([], 2, ["agdim"]),
+            (["bogus"], 2, ["agdim"]),
         ]:
             built.clear()
             added.clear()
             assert run(capsys, argv)[0] == code
-            assert built == ["agdim", *([f"agdim {command}"] if command else [])]
-            assert added == ([command] if command else [])
+            assert built == parsers
+            assert added == [prog.split()[1] for prog in parsers[1:]]
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(st.lists(_TOKENS, max_size=6), _shaped_argv()))
+    @example(["explain", "5", "--format", "json"])
+    @example(["verify", "cor-decoupled", "--rep-max", "64", "--k-max", "4"])
+    def test_direct_parse_matches_argparse(self, argv):
+        # A command line main parses without argparse is one argparse
+        # accepts, into the same namespace, value types included.
+        direct = cli._parse_direct(argv)
+        if direct is None:
+            return
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parsed = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse refused {argv}: {err.getvalue()}")
+
+        def typed(ns):
+            return sorted((k, type(v), v) for k, v in vars(ns).items())
+
+        assert typed(direct) == typed(parsed)
 
 
 def test_python_dash_m():

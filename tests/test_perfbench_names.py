@@ -6,12 +6,17 @@ wrappers by name.  A name that no longer exists breaks only the traced
 benchmark run, and a function object stored in a table at import keeps
 running unwrapped, so the run silently misses it.  These tests read the
 benchmark's own name lists and check each one against agdim.
+
+They also check that every command line the benchmark's workloads run is
+one ``agdim.cli`` parses without building argparse parsers, so a change
+that sends a workload's form back to argparse fails here.
 """
 
 import dataclasses
 import importlib
 import importlib.util
 import pkgutil
+import random
 import sys
 import types
 from pathlib import Path
@@ -19,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import agdim
+import agdim.cli as cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -98,3 +104,13 @@ def test_no_table_holds_a_wrapped_function(tracer, workloads):
                 seen.add(id(value))
                 stack += [(path, child) for child in _children(value)]
     assert held == []
+
+
+@pytest.mark.parametrize("scale", ["full", "tiny"])
+@pytest.mark.parametrize("name", ["scan", "query"])
+def test_workload_argv_parse_directly(workloads, name, scale):
+    workload = workloads.WORKLOADS[name]
+    passes = workload.passes(random.Random(1), scale)
+    ops = [*workload.warmup(scale), *(op for _ in range(5) for op in next(passes))]
+    declined = sorted({op.argv for op in ops if cli._parse_direct(list(op.argv)) is None})
+    assert declined == []
