@@ -10,21 +10,18 @@ Subcommands
                    ``moduli``: the case's narrative and descriptors
 ``catalog``        classification catalog export as JSON
 
-``main`` parses a well-formed command line without argparse, by the
-arguments its subcommand declares (``_Declared``): the subcommand; its
-positional, if the next token does not start with ``-``; then exact flags,
-each at most once, a value flag followed by a token that does not start
-with ``-`` and that the flag's ``type`` converts to one of its ``choices``.
-The namespace equals the one argparse returns.  Any other command line
-(``-h``, ``--version``, an abbreviation, ``--flag=value``, ``--``, a
-repeated flag, a negative value, a positional after a flag, a bad value, no
-arguments) goes to argparse, which prints every help text, usage line and
-error.  argparse builds two ``argparse.ArgumentParser`` objects, the
-top-level one and the invoked subcommand's: the top level registers all
-five subcommands with their help lines only (``_Subcommand``), and a
-subcommand's parser and its arguments are built when it first parses.  In
-process on a 2-CPU x86 VM the direct parse takes 3-10 us, where building
-and parsing take 0.5-0.8 ms.  ``main`` also answers
+``_SUBCOMMANDS`` declares each subcommand once, as data: its help line,
+its handler and its arguments (``_Arg``), and two readers use it.
+``main`` parses a well-formed command line without argparse
+(``_parse_direct``): the subcommand; its positional, if the next token does
+not start with ``-``; then exact flags, each at most once, a value flag
+followed by a token that does not start with ``-`` and that the flag's
+``type`` converts to one of its ``choices``.  The namespace equals the one
+argparse returns.  Any other command line (``-h``, ``--version``, an
+abbreviation, ``--flag=value``, ``--``, a repeated flag, a negative value,
+a positional after a flag, a bad value, no arguments) goes to the parser
+``build_parser`` builds from the same table, which prints every help text,
+usage line and error.  ``main`` also answers
 ``--schema`` for every subcommand, before its handler runs, and reports
 every usage error: a handler raises ``ValueError`` and ``main`` prints
 ``<command>: <message>`` on stderr.  ``verify``, ``catalog`` and
@@ -86,7 +83,7 @@ import sys
 from datetime import datetime, timezone
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -443,206 +440,141 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, formats: bool = True) -> None:
-    if formats:
-        sub.add_argument("--format", choices=_FORMATS, default="markdown")
-    sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    sub.add_argument("--schema", action="store_true", help="print the JSON schema and exit")
-    sub.add_argument(
-        "--timestamp",
-        action="store_true",
-        help="include a generation timestamp (output is byte-stable without it)",
-    )
+class _Arg(NamedTuple):
+    """One argument of a subcommand.  A name that starts with ``-`` is a
+    flag that stores one value, or ``True`` when ``switch`` is set
+    (argparse's ``store_true``, which starts ``False``: a switch takes no
+    ``default``); any other name is a positional with ``nargs="?"``.  These
+    are the only kinds ``_parse_direct`` reads."""
+
+    name: str
+    type: Callable | None = None
+    choices: tuple | None = None
+    default: object = None
+    help: str | None = None
+    metavar: str | None = None
+    switch: bool = False
 
 
-def _dmax_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("range", nargs="?", help="single genus or inclusive range a..b")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_dmax)
+_FORMAT = _Arg("--format", choices=_FORMATS, default="markdown")
+_COMMON = (
+    _Arg("--out", metavar="PATH", help="write output to PATH instead of stdout"),
+    _Arg("--schema", switch=True, help="print the JSON schema and exit"),
+    _Arg("--timestamp", switch=True, help="include a generation timestamp (output is byte-stable without it)"),
+)
 
-
-def _tables_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--table", choices=("ag", "mg", "all"), default="all")
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="compare every cell against the frozen fixtures; exit 1 on mismatch",
-    )
-    p.add_argument(
-        "--conjectural",
-        action="store_true",
-        help="add clearly labeled conjectural rows (never part of --check)",
-    )
-    _add_common(p)
-    p.set_defaults(handler=_cmd_tables)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("claim", nargs="?", choices=sorted(REGISTRY))
-    for flag in _RANGE_FLAGS.values():
-        p.add_argument(flag, type=int, default=None, metavar="N")
-    p.add_argument(
-        "--unsafe-no-ceiling",
-        action="store_true",
-        help="lift the hard ceilings on range flags",
-    )
-    _add_common(p, formats=False)
-    p.set_defaults(handler=_cmd_verify)
-
-
-def _explain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("g", nargs="?", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_explain)
-
-
-def _catalog_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(_CATALOG_REP_MAX.name, type=int, default=_CATALOG_REP_MAX.default, metavar="N")
-    p.add_argument("--unsafe-no-ceiling", action="store_true")
-    _add_common(p, formats=False)
-    p.set_defaults(handler=_cmd_catalog)
-
-
-# name -> (help line, the callback that declares its arguments), in the
-# order the top-level help lists them
+# name -> (help line, handler, arguments), in the order the top-level help
+# lists them; each subcommand's help lists its arguments in this order
 _SUBCOMMANDS = {
-    "dmax": ("genus bound over a range, e.g. 16..18 or 100", _dmax_args),
-    "tables": ("emit the two summary tables", _tables_args),
-    "verify": ("run one exhaustive claim verifier", _verify_args),
-    "explain": ("attainment narrative for one genus", _explain_args),
-    "catalog": ("classification catalog as JSON", _catalog_args),
+    "dmax": ("genus bound over a range, e.g. 16..18 or 100", _cmd_dmax, (
+        _Arg("range", help="single genus or inclusive range a..b"),
+        _FORMAT, *_COMMON,
+    )),
+    "tables": ("emit the two summary tables", _cmd_tables, (
+        _Arg("--table", choices=("ag", "mg", "all"), default="all"),
+        _Arg("--check", switch=True, help="compare every cell against the frozen fixtures; exit 1 on mismatch"),
+        _Arg("--conjectural", switch=True, help="add clearly labeled conjectural rows (never part of --check)"),
+        _FORMAT, *_COMMON,
+    )),
+    "verify": ("run one exhaustive claim verifier", _cmd_verify, (
+        _Arg("claim", choices=tuple(sorted(REGISTRY))),
+        *(_Arg(flag, int, metavar="N") for flag in _RANGE_FLAGS.values()),
+        _Arg("--unsafe-no-ceiling", switch=True, help="lift the hard ceilings on range flags"),
+        *_COMMON,
+    )),
+    "explain": ("attainment narrative for one genus", _cmd_explain, (
+        _Arg("g", int),
+        _FORMAT, *_COMMON,
+    )),
+    "catalog": ("classification catalog as JSON", _cmd_catalog, (
+        _Arg(_CATALOG_REP_MAX.name, int, default=_CATALOG_REP_MAX.default, metavar="N"),
+        _Arg("--unsafe-no-ceiling", switch=True),
+        *_COMMON,
+    )),
 }
 
 
-class _Declared:
-    """The arguments one subcommand's callback declares, recorded by running
-    the callback once, at import, on this object in place of an
-    ``argparse.ArgumentParser``.  ``parse`` reads them to parse a
-    well-formed command line without building a parser (see the module
-    docstring).
-
-    It records a positional with ``nargs="?"`` and flags that store one
-    value or ``store_true``, with their ``type``, ``choices`` and
-    ``default``.  A callback that declares anything else, or any other
-    keyword, leaves ``parse`` declining every command line of its
-    subcommand, so argparse parses them all."""
-
-    _KEYWORDS = {"action", "nargs", "type", "choices", "default", "help", "metavar"}
-
-    def __init__(self, arguments: Callable) -> None:
-        self.positional: tuple | None = None  # (dest, (type, choices))
-        self.flags: dict[str, tuple] = {}  # flag -> (dest, (type, choices)), or (dest, None) for store_true
-        self.defaults: dict = {}  # dest -> value when not given, set_defaults included
-        self.modeled = True
-        arguments(self)
-
-    def add_argument(self, name: str, *names: str, **kwargs) -> None:
-        action, nargs = kwargs.get("action"), kwargs.get("nargs")
-        kind = (kwargs.get("type"), kwargs.get("choices"))
-        if name.startswith("-"):
-            dest = name.lstrip("-").replace("-", "_")  # argparse's dest for one long flag
-            store_true = action == "store_true"
-            self.flags[name] = (dest, None if store_true else kind)
-            self.defaults[dest] = kwargs.get("default", False if store_true else None)
-            modeled = nargs is None and action in (None, "store_true")
+def _direct(command: str, handler: Callable, arguments: tuple[_Arg, ...]) -> tuple:
+    """What ``_parse_direct`` reads of one subcommand: its positional (or
+    None), its flags by name, each with its dest, and the namespace of no
+    arguments, as argparse fills it."""
+    positional, flags = None, {}
+    defaults = {"command": command, "handler": handler}
+    for arg in arguments:
+        if arg.name.startswith("-"):
+            dest = arg.name.lstrip("-").replace("-", "_")  # argparse's dest for one long flag
+            flags[arg.name] = (dest, arg)
+            defaults[dest] = False if arg.switch else arg.default
         else:
-            modeled = self.positional is None and nargs == "?" and action is None
-            self.positional = (name, kind)
-            self.defaults[name] = kwargs.get("default")
-        self.modeled &= modeled and not names and kwargs.keys() <= self._KEYWORDS
-
-    def set_defaults(self, **kwargs) -> None:
-        self.defaults.update(kwargs)
-
-    def parse(self, command: str, tokens: list[str]) -> argparse.Namespace | None:
-        """The namespace ``build_parser().parse_args([command, *tokens])``
-        returns, when ``tokens`` are well formed (see the module
-        docstring); None for anything else."""
-        if not self.modeled:
-            return None
-        values = {"command": command, **self.defaults}
-        given = []  # ((dest, (type, choices)), token), converted below
-        tokens = iter(tokens)
-        token = next(tokens, None)
-        if self.positional and token is not None and not token.startswith("-"):
-            given.append((self.positional, token))
-            token = next(tokens, None)
-        seen = set()
-        while token is not None:
-            if token in seen or token not in self.flags:
-                return None
-            seen.add(token)
-            dest, kind = self.flags[token]
-            if kind is None:
-                values[dest] = True
-            else:  # a missing value declines, as a value starting with "-" does
-                given.append(((dest, kind), next(tokens, "-")))
-            token = next(tokens, None)
-        for (dest, (convert, choices)), token in given:
-            if token.startswith("-"):
-                return None
-            try:  # argparse reports exactly these as an invalid value
-                value = token if convert is None else convert(token)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
-            if choices is not None and value not in choices:
-                return None
-            values[dest] = value
-        return argparse.Namespace(**values)
+            positional = arg
+            defaults[arg.name] = arg.default
+    return positional, flags, defaults
 
 
-_DECLARED = {name: _Declared(arguments) for name, (_, arguments) in _SUBCOMMANDS.items()}
+_DIRECT = {name: _direct(name, handler, arguments) for name, (_, handler, arguments) in _SUBCOMMANDS.items()}
 
 
 def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
-    """``_Declared.parse`` of ``argv`` by its subcommand's declarations, or
-    None when ``argv`` does not start with a subcommand."""
-    declared = _DECLARED.get(argv[0]) if argv else None
-    return declared.parse(argv[0], argv[1:]) if declared else None
-
-
-class _Subcommand:
-    """A registered subcommand of ``build_parser``: the keyword arguments of
-    its ``argparse.ArgumentParser`` and the ``arguments`` callback that adds
-    its arguments.  Its first ``parse_known_args`` builds that parser and
-    its arguments, so a run that argparse parses builds one subcommand's
-    parser and no other; each parser costs three gettext lookups and a
-    ``-h`` action, and each argument a help formatter, which for all five
-    subcommands took longer than most commands take to run.
-
-    This relies on argparse asking nothing else of a subparser, as CPython
-    3.10-3.13 do: ``_SubParsersAction.__call__`` calls only its
-    ``parse_known_args``, and the top-level help and usage read only the
-    subcommand names and the help lines (``_ChoicesPseudoAction``)."""
-
-    def __init__(self, *, arguments: Callable[[argparse.ArgumentParser], None], **kwargs):
-        self._arguments = arguments
-        self._kwargs = kwargs
-        self._parser: argparse.ArgumentParser | None = None
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._parser is None:
-            self._parser = argparse.ArgumentParser(**self._kwargs)
-            self._arguments(self._parser)
-        return self._parser.parse_known_args(args, namespace)
+    """The namespace ``build_parser().parse_args(argv)`` returns, when
+    ``argv`` is well formed (see the module docstring); None for anything
+    else."""
+    direct = _DIRECT.get(argv[0]) if argv else None
+    if direct is None:
+        return None
+    positional, flags, defaults = direct
+    values = defaults.copy()
+    given = []  # (dest, arg, token), converted below
+    tokens = iter(argv[1:])
+    token = next(tokens, None)
+    if positional and token is not None and not token.startswith("-"):
+        given.append((positional.name, positional, token))
+        token = next(tokens, None)
+    seen = set()
+    while token is not None:
+        if token in seen or token not in flags:
+            return None
+        seen.add(token)
+        dest, arg = flags[token]
+        if arg.switch:
+            values[dest] = True
+        else:  # a missing value declines, as a value starting with "-" does
+            given.append((dest, arg, next(tokens, "-")))
+        token = next(tokens, None)
+    for dest, arg, token in given:
+        if token.startswith("-"):
+            return None
+        try:  # argparse reports exactly these as an invalid value
+            value = token if arg.type is None else arg.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new ``agdim`` parser, the only ``argparse.ArgumentParser`` it
-    builds: every subcommand is registered with its help line, and builds
-    its own parser and arguments only when it parses (``_Subcommand``).
-    All five stay registered because the top-level usage line, which also
-    reports an unknown flag, lists them.  ``main`` builds it only for a
-    command line that ``_Declared.parse`` declines."""
+    """A new ``agdim`` parser with every subcommand's parser and arguments,
+    built from ``_SUBCOMMANDS``.  ``main`` builds it only for a command line
+    that ``_parse_direct`` declines, so it prints every help text, usage
+    line and error."""
     parser = argparse.ArgumentParser(
         prog="agdim",
         description="Exact dimension bounds for compact subvarieties of the "
         "moduli of abelian varieties, with exhaustive claim verifiers.",
     )
     parser.add_argument("--version", action="version", version=f"agdim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    for name, (line, arguments) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=line, arguments=arguments)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (line, handler, arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=line)
+        for arg in arguments:
+            keywords = arg._asdict()
+            name, switch = keywords.pop("name"), keywords.pop("switch")
+            keywords["action"] = "store_true" if switch else None
+            keywords["nargs"] = None if name.startswith("-") else "?"
+            # only what is set, so a switch keeps argparse's default, False
+            p.add_argument(name, **{k: v for k, v in keywords.items() if v is not None})
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "CeilingExceeded",
     "admit",
     "range_args",
+    "run_verifier",
 ]
 
 _WORKERS = os.cpu_count() or 1  # thread-pool size for blocked scans

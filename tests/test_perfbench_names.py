@@ -9,7 +9,8 @@ benchmark's own name lists and check each one against agdim.
 
 They also check that every command line the benchmark's workloads run is
 one ``agdim.cli`` parses without building argparse parsers, so a change
-that sends a workload's form back to argparse fails here.
+that sends a workload's form back to argparse fails here, and that ``main``
+builds its parsers through the module attribute the tracer replaces.
 """
 
 import dataclasses
@@ -114,3 +115,24 @@ def test_workload_argv_parse_directly(workloads, name, scale):
     ops = [*workload.warmup(scale), *(op for _ in range(5) for op in next(passes))]
     declined = sorted({op.argv for op in ops if cli._parse_direct(list(op.argv)) is None})
     assert declined == []
+
+
+@pytest.mark.parametrize("name", ["scan", "query"])
+def test_main_builds_parsers_through_the_traced_name(workloads, monkeypatch, capsys, name):
+    # The tracer times argparse only by replacing cli.build_parser, so main
+    # must look that name up when it builds a parser, not hold the function
+    # it named at import.
+    calls = []
+    build_parser = cli.build_parser
+
+    def spy():
+        calls.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert cli.main(["explain", "--format", "json", "5"]) == 0  # declined by the direct parse
+    assert len(calls) == 1
+    workload = workloads.WORKLOADS[name]
+    ops = [*workload.warmup("tiny"), *next(workload.passes(random.Random(1), "tiny"))]
+    assert {cli.main(list(argv)) for argv in {op.argv for op in ops}} == {0}
+    assert len(calls) == 1
