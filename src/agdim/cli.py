@@ -57,19 +57,17 @@ separator, runs the C encoder on every leaf; its text is split on
 - a row of a long export fills the template of its layout (``_layout``):
   ``_template`` of one row of that layout, with each ``int`` leaf left as
   ``%s`` and every other leaf encoded by json.  ``%s`` of an ``int`` is
-  ``int.__repr__``, which is what json writes for it; a ``bool``, a numpy
-  integer or any other ``int`` subclass is never filled in this way.  The
-  ``dmax --format json`` rows, ``{"g", "dmax"}``, all share one layout;
+  ``int.__repr__``, which is what json writes for it, so every value that
+  fills a template is exactly ``int`` (``%s`` of a ``bool`` is ``True``).
+  The ``dmax --format json`` rows, ``{"g", "dmax"}``, all share one layout;
 - a ``catalog`` row is an ``iter_cases`` row ``(layout, ints)``: its
   layout is its case and duality, the string leaves of its record, whose
   keys its case fixes, and ``ints`` its integer leaves (params, hss_dim,
-  rep_dim, min_compact_factors) in document order.  ``_catalog_rows``
-  builds each layout's template once, from the ``satake.record`` of the
-  first row of that layout, and fills it with each row's ``ints``, one
-  ``%`` per row; no record is built for the other rows.  A block with any
-  integer leaf that is not exactly ``int``, or a case or duality that is
-  not exactly ``str``, is rendered by ``_json_block`` of its records
-  instead.
+  rep_dim, min_compact_factors) in document order; ``iter_cases`` makes
+  every integer leaf exactly ``int`` and every layout leaf exactly ``str``.
+  ``_catalog_rows`` builds each layout's template once, from the
+  ``satake.record`` of the first row of that layout, and fills it with each
+  row's ``ints``, one ``%`` per row; no record is built for the other rows.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ import os
 import shutil
 import sys
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple, TextIO
 
@@ -256,17 +254,12 @@ def _items(items, nl: str, leaves: list) -> list[str]:
     return out
 
 
-def _json_block(block: list) -> str:
-    # The block's items as they sit in the document, one level deep.
-    return _dumps(block, "\n  ")[1:-4]
-
-
 def _layout(row) -> str:
     """The template of ``row``'s layout as a row of ``_write_json``'s list:
     ``_template`` of it, with each ``int`` leaf left as ``%s`` and every
     other leaf encoded by json.  ``template % ints``, the ``int`` leaves of
-    a row of that layout in document order, is that row's text in
-    ``_json_block``."""
+    a row of that layout in document order, is that row's text as
+    ``_dumps`` renders the list."""
     leaves: list = []
     template = _template(row, _ROW, leaves)
     # "\x00" is in no encoded leaf and no layout text; it marks the ints
@@ -275,16 +268,12 @@ def _layout(row) -> str:
 
 
 def _catalog_rows() -> Callable[[list], str]:
-    """The block renderer of ``catalog``: ``_json_block`` of the records of
-    a block of ``iter_cases`` rows, by one ``_layout`` template per row
-    layout (see the module docstring), built once per export."""
+    """The block renderer of ``catalog``: a block of ``iter_cases`` rows,
+    each filling the ``_layout`` template of its row layout (see the module
+    docstring), built once per export."""
     templates: dict = {}
 
     def render(block: list[tuple]) -> str:
-        layouts, ints = zip(*block)
-        exact = set(map(type, chain.from_iterable(ints))) == {int}
-        if not exact or set(map(type, chain.from_iterable(layouts))) != {str}:
-            return _json_block([record(*row) for row in block])
         # one % per row: one % of the whole block's template ran 7-10%
         # faster, but raised the peak RSS of the query benchmark by 1 MB
         rows = []
@@ -302,8 +291,9 @@ def _write_json(
     out: str | None, doc: dict, key: str, rows: Iterator, render: Callable[[list], str]
 ) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline, where the list
-    ``doc[key]`` (empty in ``doc``) holds the rows, at least one, each block
-    of them rendered by ``render`` as ``_json_block`` renders it."""
+    ``doc[key]`` (empty in ``doc``) holds the rows, at least one.  ``render``
+    makes a block of them the text of its items as ``_dumps`` renders them
+    in the list, joined by ``,``."""
     head, tail = _dumps(doc).split(f'"{key}": []')
     _write_rows(out, f'{head}"{key}": [', rows, render, f"\n  ]{tail}\n", sep=",")
 

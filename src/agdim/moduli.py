@@ -243,6 +243,10 @@ def _build_result(g: int, table: tuple[int, ...]) -> AgResult:
                 f"attainment descriptor {descriptor} re-evaluates to "
                 f"{descriptor.dimension}, not dmc={value}, at g={g}"
             )
+        if descriptor.genus != g:
+            raise RuntimeError(
+                f"attainment descriptor {descriptor} has genus {descriptor.genus}, not g={g}"
+            )
     return AgResult(g, value, attained, case, _CASES[case].narrative)
 
 

@@ -330,13 +330,16 @@ def iter_cases(max_rep_dim: int) -> Iterator[tuple[tuple[str, str], tuple[int, .
     """Every catalog case with rep_dim <= max_rep_dim as one row ``(layout,
     ints)``: ``layout`` is ``(case, duality)``, its string leaves, and
     ``ints`` is ``(*params, hss_dim, rep_dim, min_compact_factors)``, its
-    integer leaves, all Python ints; :func:`record` makes the JSON record of
-    a row.  The order is deterministic (family order as in the module
-    docstring, then ascending parameters).  The rows of each piece of
-    :func:`family_grid` are zipped from its columns, so memory stays flat
-    and nothing is built per case but the row.  The export reads its rows
-    here, one yield per case, so that perfbench's tracer, which wraps this
-    function, counts the cases of every export.
+    integer leaves; :func:`record` makes the JSON record of a row.  Every
+    integer leaf is exactly ``int`` (from ``.tolist()`` and the integer
+    rules) and every layout leaf exactly ``str``: the export fills its row
+    templates with them unchecked, and ``%s`` writes a ``bool`` or a numpy
+    integer otherwise than json does.  The order is deterministic (family
+    order as in the module docstring, then ascending parameters).  The rows
+    of each piece of :func:`family_grid` are zipped from its columns, so
+    memory stays flat and nothing is built per case but the row.  The export
+    reads its rows here, one yield per case, so that perfbench's tracer,
+    which wraps this function, counts the cases of every export.
     """
     for grid in family_grid(max_rep_dim):
         rule = _FAMILY[grid.family]

@@ -446,7 +446,13 @@ REGISTRY: dict[str, Verifier] = {
     ),
     "cor-C": Verifier(params=(), run=_verify_mgct),
     "cor-decoupled": Verifier(
-        params=(RangeParam("--rep-max", 1024, 2048), RangeParam("--k-max", 12, 64)),
+        # dmax_values(k * rep_dim) takes k <= k_max and rep_dim <= rep_max:
+        # limits whose product, 2^16 * (MAX_SAFE_G // 2^16), is at most
+        # MAX_SAFE_G refuse every genus past the kernel's ceiling up front
+        params=(
+            RangeParam("--rep-max", 1024, 2048, limit=2**16),
+            RangeParam("--k-max", 12, 64, limit=kernels.MAX_SAFE_G // 2**16),
+        ),
         run=_verify_catalog_bound,
         # the whole grid: about rep_max^2 / 4 cases at 89-99 bytes each (64 to
         # 1024), plus 64 kB of fixed cost that dominates small ranges

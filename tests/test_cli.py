@@ -253,6 +253,10 @@ class TestVerifyCommand:
             ("claim-F", "--delta-max", pairs.MAX_SAFE_CLAIM_F, "division_rank1_pairs"),
             ("remark-domination", "--r-max", pairs.MAX_SAFE_REMARK, "unitary_pairs"),
             ("remark-domination", "--k-max", pairs.MAX_SAFE_REMARK, "orthogonal_star_pairs"),
+            # dmax_values(k * rep_dim): the product of the two limits is at
+            # most MAX_SAFE_G
+            ("cor-decoupled", "--rep-max", 2**16, "dmax_values"),
+            ("cor-decoupled", "--k-max", kernels.MAX_SAFE_G // 2**16, "dmax_values"),
         ],
     )
     def test_kernel_ceiling_usage_error(self, capsys, monkeypatch, claim, flag, limit, kernel):
@@ -1155,6 +1159,21 @@ class TestExplainCommand:
         assert err.startswith("explain: attainment descriptor ") and err.count("\n") == 1
         assert err.endswith(" re-evaluates to 12, not dmc=16, at g=16\n")
 
+    def test_descriptor_genus_self_check_exits_one(self, capsys, monkeypatch):
+        # a descriptor of the right dimension but of another genus: at g=18,
+        # a point times the unitary family of genus 18 has dimension 20 = dmc
+        # and genus 19
+        wrong = moduli._CASES["iii"]._replace(
+            attained_by=lambda g: (moduli.ProductWithPoint(moduli.SpecialFamily.unitary(2, g // 2)),)
+        )
+        monkeypatch.setitem(moduli._CASES, "iii", wrong)
+        assert run(capsys, ["explain", "18"]) == (
+            1,
+            "",
+            "explain: attainment descriptor ProductWithPoint(SpecialFamily(k=2, n=9)) "
+            "has genus 19, not g=18\n",
+        )
+
     def test_json_schema_valid(self, capsys):
         for g in range(1, 41):
             code, out, _ = run(capsys, ["explain", str(g), "--format", "json"])
@@ -1336,7 +1355,10 @@ class TestCatalogCommand:
         code, out, _ = run(capsys, ["catalog", "--rep-max", str(rep_max)])
         records = satake.catalog_json(rep_max)
         assert code == 0 and [satake.record(*r) for rows, _ in written for r in rows] == records
-        assert all(text == cli._json_block([satake.record(*r) for r in rows]) for rows, text in written)
+        # the rows' records as _dumps renders them one level deep, without
+        # the list's brackets
+        oracle = [cli._dumps([satake.record(*r) for r in rows], "\n  ")[1:-4] for rows, _ in written]
+        assert [text for _, text in written] == oracle
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         if rep_max == 300:
             layouts = {(r["case"], r["duality"], r["min_compact_factors"]) for r in records}
@@ -1345,45 +1367,15 @@ class TestCatalogCommand:
             # besides r = 3 with no forced compact factor
             assert len(layouts) == 19 and {r[0] for r in layouts} == set(satake.FAMILIES)
 
-    @pytest.mark.parametrize("key", ["hss_dim", "rep_dim", "min_compact_factors", "p"])
-    def test_non_int_leaves_never_filled(self, key):
-        # A bool or a numpy integer is never written with %s: a bool as json
-        # writes it, and a numpy integer is json's TypeError, as in
-        # _json_block.  The block around it renders as before, and so does
-        # a later block of the same layout.
-        rows = list(satake.iter_cases(8))
-        render = cli._catalog_rows()
-        for odd, want in [(True, "true"), (np.int64(5), TypeError)]:
-            block = list(rows)
-            at = next(i for i, (layout, ints) in enumerate(block) if layout[0] == "I" and ints[1] == 5)
-            layout, ints = block[at]
-            pos = ("p", "n", "hss_dim", "rep_dim", "min_compact_factors").index(key)
-            block[at] = (layout, (*ints[:pos], odd, *ints[pos + 1 :]))
-            records = [satake.record(*r) for r in block]
-            if want is TypeError:
-                with pytest.raises(TypeError):
-                    cli._json_block(records)
-                with pytest.raises(TypeError):
-                    render(block)
-                continue
-            text = render(block)
-            assert text == cli._json_block(records)
-            assert f'"{key}": {want}' in text and "True" not in text
-        assert render(rows) == cli._json_block(satake.catalog_json(8))
-
-    class Family(str):
-        """A case name that is a ``str`` but not exactly one."""
-
-    def test_non_str_layout_takes_the_general_path(self):
-        # a case of a str subclass, or a duality of None or of an int, which
-        # a template would take for one more integer leaf, in the last row
-        rows = list(satake.iter_cases(8))
-        (case, duality), ints = rows[-1]
-        render = cli._catalog_rows()
-        for layout in [(self.Family(case), duality), (case, None), (case, 1)]:
-            block = [*rows[:-1], (layout, ints)]
-            assert render(block) == cli._json_block([satake.record(*r) for r in block])
-        assert render(rows) == cli._json_block(satake.catalog_json(8))
+    def test_rows_have_exact_leaf_types(self):
+        # The layout templates are filled unchecked: %s writes a bool as
+        # True and a numpy integer where json refuses one, so every integer
+        # leaf is exactly int and every layout leaf exactly str.  At 300 the
+        # rows cover every (case, duality) layout.
+        rows = list(satake.iter_cases(300))
+        assert {type(x) for _, ints in rows for x in ints} == {int}
+        assert {type(x) for layout, _ in rows for x in layout} == {str}
+        assert len({layout for layout, _ in rows}) == 17
 
     def test_ceiling(self, capsys):
         code, _, err = run(capsys, ["catalog", "--rep-max", "100000"])
