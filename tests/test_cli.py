@@ -1377,6 +1377,43 @@ class TestCatalogCommand:
         assert {type(x) for layout, _ in rows for x in layout} == {str}
         assert len({layout for layout, _ in rows}) == 17
 
+    @pytest.mark.parametrize("key", ["hss_dim", "rep_dim", "min_compact_factors", "p"])
+    def test_non_int_leaves_never_filled(self, key):
+        # _layout leaves only an exact int as %s: a bool in the record it
+        # is built from is encoded as json writes it, and a numpy integer is
+        # json's TypeError.  iter_cases gives every such leaf as an int.
+        pos = ("p", "n", "hss_dim", "rep_dim", "min_compact_factors").index(key)
+        rows = [r for r in satake.iter_cases(300) if r[0][0] == "I"]
+        assert rows and {type(ints[pos]) for _, ints in rows} == {int}
+        layout, ints = rows[0]
+        template = cli._layout(satake.record(layout, ints))
+        for odd, want in [(True, "true"), (np.int64(5), TypeError)]:
+            odd_ints = (*ints[:pos], odd, *ints[pos + 1 :])
+            if want is TypeError:
+                with pytest.raises(TypeError):
+                    cli._layout(satake.record(layout, odd_ints))
+                continue
+            text = cli._layout(satake.record(layout, odd_ints))
+            assert f'"{key}": {want}' in text and "True" not in text
+            assert text.count("%s") == template.count("%s") - 1
+
+    class Family(str):
+        """A case name that is a ``str`` but not exactly one."""
+
+    def test_non_str_layout_takes_the_general_path(self):
+        # A layout leaf that is not an int is encoded by json, as _dumps
+        # encodes it: a case of a str subclass or a duality of None renders
+        # as the general renderer writes its record.  A duality of an int
+        # would be one more %s in the template, and the row is refused.
+        rows = list(satake.iter_cases(8))
+        (case, duality), ints = rows[-1]
+        for layout in [(self.Family(case), duality), (case, None)]:
+            block = [*rows[:-1], (layout, ints)]
+            oracle = cli._dumps([satake.record(*r) for r in block], "\n  ")[1:-4]
+            assert cli._catalog_rows()(block) == oracle
+        with pytest.raises(TypeError):
+            cli._catalog_rows()([*rows[:-1], ((case, 1), ints)])
+
     def test_ceiling(self, capsys):
         code, _, err = run(capsys, ["catalog", "--rep-max", "100000"])
         assert code == 2
