@@ -24,20 +24,26 @@ equality; on dmax they clear every row but the first 31, so the scan does
 near-linear work where a row per g1 made it quadratic.  A row is a slice
 difference and its min, and its pairs are listed only where the min fails.
 
-Chunks and blocks: every bulk scan walks its range in one of two ways.
+Chunks and blocks: every bulk scan walks its range in one of three ways.
 ``_chunks`` takes a range of values in chunks of ``CHUNK``, with a few int64
 and bool buffers that it allocates once and every step writes into through
-``out=``: ``piecewise_mismatches`` and ``f_bound_violations`` here, and
-:mod:`agdim.verify`'s table build for ``lemma-dmax`` and comparison for
-``prop-estimate``.  ``_row_blocks`` takes the rows of a 2-D scan in blocks
-of about ``PAIR_BLOCK`` cells: ``pair_efficiency_mismatches`` here, and the
-two domination checks of :mod:`agdim.pairs`.  :mod:`agdim.verify` splits
-the ranges of ``piecewise_mismatches`` and ``f_bound_violations`` into
-blocks, one kernel call each, which its thread pool runs in parallel.  So a
-call allocates no array per step, whatever the block's length, and its
-working set (the chunk's values, two int64 buffers and one mask, about
-1.6 MB at 64K values) stays in a core's L2 cache instead of streaming a
-fresh temporary of the whole block through memory at every step.  A call
+``out=``: ``f_bound_violations`` here, and :mod:`agdim.verify`'s table build
+for ``lemma-dmax`` and comparison for ``prop-estimate``.
+``_parity_halves`` takes a range in stretches of 2 ``CHUNK`` values, each
+as two contiguous arrays, its even and its odd values, stepped on in place:
+``piecewise_mismatches``, whose branches differ by parity, so each half is
+a few contiguous passes instead of strided views of a chunk.
+``_row_blocks`` takes the rows of a 2-D scan in blocks of about
+``PAIR_BLOCK`` cells: ``pair_efficiency_mismatches`` here, and the two
+domination checks of :mod:`agdim.pairs`.  :mod:`agdim.verify` splits the
+ranges of ``piecewise_mismatches`` and ``f_bound_violations`` into blocks,
+one kernel call each, which its thread pool runs in parallel.  So a call
+allocates no array per step, whatever the block's length, and its working
+set stays in a core's L2 cache instead of streaming a fresh temporary of
+the whole block through memory at every step: about 1.6 MB at 64K values,
+the chunk's values, two int64 buffers and one mask for
+``f_bound_violations``, and one half, two int64 buffers and one mask for
+each half of ``piecewise_mismatches`` (2.2 MB for both halves).  A call
 returns the number of failing values and the first ``MAX_LISTED`` of them,
 counted and listed by ``_tally``, so a block that fails everywhere costs no
 more memory than one that passes.
@@ -45,10 +51,10 @@ more memory than one that passes.
 ``CHUNK`` is the fastest size of an interleaved sweep run as the benchmark's
 scan runs these kernels, with the pool's two workers, on a 2-CPU x86 VM with
 2 MB of L2 per core: ``dmax-piecewise`` at 1e7 and 1.6e7 plus ``f-bounds``
-at 1e7 and 2.4e7 took 300 ms at 32K, 257 ms at 64K and 292 ms at 128K
-(medians of 9 rounds).  Smaller chunks pay numpy's per-call overhead more
-often, larger ones spill out of L2; a one-thread sweep of one block had
-favoured 32K.
+at 1e7 and 2.4e7 took 313-321 ms at 16K, 186-196 ms at 32K, 164-167 ms at
+64K and 181-193 ms at 128K (sums of medians of 9 rounds, two sweeps).
+Smaller chunks pay numpy's per-call overhead more often, larger ones spill
+out of L2.
 """
 
 from __future__ import annotations
@@ -88,8 +94,8 @@ MAX_SAFE_PIECEWISE_G = math.isqrt(2**63 - 1)
 # D[g1+g2] - D[g2] - D[g1] in superadditivity_scan, and each of its block
 # bounds, stays within 3 max|D|.
 MAX_SAFE_D = (2**63 - 1) // 3
-# n^2 < 2^63 requires n < ~3.04e9.
-MAX_SAFE_N = 3_000_000_000
+# f_bound_violations squares n: n^2 <= 2^63 - 1.
+MAX_SAFE_N = math.isqrt(2**63 - 1)
 # a * b <= b^2 stays far below 2^63.
 MAX_SAFE_PAIR_B = 1_000_000_000
 # Cells per block of the three pair scans: (a, b) in pair_efficiency_mismatches,
@@ -165,12 +171,21 @@ def _chunks(
         yield start, values[:m], int_bufs[:, :m], mask_bufs[:, :m]
 
 
-def _even_odd(start: int) -> tuple[slice, slice]:
-    """The even and the odd genera g >= 16 of a chunk whose first genus is
-    ``start``, as strided slices of it."""
-    first = max(0, 16 - start)  # index of g = 16, or 0 past it
-    parity = (start + first) % 2
-    return slice(first + parity, None, 2), slice(first + 1 - parity, None, 2)
+def _parity_halves(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Split lo..hi, lo even, into stretches of at most 2 ``CHUNK`` values.
+    Per stretch, yield its even and its odd values, each ascending, as views
+    of two contiguous arrays allocated once per call, so that each odd value
+    is the even one at its index plus 1.  Both step on in place from stretch
+    to stretch, so the caller must only read them."""
+    size = min(CHUNK, (hi - lo) // 2 + 1)  # even values in a stretch
+    evens = np.arange(lo, lo + 2 * size, 2, dtype=np.int64)
+    odds = evens + 1
+    for start in range(lo, hi + 1, 2 * size):
+        if start > lo:
+            np.add(evens, 2 * size, out=evens)
+            np.add(odds, 2 * size, out=odds)
+        left = hi + 1 - start
+        yield evens[: (left + 1) // 2], odds[: left // 2]
 
 
 def _row_blocks(lo: int, hi: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -190,20 +205,22 @@ class Found(NamedTuple):
     listed: np.ndarray
 
 
-def _tally(listed: list[int], start: int, failing: np.ndarray) -> int:
-    """Count the failing values of a chunk whose first value is ``start``,
-    given its failure mask, and append them to ``listed`` until
-    ``MAX_LISTED`` are listed."""
-    n = int(np.count_nonzero(failing))
+def _tally(listed: list[int], *parts: tuple[np.ndarray, np.ndarray]) -> int:
+    """Count the failing values of a stretch, given as (values, failure
+    mask) parts whose values each ascend, and append them in ascending order
+    to ``listed`` until ``MAX_LISTED`` are listed."""
+    n = sum(int(np.count_nonzero(failing)) for _, failing in parts)
     if n and len(listed) < MAX_LISTED:
-        listed += (np.flatnonzero(failing)[: MAX_LISTED - len(listed)] + start).tolist()
+        room = MAX_LISTED - len(listed)
+        firsts = np.concatenate([values[failing][:room] for values, failing in parts])
+        listed += np.sort(firsts)[:room].tolist()
     return n
 
 
-def _found(chunks: Iterator[tuple[int, np.ndarray]]) -> Found:
-    """:func:`_tally` over (first value, failure mask) chunks."""
+def _found(stretches: Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]) -> Found:
+    """:func:`_tally` over the (values, failure mask) parts of each stretch."""
     listed: list[int] = []
-    total = sum(_tally(listed, start, failing) for start, failing in chunks)
+    total = sum(_tally(listed, *parts) for parts in stretches)
     return Found(total, np.array(listed, dtype=np.int64))
 
 
@@ -212,41 +229,66 @@ def piecewise_mismatches(g_lo: int, g_hi: int) -> Found:
     dmax disagree (expected: none).
 
     The three branches are g - 1 for g <= 15, floor(g^2/16) for even g >= 16
-    and floor((g-1)^2/16) for odd g >= 17.  From g = 16 on, the even and the
-    odd genera of a chunk alternate, so each branch is one strided view.
+    and floor((g-1)^2/16) for odd g >= 17.  Genera 1..15 are one small
+    array against g - 1.  From g = 16 on, the walk takes stretches of
+    2 ``CHUNK`` genera, each as two contiguous arrays, its even and its odd
+    genera (``_parity_halves``), from an even genus: an odd g_lo's even
+    neighbour g_lo - 1 is computed and left out.  The odd genus at an index
+    is the even one plus 1, so floor(g^2/16) over the even half, one
+    multiply and one shift into a reused buffer, is the branch of both
+    halves.  Each half then takes ``_dmax``, one ``not_equal`` and a count,
+    and a stretch's failing genera of both halves are merged in ascending
+    order into the listing.
     """
     if g_lo < 1 or g_hi < g_lo:
         raise ValueError(f"need 1 <= g_lo <= g_hi (got {g_lo}, {g_hi})")
     _require_at_most("g", g_hi, MAX_SAFE_PIECEWISE_G)
 
-    def differ() -> Iterator[tuple[int, np.ndarray]]:
-        for start, gs, (general, piecewise), (mask,) in _chunks(g_lo, g_hi, ints=2, masks=1):
-            general = _dmax(gs, general, mask)
-            np.subtract(gs, 1, out=piecewise)
-            even, odd = _even_odd(start)
-            for branch, base in ((piecewise[even], gs[even]), (piecewise[odd], piecewise[odd])):
-                np.multiply(base, base, out=branch)  # g^2 or (g - 1)^2
-                np.right_shift(branch, 4, out=branch)
-            yield start, np.not_equal(general, piecewise, out=mask)
+    def differ() -> Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        if g_lo <= 15:
+            gs = np.arange(g_lo, min(g_hi, 15) + 1, dtype=np.int64)
+            max_form = _dmax(gs, np.empty_like(gs), np.empty(gs.size, dtype=bool))
+            yield ((gs, np.not_equal(max_form, gs - 1)),)
+        if g_hi < 16:
+            return
+        lo = max(g_lo, 16)
+        skip = lo % 2  # the even genus lo - 1 below an odd lo, left out
+        size = min(CHUNK, (g_hi - lo + skip) // 2 + 1)
+        general, branch = np.empty((2, size), dtype=np.int64)
+        masks = np.empty((2, size), dtype=bool)
+
+        def failing(gs: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
+            """Where the max form at the genera gs differs from the branch b."""
+            return np.not_equal(_dmax(gs, general[: gs.size], mask), b, out=mask)
+
+        for evens, odds in _parity_halves(lo - skip, g_hi):
+            b = np.multiply(evens, evens, out=branch[: evens.size])
+            np.right_shift(b, 4, out=b)
+            yield (
+                (evens[skip:], failing(evens, b, masks[0, : evens.size])[skip:]),
+                (odds, failing(odds, b[: odds.size], masks[1, : odds.size])),
+            )
+            skip = 0
 
     return _found(differ())
 
 
 def f_bound_violations(n_lo: int, n_hi: int) -> Found:
     """n in [n_lo, n_hi] violating (n^2-1)/4 <= F(n) <= n^2/4 (expected:
-    none).  The sandwich holds exactly when d = n^2 - 4 F(n) is 0 or 1, so
-    one comparison of d's uint64 view with 1 tests both sides: a negative d
-    reads as at least 2^63.  d is exact in int64 for n <= ``MAX_SAFE_N``."""
+    none).  As 4 F(n) is a multiple of 4 and n^2 mod 4 is 0 or 1, the
+    sandwich n^2 - 1 <= 4 F(n) <= n^2 holds exactly when 4 F(n) is the
+    multiple of 4 in [n^2 - 1, n^2], that is when F(n) = floor(n^2/4): one
+    comparison of F with ``n * n >> 2`` tests both sides.  n * n is exact
+    in int64 for n <= ``MAX_SAFE_N`` = isqrt(2^63 - 1)."""
     if n_lo < 2 or n_hi < n_lo:
         raise ValueError(f"need 2 <= n_lo <= n_hi (got {n_lo}, {n_hi})")
     _require_at_most("n", n_hi, MAX_SAFE_N)
 
-    def violated() -> Iterator[tuple[int, np.ndarray]]:
-        for start, ns, (f4, d), (mask,) in _chunks(n_lo, n_hi, ints=2, masks=1):
-            f4 = half_products(ns, f4, d)
-            np.multiply(f4, 4, out=f4)
-            np.subtract(np.multiply(ns, ns, out=d), f4, out=d)
-            yield start, np.greater(d.view(np.uint64), 1, out=mask)
+    def violated() -> Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        for _, ns, (f, quarter), (mask,) in _chunks(n_lo, n_hi, ints=2, masks=1):
+            f = half_products(ns, f, quarter)
+            np.right_shift(np.multiply(ns, ns, out=quarter), 2, out=quarter)
+            yield ((ns, np.not_equal(f, quarter, out=mask)),)
 
     return _found(violated())
 

@@ -23,8 +23,9 @@ which is exact at any size and is the test oracle, and an array form
 (``unitary_pairs``, ...) over int64 arrays, which the two domination checks
 call once per block of rows of about ``kernels.PAIR_BLOCK`` cells.  Where a
 designated witness fails, both checks take the smallest dominating unitary
-pair from one closed-form rule in Python ints
-(:func:`_smallest_dominating_n`).
+pair from one closed-form rule (:func:`_smallest_dominating_n`): claim F in
+Python ints for each listed failure, remark-domination in one numpy pass
+over a failing row's cells (:func:`_row_fallback`).
 """
 
 from __future__ import annotations
@@ -327,30 +328,40 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
     return report
 
 
-def _row_fallback(report: VerificationReport, family: str, r: int, cells) -> int | None:
-    """The fallback witness of row r of a family, from its (k, target) cells
-    whose designated witness failed, in k order: the smallest dominating n
-    if every cell that has one has the same, -1 if they differ, None if no
-    cell has one.  A cell with none is reported."""
-    fallback_n: int | None = None
-    for k, target in cells:
-        found = _smallest_dominating_n(k, target)
-        if found is None:
-            report.add(
-                [target],
-                lambda t: {
-                    "family": family,
-                    "k": k,
-                    "r": r,
-                    "pair": [t.d, t.g],
-                    "reason": "no same-k dominating unitary pair",
-                },
-            )
-        elif fallback_n is None:
-            fallback_n = found
-        elif fallback_n != found:
-            fallback_n = -1
-    return fallback_n
+def _row_fallback(
+    report: VerificationReport, family: str, r: int, k: np.ndarray, d: np.ndarray, g: np.ndarray
+) -> int | None:
+    """The fallback witness of row r of a family, from the int64 arrays k,
+    d and g of its cells whose designated witness failed, in k order: the
+    smallest dominating n if every cell that has one has the same, -1 if
+    they differ, None if no cell has one.  A cell with none is reported.
+
+    All cells take :func:`_smallest_dominating_n`'s rule in one numpy pass:
+    n = isqrt(x) + 1 with x = 4 (d // (k-1)) + 3, dominating when k n <= g.
+    isqrt(x) is the floor of a float sqrt, corrected by one either way in
+    integers: the float alone can be one too high once x passes 2^52.  A II
+    or III target has d // (k-1) = r (r +- 1) / 2, so x < 2^44 for
+    r <= ``MAX_SAFE_REMARK``."""
+    x = 4 * (d // (k - 1)) + 3
+    root = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    root -= root * root > x
+    root += (root + 1) * (root + 1) <= x
+    n = root + 1
+    none = k * n > g
+    report.add(
+        np.flatnonzero(none),
+        lambda j: {
+            "family": family,
+            "k": k.item(j),
+            "r": r,
+            "pair": [d.item(j), g.item(j)],
+            "reason": "no same-k dominating unitary pair",
+        },
+    )
+    found = n[~none]
+    if found.size == 0:
+        return None
+    return found.item(0) if (found == found[0]).all() else -1
 
 
 def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
@@ -367,13 +378,12 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
     one call of the array constructors and one failure mask per block.
     The block's rows are read in r order, each failing row's k in k order,
     so the failures and the per-r witness entries come in the order of a
-    scan pair by pair.  Only
-    the k whose designated witness is not strict go to the closed-form rule
-    in Python ints (for III with r = 2, k_max - 1 of them), one row at a
-    time.  The largest value in a block is the witness dimension
-    (k-1) F(2r-1) = (k-1) r (r-1), below 2^63 for k, r <= ``MAX_SAFE_REMARK``
-    = 2^21, where it is 2^63 - 2^43 + 2^21; at k = r = 2^21 + 1 it is
-    2^63 + 2^42.
+    scan pair by pair.  Only the k whose designated witness is not strict
+    go to the closed-form rule (for III with r = 2, k_max - 1 of them), in
+    one numpy pass per row (:func:`_row_fallback`).  The largest value in a
+    block is the witness dimension (k-1) F(2r-1) = (k-1) r (r-1), below
+    2^63 for k, r <= ``MAX_SAFE_REMARK`` = 2^21, where it is
+    2^63 - 2^43 + 2^21; at k = r = 2^21 + 1 it is 2^63 + 2^42.
     """
     if min(r_max, k_max) < 2:
         raise ValueError("all range bounds must be >= 2")
@@ -403,9 +413,8 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
                     "witness": {"family": FAMILY_I, "k": "same", "n": n},
                 }
                 if failed:
-                    js = np.flatnonzero(failing[i]).tolist()
-                    cells = ((j + 2, Pair(td.item(i, j), tg.item(i, j))) for j in js)
-                    fallback_n = _row_fallback(report, family, r_start + i, cells)
+                    js = np.flatnonzero(failing[i])
+                    fallback_n = _row_fallback(report, family, r_start + i, ks[js], td[i, js], tg[i, js])
                     if fallback_n is not None and fallback_n > 0:
                         entry["witness"]["n"] = fallback_n
                 report.witnesses.append(entry)

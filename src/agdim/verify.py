@@ -12,13 +12,14 @@ memory.  :func:`admit` is the one admission rule, for ``verify``,
 ``dmax-piecewise`` and ``f-bounds`` split their integer interval into one
 block per worker of a thread pool with one worker per CPU: numpy releases the
 GIL inside its large array loops, so blocks execute in parallel.  Each block is
-one kernel call, which walks the block in chunks of ``kernels.CHUNK`` values
+one kernel call, which walks the block in chunks of ``kernels.CHUNK`` values,
+or for ``dmax-piecewise`` in stretches of two chunks split by parity,
 through buffers of its own and returns its count of failing values and the
 first ``MAX_LISTED`` of them, so a block's memory does not grow with its
 length, passing or failing.  The blocks' results go to the report in block
 order, so output is the same for any worker count.
 ``lemma-dmax`` writes its table and ``prop-estimate`` compares its table
-with dmax chunk by chunk of ``kernels._chunks``, the one chunk walk; this
+with dmax chunk by chunk of ``kernels._chunks``, the kernels' chunk walk; this
 module allocates no chunk buffer of its own and never writes into the
 values it walks.  ``lemma-dmax`` then scans its table in one call, which
 clears whole blocks of pairs by exact bounds and takes a numpy slice
@@ -245,10 +246,9 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
 
     dmax is compared with the table chunk by chunk of ``kernels._chunks``,
     through its buffers, so only the table spans the whole range.  The
-    rule's genera are strided slices of the chunk, as in
-    ``kernels.piecewise_mismatches``.  The first ``MAX_LISTED`` unexpected
-    and missing genera are kept, by ``kernels._tally``, and the equalities
-    counted.
+    rule's even genera g >= 16 are one strided slice of the chunk's stated
+    mask.  The first ``MAX_LISTED`` unexpected and missing genera are kept,
+    by ``kernels._tally``, and the equalities counted.
     """
     bi = kernels.best_indec_table(g_max)
     report = VerificationReport(
@@ -275,14 +275,14 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
         )
         np.equal(best, dm, out=equal)
         stated[:] = False
-        stated[kernels._even_odd(lo)[0]] = True  # even g >= 16
+        stated[16 - lo if lo <= 16 else lo % 2 :: 2] = True  # even g >= 16
         if lo == 1:
             equal[0] = False  # genus 1
         if lo <= 2 < lo + gs.size:
             stated[2 - lo] = True
         equalities += int(np.count_nonzero(equal))
         for listed, (a, b) in ((unexpected, (equal, stated)), (missing, (stated, equal))):
-            kernels._tally(listed, lo, np.greater(a, b, out=failing))  # a and not b
+            kernels._tally(listed, (gs, np.greater(a, b, out=failing)))  # a and not b
     report.add(
         equality_diff(
             "equality genera differ from {2} union {even g >= 16}", unexpected, missing

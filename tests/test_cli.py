@@ -972,18 +972,23 @@ class TestVerifierFailures:
         monkeypatch.setattr(kernels, "CHUNK", 11)
         assert run(capsys, argv) == want
 
-    def test_remark_failure_is_one_step_per_cell(self, monkeypatch):
+    def test_remark_failure_is_one_pass_per_row(self, monkeypatch):
         # Every II row fails its designated witness for small k; searching n
-        # one unitary pair at a time for each took 5.6 s at 256/256.  The
-        # closed form takes one step per failing (row, k) cell.
+        # one unitary pair at a time for each took 5.6 s at 256/256, and the
+        # closed form one Python call per failing (row, k) cell 155 s at
+        # 64/65536.  The fallback takes each failing row's cells in one
+        # numpy pass, and never calls the scalar rule.
         _undominated_family_ii(monkeypatch)
-        real = pairs._smallest_dominating_n
-        calls = []
-        monkeypatch.setattr(pairs, "_smallest_dominating_n", lambda k, t: calls.append(k) or real(k, t))
+        real = pairs._row_fallback
+        rows, cells = [], []
+        monkeypatch.setattr(pairs, "_row_fallback", lambda *args: rows.append(args[2]) or real(*args))
+        monkeypatch.setattr(pairs, "_smallest_dominating_n", lambda k, t: cells.append(k))
         monkeypatch.setattr(pairs, "unitary_pair", lambda k, n: pytest.fail("per-n search"))
         doc = pairs.verify_remark_domination(256, 256).to_dict()
         assert doc["details"]["counterexamples_total"] > MAX_LISTED
-        assert doc["details"]["counterexamples_total"] <= len(calls) <= doc["details"]["pairs_checked"]
+        failed = [(w["family"], w["r"]) for w in doc["witnesses"] if not w["designated"]]
+        assert len(rows) == len(failed) == 253 + 1  # every II row, and III at r = 2
+        assert cells == []
 
     def test_failure_memory_bounded(self):
         # Every genus of 1..2e6 fails.  Building a dict per failure took about

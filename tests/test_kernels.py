@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -405,15 +407,19 @@ class TestBlockBounds:
 
 class TestChunkBoundaries:
     @pytest.mark.parametrize("faulty", [False, True])
-    @pytest.mark.parametrize("lo", [2, 3, 1_000_000, 1_000_001])
+    @pytest.mark.parametrize("lo", [2, 3, 16, 17, 1_000_000, 1_000_001])
     @pytest.mark.parametrize("kernel", list(CHUNKED))
     def test_against_scalars(self, monkeypatch, kernel, lo, faulty):
         # Ranges that end just inside, at and just past a chunk, and one that
         # ends mid-way through its third; lo = 2 and 3 cross the g = 15/16/17
-        # branch switch.  With the helper's value raised at v = 3 and lowered
-        # at v = 5 (mod 7), the reported values show each chunk's offset,
-        # order and end, and both sides of each comparison: every value with
-        # the listing cap lifted, the first MAX_LISTED with it in place.
+        # branch switch.  Ranges that end just inside, at and just past a
+        # stretch of 2 CHUNK values, the unit of piecewise_mismatches' parity
+        # walk: from an even lo (16, 1_000_000) it starts at lo, from an odd
+        # one (17, 1_000_001) at lo - 1, which it leaves out.  With the
+        # helper's value raised at v = 3 and lowered at v = 5 (mod 7), the
+        # reported values show each chunk's offset, order and end, and both
+        # sides of each comparison: every value with the listing cap lifted,
+        # the first MAX_LISTED with it in place.
         helper, reported = CHUNKED[kernel]
 
         def bump(v):
@@ -424,7 +430,7 @@ class TestChunkBoundaries:
         chunk = kernels.CHUNK
         oracle = [v for v in range(lo, lo + 2 * chunk + 3) if reported(v, bump(v))]
         assert bool(oracle) == faulty
-        for length in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        for length in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3, *(2 * chunk + e for e in (-1, 0, 1))):
             hi = lo + length - 1
             want = [v for v in oracle if v <= hi]
             assert found(getattr(kernels, kernel)(lo, hi)) == (len(want), want[:MAX_LISTED]), length
@@ -432,6 +438,29 @@ class TestChunkBoundaries:
                 mp.setattr(kernels, "MAX_LISTED", len(oracle))
                 listed = getattr(kernels, kernel)(lo, hi).listed.tolist()
             assert listed == want, length
+
+    @pytest.mark.parametrize(
+        "bump",
+        [
+            lambda g: 0,
+            lambda g: (g % 3 == 0) * 1 - (g % 3 == 1) * 1,
+            lambda g: 1 - 2 * (g % 2),
+        ],
+        ids=["none", "mod3", "every"],
+    )
+    def test_piecewise_low_genera(self, monkeypatch, bump):
+        # Ranges inside the g - 1 branch 1..15, single genera at the switch
+        # to the parity walk, and short ranges across it, where one half of
+        # a stretch can be empty: with the max form raised or lowered at
+        # every third genus, or at every genus, the listing is every genus
+        # the scalars report, ascending.
+        real = kernels._dmax
+        monkeypatch.setattr(kernels, "_dmax", lambda gs, out, tmp: real(gs, out, tmp) + bump(gs))
+        ranges = [(1, 1), (1, 15), (3, 9), (14, 15), (15, 15), (16, 16), (17, 17)]
+        ranges += [(15, 16), (15, 17), (16, 17), (17, 18), (1, 40)]
+        for lo, hi in ranges:
+            want = [g for g in range(lo, hi + 1) if dmax(g) + bump(g) != dmax_piecewise(g)]
+            assert found(kernels.piecewise_mismatches(lo, hi)) == (len(want), want), (lo, hi)
 
 
 class TestWalks:
@@ -454,6 +483,30 @@ class TestWalks:
         gs = np.arange(top - 20, top + 1, dtype=np.int64)
         out, scratch = np.full(gs.size, -1, dtype=np.int64), np.full(gs.size, fill)
         assert kernels._dmax(gs, out, scratch).tolist() == [dmax(g) for g in range(top - 20, top + 1)]
+
+    @pytest.mark.parametrize(
+        "kernel, lo, buffer_bytes",
+        [
+            # two parity halves, two int64 buffers and two masks per value pair
+            ("piecewise_mismatches", 1, 34 * kernels.CHUNK),
+            # the values, two int64 buffers and one mask per value
+            ("f_bound_violations", 2, 25 * kernels.CHUNK),
+        ],
+    )
+    def test_call_memory_does_not_grow_with_range(self, kernel, lo, buffer_bytes):
+        # A call's buffers are allocated once and sized by CHUNK, not by its
+        # range: its tracemalloc peak is the same at 4 and 40 chunks, and
+        # its buffers plus a few kB of small arrays.
+        peaks = []
+        for n in (4 * kernels.CHUNK, 40 * kernels.CHUNK):
+            tracemalloc.start()
+            try:
+                assert getattr(kernels, kernel)(lo, n).total == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 4096, peaks
+        assert buffer_bytes <= peaks[1] < buffer_bytes + 16384, peaks
 
     @pytest.mark.parametrize("block", [1, 7, 300])
     def test_row_blocks_tile_rows(self, monkeypatch, block):
@@ -516,7 +569,7 @@ class TestGuards:
         # raised or lowered by one breaks the upper or the lower side at
         # every n of the window ending at the ceiling.
         top = kernels.MAX_SAFE_N
-        assert top * top <= 2**63 - 1
+        assert top * top <= 2**63 - 1 < (top + 1) * (top + 1)
         real = kernels.half_products
         for bump in (0, 1, -1):
             monkeypatch.setattr(kernels, "half_products", lambda ns, out, tmp: real(ns, out, tmp) + bump)
@@ -527,6 +580,8 @@ class TestGuards:
             assert found(kernels.f_bound_violations(top - 20, top)) == (len(oracle), oracle)
         with pytest.raises(OverflowError):
             kernels.f_bound_violations(top + 1, top + 1)
+        with pytest.raises(OverflowError):
+            kernels.f_bound_violations(top - 20, top + 1)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

@@ -493,6 +493,66 @@ class TestBlocksOfRows:
         assert len(calls) <= -(-253 // rows) + -(-255 // rows)
 
 
+def _dimension_zero_witnesses(mp):
+    """Every designated witness of remark-domination loses its dimension,
+    so every cell takes the fallback."""
+    mp.setattr(pairs_mod, "unitary_pairs", lambda k, n: (0 * k * n, k * n))
+
+
+def _cell_by_cell_fallback(report, family, r, k, d, g):
+    """A failing row's fallback one cell at a time with the scalar rule
+    ``_smallest_dominating_n``: the oracle of ``pairs._row_fallback``."""
+    fallback_n = None
+    for kk, dd, gg in zip(k.tolist(), d.tolist(), g.tolist()):
+        found = pairs_mod._smallest_dominating_n(kk, Pair(dd, gg))
+        if found is None:
+            report.add(
+                [{"family": family, "k": kk, "r": r, "pair": [dd, gg], "reason": "no same-k dominating unitary pair"}]
+            )
+        elif fallback_n is None:
+            fallback_n = found
+        elif fallback_n != found:
+            fallback_n = -1
+    return fallback_n
+
+
+class TestRowFallback:
+    """A failing row's cells take the closed-form rule in one numpy pass."""
+
+    @pytest.mark.parametrize("undominated", [False, True])
+    @pytest.mark.parametrize("r_max, k_max", [(9, 13), (40, 300)])
+    def test_matches_cell_by_cell_rule(self, monkeypatch, r_max, k_max, undominated):
+        # Every row falls back at every k, with one n per row; with family
+        # II undominated, its rows also list cells with no dominating n (more
+        # than MAX_LISTED at 40/300), and mix their n.
+        _dimension_zero_witnesses(monkeypatch)
+        if undominated:
+            _undominated_family_ii(monkeypatch)
+        got = verify_remark_domination(r_max, k_max).to_dict()
+        with monkeypatch.context() as mp:
+            mp.setattr(pairs_mod, "_row_fallback", _cell_by_cell_fallback)
+            want = verify_remark_domination(r_max, k_max).to_dict()
+        assert got == want
+        assert not any(w["designated"] for w in got["witnesses"])
+        assert got["status"] == ("fail" if undominated else "pass")
+
+    def test_root_exact_near_squares(self):
+        # x = 4 (d // (k-1)) + 3 one below an even square m^2, where a float
+        # sqrt alone rounds up to m once x passes 2^52: a II or III target
+        # stays below 2^44, a faulted one need not.  And every d below 300.
+        report = VerificationReport(claim="remark-domination", range={})
+        cells = []
+        for m in [*range(2, 200, 2), *(top - e for top in (1 << 22, 1 << 26, 1 << 30) for e in range(0, 40, 2))]:
+            for k in (2, 3, 7):
+                cells.append((k, (k - 1) * ((m * m - 4) // 4)))
+        cells += [(k, d) for k in (2, 5) for d in range(300)]
+        for k, d in cells:
+            target = Pair(d, 1 << 62)
+            row = [np.array([v], dtype=np.int64) for v in (k, d, target.g)]
+            assert pairs_mod._row_fallback(report, "II", 4, *row) == pairs_mod._smallest_dominating_n(k, target)
+        assert report.passed
+
+
 class TestInt64Limits:
     """Each limit is exact: the largest value of a row fits int64 at the
     limit (checked against Python ints) and would not one step above it."""
