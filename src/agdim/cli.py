@@ -6,8 +6,9 @@ Subcommands
 ``tables``         the two summary tables; ``--check`` compares every cell
                    against the frozen fixtures and fails on any mismatch
 ``verify CLAIM``   run one exhaustive claim verifier, JSON report on stdout
-``explain G``      attainment narrative for one genus, rendered by
-                   ``moduli``: the case's narrative and descriptors
+``explain G``      attainment narrative for one genus (markdown/json),
+                   rendered by ``moduli``: the case's narrative and
+                   descriptors
 ``catalog``        classification catalog export as JSON
 
 ``_SUBCOMMANDS`` declares each subcommand once, as data: its help line,
@@ -474,7 +475,8 @@ _SUBCOMMANDS = {
     )),
     "explain": ("attainment narrative for one genus", _cmd_explain, (
         _Arg("g", int),
-        _FORMAT, *_COMMON,
+        _Arg("--format", choices=("markdown", "json"), default="markdown"),
+        *_COMMON,
     )),
     "catalog": ("classification catalog as JSON", _cmd_catalog, (
         _Arg(_CATALOG_REP_MAX.name, int, default=_CATALOG_REP_MAX.default, metavar="N"),

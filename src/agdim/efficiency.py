@@ -96,9 +96,9 @@ def is_efficient_closed(N: Multiset) -> bool:
     return closed_form_efficient(len(e), e[0], e[min(1, len(e) - 1)], e[-1])
 
 
-def iter_multisets(sum_max: int, min_element: int = 2) -> Iterator[tuple[int, ...]]:
-    """All nonempty multisets (as sorted tuples) with elements >=
-    min_element and sum <= sum_max, in lexicographic order."""
+def iter_multisets(sum_max: int) -> Iterator[tuple[int, ...]]:
+    """All nonempty multisets (as sorted tuples) with elements >= 2 and
+    sum <= sum_max, in lexicographic order."""
 
     def rec(prefix: list[int], smallest: int, budget: int) -> Iterator[tuple[int, ...]]:
         for e in range(smallest, budget + 1):
@@ -107,7 +107,7 @@ def iter_multisets(sum_max: int, min_element: int = 2) -> Iterator[tuple[int, ..
             yield from rec(prefix, e, budget - e)
             prefix.pop()
 
-    yield from rec([], min_element, sum_max)
+    yield from rec([], 2, sum_max)
 
 
 def verify_efficiency_classification(sum_max: int) -> VerificationReport:

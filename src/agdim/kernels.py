@@ -22,7 +22,9 @@ strided passes for the first band of g1 and halved pairwise for each later
 one, and each clears a whole block of pairs that holds no violation and no
 equality; on dmax they clear every row but the first 31, so the scan does
 near-linear work where a row per g1 made it quadratic.  A row is a slice
-difference and its min, and its pairs are listed only where the min fails.
+difference and its min, and its pairs are listed only where the min fails;
+the first row, which holds every stated equality, is checked against that
+set as it is formed, so the scan returns the claim's listings, not the row.
 
 Chunks and blocks: every bulk scan walks its range in one of three ways.
 ``_chunks`` takes a range of values in chunks of ``CHUNK``, with a few int64
@@ -294,15 +296,16 @@ def f_bound_violations(n_lo: int, n_hi: int) -> Found:
 
 
 class SuperadditivityScan(NamedTuple):
-    """What :func:`superadditivity_scan` found, in ascending order: at most
-    ``MAX_LISTED`` (g1, g2) rows in each row array, and the g2 of every
-    equality (1, g2); and how many pair differences it computed one by one."""
+    """What :func:`superadditivity_scan` found, each listing in g1 order and
+    holding at most ``MAX_LISTED`` entries: the violations and the ties off
+    the rule as (g1, g2) rows, and the stated g2 whose pair (1, g2) does
+    not tie; and how many pair differences it computed one by one."""
 
     violations: np.ndarray  # the first rows with a negative difference
     violations_total: int
-    first_row: np.ndarray  # every g2 with difference 0 at g1 = 1
-    equalities: np.ndarray  # the first rows with g1 >= 2 and difference 0
-    equalities_total: int  # g1 = 1 included
+    unexpected: np.ndarray  # the first rows with difference 0 off the rule
+    missing: np.ndarray  # the first even g2 >= 16 with (1, g2) not tied
+    equalities_total: int  # every row with difference 0, stated or not
     cells_scanned: int  # the pairs of the rows that no block bound cleared
 
 
@@ -310,14 +313,13 @@ def _rows(pairs: list[tuple[int, int]]) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
 
 
-def _low_pairs(row: np.ndarray, g1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The g2 of row g1's violations and equalities, where row[j] is the
-    difference of the pair (g1, g1 + j).  Its temporaries end with the call,
-    so a listed row keeps only its two results."""
-    g2s = np.flatnonzero(row <= 0)
-    values = row[g2s]
-    g2s += g1
-    return g2s[values < 0], g2s[values == 0]
+def _list_row(listed: list[tuple[int, int]], mask: np.ndarray, g1: int) -> int:
+    """Count the pairs (g1, g1 + j) of row g1 with mask[j] set, and append
+    them in order to ``listed`` until ``MAX_LISTED`` are listed."""
+    n = int(np.count_nonzero(mask))
+    if n and len(listed) < MAX_LISTED:
+        listed += [(g1, g1 + j) for j in np.flatnonzero(mask)[: MAX_LISTED - len(listed)].tolist()]
+    return n
 
 
 def _coarsen(b: np.ndarray, k: int, op: np.ufunc) -> np.ndarray:
@@ -376,16 +378,22 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     g1+g2 <= len(D)-1, where D[g] = dmax(g) (D[0] ignored).
 
     The superadditivity claim is that there are no violations, and that the
-    equalities are exactly g1 = 1 with g2 even >= 16.  So the scan returns
-    both counts, every g1 = 1 equality and the first ``MAX_LISTED``
-    violations and other equalities: enough to list the claim's
-    counterexamples.  Only the g1 = 1 equalities are kept whole, so a broken
-    D costs no memory per failing row beyond them.
+    equalities are exactly g1 = 1 with g2 even >= 16.  The scan checks that
+    set where it finds the equalities, and returns both counts and the first
+    ``MAX_LISTED`` violations, unexpected equalities and missing stated g2:
+    the claim's counterexamples.  Nothing is kept per failing pair beyond
+    the listings, so a broken D costs no more memory than a passing one
+    beyond one row's temporaries.
 
     A row is exact: with g2 = g1 + j, D[g1+g2] and D[g2] are the contiguous
     slices D[2 g1 + j] and D[g1 + j], so a row is one slice difference in a
-    reused buffer and one min.  Only a row whose min is at most D[g1] is
-    listed, and in a passing table that is the g1 = 1 row alone.
+    reused buffer and one min.  A row g1 >= 2 whose min is above D[g1]
+    holds no violation and no equality, and is passed over; the others take
+    their violation mask and tie mask, counted and listed.  Row 1 is never
+    passed over, as its stated ties must be seen: they sit at the odd
+    j >= 15, one strided slice of its tie mask, which gives the missing g2
+    and is then cleared, so that what ties in row 1 outside it, and every
+    tie of a later row, is unexpected.
 
     Most rows are never formed.  The rows g1 < ``WHOLE_ROWS`` are; past
     them, the band of g1 in [lo, 2 lo) is cut into blocks of w = lo / 8
@@ -411,29 +419,29 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
     g_max = D.shape[0] - 1
     diff = np.empty(max(g_max, 0), dtype=np.int64)
     violations: list[tuple[int, int]] = []
-    others: list[tuple[int, int]] = []
-    first_row = np.empty(0, dtype=np.int64)
+    unexpected: list[tuple[int, int]] = []
+    missing = np.empty(0, dtype=np.int64)
     violations_total = equalities_total = cells = 0
     for g1 in _uncleared_rows(D):
         m = g_max - 2 * g1 + 1  # g2 in g1..g_max-g1
         cells += m
         row = np.subtract(D[2 * g1 :], D[g1 : g1 + m], out=diff[:m])
-        if row.min() > D[g1]:
+        if g1 > 1 and row.min() > D[g1]:
             continue
         row -= D[g1]
-        below, equal = _low_pairs(row, g1)
-        violations_total += below.size
-        violations += [(g1, g2) for g2 in below[: MAX_LISTED - len(violations)].tolist()]
-        equalities_total += equal.size
-        if g1 == 1:
-            first_row = equal
-        else:
-            others += [(g1, g2) for g2 in equal[: MAX_LISTED - len(others)].tolist()]
+        mask = row < 0
+        violations_total += _list_row(violations, mask, g1)
+        tie = np.equal(row, 0, out=mask)
+        equalities_total += int(np.count_nonzero(tie))
+        if g1 == 1:  # the stated ties g2 = 1 + j, even >= 16: odd j >= 15
+            missing = np.flatnonzero(~tie[15::2])[:MAX_LISTED] * 2 + 16
+            tie[15::2] = False
+        _list_row(unexpected, tie, g1)
     return SuperadditivityScan(
         violations=_rows(violations),
         violations_total=violations_total,
-        first_row=first_row,
-        equalities=_rows(others),
+        unexpected=_rows(unexpected),
+        missing=missing,
         equalities_total=equalities_total,
         cells_scanned=cells,
     )

@@ -74,8 +74,6 @@ FAMILY_I_NC2 = "I_nc2"
 # derived in the docstrings of verify_claim_f and verify_remark_domination.
 MAX_SAFE_CLAIM_F = 1824  # s_max, delta_max
 MAX_SAFE_REMARK = 2**21  # r_max, k_max
-# the equality pairs of claim F, one of each: (1, 4) in I_nc1, (4, 8) in I_nc2
-_STATED_TIES = ((1, 4), (4, 8))
 
 
 def a1_pair() -> Pair:
@@ -227,12 +225,15 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
     failures, the equalities and the witnesses come in the order of a scan
     pair by pair.  Only the listed failures are searched, in Python ints,
     one k at a time.  ``details["equalities"]`` lists the first
-    ``MAX_LISTED`` equality pairs.  The equality-set check keeps the
-    ``MAX_LISTED`` + 2 smallest and which stated pairs occur at all: taking
-    one occurrence of each stated pair out of the sorted multiset removes
-    at most two of the kept pairs, so its first ``MAX_LISTED`` unexpected
-    pairs are exact, and a run whose every cell ties holds no more than a
-    passing one.  The largest value in a block is the rank-2 witness
+    ``MAX_LISTED`` equality pairs.  The equality set is checked cell by
+    cell: each family's stated tie is its cell (s, delta) = (1, 2), the
+    [0, 0] cell of its first block, which gives (1, 4) in I_nc1 and (4, 8)
+    in I_nc2, and no other cell of either family gives either pair.  If
+    that cell does not tie, its pair is missing; it is then cleared from
+    the block's ties, every other tie is unexpected, and the
+    ``MAX_LISTED`` smallest are kept.  So a tie in one family cannot stand
+    in for the other's, and a run whose every cell ties holds no more than
+    a passing one.  The largest value in a block is the rank-2 witness
     dimension F(s delta^2); F(n) <= n^2 / 4 <= 2^63 - 1 holds for
     n < 2^32.5, and s, delta <= ``MAX_SAFE_CLAIM_F`` = 1824 gives
     s delta^2 <= 1824^3 < 2^32.5 < 1825^3.
@@ -246,32 +247,25 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
         range={"s_max": s_max, "delta_max": delta_max, "k_max": k_max, "n_max": n_max},
     )
     equalities: list[dict] = []  # the first MAX_LISTED, for the report
-    # for the equality-set check: the smallest equality pairs, enough to list
-    # MAX_LISTED once one occurrence of each stated pair is taken out, and
-    # the stated pairs found anywhere
-    kept: list[tuple[int, int]] = []
-    present: set[tuple[int, int]] = set()
+    kept: list[tuple[int, int]] = []  # the smallest unexpected ties
+    missing: list[list[int]] = []
     deltas = np.arange(2, delta_max + 1, dtype=np.int64)
     squares = deltas * deltas
     width = deltas.size
     branches = (
-        (FAMILY_I_NC1, division_rank1_pairs, lambda s: s * squares // 2),
-        (FAMILY_I_NC2, division_rank2_pairs, lambda s: s * squares),
+        (FAMILY_I_NC1, division_rank1_pairs, lambda s: s * squares // 2, "k=2, n=floor(s*delta^2/2)", [1, 4]),
+        (FAMILY_I_NC2, division_rank2_pairs, lambda s: s * squares, "k=2, n=s*delta^2", [4, 8]),
     )
-    for family, pairs_fn, witness_n in branches:
+    for family, pairs_fn, witness_n, _, stated in branches:
         for s_lo, s in kernels._row_blocks(1, s_max, width):
             n_w = witness_n(s)
             wd, wg = unitary_pairs(2, n_w)
             td, tg = (np.broadcast_to(x, n_w.shape) for x in pairs_fn(s, deltas))
             covered = tg >= wg
             tie = covered & (td == wd)
+            if s_lo == 1 and not tie[0, 0]:  # the stated tie, (s, delta) = (1, 2)
+                missing.append(stated)
             if tie.any():
-                d, g = td[tie], tg[tie]
-                present |= {p for p in _STATED_TIES if ((d == p[0]) & (g == p[1])).any()}
-                least = np.lexsort((g, d))[: MAX_LISTED + 2]
-                kept += zip(d[least].tolist(), g[least].tolist())
-                kept = sorted(kept)[: MAX_LISTED + 2]
-                del d, g, least  # a block's worth each, freed before the next block
                 for idx in np.flatnonzero(tie)[: MAX_LISTED - len(equalities)].tolist():
                     i, j = divmod(idx, width)
                     equalities.append(
@@ -283,6 +277,12 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
                             "witness": {"family": FAMILY_I, "k": 2, "n": int(n_w[i, j])},
                         }
                     )
+                if s_lo == 1:
+                    tie[0, 0] = False  # every other tie is unexpected
+                d, g = td[tie], tg[tie]
+                least = np.lexsort((g, d))[:MAX_LISTED]
+                kept = sorted(kept + list(zip(d[least].tolist(), g[least].tolist())))[:MAX_LISTED]
+                del d, g, least  # a block's worth each, freed before the next block
 
             def failure(idx: int) -> dict:
                 i, j = divmod(idx, width)
@@ -297,32 +297,14 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
                 return entry
 
             report.add(np.flatnonzero(~covered | (td > wd)), failure)
-    # the equalities as a multiset: one occurrence of each stated pair is
-    # expected, and a second is unexpected
-    missing = []
-    for pair in _STATED_TIES:
-        if pair in kept:
-            kept.remove(pair)
-        elif pair not in present:
-            missing.append(list(pair))
     report.add(
         equality_diff(
-            "equality pairs differ from {(1, 4), (4, 8)}",
-            [list(pair) for pair in kept[:MAX_LISTED]],
-            missing,
+            "equality pairs differ from {(1, 4), (4, 8)}", [list(pair) for pair in kept], missing
         )
     )
     report.witnesses = [
-        {
-            "family": FAMILY_I_NC1,
-            "witness_rule": "k=2, n=floor(s*delta^2/2)",
-            "strict_except": [[1, 4]],
-        },
-        {
-            "family": FAMILY_I_NC2,
-            "witness_rule": "k=2, n=s*delta^2",
-            "strict_except": [[4, 8]],
-        },
+        {"family": family, "witness_rule": rule, "strict_except": [stated]}
+        for family, _, _, rule, stated in branches
     ]
     report.details = {"pairs_checked": 2 * s_max * (delta_max - 1), "equalities": equalities}
     return report

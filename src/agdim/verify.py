@@ -23,7 +23,8 @@ with dmax chunk by chunk of ``kernels._chunks``, the kernels' chunk walk; this
 module allocates no chunk buffer of its own and never writes into the
 values it walks.  ``lemma-dmax`` then scans its table in one call, which
 clears whole blocks of pairs by exact bounds and takes a numpy slice
-difference per g1 that they leave.  Every verifier hands its failures to
+difference per g1 that they leave, checking the first row against the
+stated equalities as it forms it.  Every verifier hands its failures to
 :meth:`~agdim.report.VerificationReport.add` as it finds them.
 """
 
@@ -40,7 +41,7 @@ from . import kernels, pairs, satake
 from .arith import dmax
 from .efficiency import verify_efficiency_classification
 from .moduli import dmc_mgct, mgct_interior_bound_holds
-from .report import MAX_LISTED, VerificationReport, equality_diff
+from .report import VerificationReport, equality_diff
 
 __all__ = [
     "RangeParam",
@@ -157,18 +158,11 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
         lambda v: {"g1": v[0], "g2": v[1], "reason": "superadditivity violated"},
         scan.violations_total,
     )
-    # Every stated row has g1 = 1, so the unexpected rows are the g1 = 1 rows
-    # off the rule, then every g1 >= 2 row, of which the scan lists enough.
-    g2 = scan.first_row
-    off = np.flatnonzero((g2 < 16) | (g2 % 2 == 1))[:MAX_LISTED]
-    found = np.zeros(g_max, dtype=bool)
-    found[g2] = True
-    absent = np.flatnonzero(~found[16::2])[:MAX_LISTED] * 2 + 16
     report.add(
         equality_diff(
             "equality set differs from {(1, even g2 >= 16)}",
-            [[1, g] for g in g2[off].tolist()] + scan.equalities.tolist(),
-            [[1, g] for g in absent.tolist()],
+            scan.unexpected.tolist(),
+            [[1, g] for g in scan.missing.tolist()],
         )
     )
     return report
@@ -388,13 +382,13 @@ REGISTRY: dict[str, Verifier] = {
     "lemma-dmax": Verifier(
         params=(RangeParam("--g-max", 4000, 10_000_000, limit=kernels.MAX_SAFE_G),),
         run=_verify_superadditivity,
-        # per genus, passing: 28.5-28.7 up to 1e7, within one chunk or past
-        # it (the table, and the scan's 20.5: the row buffer and row 1's
-        # pairs; the block bounds' arrays, 8 at most, are freed before the
-        # rows they leave are scanned); 57-58 from 2e3 to 2e4 when
-        # every pair is an equality, in the g1 = 1 row's scan; 10% above
-        # that, and 64 kB for a small range
-        peak_bytes=lambda g_max: 64 * g_max + 2**16,
+        # per genus, passing: 25.0-25.2 from 2e4 to 1e7, within one chunk
+        # or past it (the table and the scan's row buffer, 8 bytes each,
+        # and the first band's arrays of block extremes, 8 in all, freed
+        # before the rows they leave are scanned); 25.2 at 2e4 (26.9 at
+        # 2e3) when every pair is an equality; 10% above that, and 64 kB
+        # for a small range
+        peak_bytes=lambda g_max: 28 * g_max + 2**16,
     ),
     "dmax-piecewise": Verifier(
         params=(RangeParam("--g-max", 1_000_000, 100_000_000, limit=kernels.MAX_SAFE_PIECEWISE_G),),

@@ -1,6 +1,8 @@
-"""Every name a module exports exists, so a deletion cannot leave a
-dangling ``__all__`` entry or re-export behind."""
+"""Every name a module exports exists, and every import and private
+module-level name is read somewhere, so a deletion cannot leave a dangling
+``__all__`` entry, re-export, import or helper behind."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -38,3 +40,52 @@ def test_package_and_pure_modules_import_no_numpy():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "agdim").glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Every name a module reads: loaded names, attribute names, and strings
+    that are identifiers, as ``__all__``, ``getattr`` and ``setattr`` give."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+# every name read anywhere in the package, its tests and its benchmark
+_READ = set().union(
+    *(_references(_tree(p)) for d in ("src/agdim", "tests", "perfbench") for p in (ROOT / d).glob("*.py"))
+)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_unused_import_or_private_name(path):
+    # An import the module never reads, or a private module-level name
+    # (one leading underscore) that no module, test or benchmark reads, is
+    # what a deletion leaves behind.
+    tree = _tree(path)
+    own = _references(tree)
+    unused, defined = [], []
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            unused += [name for name in bound if name not in own]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    orphans = [n for n in defined if n.startswith("_") and not n.startswith("__") and n not in _READ]
+    assert (unused, orphans) == ([], [])

@@ -56,14 +56,26 @@ def brute_scan(D):
     return want_viol, want_eqs
 
 
+def rule_split(equalities, g_max):
+    """The first MAX_LISTED pairs off the rule {(1, even g2 >= 16)} of a
+    list of tied pairs in g1 order, and the first MAX_LISTED stated g2 with
+    (1, g2) not in it, for a table of genera up to g_max."""
+    tied = set(equalities)
+    unexpected = [(g1, g2) for g1, g2 in equalities if g1 > 1 or g2 < 16 or g2 % 2]
+    missing = [g2 for g2 in range(16, g_max, 2) if (1, g2) not in tied]
+    return unexpected[:MAX_LISTED], missing[:MAX_LISTED]
+
+
 def flat_scan(D):
     """The superadditivity scan with every row formed, one numpy row per g1:
     the kernel's row loop before block bounds cleared most rows, kept as the
     oracle of the bounded scan.  It returns what the kernel does, with every
-    pair of the triangle counted as scanned."""
+    pair of the triangle counted as scanned; its tie list holds every tie
+    of row 1 and the first MAX_LISTED of the later rows, which is all that
+    the rule's split reads."""
     D = np.asarray(D, dtype=np.int64)
     g_max = len(D) - 1
-    violations, others, first_row = [], [], np.empty(0, dtype=np.int64)
+    violations, first_row, others = [], [], []
     violations_total = equalities_total = cells = 0
     for g1 in range(1, g_max // 2 + 1):
         row = D[2 * g1 :] - D[g1 : g_max - g1 + 1] - D[g1]  # g2 = g1 + j
@@ -72,25 +84,27 @@ def flat_scan(D):
         violations_total += below.size
         equalities_total += equal.size
         violations += [(g1, g2) for g2 in below.tolist()][: MAX_LISTED - len(violations)]
+        ties = [(g1, g2) for g2 in equal.tolist()]
         if g1 == 1:
-            first_row = equal
+            first_row = ties
         else:
-            others += [(g1, g2) for g2 in equal.tolist()][: MAX_LISTED - len(others)]
+            others += ties[: MAX_LISTED - len(others)]
+    unexpected, missing = rule_split(first_row + others, g_max)
     return kernels.SuperadditivityScan(
         violations=np.array(violations, dtype=np.int64).reshape(-1, 2),
         violations_total=violations_total,
-        first_row=first_row,
-        equalities=np.array(others, dtype=np.int64).reshape(-1, 2),
+        unexpected=np.array(unexpected, dtype=np.int64).reshape(-1, 2),
+        missing=np.array(missing, dtype=np.int64),
         equalities_total=equalities_total,
         cells_scanned=cells,
     )
 
 
 def assert_same_scan(D):
-    """The bounded scan of D against the flat one: every total, listed row
-    and equality of row 1; return the bounded scan."""
+    """The bounded scan of D against the flat one: every total and listing;
+    return the bounded scan."""
     got, want = kernels.superadditivity_scan(D), flat_scan(D)
-    for name in ("violations", "first_row", "equalities"):
+    for name in ("violations", "unexpected", "missing"):
         assert getattr(got, name).dtype == np.int64
         assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
     assert (got.violations_total, got.equalities_total) == (want.violations_total, want.equalities_total)
@@ -121,19 +135,19 @@ def dmax_table(g_max):
     return D
 
 
-def assert_scan_matches(scan, want_viol, want_eqs):
-    """A superadditivity scan against every violating and equal row: the
-    counts, the g2 of every g1 = 1 equality and the first MAX_LISTED of the
-    others."""
-    first_row = [g2 for g1, g2 in want_eqs if g1 == 1]
-    others = [(g1, g2) for g1, g2 in want_eqs if g1 > 1]
-    for listed in (scan.violations, scan.equalities):
+def assert_scan_matches(D, want_viol, want_eqs):
+    """The superadditivity scan of D against every violating and equal row:
+    the counts, the first MAX_LISTED violations, and the first MAX_LISTED
+    ties off the rule and stated g2 not tied."""
+    scan = kernels.superadditivity_scan(np.asarray(D, dtype=np.int64))
+    unexpected, missing = rule_split(want_eqs, len(D) - 1)
+    for listed in (scan.violations, scan.unexpected):
         assert listed.dtype == np.int64 and listed.shape[1:] == (2,)
-    assert scan.first_row.dtype == np.int64 and scan.first_row.ndim == 1
+    assert scan.missing.dtype == np.int64 and scan.missing.ndim == 1
     assert rows(scan.violations) == want_viol[:MAX_LISTED]
     assert scan.violations_total == len(want_viol)
-    assert scan.first_row.tolist() == first_row
-    assert rows(scan.equalities) == others[:MAX_LISTED]
+    assert rows(scan.unexpected) == unexpected
+    assert scan.missing.tolist() == missing
     assert scan.equalities_total == len(want_eqs)
 
 
@@ -204,14 +218,14 @@ class TestAgainstScalars:
                     want_eqs.append((g1, g2))
         assert want_viol == []
         assert want_eqs == [(1, g2) for g2 in range(16, g_max, 2)]
-        assert_scan_matches(kernels.superadditivity_scan(D), want_viol, want_eqs)
+        assert_scan_matches(D, want_viol, want_eqs)
 
     def test_superadditivity_random_vs_brute_force(self):
         rng = np.random.default_rng(20240409)
         for g_max in (0, 1, 2, 3, 9, 10, 77, 160):
             D = rng.integers(0, 40, size=g_max + 1, dtype=np.int64)
             want_viol, want_eqs = brute_scan(D)
-            assert_scan_matches(kernels.superadditivity_scan(D), want_viol, want_eqs)
+            assert_scan_matches(D, want_viol, want_eqs)
             if g_max >= 77:
                 assert want_viol and want_eqs  # both kinds of row are exercised
             if g_max == 160:  # both capped lists are cut
@@ -228,7 +242,7 @@ class TestAgainstScalars:
                 D[5 + b] -= 2 * 5 * b - d
                 want_viol, want_eqs = brute_scan(D)
                 assert [p for p in want_viol + want_eqs if p[0] == 5] == ([(5, b)] if d <= 0 else [])
-                assert_scan_matches(kernels.superadditivity_scan(D), want_viol, want_eqs)
+                assert_scan_matches(D, want_viol, want_eqs)
 
     def test_pair_efficiency_vs_scalar(self):
         for n in (60, 200):
@@ -550,7 +564,7 @@ class TestGuards:
         for D in ([0, top, -top, -top], [0, -top, top, 0, 0]):
             want = brute_scan(D)
             assert want[0]  # violations
-            assert_scan_matches(kernels.superadditivity_scan(np.array(D, dtype=np.int64)), *want)
+            assert_scan_matches(D, *want)
         for D in ([0, top + 1, 0], [0, 0, -top - 1], [0, 2**62 + 1, 0, -(2**62)]):
             with pytest.raises(OverflowError):
                 kernels.superadditivity_scan(np.array(D, dtype=np.int64))

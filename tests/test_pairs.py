@@ -226,6 +226,29 @@ class TestClaimF:
         )
         assert report.counterexamples[0]["missing"] == []
 
+    def test_each_family_ties_at_its_own_stated_cell(self, monkeypatch):
+        # The rank-2 cell (1, 2) moved to (3, 8), which its witness (4, 8)
+        # strictly dominates, so it no longer ties, and the rank-1 cell
+        # (2, 2) moved to (4, 8), which ties.  Pooled into one multiset, the
+        # rank-1 (4, 8) stood in for the missing rank-2 one and the report
+        # passed.
+        _extra_equality(monkeypatch)
+        real = pairs_mod.division_rank2_pairs
+
+        def moved(s, deltas):
+            d, g = real(s, deltas)
+            return np.where((s == 1) & (deltas == 2), 3, d), g
+
+        monkeypatch.setattr(pairs_mod, "division_rank2_pairs", moved)
+        report = verify_claim_f(4, 4, 4, 4)
+        assert report.counterexamples == [
+            {
+                "reason": "equality pairs differ from {(1, 4), (4, 8)}",
+                "unexpected": [[4, 8]],
+                "missing": [[4, 8]],
+            }
+        ]
+
 
 class TestRemarkDomination:
     def test_passes(self):
@@ -311,12 +334,13 @@ def scalar_claim_f(s_max, delta_max, k_max, n_max):
     """The pair-by-pair claim-F loop, in Python ints, as the reference.  It
     reads the division-family constructors off ``agdim.pairs`` at call time,
     so a test can fault them as it faults their array forms."""
-    counterexamples, equalities, checked = [], [], 0
+    counterexamples, equalities, unexpected, missing, checked = [], [], [], [], 0
     branches = (
-        ("I_nc1", pairs_mod.division_rank1_pair, lambda s, d: max(2, (s * d * d) // 2)),
-        ("I_nc2", pairs_mod.division_rank2_pair, lambda s, d: s * d * d),
+        ("I_nc1", pairs_mod.division_rank1_pair, lambda s, d: max(2, (s * d * d) // 2), [1, 4]),
+        ("I_nc2", pairs_mod.division_rank2_pair, lambda s, d: s * d * d, [4, 8]),
     )
-    for family, pair_fn, witness_n in branches:
+    for family, pair_fn, witness_n, stated in branches:
+        stated_tied = False
         for s in range(1, s_max + 1):
             for delta in range(2, delta_max + 1):
                 target = pair_fn(s, delta)
@@ -328,6 +352,10 @@ def scalar_claim_f(s_max, delta_max, k_max, n_max):
                     continue
                 if dominates(witness, target):
                     equalities.append({**head, "witness": {"family": "I", "k": 2, "n": n_w}})
+                    if (s, delta) == (1, 2):  # the family's stated tie
+                        stated_tied = True
+                    else:
+                        unexpected.append([target.d, target.g])
                     continue
                 found = _scalar_search(target, k_max, n_max)
                 if found is None:
@@ -340,11 +368,16 @@ def scalar_claim_f(s_max, delta_max, k_max, n_max):
                             "witness": {"family": "I", "k": found[0], "n": found[1]},
                         }
                     )
-    counterexamples += counter_diff(
-        "equality pairs differ from {(1, 4), (4, 8)}",
-        sorted(e["pair"] for e in equalities),
-        [[1, 4], [4, 8]],
-    )
+        if not stated_tied:
+            missing.append(stated)
+    if unexpected or missing:
+        counterexamples.append(
+            {
+                "reason": "equality pairs differ from {(1, 4), (4, 8)}",
+                "unexpected": sorted(unexpected)[:MAX_LISTED],
+                "missing": missing,
+            }
+        )
     return VerificationReport(
         claim="claim-F",
         range={"s_max": s_max, "delta_max": delta_max, "k_max": k_max, "n_max": n_max},
@@ -444,6 +477,11 @@ def _scalar_undominated_family_ii(mp):
     mp.setattr(pairs_mod, "orthogonal_star_pair", lambda k, r: Pair(10**6, 2 * r * k))
 
 
+def _scalar_both_claim_f_faults(mp):
+    _scalar_huge_rank2(mp)
+    _scalar_extra_equality(mp)
+
+
 class TestBlocksOfRows:
     """Each family is taken in blocks of rows of about kernels.PAIR_BLOCK
     cells.  At 1 every block is one row, and a row is wider than its block;
@@ -451,13 +489,17 @@ class TestBlocksOfRows:
     of them short.  Each fault is made in the array form and in its scalar
     twin: it fails every rank-2 cell, or every family II cell, so failures
     straddle every block edge, or adds a tie at (s, delta) = (2, 2), or
-    ties every rank-1 cell, so the smallest ties come from several blocks."""
+    ties every rank-1 cell, so the smallest ties come from several blocks,
+    or both fails every rank-2 cell and adds the (2, 2) tie, so that the
+    rank-1 family ties at (4, 8), the rank-2 family's stated pair, while
+    the rank-2 family misses it."""
 
     CLAIM_F = [(2, 2, 2, 2), (9, 2, 3, 3), (40, 13, 3, 4), (70, 6, 2, 4), (3, 400, 2, 2)]
     REMARK = [(2, 2), (13, 2), (9, 13), (40, 9), (320, 2), (6, 400)]
 
     @pytest.mark.parametrize(
-        "fault", [None, _scalar_extra_equality, _scalar_huge_rank2, _scalar_tie_every_rank1_cell]
+        "fault",
+        [None, _scalar_extra_equality, _scalar_huge_rank2, _scalar_tie_every_rank1_cell, _scalar_both_claim_f_faults],
     )
     @pytest.mark.parametrize("block", [1, 7, 300])
     def test_claim_f_matches_scalar_loop(self, monkeypatch, block, fault):
