@@ -229,14 +229,15 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
     cell: each family's stated tie is its cell (s, delta) = (1, 2), the
     [0, 0] cell of its first block, which gives (1, 4) in I_nc1 and (4, 8)
     in I_nc2, and no other cell of either family gives either pair.  If
-    that cell does not tie, its pair is missing; it is then cleared from
-    the block's ties, every other tie is unexpected, and the
-    ``MAX_LISTED`` smallest are kept.  So a tie in one family cannot stand
-    in for the other's, and a run whose every cell ties holds no more than
-    a passing one.  The largest value in a block is the rank-2 witness
-    dimension F(s delta^2); F(n) <= n^2 / 4 <= 2^63 - 1 holds for
-    n < 2^32.5, and s, delta <= ``MAX_SAFE_CLAIM_F`` = 1824 gives
-    s delta^2 <= 1824^3 < 2^32.5 < 1825^3.
+    that cell does not tie at that pair, the pair is missing; otherwise
+    the cell is cleared from the block's ties.  Every tie left is
+    unexpected, and the ``MAX_LISTED`` smallest are kept.  So a tie in one
+    family cannot stand in for the other's, a wrong pair tied at the
+    stated cell is listed, not taken for the stated one, and a run whose
+    every cell ties holds no more than a passing one.  The largest value
+    in a block is the rank-2 witness dimension F(s delta^2);
+    F(n) <= n^2 / 4 <= 2^63 - 1 holds for n < 2^32.5, and s, delta <=
+    ``MAX_SAFE_CLAIM_F`` = 1824 gives s delta^2 <= 1824^3 < 2^32.5 < 1825^3.
     """
     if min(s_max, delta_max, k_max, n_max) < 2:
         raise ValueError("all range bounds must be >= 2")
@@ -263,7 +264,9 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
             td, tg = (np.broadcast_to(x, n_w.shape) for x in pairs_fn(s, deltas))
             covered = tg >= wg
             tie = covered & (td == wd)
-            if s_lo == 1 and not tie[0, 0]:  # the stated tie, (s, delta) = (1, 2)
+            # the stated tie is the cell (s, delta) = (1, 2), tied at the stated pair
+            at_stated = s_lo == 1 and tie[0, 0] and [int(td[0, 0]), int(tg[0, 0])] == stated
+            if s_lo == 1 and not at_stated:
                 missing.append(stated)
             if tie.any():
                 for idx in np.flatnonzero(tie)[: MAX_LISTED - len(equalities)].tolist():
@@ -277,7 +280,7 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
                             "witness": {"family": FAMILY_I, "k": 2, "n": int(n_w[i, j])},
                         }
                     )
-                if s_lo == 1:
+                if at_stated:
                     tie[0, 0] = False  # every other tie is unexpected
                 d, g = td[tie], tg[tie]
                 least = np.lexsort((g, d))[:MAX_LISTED]

@@ -395,8 +395,11 @@ class TestVerifyCommand:
             ("prop-estimate", "best_indec_table", lambda real, n: kernels._dmax(np.arange(n + 1)), 200_000),
             # every pair is an equality, all g_max of the first row among them
             ("lemma-dmax", "dmax_values", lambda real, gs: np.zeros_like(gs), 10_000),
+            # every pair is violated; the fault's temporaries in the table
+            # build, within one chunk, peak at 28.8 bytes per genus beyond 64 kB
+            ("lemma-dmax", "dmax_values", lambda real, gs: -gs * gs, 20_000),
         ],
-        ids=["prop-estimate", "prop-estimate-all-equal", "lemma-dmax"],
+        ids=["prop-estimate", "prop-estimate-all-equal", "lemma-dmax", "lemma-dmax-violated"],
     )
     def test_peak_bytes_covers_failing_peak(self, monkeypatch, claim, kernel, fault, g_max):
         real = getattr(kernels, kernel)

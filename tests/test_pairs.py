@@ -249,6 +249,34 @@ class TestClaimF:
             }
         ]
 
+    @pytest.mark.parametrize(
+        "pairs_fn, stated",
+        [("division_rank1_pairs", [1, 4]), ("division_rank2_pairs", [4, 8])],
+        ids=["I_nc1", "I_nc2"],
+    )
+    def test_wrong_pair_at_the_stated_cell_is_listed(self, monkeypatch, pairs_fn, stated):
+        # The cell (1, 2) gives (d, g + 1): it still ties, as its witness
+        # has the same d and a smaller g, but it is not the stated pair.
+        _wrong_pair_at_stated_cell(monkeypatch, pairs_fn)
+        report = verify_claim_f(4, 4, 4, 4)
+        assert report.counterexamples == [
+            {
+                "reason": "equality pairs differ from {(1, 4), (4, 8)}",
+                "unexpected": [[stated[0], stated[1] + 1]],
+                "missing": [stated],
+            }
+        ]
+
+
+def _wrong_pair_at_stated_cell(mp, pairs_fn):
+    real = getattr(pairs_mod, pairs_fn)
+
+    def fake(s, deltas):
+        d, g = real(s, deltas)
+        return d, np.where((s == 1) & (deltas == 2), g + 1, g)
+
+    mp.setattr(pairs_mod, pairs_fn, fake)
+
 
 class TestRemarkDomination:
     def test_passes(self):
@@ -352,7 +380,7 @@ def scalar_claim_f(s_max, delta_max, k_max, n_max):
                     continue
                 if dominates(witness, target):
                     equalities.append({**head, "witness": {"family": "I", "k": 2, "n": n_w}})
-                    if (s, delta) == (1, 2):  # the family's stated tie
+                    if (s, delta) == (1, 2) and [target.d, target.g] == stated:  # the family's stated tie
                         stated_tied = True
                     else:
                         unexpected.append([target.d, target.g])
@@ -482,6 +510,12 @@ def _scalar_both_claim_f_faults(mp):
     _scalar_extra_equality(mp)
 
 
+def _scalar_wrong_rank1_stated_pair(mp):
+    _wrong_pair_at_stated_cell(mp, "division_rank1_pairs")
+    real = pairs_mod.division_rank1_pair
+    mp.setattr(pairs_mod, "division_rank1_pair", lambda s, d: Pair(1, 5) if (s, d) == (1, 2) else real(s, d))
+
+
 class TestBlocksOfRows:
     """Each family is taken in blocks of rows of about kernels.PAIR_BLOCK
     cells.  At 1 every block is one row, and a row is wider than its block;
@@ -492,14 +526,22 @@ class TestBlocksOfRows:
     ties every rank-1 cell, so the smallest ties come from several blocks,
     or both fails every rank-2 cell and adds the (2, 2) tie, so that the
     rank-1 family ties at (4, 8), the rank-2 family's stated pair, while
-    the rank-2 family misses it."""
+    the rank-2 family misses it, or ties the rank-1 cell (1, 2) at (1, 5),
+    not at its stated (1, 4)."""
 
     CLAIM_F = [(2, 2, 2, 2), (9, 2, 3, 3), (40, 13, 3, 4), (70, 6, 2, 4), (3, 400, 2, 2)]
     REMARK = [(2, 2), (13, 2), (9, 13), (40, 9), (320, 2), (6, 400)]
 
     @pytest.mark.parametrize(
         "fault",
-        [None, _scalar_extra_equality, _scalar_huge_rank2, _scalar_tie_every_rank1_cell, _scalar_both_claim_f_faults],
+        [
+            None,
+            _scalar_extra_equality,
+            _scalar_huge_rank2,
+            _scalar_tie_every_rank1_cell,
+            _scalar_both_claim_f_faults,
+            _scalar_wrong_rank1_stated_pair,
+        ],
     )
     @pytest.mark.parametrize("block", [1, 7, 300])
     def test_claim_f_matches_scalar_loop(self, monkeypatch, block, fault):
