@@ -29,12 +29,14 @@ set as it is formed, so the scan returns the claim's listings, not the row.
 Chunks and blocks: every bulk scan walks its range in one of three ways.
 ``_chunks`` takes a range of values in chunks of ``CHUNK``, with a few int64
 and bool buffers that it allocates once and every step writes into through
-``out=``: ``f_bound_violations`` here, and :mod:`agdim.verify`'s table build
-for ``lemma-dmax`` and comparison for ``prop-estimate``.
-``_parity_halves`` takes a range in stretches of 2 ``CHUNK`` values, each
-as two contiguous arrays, its even and its odd values, stepped on in place:
-``piecewise_mismatches``, whose branches differ by parity, so each half is
-a few contiguous passes instead of strided views of a chunk.
+``out=``: :mod:`agdim.verify`'s table build for ``lemma-dmax`` and
+comparison for ``prop-estimate``.  ``_parity_halves`` takes a range in
+stretches of ``CHUNK`` values, each as two contiguous arrays, its even and
+its odd values, stepped on in place, with buffers of half a stretch:
+``piecewise_mismatches`` and ``f_bound_violations``.  The odd value at an
+index is the even one plus 1, so what the two share (dmax's square part
+and the branch, or floor(n/2) and its square) is computed once over the
+even half, and each half adds only its own few contiguous passes.
 ``_row_blocks`` takes the rows of a 2-D scan in blocks of about
 ``PAIR_BLOCK`` cells: ``pair_efficiency_mismatches`` here, and the two
 domination checks of :mod:`agdim.pairs`.  :mod:`agdim.verify` splits the
@@ -42,21 +44,23 @@ ranges of ``piecewise_mismatches`` and ``f_bound_violations`` into blocks,
 one kernel call each, which its thread pool runs in parallel.  So a call
 allocates no array per step, whatever the block's length, and its working
 set stays in a core's L2 cache instead of streaming a fresh temporary of
-the whole block through memory at every step: about 1.6 MB at 64K values,
-the chunk's values, two int64 buffers and one mask for
-``f_bound_violations``, and one half, two int64 buffers and one mask for
-each half of ``piecewise_mismatches`` (2.2 MB for both halves).  A call
-returns the number of failing values and the first ``MAX_LISTED`` of them,
-counted and listed by ``_tally``, so a block that fails everywhere costs no
-more memory than one that passes.
+the whole block through memory at every step: 21 bytes per value of a
+stretch, 1.4 MB at 64K values, for both kernels (both halves' values,
+three int64 buffers and two masks of half a stretch).  A call returns the
+number of failing values and the first ``MAX_LISTED`` of them, counted and
+listed by ``_tally``, which finds each listed value by a bool ``argmax``
+from the one before, so a block that fails everywhere costs no more memory
+than one that passes.
 
-``CHUNK`` is the fastest size of an interleaved sweep run as the benchmark's
-scan runs these kernels, with the pool's two workers, on a 2-CPU x86 VM with
+``CHUNK`` was sized by an interleaved sweep run as the benchmark's scan
+runs these kernels, with the pool's two workers, on a 2-CPU x86 VM with
 2 MB of L2 per core: ``dmax-piecewise`` at 1e7 and 1.6e7 plus ``f-bounds``
-at 1e7 and 2.4e7 took 313-321 ms at 16K, 186-196 ms at 32K, 164-167 ms at
-64K and 181-193 ms at 128K (sums of medians of 9 rounds, two sweeps).
-Smaller chunks pay numpy's per-call overhead more often, larger ones spill
-out of L2.
+at 1e7 and 2.4e7 took 337-347 ms at 16K, 221 ms at 32K, 129-139 ms at 64K
+and 122 ms at 128K (sums of medians of 9 rounds, two sweeps).  Smaller
+chunks pay numpy's per-call overhead more often.  128K, halves of 64K
+values, is 5-12% faster here, but it doubles every call's buffers and the
+chunk buffers of ``lemma-dmax`` and ``prop-estimate``, so ``CHUNK`` stays
+at 64K.
 """
 
 from __future__ import annotations
@@ -103,7 +107,8 @@ MAX_SAFE_PAIR_B = 1_000_000_000
 # Cells per block of the three pair scans: (a, b) in pair_efficiency_mismatches,
 # (s, delta) in pairs.verify_claim_f and (r, k) in pairs.verify_remark_domination.
 PAIR_BLOCK = 1 << 14
-# Values per chunk of piecewise_mismatches and f_bound_violations.
+# Values per chunk of _chunks, and per stretch of _parity_halves, the walk of
+# piecewise_mismatches and f_bound_violations.
 CHUNK = 1 << 16
 # Rows g1 below this are scanned whole by superadditivity_scan; the bands of
 # block bounds start here, at a block width of WHOLE_ROWS / 8.
@@ -173,21 +178,28 @@ def _chunks(
         yield start, values[:m], int_bufs[:, :m], mask_bufs[:, :m]
 
 
-def _parity_halves(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Split lo..hi, lo even, into stretches of at most 2 ``CHUNK`` values.
-    Per stretch, yield its even and its odd values, each ascending, as views
-    of two contiguous arrays allocated once per call, so that each odd value
-    is the even one at its index plus 1.  Both step on in place from stretch
-    to stretch, so the caller must only read them."""
-    size = min(CHUNK, (hi - lo) // 2 + 1)  # even values in a stretch
+def _parity_halves(
+    lo: int, hi: int, ints: int, masks: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Split lo..hi, lo even, into stretches of at most ``CHUNK`` values.
+    Per stretch, yield its even and its odd values, each ascending, and
+    ``ints`` int64 and ``masks`` bool buffers of the even half's length:
+    views of arrays allocated once per call.  Each odd value is the even
+    one at its index plus 1; the odd half is one shorter when the range
+    ends on an even value.  The values step on in place from stretch to
+    stretch, so the caller must only read them."""
+    size = min(max(1, CHUNK // 2), (hi - lo) // 2 + 1)  # even values in a stretch
     evens = np.arange(lo, lo + 2 * size, 2, dtype=np.int64)
     odds = evens + 1
+    int_bufs = np.empty((ints, size), dtype=np.int64)
+    mask_bufs = np.empty((masks, size), dtype=bool)
     for start in range(lo, hi + 1, 2 * size):
         if start > lo:
             np.add(evens, 2 * size, out=evens)
             np.add(odds, 2 * size, out=odds)
         left = hi + 1 - start
-        yield evens[: (left + 1) // 2], odds[: left // 2]
+        m = (left + 1) // 2
+        yield evens[:m], odds[: left // 2], int_bufs[:, :m], mask_bufs[:, :m]
 
 
 def _row_blocks(lo: int, hi: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -207,16 +219,31 @@ class Found(NamedTuple):
     listed: np.ndarray
 
 
+def _first_set(mask: np.ndarray, k: int) -> list[int]:
+    """The indices of the first k set entries of a 1-D mask that holds at
+    least k: one bool ``argmax`` per entry, which stops at the first set
+    entry past the last one found, so listing allocates nothing of the
+    mask's length."""
+    found, at = [], 0
+    for _ in range(k):
+        at += int(np.argmax(mask[at:]))
+        found.append(at)
+        at += 1
+    return found
+
+
 def _tally(listed: list[int], *parts: tuple[np.ndarray, np.ndarray]) -> int:
     """Count the failing values of a stretch, given as (values, failure
     mask) parts whose values each ascend, and append them in ascending order
     to ``listed`` until ``MAX_LISTED`` are listed."""
-    n = sum(int(np.count_nonzero(failing)) for _, failing in parts)
-    if n and len(listed) < MAX_LISTED:
-        room = MAX_LISTED - len(listed)
-        firsts = np.concatenate([values[failing][:room] for values, failing in parts])
-        listed += np.sort(firsts)[:room].tolist()
-    return n
+    counts = [int(np.count_nonzero(failing)) for _, failing in parts]
+    total, room = sum(counts), MAX_LISTED - len(listed)
+    if total and room > 0:
+        firsts = []
+        for (values, failing), n in zip(parts, counts):
+            firsts += values[_first_set(failing, min(n, room))].tolist()
+        listed += sorted(firsts)[:room]
+    return total
 
 
 def _found(stretches: Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]) -> Found:
@@ -226,6 +253,21 @@ def _found(stretches: Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]) -> Fo
     return Found(total, np.array(listed, dtype=np.int64))
 
 
+def _square_part(gs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """floor(floor(g/2)^2 / 4) at the genera gs, written into ``out``: the
+    square part of dmax's max form, the same for 2m and 2m + 1."""
+    np.right_shift(gs, 1, out=out)
+    np.multiply(out, out, out=out)
+    return np.right_shift(out, 2, out=out)
+
+
+def _max_form(gs: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dmax's max form max(g - 1, q) at the genera gs, given its square part
+    q = floor(floor(g/2)^2 / 4) at each of them, written into ``out``; a
+    function of its own, so that a test can inject a fault into it."""
+    return np.maximum(np.subtract(gs, 1, out=out), q, out=out)
+
+
 def piecewise_mismatches(g_lo: int, g_hi: int) -> Found:
     """Genera in [g_lo, g_hi] where the max-form and the three-branch form of
     dmax disagree (expected: none).
@@ -233,14 +275,15 @@ def piecewise_mismatches(g_lo: int, g_hi: int) -> Found:
     The three branches are g - 1 for g <= 15, floor(g^2/16) for even g >= 16
     and floor((g-1)^2/16) for odd g >= 17.  Genera 1..15 are one small
     array against g - 1.  From g = 16 on, the walk takes stretches of
-    2 ``CHUNK`` genera, each as two contiguous arrays, its even and its odd
+    ``CHUNK`` genera, each as two contiguous arrays, its even and its odd
     genera (``_parity_halves``), from an even genus: an odd g_lo's even
     neighbour g_lo - 1 is computed and left out.  The odd genus at an index
-    is the even one plus 1, so floor(g^2/16) over the even half, one
-    multiply and one shift into a reused buffer, is the branch of both
-    halves.  Each half then takes ``_dmax``, one ``not_equal`` and a count,
-    and a stretch's failing genera of both halves are merged in ascending
-    order into the listing.
+    is the even one E plus 1, so two values computed once over the even
+    half serve both halves: the branch floor(E^2/16), and the max form's
+    square part q = floor(floor(E/2)^2 / 4), as floor(g/2) is the same for
+    E and E + 1.  Each half then takes its own max form max(g - 1, q)
+    (``_max_form``), one ``not_equal`` and a count, and a stretch's failing
+    genera of both halves are merged in ascending order into the listing.
     """
     if g_lo < 1 or g_hi < g_lo:
         raise ValueError(f"need 1 <= g_lo <= g_hi (got {g_lo}, {g_hi})")
@@ -249,30 +292,33 @@ def piecewise_mismatches(g_lo: int, g_hi: int) -> Found:
     def differ() -> Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]:
         if g_lo <= 15:
             gs = np.arange(g_lo, min(g_hi, 15) + 1, dtype=np.int64)
-            max_form = _dmax(gs, np.empty_like(gs), np.empty(gs.size, dtype=bool))
+            max_form = _max_form(gs, _square_part(gs, np.empty_like(gs)), np.empty_like(gs))
             yield ((gs, np.not_equal(max_form, gs - 1)),)
         if g_hi < 16:
             return
         lo = max(g_lo, 16)
         skip = lo % 2  # the even genus lo - 1 below an odd lo, left out
-        size = min(CHUNK, (g_hi - lo + skip) // 2 + 1)
-        general, branch = np.empty((2, size), dtype=np.int64)
-        masks = np.empty((2, size), dtype=bool)
-
-        def failing(gs: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
-            """Where the max form at the genera gs differs from the branch b."""
-            return np.not_equal(_dmax(gs, general[: gs.size], mask), b, out=mask)
-
-        for evens, odds in _parity_halves(lo - skip, g_hi):
-            b = np.multiply(evens, evens, out=branch[: evens.size])
-            np.right_shift(b, 4, out=b)
-            yield (
-                (evens[skip:], failing(evens, b, masks[0, : evens.size])[skip:]),
-                (odds, failing(odds, b[: odds.size], masks[1, : odds.size])),
-            )
+        halves = _parity_halves(lo - skip, g_hi, ints=3, masks=2)
+        for evens, odds, (q, branch, form), (even_fail, odd_fail) in halves:
+            _square_part(evens, q)
+            np.right_shift(np.multiply(evens, evens, out=branch), 4, out=branch)
+            np.not_equal(_max_form(evens, q, form), branch, out=even_fail)
+            k = odds.size
+            np.not_equal(_max_form(odds, q[:k], form[:k]), branch[:k], out=odd_fail[:k])
+            yield ((evens[skip:], even_fail[skip:]), (odds, odd_fail[:k]))
             skip = 0
 
     return _found(differ())
+
+
+def _half_products_of(
+    ns: np.ndarray, sq: np.ndarray, h: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """F(n) = floor(n/2) ceil(n/2) at the values ns of one parity half,
+    given sq = floor(n/2)^2 at each of them: sq itself for even ns, and
+    for odd ns, given h = floor(n/2) too, sq + h written into ``out``.  A
+    function of its own, so that a test can inject a fault into it."""
+    return sq if h is None else np.add(sq, h, out=out)
 
 
 def f_bound_violations(n_lo: int, n_hi: int) -> Found:
@@ -281,16 +327,34 @@ def f_bound_violations(n_lo: int, n_hi: int) -> Found:
     sandwich n^2 - 1 <= 4 F(n) <= n^2 holds exactly when 4 F(n) is the
     multiple of 4 in [n^2 - 1, n^2], that is when F(n) = floor(n^2/4): one
     comparison of F with ``n * n >> 2`` tests both sides.  n * n is exact
-    in int64 for n <= ``MAX_SAFE_N`` = isqrt(2^63 - 1)."""
+    in int64 for n <= ``MAX_SAFE_N`` = isqrt(2^63 - 1).
+
+    The walk is ``piecewise_mismatches``': stretches of ``CHUNK`` values as
+    an even and an odd half (``_parity_halves``), from an even n, an odd
+    n_lo's even neighbour computed and left out.  With h = E >> 1 at the
+    even value E of an index, F(E) = h h and F(E + 1) = h h + h, so h and
+    h h are computed once for both halves (``_half_products_of``); each
+    half's floor(n^2/4) is squared from its own n.  The odd half goes
+    first: the even half's F is the buffer h h itself, so a fault injected
+    into it in place reaches the even half alone."""
     if n_lo < 2 or n_hi < n_lo:
         raise ValueError(f"need 2 <= n_lo <= n_hi (got {n_lo}, {n_hi})")
     _require_at_most("n", n_hi, MAX_SAFE_N)
 
     def violated() -> Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]:
-        for _, ns, (f, quarter), (mask,) in _chunks(n_lo, n_hi, ints=2, masks=1):
-            f = half_products(ns, f, quarter)
-            np.right_shift(np.multiply(ns, ns, out=quarter), 2, out=quarter)
-            yield ((ns, np.not_equal(f, quarter, out=mask)),)
+        skip = n_lo % 2  # the even n_lo - 1 below an odd n_lo, left out
+        halves = _parity_halves(n_lo - skip, n_hi, ints=3, masks=2)
+        for evens, odds, (h, sq, quarter), (even_fail, odd_fail) in halves:
+            np.multiply(np.right_shift(evens, 1, out=h), h, out=sq)
+            k = odds.size
+            odd_f = _half_products_of(odds, sq[:k], h[:k], h[:k])
+            np.right_shift(np.multiply(odds, odds, out=quarter[:k]), 2, out=quarter[:k])
+            np.not_equal(odd_f, quarter[:k], out=odd_fail[:k])
+            even_f = _half_products_of(evens, sq)
+            np.right_shift(np.multiply(evens, evens, out=quarter), 2, out=quarter)
+            np.not_equal(even_f, quarter, out=even_fail)
+            yield ((evens[skip:], even_fail[skip:]), (odds, odd_fail[:k]))
+            skip = 0
 
     return _found(violated())
 
@@ -318,7 +382,7 @@ def _list_row(listed: list[tuple[int, int]], mask: np.ndarray, g1: int) -> int:
     them in order to ``listed`` until ``MAX_LISTED`` are listed."""
     n = int(np.count_nonzero(mask))
     if n and len(listed) < MAX_LISTED:
-        listed += [(g1, g1 + j) for j in np.flatnonzero(mask)[: MAX_LISTED - len(listed)].tolist()]
+        listed += [(g1, g1 + j) for j in _first_set(mask, min(n, MAX_LISTED - len(listed)))]
     return n
 
 

@@ -12,11 +12,11 @@ memory.  :func:`admit` is the one admission rule, for ``verify``,
 ``dmax-piecewise`` and ``f-bounds`` split their integer interval into one
 block per worker of a thread pool with one worker per CPU: numpy releases the
 GIL inside its large array loops, so blocks execute in parallel.  Each block is
-one kernel call, which walks the block in chunks of ``kernels.CHUNK`` values,
-or for ``dmax-piecewise`` in stretches of two chunks split by parity,
-through buffers of its own and returns its count of failing values and the
-first ``MAX_LISTED`` of them, so a block's memory does not grow with its
-length, passing or failing.  The blocks' results go to the report in block
+one kernel call, which walks the block in stretches of ``kernels.CHUNK``
+values, each split into its even and its odd half, through buffers of its
+own and returns its count of failing values and the first ``MAX_LISTED`` of
+them, so a block's memory does not grow with its length, passing or
+failing.  The blocks' results go to the report in block
 order, so output is the same for any worker count.
 ``lemma-dmax`` writes its table and ``prop-estimate`` compares its table
 with dmax chunk by chunk of ``kernels._chunks``, the kernels' chunk walk; this

@@ -591,20 +591,22 @@ def _bump_dmax(mp):
     mp.setattr(kernels, "dmax_values", lambda gs: real(gs) + 1)
 
 
-# claim -> (its range flag, its chunked kernel, the helper a fault is raised in)
+# claim -> (its range flag, its chunked kernel, the per-half helper a fault
+# is raised in)
 CHUNKED_CLAIMS = {
-    "dmax-piecewise": ("--g-max", "piecewise_mismatches", "_dmax"),
-    "f-bounds": ("--n-max", "f_bound_violations", "half_products"),
+    "dmax-piecewise": ("--g-max", "piecewise_mismatches", "_max_form"),
+    "f-bounds": ("--n-max", "f_bound_violations", "_half_products_of"),
 }
 
 
 def _raise_helper(helper, at=lambda xs: 1):
-    # Raise the value of a chunked kernel's helper by one: at every value, or
-    # where ``at`` holds.  Every genus fails dmax-piecewise (``_dmax``), and
-    # every n fails the upper side of f-bounds (``half_products``).
+    # Raise the value of a chunked kernel's per-half helper by one: at every
+    # value, or where ``at`` holds.  Every genus fails dmax-piecewise
+    # (``_max_form``), and every n fails the upper side of f-bounds
+    # (``_half_products_of``).
     def inject(mp):
         real = getattr(kernels, helper)
-        mp.setattr(kernels, helper, lambda xs, out, tmp: real(xs, out, tmp) + at(xs))
+        mp.setattr(kernels, helper, lambda xs, *rest: real(xs, *rest) + at(xs))
 
     return inject
 
@@ -723,8 +725,8 @@ def _interior_fails_at_9(mp):
 # One wrong input per claim, at a tiny range; every verifier must report it.
 FAILURES = {
     "lemma-dmax": (["--g-max", "40"], _bump_dmax),
-    "dmax-piecewise": (["--g-max", "100"], _raise_helper("_dmax")),
-    "f-bounds": (["--n-max", "100"], _raise_helper("half_products")),
+    "dmax-piecewise": (["--g-max", "100"], _raise_helper("_max_form")),
+    "f-bounds": (["--n-max", "100"], _raise_helper("_half_products_of")),
     "lemma-N": (["--sum-max", "10", "--pair-max", "10"], _negate_closed_form),
     "claim-F": (
         ["--s-max", "4", "--delta-max", "4", "--k-max", "4", "--n-max", "4"],
@@ -840,7 +842,7 @@ class TestVerifierFailures:
                 "1c721687f8f1d30dcee067aa25400cb1946dc1380b1e7fe84fa89a04f644d0a7",
             ),
             (
-                "dmax-piecewise", ["--g-max", "300000"], _raise_helper("_dmax", at=lambda xs: xs % 1001 == 7),
+                "dmax-piecewise", ["--g-max", "300000"], _raise_helper("_max_form", at=lambda xs: xs % 1001 == 7),
                 "17fa9f480a4fa41a65bc1b1caae5f779b0b48b17ed484705d070afbff3410504",
             ),
             (
@@ -1003,8 +1005,8 @@ class TestVerifierFailures:
         # 510 MB; listing only the reported 50 keeps it near a passing run.
         script = (
             "from agdim import cli, kernels\n"
-            "real = kernels._dmax\n"
-            "kernels._dmax = lambda gs, out, tmp: real(gs, out, tmp) + 1\n"
+            "real = kernels._max_form\n"
+            "kernels._max_form = lambda gs, q, out: real(gs, q, out) + 1\n"
             "code = cli.main(['verify', 'dmax-piecewise', '--g-max', '2000000'])\n"
         )
         code, peak_kb, out = run_child(script)

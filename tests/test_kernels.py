@@ -42,6 +42,24 @@ def found(result):
     return result.total, result.listed.tolist()
 
 
+class CountingNumpy:
+    """numpy with every call of one of its functions or ufuncs counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
 def brute_scan(D):
     """Every violating and every equal pair of D, in Python integers."""
     g_max = len(D) - 1
@@ -281,12 +299,13 @@ class TestAgainstScalars:
                 assert rows(result.listed) == cells[:MAX_LISTED]
 
 
-# chunked kernel -> (the helper a fault is injected into, whether value v is
-# reported by the Python-int scalars when bump is added to that helper's value)
+# chunked kernel -> (the per-half helper a fault is injected into, whether
+# value v is reported by the Python-int scalars when bump is added to that
+# helper's value)
 CHUNKED = {
-    "piecewise_mismatches": ("_dmax", lambda g, bump: dmax(g) + bump != dmax_piecewise(g)),
+    "piecewise_mismatches": ("_max_form", lambda g, bump: dmax(g) + bump != dmax_piecewise(g)),
     "f_bound_violations": (
-        "half_products",
+        "_half_products_of",
         lambda n, bump: not n * n - 1 <= 4 * (half_product(n) + bump) <= n * n,
     ),
 }
@@ -424,23 +443,23 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("lo", [2, 3, 16, 17, 1_000_000, 1_000_001])
     @pytest.mark.parametrize("kernel", list(CHUNKED))
     def test_against_scalars(self, monkeypatch, kernel, lo, faulty):
-        # Ranges that end just inside, at and just past a chunk, and one that
-        # ends mid-way through its third; lo = 2 and 3 cross the g = 15/16/17
-        # branch switch.  Ranges that end just inside, at and just past a
-        # stretch of 2 CHUNK values, the unit of piecewise_mismatches' parity
-        # walk: from an even lo (16, 1_000_000) it starts at lo, from an odd
-        # one (17, 1_000_001) at lo - 1, which it leaves out.  With the
-        # helper's value raised at v = 3 and lowered at v = 5 (mod 7), the
-        # reported values show each chunk's offset, order and end, and both
-        # sides of each comparison: every value with the listing cap lifted,
-        # the first MAX_LISTED with it in place.
+        # Ranges that end just inside, at and just past a stretch of CHUNK
+        # values, the unit of both kernels' parity walk, and of two, and one
+        # that ends mid-way through its third; lo = 2 and 3 cross the
+        # g = 15/16/17 branch switch.  From an even lo (2, 16, 1_000_000)
+        # the walk starts at lo, from an odd one (3, 17, 1_000_001) at
+        # lo - 1, which it leaves out.  With the per-half helper's value
+        # raised at v = 3 and lowered at v = 5 (mod 7), the reported values
+        # show each stretch's offset, order and end, and both sides of each
+        # comparison: every value with the listing cap lifted, the first
+        # MAX_LISTED with it in place.
         helper, reported = CHUNKED[kernel]
 
         def bump(v):
             return ((v % 7 == 3) * 1 - (v % 7 == 5) * 1) if faulty else 0
 
         real = getattr(kernels, helper)
-        monkeypatch.setattr(kernels, helper, lambda xs, out, tmp: real(xs, out, tmp) + bump(xs))
+        monkeypatch.setattr(kernels, helper, lambda xs, *rest: real(xs, *rest) + bump(xs))
         chunk = kernels.CHUNK
         oracle = [v for v in range(lo, lo + 2 * chunk + 3) if reported(v, bump(v))]
         assert bool(oracle) == faulty
@@ -468,8 +487,8 @@ class TestChunkBoundaries:
         # a stretch can be empty: with the max form raised or lowered at
         # every third genus, or at every genus, the listing is every genus
         # the scalars report, ascending.
-        real = kernels._dmax
-        monkeypatch.setattr(kernels, "_dmax", lambda gs, out, tmp: real(gs, out, tmp) + bump(gs))
+        real = kernels._max_form
+        monkeypatch.setattr(kernels, "_max_form", lambda gs, q, out: real(gs, q, out) + bump(gs))
         ranges = [(1, 1), (1, 15), (3, 9), (14, 15), (15, 15), (16, 16), (17, 17)]
         ranges += [(15, 16), (15, 17), (16, 17), (17, 18), (1, 40)]
         for lo, hi in ranges:
@@ -478,8 +497,27 @@ class TestChunkBoundaries:
 
 
 class TestWalks:
-    """The two walks every bulk scan takes: chunks of ``CHUNK`` values and
-    blocks of about ``PAIR_BLOCK`` cells of rows."""
+    """The walks every bulk scan takes: chunks and parity stretches of
+    ``CHUNK`` values, and blocks of about ``PAIR_BLOCK`` cells of rows."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 8])
+    def test_parity_halves_tile_range(self, monkeypatch, chunk):
+        # Every value once, in order, even and odd alternating; stretches of
+        # CHUNK values (CHUNK // 2 pairs, one at least), the last one short
+        # and ending on either parity; buffers of the even half's length.
+        monkeypatch.setattr(kernels, "CHUNK", chunk)
+        pairs = max(1, chunk // 2)
+        for lo, hi in ((0, 0), (2, 3), (16, 16), (16, 40), (16, 41), (1_000_000, 1_000_000 + 3 * chunk)):
+            seen, sizes = [], []
+            for evens, odds, ints, masks in kernels._parity_halves(lo, hi, ints=3, masks=2):
+                assert odds.tolist() == (evens + 1).tolist()[: odds.size]
+                assert evens.size - odds.size in (0, 1)
+                assert ints.shape == (3, evens.size) and ints.dtype == np.int64
+                assert masks.shape == (2, evens.size) and masks.dtype == bool
+                seen += [v for pair in zip(evens.tolist(), odds.tolist() + [None]) for v in pair if v is not None]
+                sizes.append(evens.size)
+            assert seen == list(range(lo, hi + 1)), (lo, hi)
+            assert sizes[:-1] == [pairs] * (len(sizes) - 1) and 1 <= sizes[-1] <= pairs
 
     @pytest.mark.parametrize("fill", [True, False])
     @pytest.mark.parametrize("chunk", [7, 4096])
@@ -501,26 +539,89 @@ class TestWalks:
     @pytest.mark.parametrize(
         "kernel, lo, buffer_bytes",
         [
-            # two parity halves, two int64 buffers and two masks per value pair
-            ("piecewise_mismatches", 1, 34 * kernels.CHUNK),
-            # the values, two int64 buffers and one mask per value
-            ("f_bound_violations", 2, 25 * kernels.CHUNK),
+            # two parity halves, three int64 buffers and two masks per value
+            # pair: 21.06 x CHUNK measured (34 while the halves were CHUNK long)
+            ("piecewise_mismatches", 1, 21 * kernels.CHUNK),
+            # the same: 21.06 x CHUNK measured (25 for chunks of the values,
+            # two int64 buffers and one mask)
+            ("f_bound_violations", 2, 21 * kernels.CHUNK),
         ],
+        ids=["piecewise", "f_bounds"],
     )
-    def test_call_memory_does_not_grow_with_range(self, kernel, lo, buffer_bytes):
+    @pytest.mark.parametrize("faulty", [False, True], ids=["passing", "faulty"])
+    def test_call_memory_does_not_grow_with_range(self, monkeypatch, kernel, lo, buffer_bytes, faulty):
         # A call's buffers are allocated once and sized by CHUNK, not by its
         # range: its tracemalloc peak is the same at 4 and 40 chunks, and
-        # its buffers plus a few kB of small arrays.
+        # its buffers plus a few kB of small arrays.  With the per-half
+        # helper's value raised in place at every value, every value fails,
+        # and the listing holds the call to the passing bound: listing the
+        # first MAX_LISTED of a whole half took 50.1 and 33.0 x CHUNK.
+        helper = CHUNKED[kernel][0]
+        real = getattr(kernels, helper)
+
+        def raised(xs, *rest):
+            value = real(xs, *rest)
+            value += 1
+            return value
+
+        if faulty:
+            monkeypatch.setattr(kernels, helper, raised)
         peaks = []
         for n in (4 * kernels.CHUNK, 40 * kernels.CHUNK):
             tracemalloc.start()
             try:
-                assert getattr(kernels, kernel)(lo, n).total == 0
+                result = getattr(kernels, kernel)(lo, n)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+            assert result.total == (n - lo + 1 if faulty else 0)
+            assert result.listed.tolist() == (list(range(lo, lo + MAX_LISTED)) if faulty else [])
         assert abs(peaks[1] - peaks[0]) < 4096, peaks
         assert buffer_bytes <= peaks[1] < buffer_bytes + 16384, peaks
+
+    @pytest.mark.parametrize(
+        "kernel, lo, per_stretch",
+        [
+            # the branch (2) and the square part (3) over the even half, and
+            # per half the max form (2), a not_equal and a count
+            ("piecewise_mismatches", 16, 15),
+            # h and h h over the even half (2), the odd half's F (1), and per
+            # half n * n >> 2 (2), a not_equal and a count
+            ("f_bound_violations", 2, 13),
+        ],
+    )
+    def test_numpy_calls_per_stretch(self, monkeypatch, kernel, lo, per_stretch):
+        # Each stretch of CHUNK values also steps both halves on (2).  The
+        # calls of 4 more stretches, counted through a proxy for kernels.np,
+        # pin the kernel's work: a pass added back fails here.
+        counts = []
+        for stretches in (4, 8):
+            proxy = CountingNumpy()
+            monkeypatch.setattr(kernels, "np", proxy)
+            assert getattr(kernels, kernel)(lo, lo + stretches * kernels.CHUNK - 1).total == 0
+            monkeypatch.setattr(kernels, "np", np)
+            counts.append(proxy.calls)
+        assert counts[1] - counts[0] == 4 * per_stretch, counts
+
+    def test_list_row_memory_does_not_grow_with_its_row(self):
+        # The first MAX_LISTED set entries of a row are found one at a time,
+        # so a row that fails everywhere allocates no array of its length:
+        # np.flatnonzero of the whole row took 8.0 MB at 1e6 entries.
+        size = 1_000_000
+        masks = {"every": np.ones(size, dtype=bool), "sparse": np.arange(size) % 9973 == 5}
+        masks["late"] = np.arange(size) >= size - 7
+        for name, mask in masks.items():
+            want = np.flatnonzero(mask).tolist()
+            listed = [(0, 0)]
+            tracemalloc.start()
+            try:
+                n = kernels._list_row(listed, mask, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert n == len(want)
+            assert listed == [(0, 0)] + [(3, 3 + j) for j in want[: MAX_LISTED - 1]], name
+            assert peak < 32768, (name, peak)
 
     @pytest.mark.parametrize("block", [1, 7, 300])
     def test_row_blocks_tile_rows(self, monkeypatch, block):
@@ -584,9 +685,9 @@ class TestGuards:
         # every n of the window ending at the ceiling.
         top = kernels.MAX_SAFE_N
         assert top * top <= 2**63 - 1 < (top + 1) * (top + 1)
-        real = kernels.half_products
+        real = kernels._half_products_of
         for bump in (0, 1, -1):
-            monkeypatch.setattr(kernels, "half_products", lambda ns, out, tmp: real(ns, out, tmp) + bump)
+            monkeypatch.setattr(kernels, "_half_products_of", lambda ns, *rest: real(ns, *rest) + bump)
             oracle = [
                 n for n in range(top - 20, top + 1) if not n * n - 1 <= 4 * (half_product(n) + bump) <= n * n
             ]
