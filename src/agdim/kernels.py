@@ -47,10 +47,15 @@ set stays in a core's L2 cache instead of streaming a fresh temporary of
 the whole block through memory at every step: 21 bytes per value of a
 stretch, 1.4 MB at 64K values, for both kernels (both halves' values,
 three int64 buffers and two masks of half a stretch).  A call returns the
-number of failing values and the first ``MAX_LISTED`` of them, counted and
-listed by ``_tally``, which finds each listed value by a bool ``argmax``
-from the one before, so a block that fails everywhere costs no more memory
-than one that passes.
+number of failing values and the first ``MAX_LISTED`` of them.
+
+Listing: ``_listing`` is the one place where the first entries of a
+failure mask are listed, with the mask's count, for every kernel here and
+every verifier of :mod:`agdim.verify` and :mod:`agdim.pairs`.  It finds
+each listed index by a bool ``argmax`` from the one before, over windows
+of ``LIST_WINDOW`` entries, and never takes a whole-mask ``flatnonzero``,
+so a scan that fails everywhere costs no more memory than one that
+passes, beyond the rows its report lists.
 
 ``CHUNK`` was sized by an interleaved sweep run as the benchmark's scan
 runs these kernels, with the pool's two workers, on a 2-CPU x86 VM with
@@ -110,6 +115,8 @@ PAIR_BLOCK = 1 << 14
 # Values per chunk of _chunks, and per stretch of _parity_halves, the walk of
 # piecewise_mismatches and f_bound_violations.
 CHUNK = 1 << 16
+# Entries of a mask that _listing searches at a time.
+LIST_WINDOW = 1 << 12
 # Rows g1 below this are scanned whole by superadditivity_scan; the bands of
 # block bounds start here, at a block width of WHOLE_ROWS / 8.
 WHOLE_ROWS = 32
@@ -219,37 +226,49 @@ class Found(NamedTuple):
     listed: np.ndarray
 
 
-def _first_set(mask: np.ndarray, k: int) -> list[int]:
-    """The indices of the first k set entries of a 1-D mask that holds at
-    least k: one bool ``argmax`` per entry, which stops at the first set
-    entry past the last one found, so listing allocates nothing of the
-    mask's length."""
+def _listing(mask: np.ndarray, room: int, unset: bool = False) -> tuple[int, list[int]]:
+    """How many entries of ``mask``, read flat, are set (or, with ``unset``,
+    are not), and the indices of the first ``room`` of them in order: the
+    one listing primitive of every claim.  Each index is found by a bool
+    ``argmax`` (``argmin`` for unset entries) from the one before, over
+    windows of ``LIST_WINDOW`` entries, never by a whole-mask
+    ``flatnonzero``, so listing allocates nothing of the mask's length: a
+    contiguous window is searched in place, and a strided view is not
+    negated, only each window of it copied, as numpy's search copies a view
+    that is not contiguous.  Every 2-D mask listed is C-contiguous, so
+    reading it flat copies nothing."""
+    flat = mask.reshape(-1)
+    total = int(np.count_nonzero(flat))
+    total = flat.size - total if unset else total
+    search = np.argmin if unset else np.argmax
     found, at = [], 0
-    for _ in range(k):
-        at += int(np.argmax(mask[at:]))
-        found.append(at)
-        at += 1
-    return found
-
-
-def _tally(listed: list[int], *parts: tuple[np.ndarray, np.ndarray]) -> int:
-    """Count the failing values of a stretch, given as (values, failure
-    mask) parts whose values each ascend, and append them in ascending order
-    to ``listed`` until ``MAX_LISTED`` are listed."""
-    counts = [int(np.count_nonzero(failing)) for _, failing in parts]
-    total, room = sum(counts), MAX_LISTED - len(listed)
-    if total and room > 0:
-        firsts = []
-        for (values, failing), n in zip(parts, counts):
-            firsts += values[_first_set(failing, min(n, room))].tolist()
-        listed += sorted(firsts)[:room]
-    return total
+    while len(found) < min(room, total):
+        window = flat[at : at + LIST_WINDOW]
+        i = int(search(window))
+        if window[i] != unset:
+            found.append(at + i)
+        at += i + 1 if window[i] != unset else window.size
+    return total, found
 
 
 def _found(stretches: Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]) -> Found:
-    """:func:`_tally` over the (values, failure mask) parts of each stretch."""
-    listed: list[int] = []
-    total = sum(_tally(listed, *parts) for parts in stretches)
+    """The failing values of the stretches, each given as (values, failure
+    mask) parts whose values ascend: their count, and the first
+    ``MAX_LISTED`` in ascending order, the parts of a stretch merged.  A
+    stretch is counted here and listed through :func:`_listing` only where
+    it fails while there is room, so a passing stretch costs its counts and
+    no more Python: with the pool's two threads contending for the GIL, a
+    ``_listing`` call per part took 5% more time in ``piecewise_mismatches``
+    and ``f_bound_violations`` (in-process, interleaved)."""
+    listed, total = [], 0
+    for parts in stretches:
+        counts = [int(np.count_nonzero(failing)) for _, failing in parts]
+        total += sum(counts)
+        if any(counts) and len(listed) < MAX_LISTED:
+            firsts = []
+            for values, failing in parts:
+                firsts += map(values.item, _listing(failing, MAX_LISTED - len(listed))[1])
+            listed += sorted(firsts)[: MAX_LISTED - len(listed)]
     return Found(total, np.array(listed, dtype=np.int64))
 
 
@@ -377,15 +396,6 @@ def _rows(pairs: list[tuple[int, int]]) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
 
 
-def _list_row(listed: list[tuple[int, int]], mask: np.ndarray, g1: int) -> int:
-    """Count the pairs (g1, g1 + j) of row g1 with mask[j] set, and append
-    them in order to ``listed`` until ``MAX_LISTED`` are listed."""
-    n = int(np.count_nonzero(mask))
-    if n and len(listed) < MAX_LISTED:
-        listed += [(g1, g1 + j) for j in _first_set(mask, min(n, MAX_LISTED - len(listed)))]
-    return n
-
-
 def _coarsen(b: np.ndarray, k: int, op: np.ufunc) -> np.ndarray:
     """``op`` (``np.minimum`` or ``np.maximum``) over each group of k
     consecutive entries of b, the last group short when k does not divide
@@ -494,13 +504,15 @@ def superadditivity_scan(D: np.ndarray) -> SuperadditivityScan:
             continue
         row -= D[g1]
         mask = row < 0
-        violations_total += _list_row(violations, mask, g1)
+        n, js = _listing(mask, MAX_LISTED - len(violations))
+        violations += [(g1, g1 + j) for j in js]
+        violations_total += n
         tie = np.equal(row, 0, out=mask)
         equalities_total += int(np.count_nonzero(tie))
         if g1 == 1:  # the stated ties g2 = 1 + j, even >= 16: odd j >= 15
-            missing = np.flatnonzero(~tie[15::2])[:MAX_LISTED] * 2 + 16
+            missing = np.array(_listing(tie[15::2], MAX_LISTED, unset=True)[1], dtype=np.int64) * 2 + 16
             tie[15::2] = False
-        _list_row(unexpected, tie, g1)
+        unexpected += [(g1, g1 + j) for j in _listing(tie, MAX_LISTED - len(unexpected))[1]]
     return SuperadditivityScan(
         violations=_rows(violations),
         violations_total=violations_total,
@@ -592,9 +604,7 @@ def pair_efficiency_mismatches(a_max: int, b_max: int) -> Found:
         b = np.arange(a_lo, b_max + 1, dtype=np.int64)[None, :]
         failing = (a * b < 2 * (a + b)) != _two_element_efficient(a, b)
         failing &= b >= a
-        n = int(np.count_nonzero(failing))
+        n, at = _listing(failing, MAX_LISTED - len(listed))
         total += n
-        if n and len(listed) < MAX_LISTED:
-            i, j = np.divmod(np.flatnonzero(failing)[: MAX_LISTED - len(listed)], b.size)
-            listed += np.stack([a_lo + i, a_lo + j], axis=1).tolist()
-    return Found(total, np.array(listed, dtype=np.int64).reshape(-1, 2))
+        listed += [(a_lo + i, a_lo + j) for i, j in (divmod(x, b.size) for x in at)]
+    return Found(total, _rows(listed))

@@ -268,8 +268,9 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
             at_stated = s_lo == 1 and tie[0, 0] and [int(td[0, 0]), int(tg[0, 0])] == stated
             if s_lo == 1 and not at_stated:
                 missing.append(stated)
-            if tie.any():
-                for idx in np.flatnonzero(tie)[: MAX_LISTED - len(equalities)].tolist():
+            ties, at = kernels._listing(tie, MAX_LISTED - len(equalities))
+            if ties:
+                for idx in at:
                     i, j = divmod(idx, width)
                     equalities.append(
                         {
@@ -299,7 +300,7 @@ def verify_claim_f(s_max: int, delta_max: int, k_max: int, n_max: int) -> Verifi
                     entry["witness"] = {"family": FAMILY_I, "k": found[0], "n": found[1]}
                 return entry
 
-            report.add(np.flatnonzero(~covered | (td > wd)), failure)
+            report.add(kernels._listing(~covered | (td > wd), report.room), failure)
     report.add(
         equality_diff(
             "equality pairs differ from {(1, 4), (4, 8)}", [list(pair) for pair in kept], missing
@@ -334,7 +335,7 @@ def _row_fallback(
     n = root + 1
     none = k * n > g
     report.add(
-        np.flatnonzero(none),
+        kernels._listing(none, report.room),
         lambda j: {
             "family": family,
             "k": k.item(j),

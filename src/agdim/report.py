@@ -6,10 +6,14 @@ from ``counterexamples`` and no verifier sets it.  A report lists at most
 ``details["counterexamples_total"]``.  A verifier hands its failures to
 :meth:`VerificationReport.add` in the order it finds them, which counts every
 one and builds a row only for those the report lists, so unlisted failures
-cost no rows.  A claim whose equality set is part of the statement checks it
-against its rule where it finds the equalities, and reports a difference
-through :func:`equality_diff`, in one shape for every claim.  Verifiers never
-raise on mathematical failure, only on invalid usage.
+cost no rows.  A bulk verifier lists a failure mask through the one listing
+primitive, ``kernels._listing``: given the mask and the report's ``room``,
+it returns the mask's count and its first indices in order, a pair that
+``add`` takes as it is, so this module needs no numpy.  A claim whose
+equality set is part of the statement checks it against its rule where it
+finds the equalities, and reports a difference through
+:func:`equality_diff`, in one shape for every claim.  Verifiers never raise
+on mathematical failure, only on invalid usage.
 """
 
 from __future__ import annotations
@@ -37,12 +41,20 @@ class VerificationReport:
         self.unlisted += max(0, len(self.counterexamples) - MAX_LISTED)
         self.counterexamples = self.counterexamples[:MAX_LISTED]
 
+    @property
+    def room(self) -> int:
+        """How many more counterexamples the report lists."""
+        return MAX_LISTED - len(self.counterexamples)
+
     def add(self, failures, row=None, total=None) -> None:
         """Count ``total`` failures (by default ``len(failures)``) and list
         ``row(x)`` for each item x of ``failures``, in order, while fewer than
         ``MAX_LISTED`` are listed; ``row=None`` lists the items themselves.
-        ``failures`` is a list, or an array read through ``.tolist()``."""
-        listed = failures[: MAX_LISTED - len(self.counterexamples)]
+        ``failures`` is a list, an array read through ``.tolist()``, or the
+        pair (total, indices) that ``kernels._listing`` returns."""
+        if isinstance(failures, tuple):
+            total, failures = failures
+        listed = failures[: self.room]
         if not isinstance(listed, list):
             listed = listed.tolist()
         self.counterexamples += listed if row is None else [row(x) for x in listed]

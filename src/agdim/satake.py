@@ -275,22 +275,35 @@ def _family_i(n_lo: int, n_hi: int) -> FamilyGrid:
 
 def _small_family(family: str, max_rep_dim: int) -> FamilyGrid:
     """The grid of a family other than I: its cases with rep_dim <=
-    max_rep_dim, ascending (a few hundred rows at most)."""
+    max_rep_dim, ascending (a few hundred rows at most).
+
+    A one-parameter family is one ``np.arange`` and its array rules, as
+    family I's grid is.  rep_dim grows with the parameter and exceeds it,
+    so the arange from the family's first parameter to max(max_rep_dim,
+    first) ends past the last case, and the cases are the prefix before the
+    first rep_dim over max_rep_dim.  int64 is exact there while
+    max_rep_dim < 2^62: every rep_dim up to that first one is at most
+    2 max_rep_dim (2r, or a power of two at most twice the one before); the
+    powers 2 ** (p - 1) and 2 ** p past it wrap at p = 64, but none of them
+    is read.  hss_dim, r(r +- 1)/2 at r <= max_rep_dim / 2, needs r(r + 1)
+    < 2^63, so max_rep_dim < 6e9.  Only catalog's ``--rep-max`` passes
+    4096, under ``--unsafe-no-ceiling``, and family I's max_rep_dim^2 / 4
+    cases, yielded before these, keep such a range out of reach."""
     rule = _FAMILY[family]
+    if len(rule.params) == 1:
+        x = np.arange(rule.first, max(max_rep_dim, rule.first) + 1, dtype=np.int64)
+        x = x[: int(np.argmax(rule.rep(x) > max_rep_dim))]
+        if rule.absorbed:
+            x = x[x != 4]
+        return FamilyGrid(family, x[:, None], rule.hss(x), rule.rep(x))
     rows: list[tuple[int, ...]] = []
     if not rule.params:
         rows = [()] if rule.rep() <= max_rep_dim else []
-    elif family == "Iprime":
+    else:  # Iprime
         n = 4
         while rule.rep(n, 2) <= max_rep_dim:  # C(n, 2) <= C(n, c) for 2 <= c <= n-2
             rows += [(n, c) for c in range(2, n - 1) if rule.rep(n, c) <= max_rep_dim]
             n += 1
-    else:
-        x = rule.first
-        while rule.rep(x) <= max_rep_dim:  # rep_dim grows with the parameter
-            if x != 4 or not rule.absorbed:
-                rows.append((x,))
-            x += 1
     return FamilyGrid(
         family,
         np.array(rows, dtype=np.int64).reshape(len(rows), len(rule.params)),

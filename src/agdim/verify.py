@@ -41,7 +41,7 @@ from . import kernels, pairs, satake
 from .arith import dmax
 from .efficiency import verify_efficiency_classification
 from .moduli import dmc_mgct, mgct_interior_bound_holds
-from .report import VerificationReport, equality_diff
+from .report import MAX_LISTED, VerificationReport, equality_diff
 
 __all__ = [
     "RangeParam",
@@ -168,29 +168,29 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
     return report
 
 
+def _verify_blocked(
+    claim: str, kernel: str, key: str, lo: int, hi: int, reason: str
+) -> VerificationReport:
+    """The report of ``kernels.<kernel>`` over lo..hi, run in blocks on the
+    thread pool: each failing value listed as ``{key: value, "reason":
+    reason}``, in block order."""
+    report = VerificationReport(
+        claim=claim, range={f"{key}_max": hi}, details={"values_checked": hi - lo + 1}
+    )
+    for found in _run_blocked(getattr(kernels, kernel), lo, hi):
+        report.add(found.listed, lambda v: {key: v, "reason": reason}, found.total)
+    return report
+
+
 def _verify_piecewise(g_max: int) -> VerificationReport:
     """max(g-1, floor(floor(g/2)^2/4)) agrees with its three-branch form for
     all 1 <= g <= g_max."""
-    report = VerificationReport(
-        claim="dmax-piecewise", range={"g_max": g_max}, details={"values_checked": g_max}
-    )
-    for found in _run_blocked(kernels.piecewise_mismatches, 1, g_max):
-        report.add(
-            found.listed, lambda g: {"g": g, "reason": "piecewise forms differ"}, found.total
-        )
-    return report
+    return _verify_blocked("dmax-piecewise", "piecewise_mismatches", "g", 1, g_max, "piecewise forms differ")
 
 
 def _verify_f_bounds(n_max: int) -> VerificationReport:
     """(n^2 - 1)/4 <= F(n) <= n^2/4 in exact integers for 2 <= n <= n_max."""
-    report = VerificationReport(
-        claim="f-bounds", range={"n_max": n_max}, details={"values_checked": n_max - 1}
-    )
-    for found in _run_blocked(kernels.f_bound_violations, 2, n_max):
-        report.add(
-            found.listed, lambda n: {"n": n, "reason": "half-product bound violated"}, found.total
-        )
-    return report
+    return _verify_blocked("f-bounds", "f_bound_violations", "n", 2, n_max, "half-product bound violated")
 
 
 def _verify_efficiency(sum_max: int, pair_max: int) -> VerificationReport:
@@ -200,15 +200,8 @@ def _verify_efficiency(sum_max: int, pair_max: int) -> VerificationReport:
     report = verify_efficiency_classification(sum_max)
     listed = kernels.pair_efficiency_mismatches(pair_max, pair_max).listed.tolist()
     if listed:
-        report.add(
-            [
-                {
-                    "reason": "two-element criterion (a-2)(b-2) < 4 disagrees "
-                    "with the definition",
-                    "pairs": listed,
-                }
-            ]
-        )
+        reason = "two-element criterion (a-2)(b-2) < 4 disagrees with the definition"
+        report.add([{"reason": reason, "pairs": listed}])
     report.range["pair_max"] = pair_max
     report.details["two_element_window"] = {
         "a_max": pair_max,
@@ -241,8 +234,9 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
     dmax is compared with the table chunk by chunk of ``kernels._chunks``,
     through its buffers, so only the table spans the whole range.  The
     rule's even genera g >= 16 are one strided slice of the chunk's stated
-    mask.  The first ``MAX_LISTED`` unexpected and missing genera are kept,
-    by ``kernels._tally``, and the equalities counted.
+    mask.  The violations and the first ``MAX_LISTED`` unexpected and
+    missing genera are listed from the chunk's masks by
+    ``kernels._listing``, and the equalities counted.
     """
     bi = kernels.best_indec_table(g_max)
     report = VerificationReport(
@@ -259,7 +253,7 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
         best = bi[lo : lo + gs.size]
         dm = kernels._dmax(gs, dm, failing)
         report.add(
-            np.flatnonzero(np.greater(best, dm, out=failing)),
+            kernels._listing(np.greater(best, dm, out=failing), report.room),
             lambda i: {
                 "g": lo + i,
                 "best_pair": int(best[i]),
@@ -276,7 +270,8 @@ def _verify_best_pair_bound(g_max: int) -> VerificationReport:
             stated[2 - lo] = True
         equalities += int(np.count_nonzero(equal))
         for listed, (a, b) in ((unexpected, (equal, stated)), (missing, (stated, equal))):
-            kernels._tally(listed, (gs, np.greater(a, b, out=failing)))  # a and not b
+            a_not_b = np.greater(a, b, out=failing)
+            listed += [lo + i for i in kernels._listing(a_not_b, MAX_LISTED - len(listed))[1]]
     report.add(
         equality_diff(
             "equality genera differ from {2} union {even g >= 16}", unexpected, missing
@@ -331,7 +326,8 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
     built only for a counterexample the report lists, from the grid that
     holds its index.  dmax(k * rep_dim) is evaluated once per distinct
     rep_dim (at most rep_max of them, against about rep_max^2 / 4 cases) and
-    gathered to the cases.
+    gathered to the cases.  Per k, the cases over the bound and those on
+    it are two masks, each counted and listed by ``kernels._listing``.
     """
     grids = list(satake.family_grid(rep_max))
     hss = np.concatenate([g.hss_dim for g in grids])
@@ -354,12 +350,10 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
     for k in range(2, k_max + 1):
         lhs = (k - 1) * hss
         bound = kernels.dmax_values(k * reps)[rep_at]
-        hits = np.flatnonzero(lhs >= bound)
-        over = hits[lhs[hits] > bound[hits]]
-        equal = hits[lhs[hits] == bound[hits]]
-        equality_count += equal.size
+        if not np.greater_equal(lhs, bound).any():  # no case on or over the bound
+            continue
         report.add(
-            over,
+            kernels._listing(lhs > bound, report.room),
             lambda idx: {
                 "case": case(idx),
                 "k": k,
@@ -368,8 +362,12 @@ def _verify_catalog_bound(rep_max: int, k_max: int) -> VerificationReport:
                 "reason": "dimension bound violated",
             },
         )
+        equal = lhs == bound
+        equality_count += int(np.count_nonzero(equal))
+        if k == 2:
+            np.greater(equal, in_family_i, out=equal)  # equal and not in family I
         report.add(
-            equal[~in_family_i[equal]] if k == 2 else equal,
+            kernels._listing(equal, report.room),
             lambda idx: {"case": case(idx), "k": k, "reason": "equality outside family I with k=2"},
         )
     report.witnesses = [{"equality_cases": "family I with k=2 only", "count": equality_count}]

@@ -37,6 +37,16 @@ from agdim.schemas import (
     VERIFICATION_REPORT_SCHEMA,
 )
 
+from faults import (
+    _best_pair_plus_million,
+    _failing_mgct,
+    _huge_rank2,
+    _negate_closed_form,
+    _raise_helper,
+    _undominated_family_ii,
+    _zero_dmax,
+)
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -599,23 +609,6 @@ CHUNKED_CLAIMS = {
 }
 
 
-def _raise_helper(helper, at=lambda xs: 1):
-    # Raise the value of a chunked kernel's per-half helper by one: at every
-    # value, or where ``at`` holds.  Every genus fails dmax-piecewise
-    # (``_max_form``), and every n fails the upper side of f-bounds
-    # (``_half_products_of``).
-    def inject(mp):
-        real = getattr(kernels, helper)
-        mp.setattr(kernels, helper, lambda xs, *rest: real(xs, *rest) + at(xs))
-
-    return inject
-
-
-def _negate_closed_form(mp):
-    real = efficiency.closed_form_efficient
-    mp.setattr(efficiency, "closed_form_efficient", lambda *args: not real(*args))
-
-
 def _extra_equality(mp):
     # (s, delta) = (2, 2) becomes (4, 8), equal to its witness unitary_pair(2, 4)
     real = pairs.division_rank1_pairs
@@ -638,31 +631,6 @@ def _bump_best_pair(mp):
     mp.setattr(kernels, "best_indec_table", lambda g_max: real(g_max) + 1)
 
 
-def _undominated_family_ii(mp):
-    mp.setattr(pairs, "orthogonal_star_pairs", lambda k, r: (np.full_like(k, 10**6), 2 * r * k))
-
-
-def _huge_rank2(mp):
-    real = pairs.division_rank2_pairs
-
-    def fake(s, deltas):
-        d, g = real(s, deltas)
-        return np.full_like(d, 10**9), g
-
-    mp.setattr(pairs, "division_rank2_pairs", fake)
-
-
-def _failing_mgct(mp):
-    def boom(g):
-        raise RuntimeError(f"self-check failed at g={g}")
-
-    mp.setattr(verify, "dmc_mgct", boom)
-
-
-def _zero_dmax(mp):
-    mp.setattr(kernels, "dmax_values", lambda gs: np.zeros_like(gs))
-
-
 def _both_claim_f_faults(mp):
     _huge_rank2(mp)
     _extra_equality(mp)
@@ -675,11 +643,6 @@ def _lemma_n_margin_7(mp):
 def _bump_best_pair_chunk_11(mp):
     _bump_best_pair(mp)
     mp.setattr(kernels, "CHUNK", 11)
-
-
-def _best_pair_plus_million(mp):
-    real = kernels.best_indec_table
-    mp.setattr(kernels, "best_indec_table", lambda g_max: real(g_max) + 10**6)
 
 
 def _ramp_dmax(mp):

@@ -89,3 +89,32 @@ def test_no_unused_import_or_private_name(path):
             defined += [t.id for t in targets if isinstance(t, ast.Name)]
     orphans = [n for n in defined if n.startswith("_") and not n.startswith("__") and n not in _READ]
     assert (unused, orphans) == ([], [])
+
+
+def _whole_mask_listings(path: Path) -> list[tuple[str, str]]:
+    """(enclosing function, call) of every ``flatnonzero`` or ``nonzero``
+    call in a module."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner
+            func = getattr(child, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr in ("flatnonzero", "nonzero"):
+                found.append((owner, ast.unparse(child)))
+            visit(child, name)
+
+    visit(_tree(path), "")
+    return found
+
+
+def test_every_failure_mask_is_listed_in_one_place():
+    # kernels._listing counts a failure mask and lists its first entries
+    # without an array of the mask's length; any other flatnonzero or
+    # nonzero call in the package is a listing beside it.  The one
+    # exception selects every failing cell of a remark-domination row for
+    # the row's fallback, which is not a listing.
+    found = {path.stem: _whole_mask_listings(path) for path in SOURCES}
+    assert {stem: calls for stem, calls in found.items() if calls} == {
+        "pairs": [("verify_remark_domination", "np.flatnonzero(failing[i])")]
+    }

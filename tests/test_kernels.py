@@ -603,25 +603,46 @@ class TestWalks:
             counts.append(proxy.calls)
         assert counts[1] - counts[0] == 4 * per_stretch, counts
 
-    def test_list_row_memory_does_not_grow_with_its_row(self):
-        # The first MAX_LISTED set entries of a row are found one at a time,
-        # so a row that fails everywhere allocates no array of its length:
-        # np.flatnonzero of the whole row took 8.0 MB at 1e6 entries.
+    @pytest.mark.parametrize("unset", [False, True], ids=["set", "unset"])
+    def test_listing_memory_does_not_grow_with_its_mask(self, unset):
+        # The first MAX_LISTED set (or unset) entries of a mask are found one
+        # at a time, so a mask that fails everywhere allocates no array of
+        # its length: np.flatnonzero of the whole mask took 8.0 MB at 1e6
+        # entries.  A strided view, as lemma-dmax's stated ties are, is
+        # searched a window at a time and never negated.
         size = 1_000_000
-        masks = {"every": np.ones(size, dtype=bool), "sparse": np.arange(size) % 9973 == 5}
+        masks = {"all set": np.ones(size, dtype=bool), "all unset": np.zeros(size, dtype=bool)}
+        masks["sparse"] = np.arange(size) % 9973 == 5
         masks["late"] = np.arange(size) >= size - 7
+        masks["strided"] = np.arange(2 * size) % 4 == 1
         for name, mask in masks.items():
-            want = np.flatnonzero(mask).tolist()
-            listed = [(0, 0)]
+            view = mask[1::2] if name == "strided" else mask
+            want = np.flatnonzero(view != unset).tolist()
             tracemalloc.start()
             try:
-                n = kernels._list_row(listed, mask, 3)
+                total, listed = kernels._listing(view, MAX_LISTED, unset)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert n == len(want)
-            assert listed == [(0, 0)] + [(3, 3 + j) for j in want[: MAX_LISTED - 1]], name
+            assert (total, listed) == (len(want), want[:MAX_LISTED]), name
             assert peak < 32768, (name, peak)
+
+    def test_listing_against_flatnonzero(self):
+        # Random masks around the window's edges, flat, strided and 2-D, with
+        # room for none, some, MAX_LISTED and more than the count.
+        rng = np.random.default_rng(37)
+        window = kernels.LIST_WINDOW
+        for size in (0, 1, window - 1, window + 1, 2 * window + 7):
+            for density in (0.0, 0.0005, 0.5, 1.0):
+                mask = rng.random(2 * size) < density
+                for view in (mask[:size], mask[1::2], mask[: size // 3 * 6].reshape(-1, 3)):
+                    for unset in (False, True):
+                        want = np.flatnonzero(view != unset)
+                        count = np.count_nonzero(view != unset)
+                        for room in (0, 1, MAX_LISTED, view.size + 5):
+                            total, listed = kernels._listing(view, room, unset)
+                            assert total == count
+                            assert listed == want[:room].tolist(), (size, density, view.shape, unset, room)
 
     @pytest.mark.parametrize("block", [1, 7, 300])
     def test_row_blocks_tile_rows(self, monkeypatch, block):

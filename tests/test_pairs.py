@@ -27,7 +27,8 @@ from agdim.pairs import (
     verify_remark_domination,
 )
 from agdim.report import MAX_LISTED, VerificationReport
-from test_cli import _extra_equality, _huge_rank2, _tie_every_rank1_cell, _undominated_family_ii
+from faults import _huge_rank2, _undominated_family_ii
+from test_cli import _extra_equality, _tie_every_rank1_cell
 from test_report import counter_diff
 
 # The ten unitary-family pairs of genus <= 15, frozen from the case analysis:
