@@ -55,20 +55,21 @@ separator, runs the C encoder on every leaf; its text is split on
   value, and a raw newline only comes from the layout, so a block of rows
   can be rendered at any depth;
 - the constant text of the template escapes ``%`` as ``%%``;
-- a row of a long export fills the template of its layout (``_layout``):
-  ``_template`` of one row of that layout, with each ``int`` leaf left as
-  ``%s`` and every other leaf encoded by json.  ``%s`` of an ``int`` is
-  ``int.__repr__``, which is what json writes for it, so every value that
-  fills a template is exactly ``int`` (``%s`` of a ``bool`` is ``True``).
-  The ``dmax --format json`` rows, ``{"g", "dmax"}``, all share one layout;
-- a ``catalog`` row is an ``iter_cases`` row ``(layout, ints)``: its
-  layout is its case and duality, the string leaves of its record, whose
-  keys its case fixes, and ``ints`` its integer leaves (params, hss_dim,
-  rep_dim, min_compact_factors) in document order; ``iter_cases`` makes
-  every integer leaf exactly ``int`` and every layout leaf exactly ``str``.
-  ``_catalog_rows`` builds each layout's template once, from the
-  ``satake.record`` of the first row of that layout, and fills it with each
-  row's ``ints``, one ``%`` per row; no record is built for the other rows.
+- a row of the three row exports, ``dmax --format json``, ``catalog`` and
+  ``verify remark-domination``, fills the template of its layout
+  (``_layout``): ``_template`` of one row of that layout, with each ``int``
+  leaf left as ``%s`` and every other leaf encoded by json.  ``%s`` of an
+  ``int`` is ``int.__repr__``, which is what json writes for it, so every
+  value that fills a template is exactly ``int`` (``%s`` of a ``bool`` is
+  ``True``).  The ``dmax`` rows, ``{"g", "dmax"}``, share one layout;
+- the other two take rows ``(layout, ints)``: ``ints`` are the integer
+  leaves of the row's record in document order, and its layout the other
+  leaves, which fix its keys: (case, duality) and (params, hss_dim,
+  rep_dim, min_compact_factors) for ``catalog`` (``iter_cases``), (family,
+  designated) and (r, 2, k_max, n) for a witness (``pairs.witness_record``).
+  Every integer leaf is exactly ``int``.  ``_catalog_rows`` builds each
+  layout's template once, from the record of the first row of that layout,
+  and fills it with each row's ``ints``, one ``%`` per row.
 """
 
 from __future__ import annotations
@@ -156,17 +157,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _write_rows(
-    out: str | None, head: str, rows: Iterator, render: Callable[[list], str], tail: str, sep: str = ""
+    fh: TextIO, head: str, rows: Iterator, render: Callable[[list], str], tail: str, sep: str = ""
 ) -> None:
     """Write ``head``, the rows rendered ``_BLOCK`` at a time and joined by
     ``sep``, then ``tail``, so memory does not grow with the output."""
-    with _output(out) as fh:
-        fh.write(head)
-        lead = ""
-        while block := list(islice(rows, _BLOCK)):
-            fh.write(lead + render(block))
-            lead = sep
-        fh.write(tail)
+    fh.write(head)
+    lead = ""
+    while block := list(islice(rows, _BLOCK)):
+        fh.write(lead + render(block))
+        lead = sep
+    fh.write(tail)
 
 
 def _lines(template: str, sep: str = "") -> Callable[[list], str]:
@@ -268,10 +268,10 @@ def _layout(row) -> str:
     return _ROW + text.replace("%", "%%").replace("\x00", "%s")
 
 
-def _catalog_rows() -> Callable[[list], str]:
-    """The block renderer of ``catalog``: a block of ``iter_cases`` rows,
-    each filling the ``_layout`` template of its row layout (see the module
-    docstring), built once per export."""
+def _catalog_rows(to_record: Callable[..., dict] = record) -> Callable[[list], str]:
+    """The block renderer of rows ``(layout, ints)``, ``catalog``'s by default:
+    each row fills the ``_layout`` template of its layout (see the module
+    docstring), built once per export from ``to_record`` of its first row."""
     templates: dict = {}
 
     def render(block: list[tuple]) -> str:
@@ -281,7 +281,7 @@ def _catalog_rows() -> Callable[[list], str]:
         for layout, values in block:
             template = templates.get(layout)
             if template is None:
-                template = templates[layout] = _layout(record(layout, values))
+                template = templates[layout] = _layout(to_record(layout, values))
             rows.append(template % values)
         return ",".join(rows)
 
@@ -289,14 +289,14 @@ def _catalog_rows() -> Callable[[list], str]:
 
 
 def _write_json(
-    out: str | None, doc: dict, key: str, rows: Iterator, render: Callable[[list], str]
+    fh: TextIO, doc: dict, key: str, rows: Iterator, render: Callable[[list], str]
 ) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline, where the list
     ``doc[key]`` (empty in ``doc``) holds the rows, at least one.  ``render``
     makes a block of them the text of its items as ``_dumps`` renders them
     in the list, joined by ``,``."""
     head, tail = _dumps(doc).split(f'"{key}": []')
-    _write_rows(out, f'{head}"{key}": [', rows, render, f"\n  ]{tail}\n", sep=",")
+    _write_rows(fh, f'{head}"{key}": [', rows, render, f"\n  ]{tail}\n", sep=",")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -333,17 +333,18 @@ def _cmd_dmax(args: argparse.Namespace) -> int:
         raise ValueError("a genus or range argument is required")
     lo, hi = _parse_range(args.range)
     rows = _dmax_rows(lo, hi)
-    if args.format == "markdown":
-        tail = f"\ngenerated at {_timestamp()}\n" if args.timestamp else ""
-        _write_rows(args.out, "| g | dmax |\n| --- | --- |\n", rows, _lines("| %d | %d |\n"), tail)
-    elif args.format == "csv":
-        _write_rows(args.out, "g,dmax\n", rows, _lines("%d,%d\n"), "")
-    else:
-        doc = {"schema": "agdim.dmax-table/1", "values": []}
-        if args.timestamp:
-            doc["generated_at"] = _timestamp()
-        # Every row has one layout: its template, filled by (g, dmax) tuples.
-        _write_json(args.out, doc, "values", rows, _lines(_layout({"g": 1, "dmax": 1}), ","))
+    with _output(args.out) as fh:
+        if args.format == "markdown":
+            tail = f"\ngenerated at {_timestamp()}\n" if args.timestamp else ""
+            _write_rows(fh, "| g | dmax |\n| --- | --- |\n", rows, _lines("| %d | %d |\n"), tail)
+        elif args.format == "csv":
+            _write_rows(fh, "g,dmax\n", rows, _lines("%d,%d\n"), "")
+        else:
+            doc = {"schema": "agdim.dmax-table/1", "values": []}
+            if args.timestamp:
+                doc["generated_at"] = _timestamp()
+            # Every row has one layout: its template, filled by (g, dmax) tuples.
+            _write_json(fh, doc, "values", rows, _lines(_layout({"g": 1, "dmax": 1}), ","))
     return 0
 
 
@@ -383,10 +384,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     admitted = range_args(args.claim, overrides, args.unsafe_no_ceiling)
     with _output(args.out) as fh:
         report = run_verifier(args.claim, admitted=admitted)
+        rows, to_record = report.witnesses, report.record
+        if to_record:  # a witness table: its rows are written, not their records
+            report.witnesses, report.record = [], None
         doc = report.to_dict()
         if args.timestamp:
             doc["generated_at"] = _timestamp()
-        fh.write(_dumps(doc) + "\n")
+        if to_record:
+            _write_json(fh, doc, "witnesses", iter(rows), _catalog_rows(to_record))
+        else:
+            fh.write(_dumps(doc) + "\n")
     return 0 if report.passed else 1
 
 
@@ -422,7 +429,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     doc = {"schema": "agdim.catalog/1", "max_rep_dim": args.rep_max, "cases": []}
     if args.timestamp:
         doc["generated_at"] = _timestamp()
-    _write_json(args.out, doc, "cases", iter_cases(args.rep_max), _catalog_rows())
+    with _output(args.out) as fh:
+        _write_json(fh, doc, "cases", iter_cases(args.rep_max), _catalog_rows())
     return 0
 
 

@@ -30,6 +30,7 @@ over a failing row's cells (:func:`_row_fallback`).
 
 from __future__ import annotations
 
+from itertools import count, repeat
 from math import isqrt
 
 import numpy as np
@@ -62,6 +63,7 @@ __all__ = [
     "mdsp_star_table",
     "verify_claim_f",
     "verify_remark_domination",
+    "witness_record",
 ]
 
 FAMILY_I = "I"
@@ -350,6 +352,16 @@ def _row_fallback(
     return found.item(0) if (found == found[0]).all() else -1
 
 
+def witness_record(layout: tuple[str, bool], ints: tuple[int, ...]) -> dict:
+    """The witness entry of a :func:`verify_remark_domination` row: its
+    ``layout`` is (family, designated), its ``ints`` (r, 2, k_max, n)."""
+    (family, designated), (r, k_lo, k_max, n) = layout, ints
+    return {
+        "family": family, "r": r, "k_range": [k_lo, k_max], "designated": designated,
+        "witness": {"family": FAMILY_I, "k": "same", "n": n},
+    }
+
+
 def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
     """Check that every II- and III-family pair in range is strictly
     dominated by a same-k unitary pair.
@@ -363,10 +375,11 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
     cells (``kernels._row_blocks``): a column of r against the row of k,
     one call of the array constructors and one failure mask per block.
     The block's rows are read in r order, each failing row's k in k order,
-    so the failures and the per-r witness entries come in the order of a
-    scan pair by pair.  Only the k whose designated witness is not strict
-    go to the closed-form rule (for III with r = 2, k_max - 1 of them), in
-    one numpy pass per row (:func:`_row_fallback`).  The largest value in a
+    so the failures and the per-r witness rows (:func:`witness_record`),
+    zipped from the block's columns, come in the order of a scan pair by
+    pair.  Only the k whose designated witness is not strict go to the
+    closed-form rule (for III with r = 2, k_max - 1 of them), in one numpy
+    pass per row (:func:`_row_fallback`).  The largest value in a
     block is the witness dimension (k-1) F(2r-1) = (k-1) r (r-1), below
     2^63 for k, r <= ``MAX_SAFE_REMARK`` = 2^21, where it is
     2^63 - 2^43 + 2^21; at k = r = 2^21 + 1 it is 2^63 + 2^42.
@@ -375,7 +388,7 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
         raise ValueError("all range bounds must be >= 2")
     kernels._require_at_most("r_max", r_max, MAX_SAFE_REMARK)
     kernels._require_at_most("k_max", k_max, MAX_SAFE_REMARK)
-    report = VerificationReport(claim="remark-domination", range={"r_max": r_max, "k_max": k_max})
+    report = VerificationReport("remark-domination", {"r_max": r_max, "k_max": k_max}, record=witness_record)
     ks = np.arange(2, k_max + 1, dtype=np.int64)
     width = ks.size
     branches = (
@@ -383,6 +396,7 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
         (FAMILY_III, quaternion_symplectic_pairs, 2),
     )
     for family, pairs_fn, r_lo in branches:
+        ok, bad = (family, True), (family, False)  # the family's two layouts
         for r_start, r in kernels._row_blocks(r_lo, r_max, width):
             designated = 2 * r - 1
             if family == FAMILY_III:
@@ -390,20 +404,14 @@ def verify_remark_domination(r_max: int, k_max: int) -> VerificationReport:
             wd, wg = unitary_pairs(ks, designated)
             td, tg = (np.broadcast_to(x, (r.size, width)) for x in pairs_fn(ks, r))
             failing = (td >= wd) | (tg < wg)
-            for i, (n, failed) in enumerate(zip(designated[:, 0].tolist(), failing.any(1).tolist())):
-                entry = {
-                    "family": family,
-                    "r": r_start + i,
-                    "k_range": [2, k_max],
-                    "designated": not failed,
-                    "witness": {"family": FAMILY_I, "k": "same", "n": n},
-                }
-                if failed:
-                    js = np.flatnonzero(failing[i])
-                    fallback_n = _row_fallback(report, family, r_start + i, ks[js], td[i, js], tg[i, js])
-                    if fallback_n is not None and fallback_n > 0:
-                        entry["witness"]["n"] = fallback_n
-                report.witnesses.append(entry)
+            ns, failed = designated[:, 0].tolist(), failing.any(1).tolist()
+            for i in (i for i, f in enumerate(failed) if f):
+                js = np.flatnonzero(failing[i])
+                fallback_n = _row_fallback(report, family, r_start + i, ks[js], td[i, js], tg[i, js])
+                if fallback_n is not None and fallback_n > 0:
+                    ns[i] = fallback_n
+            layouts = [bad if f else ok for f in failed]
+            report.witnesses += zip(layouts, zip(count(r_start), repeat(2), repeat(k_max), ns))
     cases = max(0, r_max - 3) + r_max - 1  # II over r >= 4, III over r >= 2
     report.details = {"pairs_checked": cases * (k_max - 1)}
     return report

@@ -12,14 +12,15 @@ it returns the mask's count and its first indices in order, a pair that
 ``add`` takes as it is, so this module needs no numpy.  A claim whose
 equality set is part of the statement checks it against its rule where it
 finds the equalities, and reports a difference through
-:func:`equality_diff`, in one shape for every claim.  Verifiers never raise
-on mathematical failure, only on invalid usage.
+:func:`equality_diff`, in one shape for every claim.  A table of witnesses
+is held as rows, with the ``record`` of a row, for an export to write.
+Verifiers never raise on mathematical failure, only on invalid usage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 __all__ = ["MAX_LISTED", "VerificationReport", "equality_diff"]
 
@@ -33,9 +34,10 @@ class VerificationReport:
     claim: str
     range: dict[str, int]
     counterexamples: list[dict] = field(default_factory=list)
-    witnesses: list[dict] = field(default_factory=list)
+    witnesses: list = field(default_factory=list)  # dicts, or rows when ``record`` is set
     details: dict[str, Any] = field(default_factory=dict)
     unlisted: int = 0  # counterexamples found but not in ``counterexamples``
+    record: Callable[..., dict] | None = None  # the record of a witness row
 
     def __post_init__(self) -> None:
         self.unlisted += max(0, len(self.counterexamples) - MAX_LISTED)
@@ -77,7 +79,7 @@ class VerificationReport:
             "range": dict(self.range),
             "status": self.status,
             "counterexamples": list(self.counterexamples),
-            "witnesses": list(self.witnesses),
+            "witnesses": [self.record(*w) for w in self.witnesses] if self.record else list(self.witnesses),
             "details": details,
         }
 

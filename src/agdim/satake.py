@@ -37,8 +37,8 @@ and :func:`catalog_json` is the records of every row.  Each family is one
 record: its parameter names, the range of a one-parameter
 family (smallest parameter, parameter 4 absorbed by D4 or not) and its four
 rules (the two dimensions, the duality type, the forced-compact-factor flag)
-as functions of its parameters.  Validation, the label API and the grid all
-read that record; the table above is its copy for readers.
+as functions of its parameters (or values).  Validation, the label API and
+the grid all read that record; the table above is its copy for readers.
 """
 
 from __future__ import annotations
@@ -80,13 +80,14 @@ class _Family(NamedTuple):
     """One catalog family: its parameter names, its four rules as functions
     of the parameters (int64 arrays of them for family I's grid; the flag is
     explained in :func:`min_compact_factors`), and for a one-parameter
-    family its smallest parameter and whether the D4 row absorbs 4."""
+    family its smallest parameter and whether the D4 row absorbs 4.  A
+    duality or flag that no parameter changes is its value, not a function."""
 
     params: tuple[str, ...]
     hss: Callable
     rep: Callable
-    duality: Callable[..., str]
-    min_compact: Callable[..., int]
+    duality: Callable[..., str] | str
+    min_compact: Callable[..., int] | int
     first: int = 0
     absorbed: bool = False
 
@@ -105,35 +106,34 @@ def _iprime_duality(n: int, c: int) -> str:
 
 # Family iteration order is fixed so that catalog exports are deterministic.
 _FAMILY: dict[str, _Family] = {
-    "A1": _Family((), lambda: 1, lambda: 2, lambda: SYMPLECTIC, lambda: 0),
-    "D4": _Family((), lambda: 6, lambda: 8, lambda: ORTHOGONAL, lambda: 0),
+    "A1": _Family((), lambda: 1, lambda: 2, SYMPLECTIC, 0),
+    "D4": _Family((), lambda: 6, lambda: 8, ORTHOGONAL, 0),
     "I": _Family(
         ("p", "n"), hss=lambda p, n: p * (n - p), rep=lambda p, n: n,
-        duality=lambda p, n: NON_SELF_DUAL, min_compact=lambda p, n: 1,
+        duality=NON_SELF_DUAL, min_compact=1,
     ),
     "Iprime": _Family(
-        ("n", "c"), hss=lambda n, c: n - 1, rep=math.comb,
-        duality=_iprime_duality, min_compact=lambda n, c: 1,
+        ("n", "c"), hss=lambda n, c: n - 1, rep=math.comb, duality=_iprime_duality, min_compact=1,
     ),
     "II": _Family(
         ("r",), first=2, absorbed=True, hss=lambda r: r * (r - 1) // 2, rep=lambda r: 2 * r,
-        duality=lambda r: ORTHOGONAL, min_compact=lambda r: 1 if r >= 4 else 0,
+        duality=ORTHOGONAL, min_compact=lambda r: 1 if r >= 4 else 0,
     ),
     "III1": _Family(
         ("r",), first=2, hss=lambda r: r * (r + 1) // 2, rep=lambda r: 2 * r,
-        duality=lambda r: SYMPLECTIC, min_compact=lambda r: 0,
+        duality=SYMPLECTIC, min_compact=0,
     ),
     "III2": _Family(
         ("r",), first=2, hss=lambda r: r * (r + 1) // 2, rep=lambda r: 2 * r,
-        duality=lambda r: SYMPLECTIC, min_compact=lambda r: 1,
+        duality=SYMPLECTIC, min_compact=1,
     ),
     "IV1even": _Family(
         ("p",), first=3, absorbed=True, hss=lambda p: 2 * p - 2, rep=lambda p: 2 ** (p - 1),
-        duality=_mod4_duality, min_compact=lambda p: 1,
+        duality=_mod4_duality, min_compact=1,
     ),
     "IV1odd": _Family(
         ("p",), first=2, hss=lambda p: 2 * p - 1, rep=lambda p: 2**p,
-        duality=lambda p: ORTHOGONAL if p % 4 in (0, 3) else SYMPLECTIC, min_compact=lambda p: 1,
+        duality=lambda p: ORTHOGONAL if p % 4 in (0, 3) else SYMPLECTIC, min_compact=1,
     ),
     "IV2": _Family(
         ("r",), first=3, absorbed=True, hss=lambda r: 2 * r - 2, rep=lambda r: 2 ** (r - 1),
@@ -218,7 +218,8 @@ def rep_dimension(label: CaseLabel) -> int:
 def duality_type(label: CaseLabel) -> str:
     """Self-duality type of the representation: symplectic, orthogonal, or
     not self-dual."""
-    return _FAMILY[label.family].duality(*label.params)
+    rule = _FAMILY[label.family].duality
+    return rule(*label.params) if callable(rule) else rule
 
 
 def min_compact_factors(label: CaseLabel) -> int:
@@ -242,7 +243,8 @@ def min_compact_factors(label: CaseLabel) -> int:
     * III1 carries an alternating form, which is always isotropic, and A1 and
       D4 are not covered by the criteria, so these are 0.
     """
-    return _FAMILY[label.family].min_compact(*label.params)
+    rule = _FAMILY[label.family].min_compact
+    return rule(*label.params) if callable(rule) else rule
 
 
 @dataclass(frozen=True)
@@ -332,11 +334,11 @@ def family_grid(max_rep_dim: int) -> Iterator[FamilyGrid]:
             n = n_hi + 1
 
 
-def _rule_column(rule: Callable, cols: list[list[int]]) -> Iterator:
-    """``rule`` of each case, from the parameter columns of the cases; a
-    family with no parameter repeats its one value (a zip with the cases'
-    other columns ends it)."""
-    return map(rule, *cols) if cols else repeat(rule())
+def _rule_column(rule: Callable | str | int, cols: list[list[int]]) -> Iterator:
+    """A duality or flag rule of each case, from the parameter columns of
+    the cases: a constant rule repeats its value (a zip with the cases'
+    other columns ends it), with no call per case."""
+    return map(rule, *cols) if callable(rule) else repeat(rule)
 
 
 def iter_cases(max_rep_dim: int) -> Iterator[tuple[tuple[str, str], tuple[int, ...]]]:

@@ -432,11 +432,11 @@ REGISTRY: dict[str, Verifier] = {
             RangeParam("--k-max", 64, 2048, limit=pairs.MAX_SAFE_REMARK),
         ),
         run=_verify_remark_domination,
-        # per unit of r_max, two witness entries, 1.0-1.1 kB; per unit of
-        # k_max, the arrays of a row wider than a block; and one block of up
-        # to PAIR_BLOCK cells, 30-60 bytes per cell: peaks of 0.28 MB at
-        # 64/64 and 1.14 MB at 256/256, passing or not
-        peak_bytes=lambda r_max, k_max: 1280 * r_max + 160 * k_max + 64 * kernels.PAIR_BLOCK,
+        # the command's, through cli.main to --out, passing or not: per unit
+        # of r_max, two witness rows, 400-465 bytes (512 is 10% above); per
+        # unit of k_max, a row wider than a block; and one block of
+        # PAIR_BLOCK cells, 30-60 bytes each: 0.96 MB at 256/256
+        peak_bytes=lambda r_max, k_max: 512 * r_max + 160 * k_max + 64 * kernels.PAIR_BLOCK,
     ),
     "cor-C": Verifier(params=(), run=_verify_mgct),
     "cor-decoupled": Verifier(

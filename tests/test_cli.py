@@ -38,6 +38,7 @@ from agdim.schemas import (
 )
 
 from faults import (
+    EVERY_ITEM,
     _best_pair_plus_million,
     _failing_mgct,
     _huge_rank2,
@@ -424,22 +425,24 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("fault", [None, "undominated II"])
     @pytest.mark.parametrize("r_max, k_max", [(4096, 2), (5, 1 << 14), (64, 64), (256, 256)])
-    def test_remark_peak_bytes_covers_peak(self, monkeypatch, r_max, k_max, fault):
-        # Its witness list grows with r_max, a row wider than a block with
-        # k_max, and 64/64 and 256/256 are one block of 3969 cells and
-        # blocks of 16320; under the fault every family II row misses its
-        # witness at every k.
+    def test_remark_peak_bytes_covers_peak(self, monkeypatch, tmp_path, r_max, k_max, fault):
+        # The whole command, measured through cli.main: its witness rows
+        # grow with r_max, a row wider than a block with k_max, and 64/64
+        # and 256/256 are one block of 3969 cells and blocks of 16320;
+        # under the fault every family II row misses its witness at every
+        # k.  The rows are written a block at a time to --out, so the text
+        # is never held whole.
         if fault:
             _undominated_family_ii(monkeypatch)
-        overrides = {"r_max": r_max, "k_max": k_max}
+        argv = ["verify", "remark-domination", "--r-max", str(r_max), "--k-max", str(k_max)]
         tracemalloc.start()
         try:
-            report = verify.run_verifier("remark-domination", overrides, unsafe_no_ceiling=True)
+            code = cli.main([*argv, "--unsafe-no-ceiling", "--out", str(tmp_path / "report.json")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.passed is (fault is None)
-        assert peak <= verify.REGISTRY["remark-domination"].peak_bytes(**overrides)
+        assert code == (1 if fault else 0)
+        assert peak <= verify.REGISTRY["remark-domination"].peak_bytes(r_max=r_max, k_max=k_max)
 
     @pytest.mark.parametrize("size", [64, 1024, pairs.MAX_SAFE_CLAIM_F])
     def test_claim_f_peak_set_by_its_block(self, size):
@@ -1403,6 +1406,32 @@ class TestCatalogCommand:
         assert json.loads(out)["$id"] == "agdim.catalog/1"
 
 
+@pytest.mark.parametrize("fault", [False, True], ids=["pass", "every-item"])
+@pytest.mark.parametrize("claim", sorted(verify.REGISTRY))
+def test_verify_writes_its_report(capsys, monkeypatch, tmp_path, claim, fault):
+    # Every claim's output, through the plain path or remark-domination's
+    # rows written a block at a time (blocks of 7 rows here), is its
+    # report's to_dict as json.dumps writes it, passing and under the
+    # fault that fails every item, with or without --timestamp, on stdout
+    # and in an --out file.
+    seam, inject, overrides = EVERY_ITEM[claim]
+    if fault:
+        inject(monkeypatch)
+    monkeypatch.setattr(cli, "_BLOCK", 7)
+    monkeypatch.setattr(cli, "_timestamp", lambda: "2026-01-01T00:00:00+00:00")
+    doc = verify.run_verifier(claim, overrides).to_dict()
+    want = json.dumps(doc, indent=2) + "\n"
+    stamped = json.dumps({**doc, "generated_at": cli._timestamp()}, indent=2) + "\n"
+    argv = ["verify", claim, *(x for k, v in overrides.items() for x in (cli._RANGE_FLAGS[k], str(v)))]
+    code = 1 if fault else 0
+    assert doc["status"] == ("fail" if fault else "pass")
+    assert run(capsys, argv) == (code, want, "")
+    assert run(capsys, [*argv, "--timestamp"]) == (code, stamped, "")
+    target = tmp_path / "report.json"
+    assert run(capsys, [*argv, "--out", str(target)]) == (code, "", "")
+    assert target.read_text(encoding="utf-8") == want
+
+
 class TestTracerContract:
     """perfbench's tracer, which cannot change with agdim, swaps ``cli.json``
     for a namespace that holds only ``dumps`` and wraps ``iter_cases`` in
@@ -1416,6 +1445,8 @@ class TestTracerContract:
         argvs = [
             *catalogs,
             ["verify", "remark-domination"],
+            # more than two blocks of rows
+            ["verify", "remark-domination", "--r-max", "600", "--k-max", "2"],
             ["explain", "750", "--format", "json"],
         ]
         plain = [run(capsys, argv) for argv in argvs]
@@ -1438,7 +1469,7 @@ class TestTracerContract:
         # one yield per exported case, and none outside catalog
         cases = [len(json.loads(out)["cases"]) for code, out, _ in plain[: len(catalogs)]]
         assert all(code == 0 for code, _, _ in plain[: len(catalogs)])
-        assert counts == [*cases, 0, 0] and cases[0] == 1
+        assert counts == [*cases, 0, 0, 0] and cases[0] == 1
 
 
 # Exit code, stdout and stderr of a subcommand run without its positional

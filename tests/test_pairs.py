@@ -284,7 +284,7 @@ class TestRemarkDomination:
         report = verify_remark_domination(64, 64)
         assert report.passed
         assert report.counterexamples == []
-        by_case = {(w["family"], w["r"]): w for w in report.witnesses}
+        by_case = {(w["family"], w["r"]): w for w in report.to_dict()["witnesses"]}
         assert by_case[("III", 3)]["designated"] is True
         assert by_case[("III", 3)]["witness"]["n"] == 6
         assert by_case[("II", 5)]["witness"]["n"] == 9
