@@ -1414,7 +1414,7 @@ def test_verify_writes_its_report(capsys, monkeypatch, tmp_path, claim, fault):
     # report's to_dict as json.dumps writes it, passing and under the
     # fault that fails every item, with or without --timestamp, on stdout
     # and in an --out file.
-    seam, inject, overrides = EVERY_ITEM[claim]
+    _, inject, overrides = EVERY_ITEM[claim]
     if fault:
         inject(monkeypatch)
     monkeypatch.setattr(cli, "_BLOCK", 7)
