@@ -30,9 +30,11 @@ every usage error: a handler raises ``ValueError`` and ``main`` prints
 rule, ``verify.admit``, before any work.
 
 Exit codes: 0 success or verified pass; 1 claim failure or fixture mismatch;
-2 usage error.  All output is deterministic unless ``--timestamp`` is given.
-An ``--out`` file is written under a temporary name beside it and replaces
-it only when the command completes.
+2 usage error; 141 (128 + SIGPIPE) from the ``agdim`` script when the
+reader of stdout closes it early, with no traceback.  All output is
+deterministic unless ``--timestamp`` is given.  An ``--out`` file is
+written under a temporary name beside it and replaces it only when the
+command completes.
 
 JSON output
 -----------
@@ -602,4 +604,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """The ``agdim`` script: exit with :func:`main`'s code, or with 141, as
+    a process killed by SIGPIPE does, when stdout's reader closed it early
+    (``agdim ... | head -1``)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit, which would raise once more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

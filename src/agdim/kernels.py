@@ -2,9 +2,10 @@
 
 The scalar API (:mod:`agdim.arith`) uses Python integers and is exact for any
 input.  The range verifiers, however, sweep millions of values, so their inner
-loops run on numpy int64 arrays.  numpy releases the GIL inside its large
-array loops, which is what lets :mod:`agdim.verify` run blocked scans on a
-thread pool.  ``mdsp_table`` alone is one Python-int pass, exact at any size.
+loops run on numpy int64 arrays, on the calling thread: numpy releases the
+GIL inside its array loops, but over the short arrays of a stretch a second
+thread buys little, as the sweep at the end of this docstring measures.
+``mdsp_table`` alone is one Python-int pass, exact at any size.
 
 Exactness: int64 arithmetic overflows silently, so every kernel input is
 validated against a ceiling derived from that kernel's largest intermediate
@@ -26,28 +27,27 @@ difference and its min, and its pairs are listed only where the min fails;
 the first row, which holds every stated equality, is checked against that
 set as it is formed, so the scan returns the claim's listings, not the row.
 
-Chunks and blocks: every bulk scan walks its range in one of three ways.
+Chunks and stretches: every bulk scan walks its range in one of three ways.
 ``_chunks`` takes a range of values in chunks of ``CHUNK``, with a few int64
 and bool buffers that it allocates once and every step writes into through
 ``out=``: :mod:`agdim.verify`'s table build for ``lemma-dmax`` and
 comparison for ``prop-estimate``.  ``_parity_halves`` takes a range in
-stretches of ``CHUNK`` values, each as two contiguous arrays, its even and
-its odd values, stepped on in place, with buffers of half a stretch:
-``piecewise_mismatches`` and ``f_bound_violations``.  The odd value at an
-index is the even one plus 1, so what the two share (dmax's square part
-and the branch, or floor(n/2) and its square) is computed once over the
-even half, and each half adds only its own few contiguous passes.
-``_row_blocks`` takes the rows of a 2-D scan in blocks of about
-``PAIR_BLOCK`` cells: ``pair_efficiency_mismatches`` here, and the two
-domination checks of :mod:`agdim.pairs`.  :mod:`agdim.verify` splits the
-ranges of ``piecewise_mismatches`` and ``f_bound_violations`` into blocks,
-one kernel call each, which its thread pool runs in parallel.  So a call
-allocates no array per step, whatever the block's length, and its working
-set stays in a core's L2 cache instead of streaming a fresh temporary of
-the whole block through memory at every step: 21 bytes per value of a
-stretch, 1.4 MB at 64K values, for both kernels (both halves' values,
-three int64 buffers and two masks of half a stretch).  A call returns the
-number of failing values and the first ``MAX_LISTED`` of them.
+stretches of ``CHUNK`` values, each as one contiguous array of its even
+values E, stepped on in place, with buffers of E's length:
+``piecewise_mismatches`` and ``f_bound_violations``, each run by
+:mod:`agdim.verify` as one call over the whole range.  The odd value at an
+index is E + 1, so what the two parities share (dmax's square part and
+the branch, or floor(n/2) and its square) is computed once over E, and
+each parity adds only its own few contiguous passes.  ``_row_blocks``
+takes the rows of a 2-D scan in blocks of about ``PAIR_BLOCK`` cells:
+``pair_efficiency_mismatches`` here, and the two domination checks of
+:mod:`agdim.pairs`.  So a call allocates no array per step, whatever its
+range, and its working set stays in a core's L2 cache instead of
+streaming a fresh temporary of the whole range through memory at every
+step: 17 bytes per value of a stretch, 1.1 MB at 64K values, for both
+kernels (the even values, three int64 buffers and two masks of half a
+stretch).  A call returns the number of failing values and the first
+``MAX_LISTED`` of them.
 
 Listing: ``_listing`` is the one place where the first entries of a
 failure mask are listed, with the mask's count, for every kernel here and
@@ -58,14 +58,16 @@ so a scan that fails everywhere costs no more memory than one that
 passes, beyond the rows its report lists.
 
 ``CHUNK`` was sized by an interleaved sweep run as the benchmark's scan
-runs these kernels, with the pool's two workers, on a 2-CPU x86 VM with
-2 MB of L2 per core: ``dmax-piecewise`` at 1e7 and 1.6e7 plus ``f-bounds``
-at 1e7 and 2.4e7 took 337-347 ms at 16K, 221 ms at 32K, 129-139 ms at 64K
-and 122 ms at 128K (sums of medians of 9 rounds, two sweeps).  Smaller
-chunks pay numpy's per-call overhead more often.  128K, halves of 64K
-values, is 5-12% faster here, but it doubles every call's buffers and the
-chunk buffers of ``lemma-dmax`` and ``prop-estimate``, so ``CHUNK`` stays
-at 64K.
+runs these kernels, one call on one thread, on a 2-CPU x86 VM with 2 MB
+of L2 per core: ``dmax-piecewise`` at 1e7 and 1.6e7 plus ``f-bounds`` at
+1e7 and 2.4e7 took 157-158 ms at 16K, 129-130 ms at 32K, 112-113 ms at
+64K and 125-126 ms at 128K (sums of medians of 9 rounds, two sweeps).
+Smaller chunks pay numpy's per-call overhead more often, and larger ones
+fall out of L2.  On the same VM, two threads over the two halves of each
+of these four ranges took 0.89-1.06x the wall time of one, for 1.0-1.5x
+its CPU (medians of 15 interleaved rounds, four sweeps).  A second
+thread buys at most about a tenth of the wall time for up to half again
+the CPU, so the kernels run on the calling thread.
 """
 
 from __future__ import annotations
@@ -187,26 +189,23 @@ def _chunks(
 
 def _parity_halves(
     lo: int, hi: int, ints: int, masks: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
     """Split lo..hi, lo even, into stretches of at most ``CHUNK`` values.
-    Per stretch, yield its even and its odd values, each ascending, and
-    ``ints`` int64 and ``masks`` bool buffers of the even half's length:
-    views of arrays allocated once per call.  Each odd value is the even
-    one at its index plus 1; the odd half is one shorter when the range
-    ends on an even value.  The values step on in place from stretch to
-    stretch, so the caller must only read them."""
+    Per stretch, yield its even values E, ascending, the count k of its
+    odd values, which are E[:k] + 1, and ``ints`` int64 and ``masks`` bool
+    buffers of E's length: views of arrays allocated once per call.  k is
+    E's length, or one less when the range ends on an even value.  E steps
+    on in place from stretch to stretch, so the caller must only read it."""
     size = min(max(1, CHUNK // 2), (hi - lo) // 2 + 1)  # even values in a stretch
     evens = np.arange(lo, lo + 2 * size, 2, dtype=np.int64)
-    odds = evens + 1
     int_bufs = np.empty((ints, size), dtype=np.int64)
     mask_bufs = np.empty((masks, size), dtype=bool)
     for start in range(lo, hi + 1, 2 * size):
         if start > lo:
             np.add(evens, 2 * size, out=evens)
-            np.add(odds, 2 * size, out=odds)
-        left = hi + 1 - start
-        m = (left + 1) // 2
-        yield evens[:m], odds[: left // 2], int_bufs[:, :m], mask_bufs[:, :m]
+        left = hi + 1 - start  # values from this stretch to the range's end
+        m = min(size, (left + 1) // 2)
+        yield evens[:m], min(size, left // 2), int_bufs[:, :m], mask_bufs[:, :m]
 
 
 def _row_blocks(lo: int, hi: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -251,23 +250,21 @@ def _listing(mask: np.ndarray, room: int, unset: bool = False) -> tuple[int, lis
     return total, found
 
 
-def _found(stretches: Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]) -> Found:
-    """The failing values of the stretches, each given as (values, failure
-    mask) parts whose values ascend: their count, and the first
-    ``MAX_LISTED`` in ascending order, the parts of a stretch merged.  A
-    stretch is counted here and listed through :func:`_listing` only where
-    it fails while there is room, so a passing stretch costs its counts and
-    no more Python: with the pool's two threads contending for the GIL, a
-    ``_listing`` call per part took 5% more time in ``piecewise_mismatches``
-    and ``f_bound_violations`` (in-process, interleaved)."""
+def _found(stretches: Iterator[tuple[tuple[np.ndarray, int, np.ndarray], ...]]) -> Found:
+    """The failing values of the stretches, each given as (values, shift,
+    failure mask) parts, whose value at index i is values[i] + shift and
+    ascends: their count, and the first ``MAX_LISTED`` in ascending order,
+    the parts of a stretch merged.  A stretch is counted here and listed
+    through :func:`_listing` only where it fails while there is room, so a
+    passing stretch costs one count per part and no more Python."""
     listed, total = [], 0
     for parts in stretches:
-        counts = [int(np.count_nonzero(failing)) for _, failing in parts]
+        counts = [int(np.count_nonzero(failing)) for _, _, failing in parts]
         total += sum(counts)
         if any(counts) and len(listed) < MAX_LISTED:
             firsts = []
-            for values, failing in parts:
-                firsts += map(values.item, _listing(failing, MAX_LISTED - len(listed))[1])
+            for values, shift, failing in parts:
+                firsts += [values.item(i) + shift for i in _listing(failing, MAX_LISTED - len(listed))[1]]
             listed += sorted(firsts)[: MAX_LISTED - len(listed)]
     return Found(total, np.array(listed, dtype=np.int64))
 
@@ -280,11 +277,11 @@ def _square_part(gs: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.right_shift(out, 2, out=out)
 
 
-def _max_form(gs: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """dmax's max form max(g - 1, q) at the genera gs, given its square part
-    q = floor(floor(g/2)^2 / 4) at each of them, written into ``out``; a
-    function of its own, so that a test can inject a fault into it."""
-    return np.maximum(np.subtract(gs, 1, out=out), q, out=out)
+def _max_form(below: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dmax's max form max(g - 1, q), given g - 1 (``below``) and the square
+    part q = floor(floor(g/2)^2 / 4) at each genus g, written into ``out``;
+    a function of its own, so that a test can inject a fault into it."""
+    return np.maximum(below, q, out=out)
 
 
 def piecewise_mismatches(g_lo: int, g_hi: int) -> Found:
@@ -294,37 +291,39 @@ def piecewise_mismatches(g_lo: int, g_hi: int) -> Found:
     The three branches are g - 1 for g <= 15, floor(g^2/16) for even g >= 16
     and floor((g-1)^2/16) for odd g >= 17.  Genera 1..15 are one small
     array against g - 1.  From g = 16 on, the walk takes stretches of
-    ``CHUNK`` genera, each as two contiguous arrays, its even and its odd
-    genera (``_parity_halves``), from an even genus: an odd g_lo's even
-    neighbour g_lo - 1 is computed and left out.  The odd genus at an index
-    is the even one E plus 1, so two values computed once over the even
-    half serve both halves: the branch floor(E^2/16), and the max form's
-    square part q = floor(floor(E/2)^2 / 4), as floor(g/2) is the same for
-    E and E + 1.  Each half then takes its own max form max(g - 1, q)
-    (``_max_form``), one ``not_equal`` and a count, and a stretch's failing
-    genera of both halves are merged in ascending order into the listing.
+    ``CHUNK`` genera, each as its even genera E (``_parity_halves``), from
+    an even genus: an odd g_lo's even neighbour g_lo - 1 is computed and
+    left out.  The odd genus at an index is E + 1, so E serves both halves:
+    it is the odd genus's g - 1, floor(E^2/16) is the branch of both, and
+    the max form's square part q = floor(floor(E/2)^2 / 4) is too, as
+    floor(g/2) is the same for E and E + 1.  The odd half takes its max
+    form max(E, q) (``_max_form``) from these alone, the even half takes
+    E - 1 and then its own; each half then takes one ``not_equal`` and a
+    count, and a stretch's failing genera of both halves are merged in
+    ascending order into the listing.
     """
     if g_lo < 1 or g_hi < g_lo:
         raise ValueError(f"need 1 <= g_lo <= g_hi (got {g_lo}, {g_hi})")
     _require_at_most("g", g_hi, MAX_SAFE_PIECEWISE_G)
 
-    def differ() -> Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    def differ() -> Iterator[tuple[tuple[np.ndarray, int, np.ndarray], ...]]:
         if g_lo <= 15:
             gs = np.arange(g_lo, min(g_hi, 15) + 1, dtype=np.int64)
-            max_form = _max_form(gs, _square_part(gs, np.empty_like(gs)), np.empty_like(gs))
-            yield ((gs, np.not_equal(max_form, gs - 1)),)
+            below = gs - 1
+            max_form = _max_form(below, _square_part(gs, np.empty_like(gs)), np.empty_like(gs))
+            yield ((gs, 0, np.not_equal(max_form, below)),)
         if g_hi < 16:
             return
         lo = max(g_lo, 16)
         skip = lo % 2  # the even genus lo - 1 below an odd lo, left out
         halves = _parity_halves(lo - skip, g_hi, ints=3, masks=2)
-        for evens, odds, (q, branch, form), (even_fail, odd_fail) in halves:
+        for evens, k, (q, branch, below), (even_fail, odd_fail) in halves:
             _square_part(evens, q)
             np.right_shift(np.multiply(evens, evens, out=branch), 4, out=branch)
-            np.not_equal(_max_form(evens, q, form), branch, out=even_fail)
-            k = odds.size
-            np.not_equal(_max_form(odds, q[:k], form[:k]), branch[:k], out=odd_fail[:k])
-            yield ((evens[skip:], even_fail[skip:]), (odds, odd_fail[:k]))
+            np.not_equal(_max_form(evens[:k], q[:k], below[:k]), branch[:k], out=odd_fail[:k])
+            np.subtract(evens, 1, out=below)
+            np.not_equal(_max_form(below, q, q), branch, out=even_fail)
+            yield ((evens[skip:], 0, even_fail[skip:]), (evens[:k], 1, odd_fail[:k]))
             skip = 0
 
     return _found(differ())
@@ -348,31 +347,32 @@ def f_bound_violations(n_lo: int, n_hi: int) -> Found:
     comparison of F with ``n * n >> 2`` tests both sides.  n * n is exact
     in int64 for n <= ``MAX_SAFE_N`` = isqrt(2^63 - 1).
 
-    The walk is ``piecewise_mismatches``': stretches of ``CHUNK`` values as
-    an even and an odd half (``_parity_halves``), from an even n, an odd
-    n_lo's even neighbour computed and left out.  With h = E >> 1 at the
-    even value E of an index, F(E) = h h and F(E + 1) = h h + h, so h and
-    h h are computed once for both halves (``_half_products_of``); each
-    half's floor(n^2/4) is squared from its own n.  The odd half goes
-    first: the even half's F is the buffer h h itself, so a fault injected
-    into it in place reaches the even half alone."""
+    The walk is ``piecewise_mismatches``': stretches of ``CHUNK`` values,
+    each as its even values E (``_parity_halves``), from an even n, an odd
+    n_lo's even neighbour computed and left out.  With h = E >> 1,
+    F(E) = h h and F(E + 1) = h h + h, so h and h h are computed once for
+    both halves (``_half_products_of``).  The odd values E + 1 are written
+    into a buffer, where each half's floor(n^2/4) is then squared from its
+    own n.  The odd half goes first: the even half's F is the buffer h h
+    itself, so a fault injected into it in place reaches the even half
+    alone."""
     if n_lo < 2 or n_hi < n_lo:
         raise ValueError(f"need 2 <= n_lo <= n_hi (got {n_lo}, {n_hi})")
     _require_at_most("n", n_hi, MAX_SAFE_N)
 
-    def violated() -> Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    def violated() -> Iterator[tuple[tuple[np.ndarray, int, np.ndarray], ...]]:
         skip = n_lo % 2  # the even n_lo - 1 below an odd n_lo, left out
         halves = _parity_halves(n_lo - skip, n_hi, ints=3, masks=2)
-        for evens, odds, (h, sq, quarter), (even_fail, odd_fail) in halves:
+        for evens, k, (h, sq, quarter), (even_fail, odd_fail) in halves:
             np.multiply(np.right_shift(evens, 1, out=h), h, out=sq)
-            k = odds.size
+            odds = np.add(evens[:k], 1, out=quarter[:k])
             odd_f = _half_products_of(odds, sq[:k], h[:k], h[:k])
             np.right_shift(np.multiply(odds, odds, out=quarter[:k]), 2, out=quarter[:k])
             np.not_equal(odd_f, quarter[:k], out=odd_fail[:k])
             even_f = _half_products_of(evens, sq)
             np.right_shift(np.multiply(evens, evens, out=quarter), 2, out=quarter)
             np.not_equal(even_f, quarter, out=even_fail)
-            yield ((evens[skip:], even_fail[skip:]), (odds, odd_fail[:k]))
+            yield ((evens[skip:], 0, even_fail[skip:]), (evens[:k], 1, odd_fail[:k]))
             skip = 0
 
     return _found(violated())

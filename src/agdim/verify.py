@@ -9,15 +9,11 @@ and, for a claim whose arrays grow with its range, to half of physical
 memory.  :func:`admit` is the one admission rule, for ``verify``,
 ``catalog`` and ``explain``: it checks the whole range before any work.
 
-``dmax-piecewise`` and ``f-bounds`` split their integer interval into one
-block per worker of a thread pool with one worker per CPU: numpy releases the
-GIL inside its large array loops, so blocks execute in parallel.  Each block is
-one kernel call, which walks the block in stretches of ``kernels.CHUNK``
-values, each split into its even and its odd half, through buffers of its
+``dmax-piecewise`` and ``f-bounds`` are one kernel call over the whole range,
+on the calling thread.  The call walks the range in stretches of
+``kernels.CHUNK`` values, each as its even values, through buffers of its
 own and returns its count of failing values and the first ``MAX_LISTED`` of
-them, so a block's memory does not grow with its length, passing or
-failing.  The blocks' results go to the report in block
-order, so output is the same for any worker count.
+them, so its memory does not grow with the range, passing or failing.
 ``lemma-dmax`` writes its table and ``prop-estimate`` compares its table
 with dmax chunk by chunk of ``kernels._chunks``, the kernels' chunk walk; this
 module allocates no chunk buffer of its own and never writes into the
@@ -31,9 +27,8 @@ stated equalities as it forms it.  Every verifier hands its failures to
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -52,8 +47,6 @@ __all__ = [
     "range_args",
     "run_verifier",
 ]
-
-_WORKERS = os.cpu_count() or 1  # thread-pool size for blocked scans
 
 
 class CeilingExceeded(ValueError):
@@ -112,23 +105,6 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
-def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    size = -(-(hi - lo + 1) // _WORKERS)  # one block per worker
-    start = lo
-    while start <= hi:
-        end = min(start + size - 1, hi)
-        yield (start, end)
-        start = end + 1
-
-
-def _run_blocked(fn: Callable[[int, int], object], lo: int, hi: int) -> list:
-    blocks = list(_blocks(lo, hi))
-    if _WORKERS <= 1 or len(blocks) <= 1:
-        return [fn(a, b) for a, b in blocks]
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        return list(pool.map(lambda ab: fn(*ab), blocks))
-
-
 # ---------------------------------------------------------------------------
 # individual verifiers
 # ---------------------------------------------------------------------------
@@ -171,14 +147,13 @@ def _verify_superadditivity(g_max: int) -> VerificationReport:
 def _verify_blocked(
     claim: str, kernel: str, key: str, lo: int, hi: int, reason: str
 ) -> VerificationReport:
-    """The report of ``kernels.<kernel>`` over lo..hi, run in blocks on the
-    thread pool: each failing value listed as ``{key: value, "reason":
-    reason}``, in block order."""
+    """The report of one ``kernels.<kernel>`` call over lo..hi: each failing
+    value listed as ``{key: value, "reason": reason}``."""
     report = VerificationReport(
         claim=claim, range={f"{key}_max": hi}, details={"values_checked": hi - lo + 1}
     )
-    for found in _run_blocked(getattr(kernels, kernel), lo, hi):
-        report.add(found.listed, lambda v: {key: v, "reason": reason}, found.total)
+    found = getattr(kernels, kernel)(lo, hi)
+    report.add(found.listed, lambda v: {key: v, "reason": reason}, found.total)
     return report
 
 

@@ -19,10 +19,12 @@ from agdim import efficiency, kernels, pairs, verify
 
 def _raise_helper(helper, at=lambda xs: 1):
     # Raise the value of a chunked kernel's per-half helper by one: at every
-    # value, or where ``at`` holds.  Every genus fails dmax-piecewise
-    # (``_max_form``), and every n fails the upper side of f-bounds
-    # (``_half_products_of``).  The value is raised in the buffer the helper
-    # returns, so the fault allocates no array of a stretch's length.
+    # value, or where ``at`` holds of the helper's first argument, which is
+    # g - 1 for ``_max_form`` and n for ``_half_products_of``.  Every genus
+    # fails dmax-piecewise (``_max_form``), and every n fails the upper side
+    # of f-bounds (``_half_products_of``).  The value is raised in the
+    # buffer the helper returns, so the fault allocates no array of a
+    # stretch's length.
     def inject(mp):
         real = getattr(kernels, helper)
 

@@ -299,13 +299,15 @@ class TestAgainstScalars:
                 assert rows(result.listed) == cells[:MAX_LISTED]
 
 
-# chunked kernel -> (the per-half helper a fault is injected into, whether
-# value v is reported by the Python-int scalars when bump is added to that
+# chunked kernel -> (the per-half helper a fault is injected into, what the
+# helper's first argument adds to reach the value checked, and whether value
+# v is reported by the Python-int scalars when bump is added to that
 # helper's value)
 CHUNKED = {
-    "piecewise_mismatches": ("_max_form", lambda g, bump: dmax(g) + bump != dmax_piecewise(g)),
+    "piecewise_mismatches": ("_max_form", 1, lambda g, bump: dmax(g) + bump != dmax_piecewise(g)),
     "f_bound_violations": (
         "_half_products_of",
+        0,
         lambda n, bump: not n * n - 1 <= 4 * (half_product(n) + bump) <= n * n,
     ),
 }
@@ -453,13 +455,13 @@ class TestChunkBoundaries:
         # show each stretch's offset, order and end, and both sides of each
         # comparison: every value with the listing cap lifted, the first
         # MAX_LISTED with it in place.
-        helper, reported = CHUNKED[kernel]
+        helper, shift, reported = CHUNKED[kernel]
 
         def bump(v):
             return ((v % 7 == 3) * 1 - (v % 7 == 5) * 1) if faulty else 0
 
         real = getattr(kernels, helper)
-        monkeypatch.setattr(kernels, helper, lambda xs, *rest: real(xs, *rest) + bump(xs))
+        monkeypatch.setattr(kernels, helper, lambda xs, *rest: real(xs, *rest) + bump(xs + shift))
         chunk = kernels.CHUNK
         oracle = [v for v in range(lo, lo + 2 * chunk + 3) if reported(v, bump(v))]
         assert bool(oracle) == faulty
@@ -471,6 +473,27 @@ class TestChunkBoundaries:
                 mp.setattr(kernels, "MAX_LISTED", len(oracle))
                 listed = getattr(kernels, kernel)(lo, hi).listed.tolist()
             assert listed == want, length
+
+    @pytest.mark.parametrize("chunk", [3, 7])
+    @pytest.mark.parametrize("kernel", list(CHUNKED))
+    def test_short_ranges_against_scalars(self, monkeypatch, kernel, chunk):
+        # Stretches of CHUNK // 2 even values for an odd CHUNK, and every
+        # range from lo in 1..18 (2..18 for F), across the g = 15/16/17
+        # switch, to each hi in lo..lo + 40, ending on either parity: with
+        # the per-half helper's value raised at v = 3 and lowered at v = 5
+        # (mod 7), the listing is every value the scalars report, ascending.
+        helper, shift, reported = CHUNKED[kernel]
+
+        def bump(v):
+            return (v % 7 == 3) * 1 - (v % 7 == 5) * 1
+
+        real = getattr(kernels, helper)
+        monkeypatch.setattr(kernels, helper, lambda xs, *rest: real(xs, *rest) + bump(xs + shift))
+        monkeypatch.setattr(kernels, "CHUNK", chunk)
+        for lo in range(1 if kernel == "piecewise_mismatches" else 2, 19):
+            for hi in range(lo, lo + 41):
+                want = [v for v in range(lo, hi + 1) if reported(v, bump(v))]
+                assert found(getattr(kernels, kernel)(lo, hi)) == (len(want), want), (lo, hi)
 
     @pytest.mark.parametrize(
         "bump",
@@ -488,7 +511,7 @@ class TestChunkBoundaries:
         # every third genus, or at every genus, the listing is every genus
         # the scalars report, ascending.
         real = kernels._max_form
-        monkeypatch.setattr(kernels, "_max_form", lambda gs, q, out: real(gs, q, out) + bump(gs))
+        monkeypatch.setattr(kernels, "_max_form", lambda below, q, out: real(below, q, out) + bump(below + 1))
         ranges = [(1, 1), (1, 15), (3, 9), (14, 15), (15, 15), (16, 16), (17, 17)]
         ranges += [(15, 16), (15, 17), (16, 17), (17, 18), (1, 40)]
         for lo, hi in ranges:
@@ -500,21 +523,24 @@ class TestWalks:
     """The walks every bulk scan takes: chunks and parity stretches of
     ``CHUNK`` values, and blocks of about ``PAIR_BLOCK`` cells of rows."""
 
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 8])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 8])
     def test_parity_halves_tile_range(self, monkeypatch, chunk):
-        # Every value once, in order, even and odd alternating; stretches of
-        # CHUNK values (CHUNK // 2 pairs, one at least), the last one short
-        # and ending on either parity; buffers of the even half's length.
+        # Every value once, in order, even and odd alternating, each odd
+        # value E + 1 of an even E; stretches of CHUNK // 2 even values (one
+        # at least; CHUNK - 1 values for an odd CHUNK), the last one short
+        # and ending on either parity, its odd count one less where it ends
+        # on an even value; buffers of the even values' length.
         monkeypatch.setattr(kernels, "CHUNK", chunk)
         pairs = max(1, chunk // 2)
-        for lo, hi in ((0, 0), (2, 3), (16, 16), (16, 40), (16, 41), (1_000_000, 1_000_000 + 3 * chunk)):
+        top = 1_000_000 + 3 * chunk
+        for lo, hi in ((0, 0), (2, 3), (16, 16), (16, 40), (16, 41), (1_000_000, top), (1_000_000, top + 1)):
             seen, sizes = [], []
-            for evens, odds, ints, masks in kernels._parity_halves(lo, hi, ints=3, masks=2):
-                assert odds.tolist() == (evens + 1).tolist()[: odds.size]
-                assert evens.size - odds.size in (0, 1)
+            for evens, k, ints, masks in kernels._parity_halves(lo, hi, ints=3, masks=2):
+                assert evens.size - k in (0, 1)
                 assert ints.shape == (3, evens.size) and ints.dtype == np.int64
                 assert masks.shape == (2, evens.size) and masks.dtype == bool
-                seen += [v for pair in zip(evens.tolist(), odds.tolist() + [None]) for v in pair if v is not None]
+                odds = (evens[:k] + 1).tolist()
+                seen += [v for pair in zip(evens.tolist(), odds + [None]) for v in pair if v is not None]
                 sizes.append(evens.size)
             assert seen == list(range(lo, hi + 1)), (lo, hi)
             assert sizes[:-1] == [pairs] * (len(sizes) - 1) and 1 <= sizes[-1] <= pairs
@@ -539,12 +565,14 @@ class TestWalks:
     @pytest.mark.parametrize(
         "kernel, lo, buffer_bytes",
         [
-            # two parity halves, three int64 buffers and two masks per value
-            # pair: 21.06 x CHUNK measured (34 while the halves were CHUNK long)
-            ("piecewise_mismatches", 1, 21 * kernels.CHUNK),
-            # the same: 21.06 x CHUNK measured (25 for chunks of the values,
-            # two int64 buffers and one mask)
-            ("f_bound_violations", 2, 21 * kernels.CHUNK),
+            # the even values, three int64 buffers and two masks per value
+            # pair: 17.06 x CHUNK measured (21 while the odd values had an
+            # array of their own, 34 while the halves were CHUNK long)
+            ("piecewise_mismatches", 1, 17 * kernels.CHUNK),
+            # the same: 17.06 x CHUNK measured (21 with the odd values'
+            # array, 25 for chunks of the values, two int64 buffers and one
+            # mask)
+            ("f_bound_violations", 2, 17 * kernels.CHUNK),
         ],
         ids=["piecewise", "f_bounds"],
     )
@@ -582,18 +610,20 @@ class TestWalks:
     @pytest.mark.parametrize(
         "kernel, lo, per_stretch",
         [
-            # the branch (2) and the square part (3) over the even half, and
-            # per half the max form (2), a not_equal and a count
-            ("piecewise_mismatches", 16, 15),
-            # h and h h over the even half (2), the odd half's F (1), and per
-            # half n * n >> 2 (2), a not_equal and a count
+            # the branch (2) and the square part (3) over the even values,
+            # the odd half's max form (1), the even half's g - 1 and max
+            # form (2), and per half a not_equal and a count
+            ("piecewise_mismatches", 16, 13),
+            # h and h h over the even values (2), the odd values (1) and
+            # their F (1), and per half n * n >> 2 (2), a not_equal and a
+            # count
             ("f_bound_violations", 2, 13),
         ],
     )
     def test_numpy_calls_per_stretch(self, monkeypatch, kernel, lo, per_stretch):
-        # Each stretch of CHUNK values also steps both halves on (2).  The
-        # calls of 4 more stretches, counted through a proxy for kernels.np,
-        # pin the kernel's work: a pass added back fails here.
+        # Each stretch of CHUNK values also steps the even values on (1).
+        # The calls of 4 more stretches, counted through a proxy for
+        # kernels.np, pin the kernel's work: a pass added back fails here.
         counts = []
         for stretches in (4, 8):
             proxy = CountingNumpy()

@@ -151,9 +151,6 @@ def test_cases_are_every_claim():
 
 @pytest.mark.parametrize("claim", sorted(EVERY_ITEM))
 def test_failing_run_costs_what_a_passing_run_does(monkeypatch, claim):
-    # One worker, so that blocks of the thread pool never overlap and each
-    # peak is that of one run of the claim's own code.
-    monkeypatch.setattr(verify, "_WORKERS", 1)
     seam, inject, overrides = EVERY_ITEM[claim]
     passing, report = _peak(claim, overrides)
     assert report.passed
