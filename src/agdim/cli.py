@@ -41,10 +41,9 @@ JSON output
 Every JSON document is ``json.dumps(doc, indent=2)`` byte for byte, but
 Python 3.11 runs ``indent=2`` in its pure-Python encoder.  ``_dumps`` walks
 the document once, building a ``%s`` template of its layout and collecting
-its scalar leaves in order; a list of dicts takes one template per row
-shape.  One ``json.dumps`` of the leaf list, with ``"\x00"`` as the item
-separator, runs the C encoder on every leaf; its text is split on
-``"\x00"`` and fills the template.  This is exact:
+its scalar leaves in order.  One ``json.dumps`` of the leaf list, with
+``"\x00"`` as the item separator, runs the C encoder on every leaf; its
+text is split on ``"\x00"`` and fills the template.  This is exact:
 
 - every leaf is encoded by json itself, as the indented form encodes it:
   strings with ``ensure_ascii``, bool and None, ints of any size, floats
@@ -176,9 +175,6 @@ def _lines(template: str, sep: str = "") -> Callable[[list], str]:
     return lambda block: sep.join([template % row for row in block])
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
 def _dumps(obj, nl: str = "\n") -> str:
     r"""``json.dumps(obj, indent=2)``, byte for byte (see the module
     docstring), with ``obj`` at the indentation of ``nl``: ``"\n  "``
@@ -210,51 +206,10 @@ def _template(obj, nl: str, leaves: list) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join(_items(obj, inner, leaves)) + nl + "]"
+        items = [_template(v, inner, leaves) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     leaves.append(obj)
     return "%s"
-
-
-def _items(items, nl: str, leaves: list) -> list[str]:
-    """The templates of a list's items.  A dict item takes the template of
-    its shape, built once per list: its keys and value types and, for each
-    dict or list value, that value's keys or length and its item types.  A
-    shape whose nested values nest again is walked item by item."""
-    shapes: dict = {}  # keys and value types -> nested (position, is dict), last first
-    cache: dict = {}  # full shape -> template, or None for a deeper shape
-    out = []
-    for item in items:
-        if not isinstance(item, dict):
-            out.append(_template(item, nl, leaves))
-            continue
-        values = [*item.values()]
-        shape = (*item, *map(type, values))
-        nested = shapes.get(shape)
-        if nested is None:
-            nested = shapes[shape] = [
-                (i, isinstance(v, dict)) for i, v in enumerate(values) if isinstance(v, _CONTAINERS)
-            ][::-1]
-        if nested:
-            parts = [shape]
-            for i, is_dict in nested:  # last first, so each splice leaves i valid
-                v = values[i]
-                if is_dict:
-                    parts.append((*v, *map(type, v.values())))
-                    v = v.values()
-                else:
-                    parts.append((len(v), *map(type, v)))
-                values[i : i + 1] = v
-            shape = tuple(parts)
-        template = cache.get(shape)
-        if template is None:
-            if shape in cache or any(isinstance(v, _CONTAINERS) for v in values):
-                cache[shape] = None
-                out.append(_template(item, nl, leaves))
-                continue
-            template = cache[shape] = _template(item, nl, [])
-        out.append(template)
-        leaves += values
-    return out
 
 
 def _layout(row) -> str:

@@ -295,8 +295,10 @@ def _mgct_recursion_table() -> tuple[int, ...]:
 
     with pointed(1) = 0 (the pointed genus-one space carries no
     positive-dimensional compact subvariety), pointed(k) = 1 + R(k) for
-    k >= 2 (pointed fibers are compact curves), and interior = dmax(g)
-    included only while dmax(g) < floor(3g/2) - 2.
+    k >= 2 (pointed fibers are compact curves), and interior = dmax(g).
+    The recursion is exact only while dmax(g) < floor(3g/2) - 2, which
+    holds for every g of the table; a g where it fails raises
+    ``RuntimeError``.
     """
     R: dict[int, int] = {2: 1, 3: 2}
 
@@ -304,11 +306,10 @@ def _mgct_recursion_table() -> tuple[int, ...]:
         return 0 if k == 1 else 1 + R[k]
 
     for g in range(4, _MGCT_EXACT_MAX + 1):
+        if not mgct_interior_bound_holds(g):
+            raise RuntimeError(f"interior hypothesis dmax(g) < floor(3g/2)-2 fails at g={g}")
         boundary = max(pointed(gp) + pointed(g - gp) for gp in range(1, g))
-        if mgct_interior_bound_holds(g):
-            R[g] = max(dmax(g), boundary)
-        else:  # pragma: no cover - never reached for g <= 23
-            R[g] = boundary
+        R[g] = max(dmax(g), boundary)
     return tuple(R[g] for g in range(2, _MGCT_EXACT_MAX + 1))
 
 

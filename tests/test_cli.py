@@ -38,12 +38,16 @@ from agdim.schemas import (
 )
 
 from faults import (
+    CHUNKED,
     EVERY_ITEM,
     _best_pair_plus_million,
+    _both_claim_f_faults,
+    _extra_equality,
     _failing_mgct,
     _huge_rank2,
     _negate_closed_form,
     _raise_helper,
+    _tie_every_rank1_cell,
     _undominated_family_ii,
     _zero_dmax,
 )
@@ -397,24 +401,27 @@ class TestVerifyCommand:
         assert peak <= 18 * g_max
 
     @pytest.mark.parametrize(
-        "claim, kernel, fault, g_max",
+        "claim, inject, g_max",
         [
             # no genus attains dmax, so the equality set is empty
-            ("prop-estimate", "best_indec_table", lambda real, n: real(n) + 10**6, 200_000),
+            ("prop-estimate", _best_pair_plus_million, 200_000),
             # every genus attains dmax; sorting the found and stated genera
             # together peaked at 84 bytes per genus
-            ("prop-estimate", "best_indec_table", lambda real, n: kernels._dmax(np.arange(n + 1)), 200_000),
+            (
+                "prop-estimate",
+                lambda mp: mp.setattr(kernels, "best_indec_table", lambda n: kernels._dmax(np.arange(n + 1))),
+                200_000,
+            ),
             # every pair is an equality, all g_max of the first row among them
-            ("lemma-dmax", "dmax_values", lambda real, gs: np.zeros_like(gs), 10_000),
+            ("lemma-dmax", _zero_dmax, 10_000),
             # every pair is violated; the fault's temporaries in the table
             # build, within one chunk, peak at 28.8 bytes per genus beyond 64 kB
-            ("lemma-dmax", "dmax_values", lambda real, gs: -gs * gs, 20_000),
+            ("lemma-dmax", lambda mp: mp.setattr(kernels, "dmax_values", lambda gs: -gs * gs), 20_000),
         ],
         ids=["prop-estimate", "prop-estimate-all-equal", "lemma-dmax", "lemma-dmax-violated"],
     )
-    def test_peak_bytes_covers_failing_peak(self, monkeypatch, claim, kernel, fault, g_max):
-        real = getattr(kernels, kernel)
-        monkeypatch.setattr(kernels, kernel, lambda x: fault(real, x))
+    def test_peak_bytes_covers_failing_peak(self, monkeypatch, claim, inject, g_max):
+        inject(monkeypatch)
         tracemalloc.start()
         try:
             report = verify.run_verifier(claim, {"g_max": g_max})
@@ -607,40 +614,9 @@ def _bump_dmax(mp):
     mp.setattr(kernels, "dmax_values", lambda gs: real(gs) + 1)
 
 
-# claim -> (its range flag, its chunked kernel, the per-half helper a fault
-# is raised in, and what the helper's first argument adds to reach the value
-# checked: _max_form takes g - 1)
-CHUNKED_CLAIMS = {
-    "dmax-piecewise": ("--g-max", "piecewise_mismatches", "_max_form", 1),
-    "f-bounds": ("--n-max", "f_bound_violations", "_half_products_of", 0),
-}
-
-
-def _extra_equality(mp):
-    # (s, delta) = (2, 2) becomes (4, 8), equal to its witness unitary_pair(2, 4)
-    real = pairs.division_rank1_pairs
-
-    def fake(s, deltas):
-        d, g = real(s, deltas)
-        at = (deltas == 2) & (s == 2)
-        return np.where(at, 4, d), np.where(at, 8, g)
-
-    mp.setattr(pairs, "division_rank1_pairs", fake)
-
-
-def _tie_every_rank1_cell(mp):
-    # every I_nc1 pair equals its designated witness unitary_pair(2, s delta^2 // 2)
-    mp.setattr(pairs, "division_rank1_pairs", lambda s, delta: pairs.unitary_pairs(2, s * delta**2 // 2))
-
-
 def _bump_best_pair(mp):
     real = kernels.best_indec_table
     mp.setattr(kernels, "best_indec_table", lambda g_max: real(g_max) + 1)
-
-
-def _both_claim_f_faults(mp):
-    _huge_rank2(mp)
-    _extra_equality(mp)
 
 
 def _lemma_n_margin_7(mp):
@@ -695,8 +671,8 @@ def _interior_fails_at_9(mp):
 # One wrong input per claim, at a tiny range; every verifier must report it.
 FAILURES = {
     "lemma-dmax": (["--g-max", "40"], _bump_dmax),
-    "dmax-piecewise": (["--g-max", "100"], _raise_helper("_max_form")),
-    "f-bounds": (["--n-max", "100"], _raise_helper("_half_products_of")),
+    "dmax-piecewise": (["--g-max", "100"], _raise_helper("dmax-piecewise")),
+    "f-bounds": (["--n-max", "100"], _raise_helper("f-bounds")),
     "lemma-N": (["--sum-max", "10", "--pair-max", "10"], _negate_closed_form),
     "claim-F": (
         ["--s-max", "4", "--delta-max", "4", "--k-max", "4", "--n-max", "4"],
@@ -749,12 +725,12 @@ class TestVerifierFailures:
         # small CHUNK.  The call returns its count and at most MAX_LISTED
         # values, and the report is byte for byte what returning every
         # failing value gave.
-        flag, kernel, helper, shift = CHUNKED_CLAIMS[claim]
-        _raise_helper(helper, at=lambda xs: (xs + shift) % every == 3 % every)(monkeypatch)
+        _raise_helper(claim, at=lambda v: v % every == 3 % every)(monkeypatch)
         monkeypatch.setattr(kernels, "CHUNK", 64)
+        kernel = CHUNKED[claim].kernel
         spied, returned = getattr(kernels, kernel), []
         monkeypatch.setattr(kernels, kernel, lambda lo, hi: returned.append(spied(lo, hi)) or returned[-1])
-        code, out, _ = run(capsys, ["verify", claim, flag, "5000"])
+        code, out, _ = run(capsys, ["verify", claim, CHUNKED[claim].flag, "5000"])
         assert code == 1 and len(returned) == 1
         assert all(len(f.listed) == min(f.total, MAX_LISTED) for f in returned)
         assert sum(f.total for f in returned) == json.loads(out)["details"]["counterexamples_total"]
@@ -813,7 +789,7 @@ class TestVerifierFailures:
                 "1c721687f8f1d30dcee067aa25400cb1946dc1380b1e7fe84fa89a04f644d0a7",
             ),
             (
-                "dmax-piecewise", ["--g-max", "300000"], _raise_helper("_max_form", at=lambda below: (below + 1) % 1001 == 7),
+                "dmax-piecewise", ["--g-max", "300000"], _raise_helper("dmax-piecewise", at=lambda g: g % 1001 == 7),
                 "17fa9f480a4fa41a65bc1b1caae5f779b0b48b17ed484705d070afbff3410504",
             ),
             (
@@ -1055,16 +1031,13 @@ class TestVerifierFailures:
     def test_cor_c_recursion_mismatch(self, capsys, monkeypatch):
         # dmc_mgct returns a wrong value without raising: the verifier's own
         # comparison with the closed form must catch it.
-        real = verify.dmc_mgct
-        monkeypatch.setattr(
-            verify, "dmc_mgct", lambda g: replace(real(g), exact=real(g).exact + 1) if g == 10 else real(g)
-        )
+        _mgct_off_by_one_at_10(monkeypatch)
         code, out, _ = run(capsys, ["verify", "cor-C"])
         assert code == 1
         assert json.loads(out)["counterexamples"] == [{"g": 10, "recursion": 14, "closed_form": 13}]
 
     def test_cor_c_interior_hypothesis_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "mgct_interior_bound_holds", lambda g: g != 9)
+        _interior_fails_at_9(monkeypatch)
         code, out, _ = run(capsys, ["verify", "cor-C"])
         assert code == 1
         assert json.loads(out)["counterexamples"] == [
@@ -1083,7 +1056,7 @@ class TestVerifierFailures:
     def test_lemma_n_max_sum_margin(self, capsys, monkeypatch):
         # The largest sum of an efficient multiset outside {b} and {2, b} is
         # 8, first reached by {3, 5}; a bound of 7 must report it.
-        monkeypatch.setattr(efficiency, "MAX_SUM_OUTSIDE_UNBOUNDED", 7)
+        _lemma_n_margin_7(monkeypatch)
         code, out, _ = run(capsys, ["verify", "lemma-N", "--sum-max", "20", "--pair-max", "10"])
         assert code == 1
         assert json.loads(out)["counterexamples"] == [
@@ -1419,7 +1392,7 @@ def test_verify_writes_its_report(capsys, monkeypatch, tmp_path, claim, fault):
     # report's to_dict as json.dumps writes it, passing and under the
     # fault that fails every item, with or without --timestamp, on stdout
     # and in an --out file.
-    _, inject, overrides = EVERY_ITEM[claim]
+    inject, overrides = EVERY_ITEM[claim]
     if fault:
         inject(monkeypatch)
     monkeypatch.setattr(cli, "_BLOCK", 7)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from agdim import kernels
-from agdim.arith import dmax, dmax_piecewise, half_product
+from agdim.arith import dmax, dmax_piecewise
 from agdim.pairs import best_indecomposable
 from agdim.report import MAX_LISTED
+from faults import CHUNKED, _raise_helper
 
 
 def python_mdsp(bi):
@@ -213,13 +214,11 @@ class TestAgainstScalars:
         assert M == numpy_mdsp(bi) and all(type(v) is int for v in M)
 
     def test_piecewise_vs_scalar(self):
-        oracle = [g for g in range(1, 5001) if dmax(g) != dmax_piecewise(g)]
+        oracle = [g for g in range(1, 5001) if CHUNKED["dmax-piecewise"].reported(g, 0)]
         assert found(kernels.piecewise_mismatches(1, 5000)) == (len(oracle), oracle)
 
     def test_f_bounds_vs_scalar(self):
-        oracle = [
-            n for n in range(2, 5001) if not n * n - 1 <= 4 * half_product(n) <= n * n
-        ]
+        oracle = [n for n in range(2, 5001) if CHUNKED["f-bounds"].reported(n, 0)]
         assert found(kernels.f_bound_violations(2, 5000)) == (len(oracle), oracle)
 
     def test_superadditivity_vs_scalar(self):
@@ -297,20 +296,6 @@ class TestAgainstScalars:
                 assert result.total == len(cells)
                 assert result.listed.dtype == np.int64 and result.listed.shape[1:] == (2,)
                 assert rows(result.listed) == cells[:MAX_LISTED]
-
-
-# chunked kernel -> (the per-half helper a fault is injected into, what the
-# helper's first argument adds to reach the value checked, and whether value
-# v is reported by the Python-int scalars when bump is added to that
-# helper's value)
-CHUNKED = {
-    "piecewise_mismatches": ("_max_form", 1, lambda g, bump: dmax(g) + bump != dmax_piecewise(g)),
-    "f_bound_violations": (
-        "_half_products_of",
-        0,
-        lambda n, bump: not n * n - 1 <= 4 * (half_product(n) + bump) <= n * n,
-    ),
-}
 
 
 class TestBlockBounds:
@@ -443,8 +428,8 @@ class TestBlockBounds:
 class TestChunkBoundaries:
     @pytest.mark.parametrize("faulty", [False, True])
     @pytest.mark.parametrize("lo", [2, 3, 16, 17, 1_000_000, 1_000_001])
-    @pytest.mark.parametrize("kernel", list(CHUNKED))
-    def test_against_scalars(self, monkeypatch, kernel, lo, faulty):
+    @pytest.mark.parametrize("claim", list(CHUNKED), ids=lambda claim: CHUNKED[claim].kernel)
+    def test_against_scalars(self, monkeypatch, claim, lo, faulty):
         # Ranges that end just inside, at and just past a stretch of CHUNK
         # values, the unit of both kernels' parity walk, and of two, and one
         # that ends mid-way through its third; lo = 2 and 3 cross the
@@ -455,13 +440,12 @@ class TestChunkBoundaries:
         # show each stretch's offset, order and end, and both sides of each
         # comparison: every value with the listing cap lifted, the first
         # MAX_LISTED with it in place.
-        helper, shift, reported = CHUNKED[kernel]
+        kernel, reported = CHUNKED[claim].kernel, CHUNKED[claim].reported
 
         def bump(v):
             return ((v % 7 == 3) * 1 - (v % 7 == 5) * 1) if faulty else 0
 
-        real = getattr(kernels, helper)
-        monkeypatch.setattr(kernels, helper, lambda xs, *rest: real(xs, *rest) + bump(xs + shift))
+        _raise_helper(claim, at=bump)(monkeypatch)
         chunk = kernels.CHUNK
         oracle = [v for v in range(lo, lo + 2 * chunk + 3) if reported(v, bump(v))]
         assert bool(oracle) == faulty
@@ -475,22 +459,21 @@ class TestChunkBoundaries:
             assert listed == want, length
 
     @pytest.mark.parametrize("chunk", [3, 7])
-    @pytest.mark.parametrize("kernel", list(CHUNKED))
-    def test_short_ranges_against_scalars(self, monkeypatch, kernel, chunk):
+    @pytest.mark.parametrize("claim", list(CHUNKED), ids=lambda claim: CHUNKED[claim].kernel)
+    def test_short_ranges_against_scalars(self, monkeypatch, claim, chunk):
         # Stretches of CHUNK // 2 even values for an odd CHUNK, and every
         # range from lo in 1..18 (2..18 for F), across the g = 15/16/17
         # switch, to each hi in lo..lo + 40, ending on either parity: with
         # the per-half helper's value raised at v = 3 and lowered at v = 5
         # (mod 7), the listing is every value the scalars report, ascending.
-        helper, shift, reported = CHUNKED[kernel]
+        kernel, reported = CHUNKED[claim].kernel, CHUNKED[claim].reported
 
         def bump(v):
             return (v % 7 == 3) * 1 - (v % 7 == 5) * 1
 
-        real = getattr(kernels, helper)
-        monkeypatch.setattr(kernels, helper, lambda xs, *rest: real(xs, *rest) + bump(xs + shift))
+        _raise_helper(claim, at=bump)(monkeypatch)
         monkeypatch.setattr(kernels, "CHUNK", chunk)
-        for lo in range(1 if kernel == "piecewise_mismatches" else 2, 19):
+        for lo in range(1 if claim == "dmax-piecewise" else 2, 19):
             for hi in range(lo, lo + 41):
                 want = [v for v in range(lo, hi + 1) if reported(v, bump(v))]
                 assert found(getattr(kernels, kernel)(lo, hi)) == (len(want), want), (lo, hi)
@@ -510,12 +493,11 @@ class TestChunkBoundaries:
         # a stretch can be empty: with the max form raised or lowered at
         # every third genus, or at every genus, the listing is every genus
         # the scalars report, ascending.
-        real = kernels._max_form
-        monkeypatch.setattr(kernels, "_max_form", lambda below, q, out: real(below, q, out) + bump(below + 1))
+        _raise_helper("dmax-piecewise", at=bump)(monkeypatch)
         ranges = [(1, 1), (1, 15), (3, 9), (14, 15), (15, 15), (16, 16), (17, 17)]
         ranges += [(15, 16), (15, 17), (16, 17), (17, 18), (1, 40)]
         for lo, hi in ranges:
-            want = [g for g in range(lo, hi + 1) if dmax(g) + bump(g) != dmax_piecewise(g)]
+            want = [g for g in range(lo, hi + 1) if CHUNKED["dmax-piecewise"].reported(g, bump(g))]
             assert found(kernels.piecewise_mismatches(lo, hi)) == (len(want), want), (lo, hi)
 
 
@@ -563,42 +545,35 @@ class TestWalks:
         assert kernels._dmax(gs, out, scratch).tolist() == [dmax(g) for g in range(top - 20, top + 1)]
 
     @pytest.mark.parametrize(
-        "kernel, lo, buffer_bytes",
+        "claim, lo, buffer_bytes",
         [
             # the even values, three int64 buffers and two masks per value
             # pair: 17.06 x CHUNK measured (21 while the odd values had an
             # array of their own, 34 while the halves were CHUNK long)
-            ("piecewise_mismatches", 1, 17 * kernels.CHUNK),
+            ("dmax-piecewise", 1, 17 * kernels.CHUNK),
             # the same: 17.06 x CHUNK measured (21 with the odd values'
             # array, 25 for chunks of the values, two int64 buffers and one
             # mask)
-            ("f_bound_violations", 2, 17 * kernels.CHUNK),
+            ("f-bounds", 2, 17 * kernels.CHUNK),
         ],
         ids=["piecewise", "f_bounds"],
     )
     @pytest.mark.parametrize("faulty", [False, True], ids=["passing", "faulty"])
-    def test_call_memory_does_not_grow_with_range(self, monkeypatch, kernel, lo, buffer_bytes, faulty):
+    def test_call_memory_does_not_grow_with_range(self, monkeypatch, claim, lo, buffer_bytes, faulty):
         # A call's buffers are allocated once and sized by CHUNK, not by its
         # range: its tracemalloc peak is the same at 4 and 40 chunks, and
         # its buffers plus a few kB of small arrays.  With the per-half
         # helper's value raised in place at every value, every value fails,
         # and the listing holds the call to the passing bound: listing the
         # first MAX_LISTED of a whole half took 50.1 and 33.0 x CHUNK.
-        helper = CHUNKED[kernel][0]
-        real = getattr(kernels, helper)
-
-        def raised(xs, *rest):
-            value = real(xs, *rest)
-            value += 1
-            return value
-
         if faulty:
-            monkeypatch.setattr(kernels, helper, raised)
+            _raise_helper(claim)(monkeypatch)
+        kernel = getattr(kernels, CHUNKED[claim].kernel)
         peaks = []
         for n in (4 * kernels.CHUNK, 40 * kernels.CHUNK):
             tracemalloc.start()
             try:
-                result = getattr(kernels, kernel)(lo, n)
+                result = kernel(lo, n)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -736,14 +711,12 @@ class TestGuards:
         # every n of the window ending at the ceiling.
         top = kernels.MAX_SAFE_N
         assert top * top <= 2**63 - 1 < (top + 1) * (top + 1)
-        real = kernels._half_products_of
         for bump in (0, 1, -1):
-            monkeypatch.setattr(kernels, "_half_products_of", lambda ns, *rest: real(ns, *rest) + bump)
-            oracle = [
-                n for n in range(top - 20, top + 1) if not n * n - 1 <= 4 * (half_product(n) + bump) <= n * n
-            ]
+            oracle = [n for n in range(top - 20, top + 1) if CHUNKED["f-bounds"].reported(n, bump)]
             assert len(oracle) == (21 if bump else 0)
-            assert found(kernels.f_bound_violations(top - 20, top)) == (len(oracle), oracle)
+            with monkeypatch.context() as mp:
+                _raise_helper("f-bounds", at=lambda n: bump)(mp)
+                assert found(kernels.f_bound_violations(top - 20, top)) == (len(oracle), oracle)
         with pytest.raises(OverflowError):
             kernels.f_bound_violations(top + 1, top + 1)
         with pytest.raises(OverflowError):

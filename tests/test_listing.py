@@ -1,18 +1,21 @@
 """One listing rule for every claim: under a fault that fails every item of
 its range, a claim's run costs what its passing run does, beyond the rows
-its report lists, and lists what a scalar oracle lists first."""
+its report lists, and lists what a scalar oracle lists first.  And every
+fault of ``faults`` replaces exactly the attributes its seams name."""
 
-import importlib
+import inspect
+import sys
 import tracemalloc
 from itertools import islice
 
 import pytest
 
+import faults
 from agdim import satake, verify
-from agdim.arith import Pair, dmax, dmax_piecewise, half_product, strictly_dominates
+from agdim.arith import Pair, dmax, strictly_dominates
 from agdim.pairs import best_indecomposable, unitary_pair
 from agdim.report import MAX_LISTED
-from faults import EVERY_ITEM
+from faults import CHUNKED, EVERY_ITEM
 
 # What a failing run may hold beyond its passing run: the rows of its
 # report, at most MAX_LISTED of them, 8.7 kB for prop-estimate's, the most
@@ -39,12 +42,12 @@ def _lemma_dmax(g_max):
 
 
 def _dmax_piecewise(g_max):
-    differ = (g for g in range(1, g_max + 1) if dmax(g) + 1 != dmax_piecewise(g))
+    differ = (g for g in range(1, g_max + 1) if CHUNKED["dmax-piecewise"].reported(g, 1))
     return [{"g": g, "reason": "piecewise forms differ"} for g in _first(differ)]
 
 
 def _f_bounds(n_max):
-    violated = (n for n in range(2, n_max + 1) if not n * n - 1 <= 4 * (half_product(n) + 1) <= n * n)
+    violated = (n for n in range(2, n_max + 1) if CHUNKED["f-bounds"].reported(n, 1))
     return [{"n": n, "reason": "half-product bound violated"} for n in _first(violated)]
 
 
@@ -151,14 +154,38 @@ def test_cases_are_every_claim():
 
 @pytest.mark.parametrize("claim", sorted(EVERY_ITEM))
 def test_failing_run_costs_what_a_passing_run_does(monkeypatch, claim):
-    seam, inject, overrides = EVERY_ITEM[claim]
+    inject, overrides = EVERY_ITEM[claim]
     passing, report = _peak(claim, overrides)
     assert report.passed
-    module, attr = seam.split(".")
-    seamed = importlib.import_module(f"agdim.{module}")
-    before = getattr(seamed, attr)
     inject(monkeypatch)
-    assert getattr(seamed, attr) is not before, seam
     failing, report = _peak(claim, overrides)
     assert report.counterexamples == ORACLES[claim](**overrides)
     assert failing <= passing + LISTED_ROWS_BYTES, (passing, failing)
+
+
+# every fault, by name: the module's faults, and each chunked claim's
+# helper raised by one
+FAULTS = {name: f for name, f in vars(faults).items() if hasattr(f, "seams")}
+FAULTS |= {f"_raise_helper({claim})": faults._raise_helper(claim) for claim in CHUNKED}
+
+
+def test_every_fault_names_its_seams():
+    # a fault is a function of faults that takes monkeypatch alone
+    takes_mp = [
+        name for name, f in vars(faults).items() if inspect.isfunction(f) and inspect.getfullargspec(f).args == ["mp"]
+    ]
+    assert takes_mp and [name for name in takes_mp if name not in FAULTS] == []
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_fault_replaces_its_seams(monkeypatch, name):
+    modules = {full.removeprefix("agdim."): m for full, m in sys.modules.items() if full.startswith("agdim.")}
+    before = {(m, attr): value for m, module in modules.items() for attr, value in vars(module).items()}
+    FAULTS[name](monkeypatch)
+    replaced = {
+        f"{m}.{attr}"
+        for m, module in modules.items()
+        for attr, value in vars(module).items()
+        if before.get((m, attr)) is not value
+    }
+    assert replaced == set(FAULTS[name].seams)

@@ -162,6 +162,13 @@ class TestDmcMgct:
             assert mgct_interior_bound_holds(g)
         assert not mgct_interior_bound_holds(24)
 
+    def test_recursion_table_refuses_a_failing_hypothesis(self, monkeypatch):
+        # The hypothesis holds at every g of the table, so only a fault
+        # reaches the table's self-check; cor-C checks it on its own.
+        monkeypatch.setattr(moduli, "mgct_interior_bound_holds", lambda g: g != 9)
+        with pytest.raises(RuntimeError, match="fails at g=9$"):
+            moduli._mgct_recursion_table()
+
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             dmc_mgct(1)

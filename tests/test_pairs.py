@@ -27,8 +27,14 @@ from agdim.pairs import (
     verify_remark_domination,
 )
 from agdim.report import MAX_LISTED, VerificationReport
-from faults import _huge_rank2, _undominated_family_ii
-from test_cli import _extra_equality, _tie_every_rank1_cell
+from faults import (
+    _both_claim_f_faults,
+    _extra_equality,
+    _huge_rank2,
+    _set_pairs,
+    _tie_every_rank1_cell,
+    _undominated_family_ii,
+)
 from test_report import counter_diff
 
 # The ten unitary-family pairs of genus <= 15, frozen from the case analysis:
@@ -211,9 +217,8 @@ class TestClaimF:
         # Every target is made equal to its designated witness, so all 180
         # pairs are equalities: the report lists 50, and the equality-set
         # check still compares all 180 with {(1, 4), (4, 8)}.
-        unitary = pairs_mod.unitary_pairs
-        monkeypatch.setattr(pairs_mod, "division_rank1_pairs", lambda s, d: unitary(2, s * d * d // 2))
-        monkeypatch.setattr(pairs_mod, "division_rank2_pairs", lambda s, d: unitary(2, s * d * d))
+        _tie_every_rank1_cell(monkeypatch)
+        monkeypatch.setattr(pairs_mod, "division_rank2_pairs", lambda s, d: pairs_mod.unitary_pairs(2, s * d * d))
         report = verify_claim_f(10, 10, 2, 2)
         tied = sorted(
             [half_product(n), 2 * n]
@@ -276,7 +281,11 @@ def _wrong_pair_at_stated_cell(mp, pairs_fn):
         d, g = real(s, deltas)
         return d, np.where((s == 1) & (deltas == 2), g + 1, g)
 
-    mp.setattr(pairs_mod, pairs_fn, fake)
+    _set_pairs(mp, pairs_fn, fake)
+
+
+def _wrong_rank1_stated_pair(mp):
+    _wrong_pair_at_stated_cell(mp, "division_rank1_pairs")
 
 
 class TestRemarkDomination:
@@ -484,39 +493,6 @@ def test_remark_rows_match_scalar_loop(r_max, k_max):
     assert got == scalar_remark_domination(r_max, k_max).to_dict()
 
 
-def _scalar_extra_equality(mp):
-    _extra_equality(mp)
-    real = pairs_mod.division_rank1_pair
-    mp.setattr(pairs_mod, "division_rank1_pair", lambda s, d: Pair(4, 8) if (s, d) == (2, 2) else real(s, d))
-
-
-def _scalar_huge_rank2(mp):
-    _huge_rank2(mp)
-    real = pairs_mod.division_rank2_pair
-    mp.setattr(pairs_mod, "division_rank2_pair", lambda s, d: Pair(10**9, real(s, d).g))
-
-
-def _scalar_tie_every_rank1_cell(mp):
-    _tie_every_rank1_cell(mp)
-    mp.setattr(pairs_mod, "division_rank1_pair", lambda s, d: unitary_pair(2, s * d * d // 2))
-
-
-def _scalar_undominated_family_ii(mp):
-    _undominated_family_ii(mp)
-    mp.setattr(pairs_mod, "orthogonal_star_pair", lambda k, r: Pair(10**6, 2 * r * k))
-
-
-def _scalar_both_claim_f_faults(mp):
-    _scalar_huge_rank2(mp)
-    _scalar_extra_equality(mp)
-
-
-def _scalar_wrong_rank1_stated_pair(mp):
-    _wrong_pair_at_stated_cell(mp, "division_rank1_pairs")
-    real = pairs_mod.division_rank1_pair
-    mp.setattr(pairs_mod, "division_rank1_pair", lambda s, d: Pair(1, 5) if (s, d) == (1, 2) else real(s, d))
-
-
 class TestBlocksOfRows:
     """Each family is taken in blocks of rows of about kernels.PAIR_BLOCK
     cells.  At 1 every block is one row, and a row is wider than its block;
@@ -528,7 +504,8 @@ class TestBlocksOfRows:
     or both fails every rank-2 cell and adds the (2, 2) tie, so that the
     rank-1 family ties at (4, 8), the rank-2 family's stated pair, while
     the rank-2 family misses it, or ties the rank-1 cell (1, 2) at (1, 5),
-    not at its stated (1, 4)."""
+    not at its stated (1, 4).  A test id names a fault with its scalar
+    twin ``_scalar`` + its name."""
 
     CLAIM_F = [(2, 2, 2, 2), (9, 2, 3, 3), (40, 13, 3, 4), (70, 6, 2, 4), (3, 400, 2, 2)]
     REMARK = [(2, 2), (13, 2), (9, 13), (40, 9), (320, 2), (6, 400)]
@@ -537,12 +514,13 @@ class TestBlocksOfRows:
         "fault",
         [
             None,
-            _scalar_extra_equality,
-            _scalar_huge_rank2,
-            _scalar_tie_every_rank1_cell,
-            _scalar_both_claim_f_faults,
-            _scalar_wrong_rank1_stated_pair,
+            _extra_equality,
+            _huge_rank2,
+            _tie_every_rank1_cell,
+            _both_claim_f_faults,
+            _wrong_rank1_stated_pair,
         ],
+        ids=lambda fault: fault and f"_scalar{fault.__name__}",
     )
     @pytest.mark.parametrize("block", [1, 7, 300])
     def test_claim_f_matches_scalar_loop(self, monkeypatch, block, fault):
@@ -554,7 +532,9 @@ class TestBlocksOfRows:
             assert verify_claim_f(*args).to_dict() == want, args
             assert want["status"] == ("pass" if fault is None else "fail")
 
-    @pytest.mark.parametrize("fault", [None, _scalar_undominated_family_ii])
+    @pytest.mark.parametrize(
+        "fault", [None, _undominated_family_ii], ids=lambda fault: fault and f"_scalar{fault.__name__}"
+    )
     @pytest.mark.parametrize("block", [1, 7, 300])
     def test_remark_matches_scalar_loop(self, monkeypatch, block, fault):
         monkeypatch.setattr(kernels, "PAIR_BLOCK", block)
